@@ -88,6 +88,17 @@ def _echo(config: RunConfig) -> dict[str, Any]:
     }
 
 
+def _require_unit_hx(config: RunConfig) -> None:
+    """The quadratic theory and ``displacement_per_period`` take ``Hx = 1``;
+    refuse a sinusoidal field that says otherwise rather than ignore it."""
+    field = config.field
+    if isinstance(field, SinusoidalField) and field.hx0 != 1.0:
+        raise ConfigError(
+            f"[field] hx0 = {field.hx0!r}, but this command assumes "
+            f"hx0 = 1; fold it into the parameters instead (M * hx0 and "
+            f"epsilon / hx0 give the same dynamics)")
+
+
 def _run_reported(args: argparse.Namespace, command: str, config: RunConfig,
                   body: Callable[[], tuple[dict[str, Any], int]]) -> int:
     """Run ``body`` and mirror its outcome into the optional JSON report."""
@@ -143,6 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_displacement(args: argparse.Namespace) -> int:
     config = _load(args)
+    _require_unit_hx(config)
     if args.epsilon is not None:
         epsilon = args.epsilon
     elif isinstance(config.field, SinusoidalField):
@@ -224,6 +236,7 @@ def _print_matrix(name: str, matrix: np.ndarray) -> None:
 
 def cmd_linearize(args: argparse.Namespace) -> int:
     config = _load(args)
+    _require_unit_hx(config)
 
     def body() -> tuple[dict[str, Any], int]:
         numeric = linearize_angles(config.params)
@@ -265,6 +278,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
+    _require_unit_hx(config)
     omega_min = args.omega_min if args.omega_min is not None else \
         config.omega_min
     omega_max = args.omega_max if args.omega_max is not None else \
@@ -273,7 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def body() -> tuple[dict[str, Any], int]:
         curve = frequency_sweep(config.params, omega_min, omega_max,
-                                n_grid=n_grid, workers=args.workers)
+                                n_grid=n_grid)
         out = _out_dir(args, config)
         path = out / "sweep.csv"
         with open(path, "w") as fh:
@@ -284,6 +298,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"dx2_star {curve.dx2_star!r}")
         print(f"boundary {curve.boundary}")
         print(f"near_zero {curve.near_zero}")
+        print(f"path_gap {curve.path_gap!r} "
+              f"evaluations {curve.evaluations}")
         if curve.near_zero:
             print("curve is zero to roundoff: this drag pattern cannot "
                   "translate at quadratic order")
@@ -295,6 +311,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "dx2_star": curve.dx2_star,
             "boundary": curve.boundary,
             "near_zero": curve.near_zero,
+            "path_gap": curve.path_gap,
+            "evaluations": curve.evaluations,
         }
         return results, 0
 
@@ -407,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-min", type=float, default=None)
     p.add_argument("--omega-max", type=float, default=None)
     p.add_argument("--n-grid", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--output-dir", default=None)
 
     p = add("controllability", cmd_controllability,

@@ -24,9 +24,7 @@ that regime; the numeric paths work for any parameters.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +53,23 @@ __all__ = [
     "displacement_model",
 ]
 
-WORKERS_ENV_VAR = "MAGSWIM_WORKERS"
 QUADRATURE_SAMPLES = 4096
+# frequencies per block of the batched quadrature: two keep its
+# temporaries (three (2, 4096, 3) arrays) near 0.6 MB
+_GUARD_CHUNK = 2
+
+
+def _trapezoid_phases(samples: int) -> np.ndarray:
+    """``[cos 2 pi k / N, sin 2 pi k / N]`` for the N uniform nodes.
+
+    On the grid ``t_k = k T / N`` the phase ``omega t_k`` is ``2 pi k / N``
+    whatever ``omega`` is, so one table serves every frequency.
+    """
+    angle = (2.0 * math.pi / samples) * np.arange(samples)
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+_PHASES = _trapezoid_phases(QUADRATURE_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -337,37 +350,73 @@ def _dx2_resolvent(model: _QuadraticModel, omega: float) -> float:
     return (2.0 * math.pi / omega) * (omega / 4.0) * float(z.imag)
 
 
-def _dx2_quadrature(model: _QuadraticModel, omega: float,
-                    samples: int = QUADRATURE_SAMPLES) -> float:
-    orbit = steady_periodic(model.a, model.b, omega)
-    period = 2.0 * math.pi / omega
-    ts = np.linspace(0.0, period, samples, endpoint=False)
-    q = orbit.shape(ts)
-    qdot = orbit.rate(ts)
-    integrand = np.einsum("tj,jk,tk->t", q, model.grad_gx, qdot)
+def _dx2_quadrature(model: _QuadraticModel, omega,
+                    samples: int = QUADRATURE_SAMPLES):
+    """Time-domain value of ``dx2``: the trapezoid sum over one period of
+    ``q . grad Gx . qdot`` along the steady orbit.
+
+    ``omega`` is a scalar (a float comes back) or a 1-d array (an array of
+    the same length comes back).  With ``c = c_plus`` and the phase table
+    ``[cos, sin]`` of the nodes, ``q = [cos, sin] @ [Im c; Re c]`` and
+    ``qdot = omega [cos, sin] @ [Re c; -Im c]``; the integrand is formed at
+    every node and summed, a few frequencies at a time.
+    """
+    flat = np.atleast_1d(np.asarray(omega, dtype=float))
+    if np.any(flat <= 0.0):
+        raise ValueError("omega must be positive")
+    phases = _PHASES if samples == QUADRATURE_SAMPLES else \
+        _trapezoid_phases(samples)
+    c = np.linalg.inv(-model.a + 1j * flat[:, None, None] * np.eye(3)) \
+        @ model.b
+    shape_coef = np.stack([c.imag, c.real], axis=1)
+    rate_coef = flat[:, None, None] * np.stack([c.real, -c.imag], axis=1)
+    sums = np.empty(flat.size)
+    for start in range(0, flat.size, _GUARD_CHUNK):
+        block = slice(start, start + _GUARD_CHUNK)
+        q = phases @ shape_coef[block]
+        qdot = phases @ rate_coef[block]
+        sums[block] = np.einsum("mtj,mtj->m", q @ model.grad_gx, qdot)
     # uniform grid over one period: the trapezoid rule is spectrally
     # accurate for this smooth periodic integrand
-    return float(integrand.mean() * period)
+    values = sums / samples * (2.0 * math.pi / flat)
+    return float(values[0]) if np.ndim(omega) == 0 else values
+
+
+def _guard(model: _QuadraticModel, omegas, values) -> float:
+    """Check resolvent values against the quadrature at their frequencies.
+
+    Raises for the first frequency whose gap exceeds
+    ``1e-8 max(1, |quadrature|)``; otherwise returns the largest relative
+    gap ``|resolvent - quadrature| / max(1, |quadrature|)``.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    quad = _dx2_quadrature(model, omegas)
+    gaps = np.abs(np.asarray(values, dtype=float) - quad)
+    scales = np.maximum(1.0, np.abs(quad))
+    bad = np.flatnonzero(gaps > 1e-8 * scales)
+    if bad.size:
+        k = bad[0]
+        raise AnalysisError(
+            f"displacement paths disagree by {gaps[k]:.3e} at omega = "
+            f"{omegas[k]:g}")
+    return float(np.max(gaps / scales))
 
 
 def net_displacement_quadratic(params: SwimmerParams, omega: float,
                                model: _QuadraticModel | None = None) -> float:
     """Per-cycle x-displacement at quadratic order, per unit eps^2.
 
-    Evaluates both the closed resolvent expression and the time-domain
-    quadrature of the steady orbit, and insists they agree to 1e-8; a gap
-    means the linearization or the orbit reconstruction is broken, so it
-    raises instead of returning either number.
+    Returns the closed resolvent expression after checking it against the
+    time-domain quadrature of the steady orbit, the same guard that
+    ``frequency_sweep`` runs over all of its frequencies at once.  A gap
+    above 1e-8 means the linearization or the orbit reconstruction is
+    broken, so it raises instead of returning either number.
     """
     if model is None:
         model = displacement_model(params)
-    via_resolvent = _dx2_resolvent(model, omega)
-    via_quadrature = _dx2_quadrature(model, omega)
-    gap = abs(via_resolvent - via_quadrature)
-    if gap > 1e-8 * max(1.0, abs(via_quadrature)):
-        raise AnalysisError(
-            f"displacement paths disagree by {gap:.3e} at omega = {omega:g}")
-    return via_resolvent
+    value = _dx2_resolvent(model, omega)
+    _guard(model, [omega], [value])
+    return value
 
 
 @dataclass(frozen=True)
@@ -377,7 +426,10 @@ class DisplacementCurve:
     ``omega_star`` maximizes ``|dx2|``; when the grid maximum sits on the
     boundary the refinement is skipped and ``boundary`` is set.
     ``near_zero`` flags curves that vanish to roundoff (equal-coefficient
-    swimmers cannot translate at this order).
+    swimmers cannot translate at this order).  ``evaluations`` counts the
+    frequencies the sweep evaluated (grid, refinement and ``omega_star``),
+    and ``path_gap`` is the largest relative gap between the resolvent and
+    quadrature values over all of them.
     """
 
     omegas: np.ndarray
@@ -386,15 +438,8 @@ class DisplacementCurve:
     dx2_star: float
     boundary: bool
     near_zero: bool
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    path_gap: float
+    evaluations: int
 
 
 def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
@@ -417,15 +462,15 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
 
 
 def frequency_sweep(params: SwimmerParams, omega_min: float,
-                    omega_max: float, n_grid: int = 64,
-                    workers: int | None = None) -> DisplacementCurve:
+                    omega_max: float, n_grid: int = 64) -> DisplacementCurve:
     """Sweep ``dx2`` over a log-spaced grid and refine the peak.
 
-    The grid is evaluated by a worker pool (size from the ``workers``
-    argument, else the MAGSWIM_WORKERS environment variable, else the cpu
-    count) and merged back in grid order, so results do not depend on the
-    pool size.  The peak of ``|dx2|`` is then refined by golden section
-    inside its bracketing grid cell to 1e-6 relative.
+    ``dx2`` comes from the resolvent expression at each grid point; the
+    peak of ``|dx2|`` is then refined by golden section inside its
+    bracketing grid cell to 1e-6 relative.  Every frequency evaluated on
+    the way is recorded, and at the end the quadrature guard of
+    ``net_displacement_quadratic`` checks all of them in one batch,
+    raising for the first (in visiting order) whose two paths disagree.
     """
     if not (0.0 < omega_min < omega_max):
         raise ValueError("need 0 < omega_min < omega_max")
@@ -434,13 +479,16 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     model = displacement_model(params)
     omegas = np.logspace(math.log10(omega_min), math.log10(omega_max),
                          n_grid)
-    count = _worker_count(workers)
-    evaluate = lambda w: net_displacement_quadratic(params, w, model=model)
-    if count == 1:
-        dx2 = np.array([evaluate(w) for w in omegas])
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            dx2 = np.array(list(pool.map(evaluate, omegas)))
+    visited: list[float] = []
+    values: list[float] = []
+
+    def evaluate(w: float) -> float:
+        value = _dx2_resolvent(model, w)
+        visited.append(w)
+        values.append(value)
+        return value
+
+    dx2 = np.array([evaluate(w) for w in omegas])
     peak = int(np.argmax(np.abs(dx2)))
     scale = float(np.max(np.abs(dx2)))
     near_zero = scale <= 1e-12
@@ -457,7 +505,9 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
         omega_star = _golden_max(
             lambda w: abs(evaluate(w)),
             float(omegas[peak - 1]), float(omegas[peak + 1]))
+    dx2_star = evaluate(omega_star)
+    path_gap = _guard(model, visited, values)
     return DisplacementCurve(
-        omegas=omegas, dx2=dx2, omega_star=omega_star,
-        dx2_star=evaluate(omega_star), boundary=boundary,
-        near_zero=near_zero)
+        omegas=omegas, dx2=dx2, omega_star=omega_star, dx2_star=dx2_star,
+        boundary=boundary, near_zero=near_zero, path_gap=path_gap,
+        evaluations=len(visited))

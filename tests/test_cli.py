@@ -183,6 +183,69 @@ directory = {tmp_path}
         assert payload["params"]["K"] == 0.0
 
 
+    def test_reports_guard_gap_and_evaluation_count(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import json
+        import magswim.linear
+        real = magswim.linear._golden_max
+        refinement = []
+
+        def counted(f, lo, hi, *args, **kwargs):
+            def g(w):
+                refinement.append(w)
+                return f(w)
+            return real(g, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(magswim.linear, "_golden_max", counted)
+        cfg = write_config(tmp_path, f"""
+[analysis]
+omega_min = 0.3
+omega_max = 1.2
+n_grid = 16
+
+[output]
+directory = {tmp_path}
+""")
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", cfg,
+                     "--json", str(report)]) == 0
+        out = capsys.readouterr().out
+        results = json.loads(report.read_text())["results"]
+        assert 0.0 <= results["path_gap"] <= 1e-8
+        # the grid, the golden-section points and omega_star itself
+        assert refinement
+        assert results["evaluations"] == 16 + len(refinement) + 1
+        assert (f"path_gap {results['path_gap']!r} "
+                f"evaluations {results['evaluations']}") in out
+
+
+class TestFieldAmplitude:
+    """The linear theory and the displacement measurement take Hx = 1."""
+
+    HX0 = """
+[field]
+kind = sinusoidal
+hx0 = 3.0
+epsilon = 0.05
+omega = 1.0
+
+[analysis]
+n_grid = 16
+
+[output]
+directory = {out}
+"""
+
+    @pytest.mark.parametrize("command", ["displacement", "linearize",
+                                         "sweep"])
+    def test_non_unit_hx0_is_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.HX0.format(out=tmp_path))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "hx0 = 3.0" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestControllability:
     def test_straight_poses_pass(self, capsys):
         assert main(["controllability", "--theta", "0.0", "0.3"]) == 0

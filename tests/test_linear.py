@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import magswim.linear
 from magswim import AnalysisError, Configuration, SwimmerParams
 from magswim.dynamics import _assemble, _unpack
 from magswim.linear import (
@@ -269,6 +270,14 @@ class TestNetDisplacement:
         assert net_displacement_quadratic(CANON, 0.62) == pytest.approx(
             0.03202696038636, rel=1e-9)
 
+    def test_array_quadrature_matches_scalar_calls(self):
+        model = displacement_model(CANON)
+        omegas = np.logspace(-2.0, 2.0, 20)
+        batch = _dx2_quadrature(model, omegas)
+        single = np.array([_dx2_quadrature(model, float(w)) for w in omegas])
+        assert batch.shape == (20,)
+        assert np.max(np.abs(batch - single)) <= 1e-15
+
     def test_quadrature_sample_count_is_converged(self):
         model = displacement_model(CANON)
         full = _dx2_quadrature(model, 0.62)
@@ -314,11 +323,56 @@ class TestFrequencySweep:
         assert sw.near_zero
         assert np.max(np.abs(sw.dx2)) < 1e-12
 
-    def test_worker_count_does_not_change_results(self):
-        a = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16, workers=1)
-        b = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16, workers=4)
-        np.testing.assert_array_equal(a.dx2, b.dx2)
-        assert a.omega_star == b.omega_star
+    def test_outputs_are_frozen(self):
+        # values as the sweep produced them before its quadrature guard was
+        # batched; the returned numbers come from the resolvent alone, so
+        # they must not move by a single bit
+        sw = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16)
+        assert sw.omega_star == 0.6200599044339132
+        assert sw.dx2_star == 0.032026960542143434
+        assert sw.dx2.tolist() == [
+            0.009981438730766193, 0.01329028938373455, 0.017406715218230437,
+            0.022165065949740152, 0.026970954424814172, 0.030693592656634485,
+            0.03202191433167708, 0.030330512976686024, 0.026204974708802613,
+            0.020932868852145747, 0.015646001199555386, 0.01097531966738221,
+            0.007173727516470478, 0.004315258200719666,
+            0.0023708495046326676, 0.001196739008921246]
+        assert not sw.boundary and not sw.near_zero
+
+    def test_guard_covers_refinement_points(self, monkeypatch):
+        grid = set(np.logspace(-2.0, 2.0, 64).tolist())
+        real = magswim.linear._dx2_resolvent
+
+        def off_grid_skewed(model, omega):
+            value = real(model, omega)
+            return value if float(omega) in grid else value * (1 + 1e-6)
+
+        monkeypatch.setattr(magswim.linear, "_dx2_resolvent",
+                            off_grid_skewed)
+        with pytest.raises(AnalysisError, match="paths disagree"):
+            frequency_sweep(CANON, 1e-2, 1e2, 64)
+
+    def test_guard_covers_every_grid_point(self, monkeypatch):
+        grid = np.logspace(-2.0, 2.0, 64)
+        # the grid point nearest the peak, where 1e-6 relative is 3e-8
+        target = float(grid[np.argmin(np.abs(np.log(grid / 0.62)))])
+        real = magswim.linear._dx2_resolvent
+
+        def one_point_skewed(model, omega):
+            value = real(model, omega)
+            return value * (1 + 1e-6) if omega == target else value
+
+        monkeypatch.setattr(magswim.linear, "_dx2_resolvent",
+                            one_point_skewed)
+        with pytest.raises(AnalysisError,
+                           match=f"at omega = {target:g}$"):
+            frequency_sweep(CANON, 1e-2, 1e2, 64)
+
+    def test_reports_guard_gap_and_evaluations(self):
+        sw = frequency_sweep(CANON, 1e-2, 1e2, 64)
+        assert 0.0 <= sw.path_gap <= 1e-8
+        # 64 grid points, 29 golden-section points and omega_star
+        assert sw.evaluations == 94
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
