@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _assemble, _unpack
+from .dynamics import _field_columns, _load_core
 from .model import SwimmerParams
 
 __all__ = [
@@ -81,16 +81,10 @@ class ControlSystem:
 
 
 def control_vector_fields(params: SwimmerParams) -> ControlSystem:
-    consts = _unpack(params)
-    stiffness = params.K
-    moment = params.M
+    loads = _load_core(params)
 
     def solve_all(x: np.ndarray) -> np.ndarray:
-        mh, mx, my = _assemble(x[2], x[3], x[4], *consts, moment)
-        elastic = np.zeros(STATE_DIM)
-        elastic[3] = stiffness * x[3]
-        elastic[4] = -stiffness * x[4]
-        return np.linalg.solve(mh, np.column_stack((elastic, -mx, -my)))
+        return _field_columns(*loads(x[2], x[3], x[4]))
 
     return ControlSystem(
         f0=VectorField(lambda x: solve_all(x)[:, 0], "f0"),
@@ -101,11 +95,12 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
 
 def field_jacobian(field: VectorField, point: np.ndarray,
                    step: float = BASE_STEP) -> np.ndarray:
-    """Central-difference Jacobian, entry [i, j] = d field_i / d x_j."""
+    """Central-difference Jacobian, entry [i, j] = d field_i / d x_j, of
+    any field from n-vectors to n-vectors."""
     point = np.asarray(point, dtype=float)
-    jac = np.empty((STATE_DIM, STATE_DIM))
-    for j in range(STATE_DIM):
-        dx = np.zeros(STATE_DIM)
+    jac = np.empty((point.size, point.size))
+    for j in range(point.size):
+        dx = np.zeros(point.size)
         dx[j] = step
         jac[:, j] = (field(point + dx) - field(point - dx)) / (2.0 * step)
     return jac
@@ -170,7 +165,7 @@ def equilibrium_identities(params: SwimmerParams,
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
     bracket = lie_bracket(system.fx, system.fy, point)
     claimed = fy_val[2] * fy_val
-    mh, _, _ = _assemble(point[2], 0.0, 0.0, *_unpack(params), params.M)
+    mh = _load_core(params)(point[2], 0.0, 0.0)[0]
     corrected = (params.M / np.cos(theta)) * np.linalg.solve(
         mh, _angle_stencil(fy_val))
     return EquilibriumReport(

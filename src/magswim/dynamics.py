@@ -51,6 +51,10 @@ __all__ = [
 COND_LIMIT = 1e12
 
 
+def _moments(a: float, b: float) -> tuple[float, float, float]:
+    return b - a, 0.5 * (b * b - a * a), (b ** 3 - a ** 3) / 3.0
+
+
 def _assemble(theta: float, a2: float, a3: float, L: float,
               xi1: float, xi2: float, xi3: float,
               eta1: float, eta2: float, eta3: float,
@@ -82,10 +86,12 @@ def _assemble(theta: float, a2: float, a3: float, L: float,
     A2x, A2y = -half * c2, -half * s2
     A3x, A3y = half * c2, half * s2
     A1x, A1y = A2x - L * c1, A2y - L * s1
-    # link i is parameterized from P0[i] along e[i] over rng[i]; the middle
-    # link runs from its center so its first moment vanishes
+    # link i is parameterized from P0[i] along e[i] over an interval with
+    # moments mom[i]; the middle link runs from its center so its first
+    # moment vanishes
     P0 = ((A1x, A1y), (0.0, 0.0), (A3x, A3y))
-    rng = ((0.0, L), (-half, half), (0.0, L))
+    outer = _moments(0.0, L)
+    mom = (outer, _moments(-half, half), outer)
     refs = ((A1x, A1y), (A2x, A2y), (A3x, A3y))
     zero = (0.0, 0.0)
     n1 = (-s1, c1)
@@ -113,10 +119,7 @@ def _assemble(theta: float, a2: float, a3: float, L: float,
             DV0y = dxy * V0x + dyy * V0y
             DWx = dxx * Wx + dxy * Wy
             DWy = dxy * Wx + dyy * Wy
-            a, b = rng[i]
-            m0 = b - a
-            m1 = 0.5 * (b * b - a * a)
-            m2 = (b ** 3 - a ** 3) / 3.0
+            m0, m1, m2 = mom[i]
             Fx -= DV0x * m0 + DWx * m1
             Fy -= DV0y * m0 + DWy * m1
             ex, ey = e[i]
@@ -152,10 +155,31 @@ def _unpack(params: SwimmerParams) -> tuple:
     return (params.L, *params.xi, *params.eta)
 
 
-def _elastic(a2: float, a3: float, K: float) -> np.ndarray:
-    # restoring spring load in the staircase torque rows; signs calibrated
-    # against the joint balance (see tests: free springs relax, energy decays)
-    return np.array([0.0, 0.0, 0.0, K * a2, -K * a3])
+def _load_core(params: SwimmerParams) -> Callable[..., tuple]:
+    """Bind the parameters into ``(theta, alpha2, alpha3) -> (Mh, elastic,
+    Mx, My)``, the terms of ``Mh qdot = elastic - Mx Hx - My Hy`` that every
+    evaluation of the dynamics assembles through; ``elastic`` is a tuple of
+    the five load rows, so the rate closure builds no array for it."""
+    consts = (*_unpack(params), params.M)
+    K = params.K
+
+    def loads(theta, a2, a3):
+        Mh, Mx, My = _assemble(theta, a2, a3, *consts)
+        # restoring spring load in the staircase torque rows; signs calibrated
+        # against the joint balance (tests: free springs relax, energy decays)
+        return Mh, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
+
+    return loads
+
+
+def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
+    return _load_core(params)(config.theta, config.alpha2, config.alpha3)
+
+
+def _field_columns(Mh: np.ndarray, elastic: tuple, Mx: np.ndarray,
+                   My: np.ndarray) -> np.ndarray:
+    """``f0, fx, fy`` as the columns of one multi-column solve."""
+    return np.linalg.solve(Mh, np.column_stack((elastic, -Mx, -My)))
 
 
 @dataclass(frozen=True)
@@ -215,6 +239,15 @@ class ControlFields:
         return self.position_coupling[:, 2]
 
 
+def _checked_resistance(Mh: np.ndarray) -> GrandResistance:
+    cond = float(np.linalg.cond(Mh))
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise NearSingularError(
+            f"grand resistance nearly singular: cond = {cond:.3e}")
+    return GrandResistance(mh=Mh, ah=Mh[:2, :2].copy(), bh=Mh[:2, 2:].copy(),
+                           ch=Mh[2:, 2:].copy(), cond=cond)
+
+
 def grand_resistance(config: Configuration,
                      params: SwimmerParams) -> GrandResistance:
     """Assemble the grand resistance at a configuration.
@@ -222,14 +255,7 @@ def grand_resistance(config: Configuration,
     Raises :class:`NearSingularError` when the condition number exceeds
     ``COND_LIMIT``; downstream solves would then be meaningless.
     """
-    Mh, _, _ = _assemble(config.theta, config.alpha2, config.alpha3,
-                         *_unpack(params), params.M)
-    cond = float(np.linalg.cond(Mh))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NearSingularError(
-            f"grand resistance nearly singular: cond = {cond:.3e}")
-    return GrandResistance(mh=Mh, ah=Mh[:2, :2].copy(), bh=Mh[:2, 2:].copy(),
-                           ch=Mh[2:, 2:].copy(), cond=cond)
+    return _checked_resistance(_loads_at(config, params)[0])
 
 
 def magnetic_coupling(config: Configuration,
@@ -240,34 +266,28 @@ def magnetic_coupling(config: Configuration,
     torque ``M (e(phi) x H)``; summing over the links that enter each
     staircase row gives cumulative sine/cosine patterns.
     """
-    _, Mx, My = _assemble(config.theta, config.alpha2, config.alpha3,
-                          *_unpack(params), params.M)
+    _, _, Mx, My = _loads_at(config, params)
     return MagneticCoupling(mx=Mx, my=My)
 
 
 def elastic_load(config: Configuration, params: SwimmerParams) -> np.ndarray:
     """Generalized load of the joint springs at a configuration."""
-    return _elastic(config.alpha2, config.alpha3, params.K)
+    return np.array(_loads_at(config, params)[1])
 
 
 def control_fields(config: Configuration,
                    params: SwimmerParams) -> ControlFields:
     """Drift and control fields of the affine system at one configuration.
 
-    Computes the full-space fields by direct 5x5 solves and the reduced
-    fields by block elimination of the force balance, then cross-checks the
-    two (angle components must agree, position components must be G times
-    the angle components).  A mismatch beyond 1e-10 relative indicates a
-    broken assembly and raises.
+    Computes the full-space fields by one multi-column 5x5 solve and the
+    reduced fields by block elimination of the force balance, then
+    cross-checks the two (angle components must agree, position components
+    must be G times the angle components).  A mismatch beyond 1e-10
+    relative indicates a broken assembly and raises.
     """
-    gr = grand_resistance(config, params)
-    Mh = gr.mh
-    _, Mx, My = _assemble(config.theta, config.alpha2, config.alpha3,
-                          *_unpack(params), params.M)
-    el = _elastic(config.alpha2, config.alpha3, params.K)
-    f0 = np.linalg.solve(Mh, el)
-    fx = -np.linalg.solve(Mh, Mx)
-    fy = -np.linalg.solve(Mh, My)
+    Mh, el, Mx, My = _loads_at(config, params)
+    gr = _checked_resistance(Mh)
+    f0, fx, fy = _field_columns(Mh, el, Mx, My).T
     ah_inv_bh = np.linalg.solve(gr.ah, gr.bh)
     G = -ah_inv_bh
     # Mh is not symmetric (torque rows sit at staircase points), so the
@@ -294,13 +314,7 @@ def control_fields(config: Configuration,
 def rhs(config: Configuration, h: tuple[float, float],
         params: SwimmerParams) -> np.ndarray:
     """Configuration velocity under field ``h = (Hx, Hy)``."""
-    Mh, Mx, My = _assemble(config.theta, config.alpha2, config.alpha3,
-                           *_unpack(params), params.M)
-    # same accumulation order as make_rate_function so the two agree bitwise
-    load = -h[0] * Mx - h[1] * My
-    load[3] += params.K * config.alpha2
-    load[4] -= params.K * config.alpha3
-    return np.linalg.solve(Mh, load)
+    return make_rate_function(params)(config.as_array(), h[0], h[1])
 
 
 def make_rate_function(params: SwimmerParams) -> Callable[[np.ndarray, float, float], np.ndarray]:
@@ -309,16 +323,16 @@ def make_rate_function(params: SwimmerParams) -> Callable[[np.ndarray, float, fl
     This is the integrator hot path: one assembly plus a single combined
     5x5 solve per call, no dataclass construction.
     """
-    L, xi1, xi2, xi3, eta1, eta2, eta3 = _unpack(params)
-    K = params.K
-    M = params.M
+    loads = _load_core(params)
 
     def rate(state: np.ndarray, hx: float, hy: float) -> np.ndarray:
-        Mh, Mx, My = _assemble(state[2], state[3], state[4],
-                               L, xi1, xi2, xi3, eta1, eta2, eta3, M)
-        load = -hx * Mx - hy * My
-        load[3] += K * state[3]
-        load[4] -= K * state[4]
+        Mh, elastic, Mx, My = loads(state[2], state[3], state[4])
+        # (-hx Mx - hy My) + elastic, adding only the spring rows: a zero
+        # load row keeps the sign of its zero
+        load = -hx * Mx
+        load -= hy * My
+        load[3] += elastic[3]
+        load[4] += elastic[4]
         return np.linalg.solve(Mh, load)
 
     return rate

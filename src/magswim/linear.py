@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _assemble, _unpack, make_rate_function
+from .brackets import field_jacobian
+from .dynamics import _load_core, make_rate_function
 from .errors import AnalysisError
 from .model import SwimmerParams
 
@@ -92,17 +93,6 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
             "closed forms need links 2 and 3 to share drag coefficients")
 
 
-def _angle_rate(params: SwimmerParams):
-    """Shape velocity (theta, alpha2, alpha3) as a function of shape."""
-    rate = make_rate_function(params)
-
-    def g(q: np.ndarray, hx: float, hy: float) -> np.ndarray:
-        state = np.array([0.0, 0.0, q[0], q[1], q[2]])
-        return rate(state, hx, hy)[2:]
-
-    return g
-
-
 def linearize_angles(params: SwimmerParams,
                      step: float = 1e-6) -> LinearizedModel:
     """Finite-difference ``A`` and ``b`` at the straight equilibrium.
@@ -111,12 +101,13 @@ def linearize_angles(params: SwimmerParams,
     and order-one near the origin, so 1e-6 balances truncation against
     roundoff at about 1e-10 relative.
     """
-    g = _angle_rate(params)
-    a = np.empty((3, 3))
-    for j in range(3):
-        dq = np.zeros(3)
-        dq[j] = step
-        a[:, j] = (g(dq, 1.0, 0.0) - g(-dq, 1.0, 0.0)) / (2.0 * step)
+    rate = make_rate_function(params)
+
+    def g(q: np.ndarray, hx: float, hy: float) -> np.ndarray:
+        # shape velocity (theta, alpha2, alpha3) as a function of shape
+        return rate(np.array([0.0, 0.0, q[0], q[1], q[2]]), hx, hy)[2:]
+
+    a = field_jacobian(lambda q: g(q, 1.0, 0.0), np.zeros(3), step)
     b = g(np.zeros(3), 0.0, 1.0)
     return LinearizedModel(a=a, b=b, source="numeric")
 
@@ -204,10 +195,9 @@ def resolvents(a: np.ndarray, omega: float
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     a = np.asarray(a, dtype=float)
-    eye = np.eye(a.shape[0])
-    a_plus = np.linalg.inv(-a + 1j * omega * eye)
-    a_minus = np.linalg.inv(-a - 1j * omega * eye)
-    return a_plus, a_minus
+    a_plus = np.linalg.inv(-a + 1j * omega * np.eye(a.shape[0]))
+    # a is real, so the second resolvent is the conjugate of the first
+    return a_plus, a_plus.conj()
 
 
 @dataclass(frozen=True)
@@ -246,19 +236,16 @@ def grad_gx_origin(params: SwimmerParams, step: float = 1e-6) -> np.ndarray:
     ``j``, where ``xdot = Gx(q) . qdot``.  ``Gx(0) = 0`` by symmetry, so
     this gradient carries the entire quadratic displacement.
     """
+    loads = _load_core(params)
+
     def gx_row(q: np.ndarray) -> np.ndarray:
         # recover G's x-row from the force balance alone: with zero net
         # force, (xdot, ydot) = -Ah^-1 Bh (angle rates)
-        mh, _, _ = _assemble(q[0], q[1], q[2], *_unpack(params), params.M)
+        mh = loads(q[0], q[1], q[2])[0]
         g = -np.linalg.solve(mh[:2, :2], mh[:2, 2:])
         return g[0, :]
 
-    out = np.empty((3, 3))
-    for j in range(3):
-        dq = np.zeros(3)
-        dq[j] = step
-        out[j, :] = (gx_row(dq) - gx_row(-dq)) / (2.0 * step)
-    return out
+    return field_jacobian(gx_row, np.zeros(3), step).T.copy()
 
 
 def closed_form_grad_gx(params: SwimmerParams) -> np.ndarray:

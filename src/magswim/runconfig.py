@@ -17,6 +17,7 @@ whatever units the inputs use.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,34 +30,9 @@ from .model import (
     SwimmerParams,
     TabulatedField,
 )
+from .simulate import _default_dt
 
 __all__ = ["RunConfig", "load_config", "parse_config", "resolved_dt"]
-
-_SCHEMA = {
-    "params": ("L", "xi", "eta", "K", "M"),
-    "field": ("kind", "hx", "hy", "hx0", "epsilon", "omega", "samples"),
-    "initial": ("x", "y", "theta", "alpha2", "alpha3"),
-    "solver": ("dt", "t_final", "burn_in_periods", "measure_periods"),
-    "analysis": ("omega_min", "omega_max", "n_grid", "bracket_depth"),
-    "output": ("directory", "formats"),
-}
-
-_FIELD_KEYS = {
-    "constant": ("hx", "hy"),
-    "sinusoidal": ("hx0", "epsilon", "omega"),
-    "tabulated": ("samples",),
-}
-
-_PARAM_DEFAULTS = {
-    "L": "1.0", "xi": "0.8, 0.5, 0.5", "eta": "2.0, 1.0, 1.0",
-    "K": "1.0", "M": "1.0",
-}
-
-_FIELD_DEFAULTS = {
-    "kind": "sinusoidal",
-    "hx": "1.0", "hy": "0.0",
-    "hx0": "1.0", "epsilon": "1e-2", "omega": "1.0",
-}
 
 _OUTPUT_FORMATS = ("csv", "jsonl")
 
@@ -87,31 +63,32 @@ class RunConfig:
     applied_defaults: tuple[str, ...]
 
 
-class _Collector:
-    """Tracks which keys came from the file and which from defaults."""
-
-    def __init__(self, cp: configparser.ConfigParser) -> None:
-        self.cp = cp
-        self.defaults: list[str] = []
-
-    def get(self, section: str, key: str, fallback: str | None) -> str:
-        if self.cp.has_option(section, key):
-            return self.cp.get(section, key)
-        if fallback is None:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        self.defaults.append(f"{section}.{key}")
-        return fallback
-
-
-def _to_float(section: str, key: str, raw: str) -> float:
+def _number(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
-def _to_int(section: str, key: str, raw: str) -> int:
+def _positive(section: str, key: str, raw: str) -> float:
+    value = _number(section, key, raw)
+    if value <= 0.0:
+        raise ConfigError(f"[{section}] {key} must be positive")
+    return value
+
+
+def _step(section: str, key: str, raw: str) -> float | None:
+    if raw.strip().lower() == "auto":
+        return None
+    return _positive(section, key, raw)
+
+
+def _count(section: str, key: str, raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
@@ -122,54 +99,15 @@ def _to_int(section: str, key: str, raw: str) -> int:
     return value
 
 
-def _to_triple(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _triple(section: str, key: str, raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
         raise ConfigError(
             f"[{section}] {key} needs three comma-separated values")
-    return tuple(_to_float(section, key, p) for p in parts)
+    return tuple(_number(section, key, p) for p in parts)
 
 
-def _check_vocabulary(cp: configparser.ConfigParser) -> None:
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        allowed = _SCHEMA[section]
-        for key in cp.options(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-
-def _build_field(col: _Collector) -> FieldProgram:
-    kind = col.get("field", "kind", _FIELD_DEFAULTS["kind"]).strip().lower()
-    if kind not in _FIELD_KEYS:
-        raise ConfigError(
-            f"[field] kind must be one of {sorted(_FIELD_KEYS)}, "
-            f"got {kind!r}")
-    if col.cp.has_section("field"):
-        present = set(col.cp.options("field")) - {"kind"}
-        stray = present - set(_FIELD_KEYS[kind])
-        if stray:
-            raise ConfigError(
-                f"[field] keys {sorted(stray)} do not apply to "
-                f"kind = {kind}; remove them or change the kind")
-    if kind == "constant":
-        return ConstantField(
-            hx=_to_float("field", "hx",
-                         col.get("field", "hx", _FIELD_DEFAULTS["hx"])),
-            hy=_to_float("field", "hy",
-                         col.get("field", "hy", _FIELD_DEFAULTS["hy"])))
-    if kind == "sinusoidal":
-        return SinusoidalField(
-            hx0=_to_float("field", "hx0",
-                          col.get("field", "hx0", _FIELD_DEFAULTS["hx0"])),
-            epsilon=_to_float(
-                "field", "epsilon",
-                col.get("field", "epsilon", _FIELD_DEFAULTS["epsilon"])),
-            omega=_to_float(
-                "field", "omega",
-                col.get("field", "omega", _FIELD_DEFAULTS["omega"])))
-    raw = col.get("field", "samples", None)
+def _samples(section: str, key: str, raw: str) -> TabulatedField:
     times, hxs, hys = [], [], []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
@@ -178,15 +116,67 @@ def _build_field(col: _Collector) -> FieldProgram:
         parts = line.split()
         if len(parts) != 3:
             raise ConfigError(
-                f"[field] samples line {lineno}: expected 't hx hy', "
+                f"[{section}] samples line {lineno}: expected 't hx hy', "
                 f"got {line!r}")
-        times.append(_to_float("field", "samples", parts[0]))
-        hxs.append(_to_float("field", "samples", parts[1]))
-        hys.append(_to_float("field", "samples", parts[2]))
+        times.append(_number(section, key, parts[0]))
+        hxs.append(_number(section, key, parts[1]))
+        hys.append(_number(section, key, parts[2]))
     try:
         return TabulatedField(times=times, hx=hxs, hy=hys)
     except ValueError as exc:
-        raise ConfigError(f"[field] samples: {exc}") from exc
+        raise ConfigError(f"[{section}] samples: {exc}") from exc
+
+
+def _formats(section: str, key: str, raw: str) -> tuple[str, ...]:
+    formats = tuple(p.strip().lower() for p in raw.split(",") if p.strip())
+    if not formats:
+        raise ConfigError("[output] formats must name at least one format")
+    for fmt in formats:
+        if fmt not in _OUTPUT_FORMATS:
+            raise ConfigError(
+                f"[output] unknown format {fmt!r}; "
+                f"choose from {_OUTPUT_FORMATS}")
+    if len(set(formats)) != len(formats):
+        raise ConfigError("[output] formats lists a format twice")
+    return formats
+
+
+# section -> key -> (parser, default), the whole vocabulary.  A default of
+# None makes a key required where it is read; parse_config supplies the
+# default of t_final, which depends on the field.
+_TABLE = {
+    "params": {"L": (_number, "1.0"), "xi": (_triple, "0.8, 0.5, 0.5"),
+               "eta": (_triple, "2.0, 1.0, 1.0"), "K": (_number, "1.0"),
+               "M": (_number, "1.0")},
+    "field": {"kind": (lambda s, k, raw: raw.strip().lower(), "sinusoidal"),
+              "hx": (_number, "1.0"), "hy": (_number, "0.0"),
+              "hx0": (_number, "1.0"), "epsilon": (_number, "1e-2"),
+              "omega": (_number, "1.0"), "samples": (_samples, None)},
+    "initial": {key: (_number, "0.0")
+                for key in ("x", "y", "theta", "alpha2", "alpha3")},
+    "solver": {"dt": (_step, "auto"), "t_final": (_positive, None),
+               "burn_in_periods": (_count, "20"),
+               "measure_periods": (_count, "1")},
+    "analysis": {"omega_min": (_number, "1e-2"),
+                 "omega_max": (_number, "1e2"),
+                 "n_grid": (_count, "64"), "bracket_depth": (_count, "3")},
+    "output": {"directory": (lambda s, k, raw: raw, "."),
+               "formats": (_formats, "csv")},
+}
+
+# each field kind: its constructor and the [field] keys it takes, in order
+_FIELD_KINDS = {
+    "constant": (ConstantField, ("hx", "hy")),
+    "sinusoidal": (SinusoidalField, ("hx0", "epsilon", "omega")),
+    "tabulated": (lambda field: field, ("samples",)),
+}
+
+
+def _construct(section: str, build, values: list):
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -197,87 +187,66 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    _check_vocabulary(cp)
-    col = _Collector(cp)
+    for section in cp.sections():
+        if section not in _TABLE:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _TABLE[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    defaults: list[str] = []
 
-    get = col.get
-    try:
-        params = SwimmerParams(
-            L=_to_float("params", "L",
-                        get("params", "L", _PARAM_DEFAULTS["L"])),
-            xi=_to_triple("params", "xi",
-                          get("params", "xi", _PARAM_DEFAULTS["xi"])),
-            eta=_to_triple("params", "eta",
-                           get("params", "eta", _PARAM_DEFAULTS["eta"])),
-            K=_to_float("params", "K",
-                        get("params", "K", _PARAM_DEFAULTS["K"])),
-            M=_to_float("params", "M",
-                        get("params", "M", _PARAM_DEFAULTS["M"])),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[params]: {exc}") from exc
+    def read(section: str, *keys: str, **fallbacks: str) -> list:
+        """Parsed values of ``keys``, or of the whole section in table
+        order; ``fallbacks`` stand in for table defaults."""
+        values = []
+        for key in keys or _TABLE[section]:
+            parse, default = _TABLE[section][key]
+            default = fallbacks.get(key, default)
+            if cp.has_option(section, key):
+                raw = cp.get(section, key)
+            elif default is None:
+                raise ConfigError(
+                    f"[{section}] is missing required key {key!r}")
+            else:
+                defaults.append(f"{section}.{key}")
+                raw = default
+            values.append(parse(section, key, raw))
+        return values
 
-    field = _build_field(col)
+    params = _construct("params", SwimmerParams, read("params"))
 
-    initial = Configuration(
-        x=_to_float("initial", "x", get("initial", "x", "0.0")),
-        y=_to_float("initial", "y", get("initial", "y", "0.0")),
-        theta=_to_float("initial", "theta", get("initial", "theta", "0.0")),
-        alpha2=_to_float("initial", "alpha2",
-                         get("initial", "alpha2", "0.0")),
-        alpha3=_to_float("initial", "alpha3",
-                         get("initial", "alpha3", "0.0")),
-    )
+    kind, = read("field", "kind")
+    if kind not in _FIELD_KINDS:
+        raise ConfigError(
+            f"[field] kind must be one of {sorted(_FIELD_KINDS)}, "
+            f"got {kind!r}")
+    build, keys = _FIELD_KINDS[kind]
+    if cp.has_section("field"):
+        stray = set(cp.options("field")) - {"kind", *keys}
+        if stray:
+            raise ConfigError(
+                f"[field] keys {sorted(stray)} do not apply to "
+                f"kind = {kind}; remove them or change the kind")
+    field = _construct("field", build, read("field", *keys))
 
-    dt_raw = get("solver", "dt", "auto")
-    if dt_raw.strip().lower() == "auto":
-        dt = None
-    else:
-        dt = _to_float("solver", "dt", dt_raw)
-        if dt <= 0.0:
-            raise ConfigError("[solver] dt must be positive")
+    initial = _construct("initial", Configuration, read("initial"))
+
     if isinstance(field, SinusoidalField):
         default_t_final = repr(10.0 * field.period)
     elif isinstance(field, TabulatedField):
         default_t_final = repr(float(field.times[-1]))
     else:
         default_t_final = "10.0"
-    t_final = _to_float("solver", "t_final",
-                        get("solver", "t_final", default_t_final))
-    if t_final <= 0.0:
-        raise ConfigError("[solver] t_final must be positive")
+    dt, t_final, burn_in, measure = read("solver", t_final=default_t_final)
 
-    burn_in = _to_int("solver", "burn_in_periods",
-                      get("solver", "burn_in_periods", "20"))
-    measure = _to_int("solver", "measure_periods",
-                      get("solver", "measure_periods", "1"))
-
-    omega_min = _to_float("analysis", "omega_min",
-                          get("analysis", "omega_min", "1e-2"))
-    omega_max = _to_float("analysis", "omega_max",
-                          get("analysis", "omega_max", "1e2"))
+    omega_min, omega_max = read("analysis", "omega_min", "omega_max")
     if not 0.0 < omega_min < omega_max:
         raise ConfigError("[analysis] needs 0 < omega_min < omega_max")
-    n_grid = _to_int("analysis", "n_grid", get("analysis", "n_grid", "64"))
-    depth = _to_int("analysis", "bracket_depth",
-                    get("analysis", "bracket_depth", "3"))
+    n_grid, depth = read("analysis", "n_grid", "bracket_depth")
     if depth not in (1, 2, 3):
         raise ConfigError("[analysis] bracket_depth must be 1, 2, or 3")
 
-    out_dir = get("output", "directory", ".")
-    formats_raw = get("output", "formats", "csv")
-    formats = tuple(p.strip().lower() for p in formats_raw.split(",")
-                    if p.strip())
-    if not formats:
-        raise ConfigError("[output] formats must name at least one format")
-    for fmt in formats:
-        if fmt not in _OUTPUT_FORMATS:
-            raise ConfigError(
-                f"[output] unknown format {fmt!r}; "
-                f"choose from {_OUTPUT_FORMATS}")
-    if len(set(formats)) != len(formats):
-        raise ConfigError("[output] formats lists a format twice")
-
+    out_dir, formats = read("output")
     return RunConfig(
         params=params, field=field, initial=initial,
         dt=dt, t_final=t_final,
@@ -285,7 +254,7 @@ def parse_config(text: str) -> RunConfig:
         omega_min=omega_min, omega_max=omega_max,
         n_grid=n_grid, bracket_depth=depth,
         output_dir=out_dir, formats=formats,
-        applied_defaults=tuple(sorted(col.defaults)),
+        applied_defaults=tuple(sorted(defaults)),
     )
 
 
@@ -306,6 +275,4 @@ def resolved_dt(config: RunConfig) -> float:
     """
     if config.dt is not None:
         return config.dt
-    if isinstance(config.field, SinusoidalField):
-        return config.field.period / 2000.0
-    return config.t_final / 1e4
+    return _default_dt(config.field, config.t_final)

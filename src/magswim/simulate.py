@@ -78,6 +78,13 @@ class SymmetryReport:
                    self.max_abs_y) <= self.tolerance
 
 
+def _default_dt(field: FieldProgram, t_final: float) -> float:
+    """2000 steps per period of a periodic drive, else 1e4 over the run."""
+    if isinstance(field, SinusoidalField):
+        return field.period / 2000.0
+    return t_final / 1e4
+
+
 def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     """Number of full steps and the remainder needed to land on ``span``."""
     n_full = int(math.floor(span / dt + 1e-9))
@@ -100,23 +107,26 @@ def _step(rate, field: FieldProgram, t: float, y: np.ndarray,
 
 
 def _advance(rate, field: FieldProgram, y: np.ndarray, t0: float,
-             span: float, dt: float) -> np.ndarray:
-    """Advance without recording; used by burn-in loops."""
+             span: float, dt: float, record=None) -> np.ndarray:
+    """RK4 from ``t0`` over ``span``, the last step shortened to land on it;
+    ``record(k, t, y)``, when given, sees the state ``y`` after ``k`` steps,
+    at time ``t``."""
     n_full, rem = _plan_steps(span, dt)
     t = t0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_full):
-                y = _step(rate, field, t, y, dt)
-                t = t0 + (k + 1) * dt
+            for k in range(n_full + (rem > 0.0)):
+                if k < n_full:
+                    y = _step(rate, field, t, y, dt)
+                    t = t0 + (k + 1) * dt
+                else:
+                    y = _step(rate, field, t, y, rem)
+                    t = t0 + span
                 if not np.all(np.isfinite(y)):
                     raise IntegrationError(
                         f"state became non-finite at t = {t:.6g}")
-            if rem > 0.0:
-                y = _step(rate, field, t, y, rem)
-                if not np.all(np.isfinite(y)):
-                    raise IntegrationError(
-                        f"state became non-finite at t = {t0 + span:.6g}")
+                if record is not None:
+                    record(k + 1, t, y)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
@@ -133,52 +143,32 @@ def integrate(params: SwimmerParams, initial: Configuration,
     :class:`IntegrationError` if the state leaves the finite range or a
     resistance solve fails.
     """
+    if not all(math.isfinite(v) for v in (t0, t_final, dt)):
+        raise ValueError("t0, t_final and dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     span = t_final - t0
     if span < 0.0:
         raise ValueError("t_final must not precede t0")
-    rate = make_rate_function(params)
     n_full, rem = _plan_steps(span, dt)
     n_rows = n_full + 1 + (1 if rem > 0.0 else 0)
     times = np.empty(n_rows)
     states = np.empty((n_rows, 5))
     fields = np.empty((n_rows, 2))
+
+    def record(k: int, t: float, y: np.ndarray) -> None:
+        if k > n_full:
+            # the shortened last step is stamped at t_final itself
+            t = t_final
+        times[k] = t
+        states[k] = y
+        fields[k] = field.sample(t)
+
     y = initial.as_array()
-    t = t0
-    times[0] = t
-    states[0] = y
-    fields[0] = field.sample(t)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_full):
-                y = _step(rate, field, t, y, dt)
-                t = t0 + (k + 1) * dt
-                if not np.all(np.isfinite(y)):
-                    raise IntegrationError(
-                        f"state became non-finite at t = {t:.6g}")
-                times[k + 1] = t
-                states[k + 1] = y
-                fields[k + 1] = field.sample(t)
-            if rem > 0.0:
-                y = _step(rate, field, t, y, rem)
-                t = t_final
-                if not np.all(np.isfinite(y)):
-                    raise IntegrationError(
-                        f"state became non-finite at t = {t:.6g}")
-                times[-1] = t
-                states[-1] = y
-                fields[-1] = field.sample(t)
-            else:
-                times[-1] = t_final
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise IntegrationError(
-            f"integration step failed near t = {t:.6g}: {exc}") from exc
+    record(0, t0, y)
+    _advance(make_rate_function(params), field, y, t0, span, dt, record)
+    times[-1] = t_final
     return Trajectory(times=times, states=states, field_samples=fields)
-
-
-def _shape(y: np.ndarray) -> np.ndarray:
-    return y[2:]
 
 
 def displacement_per_period(params: SwimmerParams, initial: Configuration,
@@ -200,34 +190,23 @@ def displacement_per_period(params: SwimmerParams, initial: Configuration,
     field = SinusoidalField(hx0=1.0, epsilon=epsilon, omega=omega)
     T = field.period
     if dt is None:
-        dt = T / 2000.0
+        dt = _default_dt(field, T)
     rate = make_rate_function(params)
     y = initial.as_array()
     done = 0
-
-    def advance_periods(y, start, count):
-        for k in range(count):
-            y = _advance(rate, field, y, (start + k) * T, T, dt)
-        return y
-
-    budget = burn_in_periods
-    y = advance_periods(y, 0, budget - 1)
-    prev = y.copy()
-    y = advance_periods(y, budget - 1, 1)
-    done = budget
-    gap = float(np.linalg.norm(_shape(y) - _shape(prev)))
-    doublings = 0
-    while gap >= SHAPE_PERIODICITY_TOL and doublings < 4:
-        budget *= 2
-        y = advance_periods(y, done, budget - done - 1)
-        prev = y.copy()
-        y = advance_periods(y, budget - 1, 1)
+    for doublings in range(5):
+        budget = burn_in_periods * 2 ** doublings
+        for k in range(done, budget):
+            prev = y
+            y = _advance(rate, field, y, k * T, T, dt)
         done = budget
-        gap = float(np.linalg.norm(_shape(y) - _shape(prev)))
-        doublings += 1
+        gap = float(np.linalg.norm(y[2:] - prev[2:]))
+        if gap < SHAPE_PERIODICITY_TOL:
+            break
     converged = gap < SHAPE_PERIODICITY_TOL
-    start_state = y.copy()
-    y = advance_periods(y, done, measure_periods)
+    start_state = y
+    for k in range(done, done + measure_periods):
+        y = _advance(rate, field, y, k * T, T, dt)
     return DisplacementReport(
         delta_x=float(y[0] - start_state[0]),
         delta_y=float(y[1] - start_state[1]),
@@ -259,10 +238,7 @@ def symmetry_experiment(params: SwimmerParams, initial: Configuration,
     if initial.alpha2 != initial.alpha3:
         raise ValueError("initial joint angles must be exactly equal")
     if dt is None:
-        if isinstance(field, SinusoidalField):
-            dt = field.period / 2000.0
-        else:
-            dt = t_final / 1e4
+        dt = _default_dt(field, t_final)
     traj = integrate(params, initial, field, t_final, dt)
     gap = float(np.max(np.abs(traj.states[:, 3] - traj.states[:, 4])))
     return SymmetryReport(

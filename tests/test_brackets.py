@@ -43,6 +43,21 @@ class TestControlVectorFields:
             x = np.array([0.7, -0.2, theta, 0.0, 0.0])
             assert np.all(system.f0(x) == 0.0)
 
+    def test_outputs_are_frozen(self):
+        # values as the fields produced them before the elastic load and
+        # the solve moved into the shared load core
+        system = control_vector_fields(CANON)
+        x = np.array([0.1, -0.2, 0.3, 0.4, -0.5])
+        assert system.f0(x).tolist() == [
+            0.055650881791887576, -0.47344608014859224, -0.5550658171056579,
+            -0.05844130475830731, 2.5998317126304227]
+        assert system.fx(x).tolist() == [
+            0.19995740597905345, -0.375282623483358, -0.08885546458184482,
+            -1.1177533660892092, 1.0367924595871028]
+        assert system.fy(x).tolist() == [
+            -0.424205840204711, -0.26871801339754925, -0.7219105166185491,
+            2.087076465655916, 3.6786530840548037]
+
     def test_fields_ignore_position(self):
         system = control_vector_fields(CANON)
         a = np.array([0.0, 0.0, 0.3, 0.2, -0.1])

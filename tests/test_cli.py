@@ -283,6 +283,11 @@ class TestUsageErrors:
         assert main(["simulate", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[solver]\nt_final = inf\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "t_final" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.ini")]) == 2

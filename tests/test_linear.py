@@ -59,6 +59,22 @@ class TestLinearization:
         np.testing.assert_allclose(
             lin.b, [-14.0 / 11.0, 34.0 / 11.0, 48.0 / 11.0], rtol=1e-9)
 
+    def test_outputs_are_frozen(self):
+        # values as the per-module difference loops produced them
+        lin = linearize_angles(CANON)
+        assert lin.a.tolist() == [
+            [1.2727272727270624, 5.818181818178932, 6.909090909086354],
+            [-3.0909090909085783, -13.272727272720614, -9.636363636357938],
+            [-4.36363636363564, -9.090909090905242, -18.54545454544292]]
+        assert lin.b.tolist() == [
+            -1.272727272727271, 3.0909090909090877, 4.36363636363636]
+        assert grad_gx_origin(CANON).tolist() == [
+            [-0.24999999999995834, -0.24999999999995828,
+             0.12499999999997909],
+            [-0.6964285714281901, -0.3749999999998812,
+             -0.08035714285707724],
+            [0.4553571428569101, 0.06249999999995181, 0.23660714285707876]]
+
     def test_second_set_regression(self):
         p = head_asymmetric(1.3, 1.2, 0.8, 3.0, 1.5, 0.7, 1.1)
         lin = linearize_angles(p)
@@ -168,6 +184,17 @@ class TestResolvents:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             resolvents(-np.eye(3), 0.0)
+
+    @pytest.mark.parametrize("params", [
+        CANON, head_asymmetric(1.3, 1.2, 0.8, 3.0, 1.5, 0.7, 1.1),
+        SwimmerParams(0.8, (0.9, 0.6, 0.7), (2.2, 1.3, 1.1), 2.0, 0.5)])
+    def test_second_resolvent_is_the_direct_inverse(self, params):
+        # the conjugate of the first resolvent stands in for inverting
+        # -a - i omega I; it must be that inverse to the last bit
+        a = linearize_angles(params).a
+        for omega in np.logspace(-2.0, 2.0, 20):
+            direct = np.linalg.inv(-a - 1j * omega * np.eye(3))
+            assert resolvents(a, omega)[1].tobytes() == direct.tobytes()
 
 
 class TestSteadyPeriodic:

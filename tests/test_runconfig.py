@@ -1,5 +1,6 @@
 """Strict INI schema: defaults, echoes, and rejection of stray keys."""
 import math
+import re
 
 import pytest
 
@@ -84,6 +85,17 @@ class TestFullConfig:
         assert "analysis.bracket_depth" in cfg.applied_defaults
         assert "output.formats" in cfg.applied_defaults
 
+    def test_applied_defaults_are_frozen(self):
+        # the list as the per-key loader recorded it for an empty file
+        assert parse_config("").applied_defaults == (
+            "analysis.bracket_depth", "analysis.n_grid", "analysis.omega_max",
+            "analysis.omega_min", "field.epsilon", "field.hx0", "field.kind",
+            "field.omega", "initial.alpha2", "initial.alpha3",
+            "initial.theta", "initial.x", "initial.y", "output.directory",
+            "output.formats", "params.K", "params.L", "params.M",
+            "params.eta", "params.xi", "solver.burn_in_periods",
+            "solver.dt", "solver.measure_periods", "solver.t_final")
+
 
 class TestFieldSection:
     def test_constant_field(self):
@@ -144,6 +156,30 @@ class TestRejections:
     ])
     def test_rejected(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[solver]\nt_final = inf\n",
+         "[solver] t_final = 'inf' is not a finite number"),
+        ("[solver]\nt_final = nan\n",
+         "[solver] t_final = 'nan' is not a finite number"),
+        ("[solver]\ndt = nan\n", "[solver] dt = 'nan' is not a finite number"),
+        ("[solver]\ndt = inf\n", "[solver] dt = 'inf' is not a finite number"),
+        ("[initial]\nx = nan\n", "[initial] x = 'nan' is not a finite number"),
+        ("[field]\nepsilon = nan\n",
+         "[field] epsilon = 'nan' is not a finite number"),
+        ("[field]\nkind = constant\nhx = -inf\n",
+         "[field] hx = '-inf' is not a finite number"),
+        ("[params]\nK = inf\n", "[params] K = 'inf' is not a finite number"),
+        ("[params]\nxi = 1, nan, 1\n",
+         "[params] xi = 'nan' is not a finite number"),
+        ("[analysis]\nomega_max = inf\n",
+         "[analysis] omega_max = 'inf' is not a finite number"),
+        ("[field]\nomega = -1\n", "[field]: omega must be positive"),
+    ])
+    def test_non_finite_and_field_errors_name_their_section(self, text,
+                                                            message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(text)
 
 

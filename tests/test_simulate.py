@@ -1,4 +1,6 @@
 """Integrator behavior and period-level experiments."""
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,38 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(CANON, bent_start(), ConstantField(), -1.0, dt=0.1)
 
+    @pytest.mark.parametrize("t0,t_final,dt", [
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+        (0.0, math.nan, 0.1), (0.0, math.inf, 0.1),
+        (math.nan, 1.0, 0.1), (-math.inf, 1.0, 0.1),
+    ])
+    def test_rejects_non_finite_times(self, t0, t_final, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(CANON, bent_start(), ConstantField(), t_final, dt,
+                      t0=t0)
+
+    @pytest.mark.parametrize("dt,state,hy", [
+        # 80 full steps: the last field sample is taken where the last
+        # step ends, at 0.7 + 80 * 0.03 = 3.0999999999999996, and only
+        # the time stamp reads t_final
+        (0.03, [0.16467151752162154, -0.3550750048502578,
+                0.12541583074545806, -0.027136495483185363,
+                -0.05264863562915777], -0.15521366541766635),
+        # 34 full steps and a shortened one, stamped and sampled at t_final
+        (0.07, [0.1647177969069149, -0.3550696938112198,
+                0.12541364567029611, -0.027130590791748867,
+                -0.05264112991384497], -0.15521366541766646),
+    ])
+    def test_outputs_are_frozen(self, dt, state, hy):
+        # values as integrate produced them before it shared its stepping
+        # loop with the burn-in; they must not move by a single bit
+        traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
+                         SinusoidalField(1.0, 0.2, 1.3), t_final=3.1,
+                         dt=dt, t0=0.7)
+        assert traj.times[-1] == 3.1
+        assert traj.states[-1].tolist() == state
+        assert traj.field_samples[-1].tolist() == [1.0, hy]
+
     def test_aborts_on_blowup(self):
         # absurd stiffness with a coarse step makes RK4 diverge; the
         # integrator must stop with a diagnostic instead of returning junk
@@ -124,6 +158,17 @@ class TestDisplacementPerPeriod:
             CANON, Configuration(0.0, 0.0, 0.0, 1.2, -0.8),
             epsilon=1e-2, omega=2.0, burn_in_periods=1, measure_periods=1)
         assert rep.burn_in_periods > 1
+        assert rep.converged
+
+    def test_outputs_are_frozen(self):
+        # a one-period burn-in at T / 100 doubles twice before the shape
+        # settles; values as the two-pass burn-in loop produced them
+        rep = displacement_per_period(CANON, Configuration.straight(), 1e-2,
+                                      0.62, burn_in_periods=1,
+                                      dt=2.0 * math.pi / 0.62 / 100)
+        assert rep.delta_x == 3.202485767576814e-06
+        assert rep.burn_in_periods == 4
+        assert rep.shape_gap == 2.4820484417362912e-11
         assert rep.converged
 
     def test_rejects_bad_arguments(self):
