@@ -179,7 +179,7 @@ def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
 def _field_columns(Mh: np.ndarray, elastic: tuple, Mx: np.ndarray,
                    My: np.ndarray) -> np.ndarray:
     """``f0, fx, fy`` as the columns of one multi-column solve."""
-    return np.linalg.solve(Mh, np.column_stack((elastic, -Mx, -My)))
+    return np.linalg.solve(Mh, np.array((elastic, -Mx, -My)).T)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import magswim.dynamics
 from magswim import Configuration, SwimmerParams
 from magswim.brackets import (
+    _MEMO_LIMIT,
     VectorField,
     control_vector_fields,
     equilibrium_identities,
@@ -57,6 +59,23 @@ class TestControlVectorFields:
         assert system.fy(x).tolist() == [
             -0.424205840204711, -0.26871801339754925, -0.7219105166185491,
             2.087076465655916, 3.6786530840548037]
+
+    def test_in_place_change_does_not_reach_the_next_call(self):
+        system = control_vector_fields(CANON)
+        x = np.array([0.1, -0.2, 0.3, 0.4, -0.5])
+        for field in system.generators():
+            before = field(x).tolist()
+            field(x)[:] = 7.0
+            assert field(x).tolist() == before
+
+    def test_memo_stays_bounded(self):
+        system = control_vector_fields(CANON)
+        memo = system.f0.fn.__self__.memo
+        largest = 0
+        for theta in np.linspace(-1.0, 1.0, 1000):
+            system.fy(np.array([0.0, 0.0, theta, 0.1, -0.2]))
+            largest = max(largest, len(memo))
+        assert largest == _MEMO_LIMIT
 
     def test_fields_ignore_position(self):
         system = control_vector_fields(CANON)
@@ -144,6 +163,23 @@ class TestEquilibriumIdentities:
         with pytest.raises(ValueError):
             equilibrium_identities(CANON, 1.55)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            equilibrium_identities(CANON, theta)
+
+    def test_report_is_frozen(self):
+        # exact bits, recorded before the generators shared one solve
+        report = equilibrium_identities(CANON, 0.3)
+        assert {k: float(v).hex() for k, v in vars(report).items()} == {
+            "theta": "0x1.3333333333333p-2",
+            "alignment_residual": "0x1.41251357a6ae7p-53",
+            "claimed_gap": "0x1.769d1bed25089p+5",
+            "corrected_gap": "0x1.4e3a4b58483b9p-28",
+            "fy_norm": "0x1.50210dd42d428p+2",
+            "bracket_norm": "0x1.43bab1734a19fp+5",
+        }
+
 
 class TestLieRank:
     def test_depth_progression_at_origin(self):
@@ -194,3 +230,95 @@ class TestLieRank:
             lie_rank(CANON, np.zeros(5), depth=4)
         with pytest.raises(ValueError):
             lie_rank(CANON, np.zeros(4), depth=2)
+
+    @pytest.mark.parametrize("index, value", [
+        (2, np.nan), (2, np.inf), (0, np.nan), (4, -np.inf)])
+    def test_rejects_non_finite_point(self, index, value):
+        point = np.zeros(5)
+        point[index] = value
+        with pytest.raises(ValueError, match="point must be finite"):
+            lie_rank(CANON, point, depth=2)
+
+    @pytest.mark.parametrize("tol_factor", [np.nan, -1.0, 0.0, 1.0, 2.0])
+    def test_rejects_tolerance_outside_unit_interval(self, tol_factor):
+        with pytest.raises(ValueError, match="tol_factor"):
+            lie_rank(CANON, np.zeros(5), depth=2, tol_factor=tol_factor)
+
+
+# exact bits of (singular_values, rank, gap_4_5), recorded before the
+# generators shared one solve and the nested Jacobians were hoisted
+FROZEN_POSES = {
+    "straight": [0.4, -0.3, 0.3, 0.0, 0.0],
+    "bent": [0.0, 0.0, 0.2, 0.4, -0.3],
+    "signed_zero": [0.0, 0.0, -0.0, 0.25, -0.15],
+}
+FROZEN_RANKS = {
+    ("straight", 1): (
+        ["0x1.5fd7fc2fd7d4ep+2", "0x1.2e60a66a8df3dp-51", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0"], 1, "nan"),
+    ("straight", 2): (
+        ["0x1.a887d25e4f1f4p+6", "0x1.23314de709b85p+1",
+         "0x1.f410787d1bb58p-2", "0x1.e29c943b84704p-50",
+         "0x1.14b90d2be7712p-53"], 3, "0x1.be786f83efd31p+3"),
+    ("straight", 3): (
+        ["0x1.e954072b73645p+10", "0x1.24fee9b43a74fp+5",
+         "0x1.371831119b3b9p+1", "0x1.01a224c994307p+0",
+         "0x1.903150fad05acp-20"], 4, "0x1.499caa7254760p+19"),
+    ("bent", 1): (
+        ["0x1.2ead5d355ee15p+2", "0x1.05db4cf734768p+1",
+         "0x1.6f37d64af9c0ep-4", "0x0.0p+0", "0x0.0p+0"], 3, "nan"),
+    ("bent", 2): (
+        ["0x1.5dad1339b6b86p+6", "0x1.6340e83d33777p+1",
+         "0x1.b1225cb62d51bp-1", "0x1.bf11cc74d22b2p-5",
+         "0x1.f32c86cc40d4bp-8"], 5, "0x1.ca8e89fb9d107p+2"),
+    ("bent", 3): (
+        ["0x1.85d015d432ef0p+10", "0x1.4b7cd447228a2p+5",
+         "0x1.b48c38d648cf9p+3", "0x1.5bc295c1c4e25p+1",
+         "0x1.28dfd1aa91a02p+0"], 5, "0x1.2be1367630b69p+1"),
+    ("signed_zero", 1): (
+        ["0x1.51848b1a4a07ep+2", "0x1.4addce0da2897p+0",
+         "0x1.2c49e04fa1effp-4", "0x0.0p+0", "0x0.0p+0"], 3, "nan"),
+    ("signed_zero", 2): (
+        ["0x1.8e6c5933f0bd4p+6", "0x1.3ccca1d459253p+1",
+         "0x1.5443a8ad23407p-1", "0x1.3fd7a4da3b21ap-5",
+         "0x1.18f0bf6a4890dp-11"], 5, "0x1.2372cc2b211dep+6"),
+    ("signed_zero", 3): (
+        ["0x1.c5fc913d53069p+10", "0x1.49fc688e5d170p+5",
+         "0x1.336554def3e15p+3", "0x1.f64cdb35ceb82p+0",
+         "0x1.6fb2e1446314bp-1"], 5, "0x1.5db667b1282e2p+1"),
+}
+
+
+class TestSharedSolve:
+    @pytest.mark.parametrize("pose, depth", sorted(FROZEN_RANKS))
+    def test_rank_report_is_frozen(self, pose, depth):
+        report = lie_rank(CANON, np.array(FROZEN_POSES[pose]), depth=depth)
+        singular, rank, gap = FROZEN_RANKS[pose, depth]
+        assert [v.hex() for v in report.singular_values.tolist()] == singular
+        assert report.rank == rank
+        assert float(report.gap_4_5).hex() == gap
+
+    @staticmethod
+    def _count_assemblies(monkeypatch):
+        calls = []
+        assemble = magswim.dynamics._assemble
+
+        def counted(*args):
+            calls.append(args[:3])
+            return assemble(*args)
+        monkeypatch.setattr(magswim.dynamics, "_assemble", counted)
+        return calls
+
+    @pytest.mark.parametrize("depth, assemblies", [(1, 1), (2, 7), (3, 49)])
+    def test_one_assembly_per_stencil_pose(self, monkeypatch, depth,
+                                           assemblies):
+        calls = self._count_assemblies(monkeypatch)
+        lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=depth)
+        assert len(calls) == assemblies
+
+    def test_signed_zero_poses_are_kept_apart(self, monkeypatch):
+        # -0.0 + 0.0 is 0.0, so five stencil poses at theta = -0.0 have a
+        # twin that differs only in the sign of theta's zero
+        calls = self._count_assemblies(monkeypatch)
+        lie_rank(CANON, np.array(FROZEN_POSES["signed_zero"]), depth=3)
+        assert len(calls) == 54

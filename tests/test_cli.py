@@ -254,6 +254,11 @@ class TestControllability:
         assert "rank 4" in out
         assert "informational" in out
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_is_a_usage_error(self, theta, capsys):
+        assert main(["controllability", "--theta", theta]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_deterministic_and_green(self, tmp_path, capsys):
