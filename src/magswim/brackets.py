@@ -137,8 +137,21 @@ def field_jacobian(field: VectorField, point: np.ndarray,
     """Central-difference Jacobian, entry [i, j] = d field_i / d x_j, of
     any field from n-vectors to n-vectors."""
     point = np.asarray(point, dtype=float)
-    jac = np.empty((point.size, point.size))
-    for j in range(point.size):
+    return _difference_columns(field, point, step, range(point.size))
+
+
+def _angle_jacobian(field: VectorField, point: np.ndarray,
+                    step: float) -> np.ndarray:
+    """``field_jacobian`` of a field that depends on the angles only, such
+    as the fields of ``control_vector_fields``: its x and y columns, exact
+    zeros of the difference, stay +0.0 and cost no evaluation."""
+    return _difference_columns(field, point, step, range(2, STATE_DIM))
+
+
+def _difference_columns(field: VectorField, point: np.ndarray, step: float,
+                        axes: range) -> np.ndarray:
+    jac = np.zeros((point.size, point.size))
+    for j in axes:
         dx = np.zeros(point.size)
         dx[j] = step
         jac[:, j] = (field(point + dx) - field(point - dx)) / (2.0 * step)
@@ -204,7 +217,9 @@ def equilibrium_identities(params: SwimmerParams,
     fy_val = system.fy(point)
     fy_norm = float(np.linalg.norm(fy_val))
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
-    bracket = lie_bracket(system.fx, system.fy, point)
+    # lie_bracket(fx, fy, point), differencing the angles only
+    bracket = (_angle_jacobian(system.fy, point, BASE_STEP) @ fx_val
+               - _angle_jacobian(system.fx, point, BASE_STEP) @ fy_val)
     claimed = fy_val[2] * fy_val
     mh = _load_core(params)(point[2], 0.0, 0.0)[0]
     corrected = (params.M / np.cos(theta)) * np.linalg.solve(
@@ -251,9 +266,11 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     Each nested word is ``Dw s - Ds w``, the arithmetic of ``lie_bracket``
     with the Jacobians hoisted: ``Dw`` is taken once per depth-2 word,
     ``Ds`` once per generator, and ``s``, ``w`` at the point are the
-    depth-1 and depth-2 columns.  With the shared solve of
-    ``control_vector_fields``, depth 3 assembles once per distinct pose
-    of its difference stencil: 49, or 54 when theta is -0.0.
+    depth-1 and depth-2 columns; ``Ds`` differences the angles only, as
+    the generators ignore x and y.  A depth-3 rank makes 747 field calls.
+    With the shared solve of ``control_vector_fields``, depth 3 assembles
+    once per distinct pose of its difference stencil: 49, or 54 when theta
+    is -0.0.
     """
     if depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2, or 3")
@@ -276,9 +293,12 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
             columns.append(w(point))
             labels.append(w.label)
     if depth >= 3:
+        # Dw still differences x and y, exact zeros as well: at theta = -0.0
+        # those columns alone visit two +0.0 twin poses of the stencil,
+        # which keeps its 54 assembled poses
         d_second = [field_jacobian(w, point, NESTED_STEP) for w in second]
         for i, s in enumerate(generators):
-            d_s = field_jacobian(s, point, NESTED_STEP)
+            d_s = _angle_jacobian(s, point, NESTED_STEP)
             for j, w in enumerate(second):
                 columns.append(d_second[j] @ columns[i]
                                - d_s @ columns[3 + j])

@@ -51,104 +51,111 @@ __all__ = [
 COND_LIMIT = 1e12
 
 
-def _moments(a: float, b: float) -> tuple[float, float, float]:
-    return b - a, 0.5 * (b * b - a * a), (b ** 3 - a ** 3) / 3.0
-
-
 def _assemble(theta: float, a2: float, a3: float, L: float,
               xi1: float, xi2: float, xi3: float,
               eta1: float, eta2: float, eta3: float,
               M: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scalarized assembly of (Mh, Mx, My) at a configuration.
+    """Straight-line assembly of (Mh, Mx, My) at a configuration.
 
     Mh is independent of (x, y), so the geometry is built with the middle
-    link centered at the origin.  The inner loops are plain float arithmetic
-    on purpose; this routine sits inside the RK4 hot loop and the scalar
-    form is about 8x faster than the equivalent vectorized numpy.
+    link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
+    ``A1 = A2 - L e1``.  Link i runs from its start point along ``e_i`` over
+    a parameter interval with moments ``m0, m1, m2`` (``L, L^2/2, L^3/3``
+    for the outer links on ``[0, L]``; ``L, 0, L^3/12`` for the middle one
+    on ``[-L/2, L/2]``).  Under a unit rate its velocity is
+    ``v(p) = V0 + W p``, and with the drag tensor
+    ``D = xi e e^T + eta n n^T`` it loads the force rows with
+    ``-D (V0 m0 + W m1)`` and the torque row about a chain point with
+    ``-[(r x D V0) m0 + (r x D W + e x D V0) m1 + (e x D W) m2]``, ``r``
+    running from that point to the link's start.
+
+    Each drag tensor, lever arm and cross product is computed once, and
+    only the terms that the unit rates leave non-zero are kept; dropping
+    an exact zero from a sum moves no bit of a non-zero result.  Each
+    load is summed link by link from +0.0, so a load that cancels to zero
+    is +0.0 whatever the signs of its terms' zeros, and the entry of
+    ``Mh``, its negation, is -0.0.  This routine sits inside the RK4 hot
+    loop, hence plain float arithmetic and one array per output.
     """
     th1 = theta + a2
     th3 = theta + a3
     c1, s1 = cos(th1), sin(th1)
     c2, s2 = cos(theta), sin(theta)
     c3, s3 = cos(th3), sin(th3)
-    d1xx = xi1 * c1 * c1 + eta1 * s1 * s1
-    d1xy = (xi1 - eta1) * c1 * s1
-    d1yy = xi1 * s1 * s1 + eta1 * c1 * c1
-    d2xx = xi2 * c2 * c2 + eta2 * s2 * s2
-    d2xy = (xi2 - eta2) * c2 * s2
-    d2yy = xi2 * s2 * s2 + eta2 * c2 * c2
-    d3xx = xi3 * c3 * c3 + eta3 * s3 * s3
-    d3xy = (xi3 - eta3) * c3 * s3
-    d3yy = xi3 * s3 * s3 + eta3 * c3 * c3
-    D = ((d1xx, d1xy, d1yy), (d2xx, d2xy, d2yy), (d3xx, d3xy, d3yy))
-    e = ((c1, s1), (c2, s2), (c3, s3))
+    # drag tensors [[X, Y], [Y, Z]]
+    X1 = xi1 * c1 * c1 + eta1 * s1 * s1
+    Y1 = (xi1 - eta1) * c1 * s1
+    Z1 = xi1 * s1 * s1 + eta1 * c1 * c1
+    X2 = xi2 * c2 * c2 + eta2 * s2 * s2
+    Y2 = (xi2 - eta2) * c2 * s2
+    Z2 = xi2 * s2 * s2 + eta2 * c2 * c2
+    X3 = xi3 * c3 * c3 + eta3 * s3 * s3
+    Y3 = (xi3 - eta3) * c3 * s3
+    Z3 = xi3 * s3 * s3 + eta3 * c3 * c3
     half = 0.5 * L
-    A2x, A2y = -half * c2, -half * s2
+    m1 = 0.5 * (L * L)
+    m2 = L ** 3 / 3.0
+    m2c = (half ** 3 - (-half) ** 3) / 3.0
+    Lc1, Ls1 = L * c1, L * s1
     A3x, A3y = half * c2, half * s2
-    A1x, A1y = A2x - L * c1, A2y - L * s1
-    # link i is parameterized from P0[i] along e[i] over an interval with
-    # moments mom[i]; the middle link runs from its center so its first
-    # moment vanishes
-    P0 = ((A1x, A1y), (0.0, 0.0), (A3x, A3y))
-    outer = _moments(0.0, L)
-    mom = (outer, _moments(-half, half), outer)
-    refs = ((A1x, A1y), (A2x, A2y), (A3x, A3y))
-    zero = (0.0, 0.0)
-    n1 = (-s1, c1)
-    n2 = (-s2, c2)
-    n3 = (-s3, c3)
-    # velocity of link i under unit rate j: v(p) = V0 + W * p
-    vels = (
-        (((1.0, 0.0), zero), ((1.0, 0.0), zero), ((1.0, 0.0), zero)),
-        (((0.0, 1.0), zero), ((0.0, 1.0), zero), ((0.0, 1.0), zero)),
-        (((-half * n2[0] - L * n1[0], -half * n2[1] - L * n1[1]), n1),
-         (zero, n2),
-         ((half * n2[0], half * n2[1]), n3)),
-        (((-L * n1[0], -L * n1[1]), n1), (zero, zero), (zero, zero)),
-        ((zero, zero), (zero, zero), (zero, n3)),
-    )
-    Mh = np.empty((5, 5))
-    for j in range(5):
-        Fx = Fy = T1 = T2 = T3 = 0.0
-        for i in range(3):
-            (V0x, V0y), (Wx, Wy) = vels[j][i]
-            if V0x == 0.0 and V0y == 0.0 and Wx == 0.0 and Wy == 0.0:
-                continue
-            dxx, dxy, dyy = D[i]
-            DV0x = dxx * V0x + dxy * V0y
-            DV0y = dxy * V0x + dyy * V0y
-            DWx = dxx * Wx + dxy * Wy
-            DWy = dxy * Wx + dyy * Wy
-            m0, m1, m2 = mom[i]
-            Fx -= DV0x * m0 + DWx * m1
-            Fy -= DV0y * m0 + DWy * m1
-            ex, ey = e[i]
-            p0x, p0y = P0[i]
-            cr_eDV0 = ex * DV0y - ey * DV0x
-            cr_eDW = ex * DWy - ey * DWx
-            # link 1 contributes only to the A1 torque row, link 2 to the
-            # A1 and A2 rows, link 3 to all three
-            which = (0,) if i == 0 else ((0, 1) if i == 1 else (0, 1, 2))
-            for k in which:
-                rx = p0x - refs[k][0]
-                ry = p0y - refs[k][1]
-                t = -((rx * DV0y - ry * DV0x) * m0
-                      + (rx * DWy - ry * DWx + cr_eDV0) * m1
-                      + cr_eDW * m2)
-                if k == 0:
-                    T1 += t
-                elif k == 1:
-                    T2 += t
-                else:
-                    T3 += t
-        Mh[0, j] = -Fx
-        Mh[1, j] = -Fy
-        Mh[2, j] = -T1
-        Mh[3, j] = -T2
-        Mh[4, j] = -T3
+    A1x, A1y = -A3x - Lc1, -A3y - Ls1
+    # lever arms to link 3's start A3 from A1 and from A2
+    r1x, r1y = A3x - A1x, A3y - A1y
+    r2x, r2y = A3x + A3x, A3y + A3y
+    # k = D n, the drag of a unit normal velocity; its components are also
+    # e x D (1, 0) and e x D (0, 1), the torque arms of the unit translations
+    k1x, k1y = c1 * Y1 - s1 * X1, c1 * Z1 - s1 * Y1
+    k2x, k2y = c2 * Y2 - s2 * X2, c2 * Z2 - s2 * Y2
+    k3x, k3y = c3 * Y3 - s3 * X3, c3 * Z3 - s3 * Y3
+    # e x D n, times the second moment
+    w1 = (c1 * k1y - s1 * k1x) * m2
+    w2 = (c2 * k2y - s2 * k2x) * m2c
+    w3 = (c3 * k3y - s3 * k3x) * m2
+    # r x D n of link 3 about A1 and about A2
+    q1 = r1x * k3y - r1y * k3x
+    q2 = r2x * k3y - r2y * k3x
+    # unit theta rate: links 1 and 3 start at A1 and A3, moving with
+    # V0 = (-A1y, A1x) and (-A3y, A3x); W = n for every link
+    u1x, u1y = Y1 * A1x - X1 * A1y, Z1 * A1x - Y1 * A1y
+    u3x, u3y = Y3 * A3x - X3 * A3y, Z3 * A3x - Y3 * A3y
+    v1 = c1 * u1y - s1 * u1x
+    v3 = c3 * u3y - s3 * u3x
+    # unit alpha2 rate: link 1 alone, V0 = -L n1
+    g1x, g1y = X1 * Ls1 - Y1 * Lc1, Y1 * Ls1 - Z1 * Lc1
+    fy = 0.0 - Y1 * L - Y2 * L - Y3 * L
+    # row-major: rows force x, force y, torques about A1, A2, A3; columns
+    # the unit rates of x, y, theta, alpha2, alpha3
+    load = np.array((
+        0.0 - X1 * L - X2 * L - X3 * L, fy,
+        0.0 - (u1x * L + k1x * m1) - (u3x * L + k3x * m1),
+        0.0 - (g1x * L + k1x * m1), 0.0 - k3x * m1,
+        fy, 0.0 - Z1 * L - Z2 * L - Z3 * L,
+        0.0 - (u1y * L + k1y * m1) - (u3y * L + k3y * m1),
+        0.0 - (g1y * L + k1y * m1), 0.0 - k3y * m1,
+        0.0 - k1x * m1 - (A1y * X2 - A1x * Y2) * L
+        - ((r1x * Y3 - r1y * X3) * L + k3x * m1),
+        0.0 - k1y * m1 - (A1y * Y2 - A1x * Z2) * L
+        - ((r1x * Z3 - r1y * Y3) * L + k3y * m1),
+        0.0 - (v1 * m1 + w1) - w2
+        - ((r1x * u3y - r1y * u3x) * L + (q1 + v3) * m1 + w3),
+        0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1),
+        0.0 - (q1 * m1 + w3),
+        0.0 - (A3x * Y2 - A3y * X2) * L
+        - ((r2x * Y3 - r2y * X3) * L + k3x * m1),
+        0.0 - (A3x * Z2 - A3y * Y2) * L
+        - ((r2x * Z3 - r2y * Y3) * L + k3y * m1),
+        0.0 - w2 - ((r2x * u3y - r2y * u3x) * L + (q2 + v3) * m1 + w3),
+        0.0,
+        0.0 - (q2 * m1 + w3),
+        0.0 - k3x * m1,
+        0.0 - k3y * m1,
+        0.0 - (v3 * m1 + w3),
+        0.0,
+        0.0 - w3,
+    ))
     Mx = np.array([0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3])
     My = np.array([0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3])
-    return Mh, Mx, My
+    return np.negative(load, out=load).reshape(5, 5), Mx, My
 
 
 def _unpack(params: SwimmerParams) -> tuple:
@@ -320,19 +327,24 @@ def rhs(config: Configuration, h: tuple[float, float],
 def make_rate_function(params: SwimmerParams) -> Callable[[np.ndarray, float, float], np.ndarray]:
     """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure.
 
-    This is the integrator hot path: one assembly plus a single combined
-    5x5 solve per call, no dataclass construction.
+    This is the integrator hot path: one assembly, the load built from
+    Python floats into one array, and a single 5x5 solve per call.
     """
     loads = _load_core(params)
 
     def rate(state: np.ndarray, hx: float, hy: float) -> np.ndarray:
-        Mh, elastic, Mx, My = loads(state[2], state[3], state[4])
+        _, _, theta, a2, a3 = state.tolist()
+        Mh, elastic, Mx, My = loads(theta, a2, a3)
+        mx, my = Mx.tolist(), My.tolist()
+        # negate before converting: an integer 0 field has no signed zero
+        nhx, hy = float(-hx), float(hy)
         # (-hx Mx - hy My) + elastic, adding only the spring rows: a zero
         # load row keeps the sign of its zero
-        load = -hx * Mx
-        load -= hy * My
-        load[3] += elastic[3]
-        load[4] += elastic[4]
+        load = np.array((
+            nhx * mx[0] - hy * my[0], nhx * mx[1] - hy * my[1],
+            nhx * mx[2] - hy * my[2],
+            nhx * mx[3] - hy * my[3] + elastic[3],
+            nhx * mx[4] - hy * my[4] + elastic[4]))
         return np.linalg.solve(Mh, load)
 
     return rate

@@ -34,9 +34,11 @@ JSONL_FORMAT = "magswim.trajectory"
 JSONL_VERSION = 1
 
 
-def _rows(traj: Trajectory):
-    for k in range(len(traj)):
-        yield (traj.times[k], *traj.states[k], *traj.field_samples[k])
+def _rows(traj: Trajectory) -> list[list[float]]:
+    """The samples as lists of Python floats in ``TRAJECTORY_COLUMNS`` order,
+    built in one pass: indexing numpy rows per sample is what costs."""
+    table = np.column_stack((traj.times, traj.states, traj.field_samples))
+    return table.astype(float, copy=False).tolist()
 
 
 def format_cell(value: float) -> str:
@@ -48,8 +50,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for row in _rows(traj):
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows([format_cell(v) for v in row] for row in _rows(traj))
 
 
 def _trajectory_from_rows(rows: list[list[float]]) -> Trajectory:
@@ -102,8 +103,7 @@ def write_trajectory_jsonl(traj: Trajectory, path: str | Path,
         header.update(metadata)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in _rows(traj):
-            fh.write(json.dumps([float(v) for v in row]) + "\n")
+        fh.writelines(json.dumps(row) + "\n" for row in _rows(traj))
 
 
 def read_trajectory_jsonl(path: str | Path

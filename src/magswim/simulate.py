@@ -122,7 +122,7 @@ def _advance(rate, field: FieldProgram, y: np.ndarray, t0: float,
                 else:
                     y = _step(rate, field, t, y, rem)
                     t = t0 + span
-                if not np.all(np.isfinite(y)):
+                if not np.isfinite(y).all():
                     raise IntegrationError(
                         f"state became non-finite at t = {t:.6g}")
                 if record is not None:

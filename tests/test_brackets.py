@@ -1,4 +1,6 @@
 """Control fields, Lie bracket machinery, and accessibility rank."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,33 @@ class TestSharedSolve:
         calls = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=depth)
         assert len(calls) == assemblies
+
+    def test_generator_jacobians_skip_position(self, monkeypatch):
+        # the generators ignore x and y, so their Jacobians difference the
+        # three angles only: 759 -> 747 field calls at depth 3 and 24 -> 14
+        # in the identities, with the assemblies unchanged
+        calls = []
+        fields = magswim.brackets.control_vector_fields
+
+        def counting(fn):
+            def call(x):
+                calls.append(1)
+                return fn(x)
+            return call
+
+        def counted(params):
+            system = fields(params)
+            return replace(system, **{
+                key: replace(f, fn=counting(f.fn))
+                for key, f in (("f0", system.f0), ("fx", system.fx),
+                               ("fy", system.fy))})
+        monkeypatch.setattr(magswim.brackets, "control_vector_fields", counted)
+        assemblies = self._count_assemblies(monkeypatch)
+        lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=3)
+        assert (len(calls), len(assemblies)) == (747, 49)
+        del calls[:]
+        equilibrium_identities(CANON, 0.3)
+        assert len(calls) == 14
 
     def test_signed_zero_poses_are_kept_apart(self, monkeypatch):
         # -0.0 + 0.0 is 0.0, so five stencil poses at theta = -0.0 have a

@@ -7,6 +7,9 @@ unit generalized rate, and integrates force and torque densities by Simpson
 quadrature (exact for these polynomial integrands up to finite-difference
 noise).  Agreement pins the assembly conventions, not just its algebra.
 """
+import hashlib
+from math import cos, sin
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from magswim import (
     rhs,
     segment_frames,
 )
+from magswim.dynamics import _assemble, _unpack
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -344,3 +348,140 @@ class TestConditioning:
         p = SwimmerParams.uniform(1e-7, 1.0, 2.0, 1.0, 1.0)
         with pytest.raises(NearSingularError):
             grand_resistance(Configuration.straight(), p)
+
+
+def _loop_assemble(theta, a2, a3, L, xi1, xi2, xi3, eta1, eta2, eta3, M):
+    """Reference assembly: the generic column x link x row loop over the
+    unit-rate velocity table, every term kept.  ``_assemble`` must
+    reproduce it bit for bit, signed zeros included."""
+
+    def moments(a, b):
+        return b - a, 0.5 * (b * b - a * a), (b ** 3 - a ** 3) / 3.0
+
+    th1, th3 = theta + a2, theta + a3
+    c1, s1 = cos(th1), sin(th1)
+    c2, s2 = cos(theta), sin(theta)
+    c3, s3 = cos(th3), sin(th3)
+    D = tuple((xi * c * c + eta * s * s, (xi - eta) * c * s,
+               xi * s * s + eta * c * c)
+              for xi, eta, c, s in ((xi1, eta1, c1, s1), (xi2, eta2, c2, s2),
+                                    (xi3, eta3, c3, s3)))
+    e = ((c1, s1), (c2, s2), (c3, s3))
+    half = 0.5 * L
+    A2x, A2y = -half * c2, -half * s2
+    A3x, A3y = half * c2, half * s2
+    A1x, A1y = A2x - L * c1, A2y - L * s1
+    P0 = ((A1x, A1y), (0.0, 0.0), (A3x, A3y))
+    outer = moments(0.0, L)
+    mom = (outer, moments(-half, half), outer)
+    refs = ((A1x, A1y), (A2x, A2y), (A3x, A3y))
+    zero = (0.0, 0.0)
+    n1, n2, n3 = (-s1, c1), (-s2, c2), (-s3, c3)
+    vels = (
+        (((1.0, 0.0), zero),) * 3,
+        (((0.0, 1.0), zero),) * 3,
+        (((-half * n2[0] - L * n1[0], -half * n2[1] - L * n1[1]), n1),
+         (zero, n2), ((half * n2[0], half * n2[1]), n3)),
+        (((-L * n1[0], -L * n1[1]), n1), (zero, zero), (zero, zero)),
+        ((zero, zero), (zero, zero), (zero, n3)),
+    )
+    Mh = np.empty((5, 5))
+    for j in range(5):
+        F = [0.0, 0.0]
+        T = [0.0, 0.0, 0.0]
+        for i in range(3):
+            (V0x, V0y), (Wx, Wy) = vels[j][i]
+            if V0x == 0.0 and V0y == 0.0 and Wx == 0.0 and Wy == 0.0:
+                continue
+            dxx, dxy, dyy = D[i]
+            DV0x, DV0y = dxx * V0x + dxy * V0y, dxy * V0x + dyy * V0y
+            DWx, DWy = dxx * Wx + dxy * Wy, dxy * Wx + dyy * Wy
+            m0, m1, m2 = mom[i]
+            F[0] -= DV0x * m0 + DWx * m1
+            F[1] -= DV0y * m0 + DWy * m1
+            ex, ey = e[i]
+            cr_eDV0 = ex * DV0y - ey * DV0x
+            cr_eDW = ex * DWy - ey * DWx
+            for k in range(i + 1):
+                rx, ry = P0[i][0] - refs[k][0], P0[i][1] - refs[k][1]
+                T[k] += -((rx * DV0y - ry * DV0x) * m0
+                          + (rx * DWy - ry * DWx + cr_eDV0) * m1
+                          + cr_eDW * m2)
+        Mh[:, j] = (-F[0], -F[1], -T[0], -T[1], -T[2])
+    Mx = np.array([0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3])
+    My = np.array([0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3])
+    return Mh, Mx, My
+
+
+def _assembly_hex(out):
+    return [v.hex() for a in out for v in np.ravel(a).tolist()]
+
+
+UNIFORM = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
+SIGNED_POSES = {
+    "straight": (0.0, 0.0, 0.0),
+    "theta_negative_zero": (-0.0, 0.0, 0.0),
+    "all_negative_zero": (-0.0, -0.0, -0.0),
+    "alpha2_negative_zero": (0.3, -0.0, 0.2),
+    "quarter_turn": (np.pi / 2, 0.0, 0.0),
+    "bent": (0.3, 0.4, -0.25),
+}
+# sha256 of the float.hex of (Mh, Mx, My), recorded from the loop form
+FROZEN_ASSEMBLY = {
+    ("CANON", "straight"):
+        "b23f58b41659da70d1a7bac3c289237a9dbc83d2ec0cc64e710d553fb7754593",
+    ("CANON", "theta_negative_zero"):
+        "b23f58b41659da70d1a7bac3c289237a9dbc83d2ec0cc64e710d553fb7754593",
+    ("CANON", "all_negative_zero"):
+        "301fdd2388f9f477dfdbd7e528400df2d2b9d2cffc786355a7837af2f1bf151d",
+    ("CANON", "alpha2_negative_zero"):
+        "dfb4517e65750b89737d731344ed747216abe81aa171d51958fa5b2fbe99fad1",
+    ("CANON", "quarter_turn"):
+        "d350279ab51cb0960cc61fa700774b91e1b4cfe36c56b86aa52b6a5cec836913",
+    ("CANON", "bent"):
+        "248f74d4a93d90d25065ad023531a34fcb285c2e351c3d4c8cb78d7a1254e42b",
+    ("UNIFORM", "straight"):
+        "49a6f19dae03a4bcae4ed3241a97e1c2be18510eee57accbf8206e934e385255",
+    ("UNIFORM", "theta_negative_zero"):
+        "49a6f19dae03a4bcae4ed3241a97e1c2be18510eee57accbf8206e934e385255",
+    ("UNIFORM", "all_negative_zero"):
+        "df9c4b48f5c0863b4375b81707ef38c29834d2211ac032a59a9413d013cab89b",
+    ("UNIFORM", "alpha2_negative_zero"):
+        "b85139ee9e6a00e1768e0f8a0c8326e0d9d47a33857f31386491bf2afaed9a8a",
+    ("UNIFORM", "quarter_turn"):
+        "099cad1f055c67b9c4e228e62ab1a730f2b11e41416655bb2e4695f5f888c01c",
+    ("UNIFORM", "bent"):
+        "500a3f164b71b39bb05494798943c9f1c2a112c3081e23d2718a561f1f3d7726",
+}
+
+
+class TestStraightLineAssembly:
+    @pytest.mark.parametrize("swimmer, pose", sorted(FROZEN_ASSEMBLY))
+    def test_bits_are_frozen(self, swimmer, pose):
+        params = {"CANON": CANON, "UNIFORM": UNIFORM}[swimmer]
+        out = _assemble(*SIGNED_POSES[pose], *_unpack(params), params.M)
+        digest = hashlib.sha256(" ".join(_assembly_hex(out)).encode())
+        assert digest.hexdigest() == FROZEN_ASSEMBLY[swimmer, pose]
+
+    @given(theta=thetas, a2=angles, a3=angles, L=st.floats(0.3, 3.0),
+           xi=st.tuples(drags, drags, drags),
+           eta=st.tuples(drags, drags, drags), M=moduli)
+    @settings(max_examples=200)
+    def test_matches_loop_bit_for_bit(self, theta, a2, a3, L, xi, eta, M):
+        args = (theta, a2, a3, L, *xi, *eta, M)
+        assert _assembly_hex(_assemble(*args)) == \
+            _assembly_hex(_loop_assemble(*args))
+
+    @pytest.mark.parametrize("params", [CANON, UNIFORM,
+                                        SwimmerParams.uniform(1.0, 1.0, 1.0,
+                                                              1.0, 1.0)])
+    def test_signed_zero_poses_match_loop(self, params):
+        # exact zeros appear where an angle is +-0.0, where theta + alpha
+        # cancels, and on the straight and symmetric sets
+        values = (0.0, -0.0, 0.3, -0.3, np.pi / 2)
+        for theta in values:
+            for a2 in (0.0, -0.0, -theta, 0.25):
+                for a3 in (0.0, -0.0, -theta, a2, -a2):
+                    args = (theta, a2, a3, *_unpack(params), params.M)
+                    assert _assembly_hex(_assemble(*args)) == \
+                        _assembly_hex(_loop_assemble(*args)), (theta, a2, a3)

@@ -1,4 +1,5 @@
 """Round-trip fidelity of the trajectory and report writers."""
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,51 @@ def awkward_trajectory():
     states[2, 2] = 2.0 / 3.0
     field = np.array([[1.0, 0.0]] * 4)
     return Trajectory(times=times, states=states, field_samples=field)
+
+
+def non_finite_trajectory():
+    # NaN and the infinities take json's NaN / Infinity spelling
+    return Trajectory(
+        times=np.array([0.0, -0.0, 1.5]),
+        states=np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320]] * 3),
+        field_samples=np.array([[np.inf, -0.0]] * 3))
+
+
+def integer_trajectory():
+    # integer arrays still write as floats: 1.0, never 1
+    return Trajectory(times=np.arange(3), states=np.arange(15).reshape(3, 5),
+                      field_samples=np.ones((3, 2), dtype=int))
+
+
+# sha256 of the CSV and JSONL bytes, recorded when the writers indexed
+# numpy rows one sample at a time
+FROZEN_FILES = {
+    "integer": (
+        "0c32221ae132d9a0be6ed8d4084e3de3c420087b2285f694cf8cbc2d1772285d",
+        "1ffed12deb3083bbe3f8e1a375d85f4cc9e3bce09171835ff98453c91937c110"),
+    "short": (
+        "595c26aa2d8e641d0a261c9523f36d40db6d177a5a7ab65c6a02fa87730c33d3",
+        "520fa5685c6caf35b4c5b3d9495823fd0765f024c8314749b5e994c1bc267331"),
+    "awkward": (
+        "1a214c60d67766eff87fa808acb9aa28acd67fa7ff61f0e11bfb9dd001486da6",
+        "2f2dd523e041a6ea7802ced045c50447be10217e1fbd4604fced584e2b34a2e4"),
+    "non_finite": (
+        "69621ffc3b0120da808b2075c2a08a9d13aa0c06438eda0c9d688b10c74c9e77",
+        "6e0ebb417d35cfa36be5ea9e0812857bae11a584bdfa06ec41425d842492f6f6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FILES))
+def test_written_bytes_are_frozen(name, short_trajectory, tmp_path):
+    traj = {"short": short_trajectory, "awkward": awkward_trajectory(),
+            "non_finite": non_finite_trajectory(),
+            "integer": integer_trajectory()}[name]
+    csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "t.jsonl"
+    write_trajectory_csv(traj, csv_path)
+    write_trajectory_jsonl(traj, jsonl_path, metadata={"source": "test"})
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (csv_path, jsonl_path))
+    assert digests == FROZEN_FILES[name]
 
 
 class TestCsv:

@@ -109,6 +109,20 @@ class TestIntegrate:
         assert traj.states[-1].tolist() == state
         assert traj.field_samples[-1].tolist() == [1.0, hy]
 
+    def test_tabulated_output_is_frozen(self):
+        # 32 full steps from t0 = 0.6 and a shortened one; values as the
+        # loop assembly and the numpy-arithmetic load produced them
+        field = TabulatedField([0.5, 1.0, 2.0, 3.0], [1.0, 0.4, 1.3, 0.8],
+                               [0.0, 0.9, -0.6, 0.2])
+        traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
+                         field, t_final=2.9, dt=0.07, t0=0.6)
+        assert len(traj) == 34
+        assert traj.times[-1] == 2.9
+        assert traj.states[-1].tolist() == [
+            0.1641027487680291, -0.3691950988052727, 0.06927921474480574,
+            0.006513724792657479, 0.002054251654653432]
+        assert traj.field_samples[-1].tolist() == [0.8500000000000001, 0.12]
+
     def test_aborts_on_blowup(self):
         # absurd stiffness with a coarse step makes RK4 diverge; the
         # integrator must stop with a diagnostic instead of returning junk
