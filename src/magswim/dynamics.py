@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, sin
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NearSingularError
 from .model import Configuration, SwimmerParams
@@ -54,8 +55,9 @@ COND_LIMIT = 1e12
 def _assemble(theta: float, a2: float, a3: float, L: float,
               xi1: float, xi2: float, xi3: float,
               eta1: float, eta2: float, eta3: float,
-              M: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Straight-line assembly of (Mh, Mx, My) at a configuration.
+              M: float) -> tuple[np.ndarray, tuple, tuple]:
+    """Straight-line assembly of (Mh, Mx, My) at a configuration; ``Mh`` is
+    a 5x5 array, ``Mx`` and ``My`` are tuples of five floats.
 
     Mh is independent of (x, y), so the geometry is built with the middle
     link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
@@ -75,7 +77,7 @@ def _assemble(theta: float, a2: float, a3: float, L: float,
     load is summed link by link from +0.0, so a load that cancels to zero
     is +0.0 whatever the signs of its terms' zeros, and the entry of
     ``Mh``, its negation, is -0.0.  This routine sits inside the RK4 hot
-    loop, hence plain float arithmetic and one array per output.
+    loop, hence plain float arithmetic and one array, ``Mh``.
     """
     th1 = theta + a2
     th3 = theta + a3
@@ -153,8 +155,8 @@ def _assemble(theta: float, a2: float, a3: float, L: float,
         0.0,
         0.0 - w3,
     ))
-    Mx = np.array([0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3])
-    My = np.array([0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3])
+    Mx = (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3)
+    My = (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3)
     return np.negative(load, out=load).reshape(5, 5), Mx, My
 
 
@@ -183,10 +185,11 @@ def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
     return _load_core(params)(config.theta, config.alpha2, config.alpha3)
 
 
-def _field_columns(Mh: np.ndarray, elastic: tuple, Mx: np.ndarray,
-                   My: np.ndarray) -> np.ndarray:
+def _field_columns(Mh: np.ndarray, elastic: tuple, Mx: tuple,
+                   My: tuple) -> np.ndarray:
     """``f0, fx, fy`` as the columns of one multi-column solve."""
-    return np.linalg.solve(Mh, np.array((elastic, -Mx, -My)).T)
+    return np.linalg.solve(
+        Mh, np.array((elastic, [-v for v in Mx], [-v for v in My])).T)
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ def magnetic_coupling(config: Configuration,
     staircase row gives cumulative sine/cosine patterns.
     """
     _, _, Mx, My = _loads_at(config, params)
-    return MagneticCoupling(mx=Mx, my=My)
+    return MagneticCoupling(mx=np.array(Mx), my=np.array(My))
 
 
 def elastic_load(config: Configuration, params: SwimmerParams) -> np.ndarray:
@@ -318,33 +321,60 @@ def control_fields(config: Configuration,
                          position_coupling=G)
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve_errstate() -> np.errstate:
+    """The floating-point state ``np.linalg.solve`` enters around each of its
+    calls: the invalid flag that the LAPACK gufunc raises on a zero pivot
+    becomes ``LinAlgError('Singular matrix')``, while overflow, division
+    and underflow inside the factorization are ignored.  The rate closure
+    calls the gufunc bare, so its callers enter this state once around a
+    whole loop of calls; inside it, no other numpy operation that can set
+    the invalid flag may run, or it would read as a singular matrix."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
 def rhs(config: Configuration, h: tuple[float, float],
         params: SwimmerParams) -> np.ndarray:
     """Configuration velocity under field ``h = (Hx, Hy)``."""
-    return make_rate_function(params)(config.as_array(), h[0], h[1])
+    with _solve_errstate():
+        return make_rate_function(params)(config.as_array().tolist(),
+                                          h[0], h[1])
 
 
-def make_rate_function(params: SwimmerParams) -> Callable[[np.ndarray, float, float], np.ndarray]:
+def make_rate_function(params: SwimmerParams) -> Callable[[Sequence[float], float, float], np.ndarray]:
     """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure.
 
-    This is the integrator hot path: one assembly, the load built from
-    Python floats into one array, and a single 5x5 solve per call.
+    This is the integrator hot path: one assembly, the load as a tuple of
+    Python floats, and a single 5x5 solve per call.  The state is any
+    sequence of five floats; a list is fastest.
+
+    The solve is ``_umath_linalg.solve1``, the LAPACK gufunc inside
+    ``np.linalg.solve``, called directly: the public function's input
+    checks and the ``errstate`` it enters on every call cost more than the
+    factorization itself.  The closure therefore raises
+    ``LinAlgError('Singular matrix')`` on an exactly singular ``Mh`` only
+    inside :func:`_solve_errstate`, which ``simulate._advance`` enters once
+    around its stepping loop and :func:`rhs` around its one call;
+    elsewhere such a solve returns NaN with a RuntimeWarning.
     """
     loads = _load_core(params)
+    solve = _umath_linalg.solve1
 
-    def rate(state: np.ndarray, hx: float, hy: float) -> np.ndarray:
-        _, _, theta, a2, a3 = state.tolist()
-        Mh, elastic, Mx, My = loads(theta, a2, a3)
-        mx, my = Mx.tolist(), My.tolist()
+    def rate(state: Sequence[float], hx: float, hy: float) -> np.ndarray:
+        _, _, theta, a2, a3 = state
+        Mh, elastic, mx, my = loads(theta, a2, a3)
         # negate before converting: an integer 0 field has no signed zero
         nhx, hy = float(-hx), float(hy)
         # (-hx Mx - hy My) + elastic, adding only the spring rows: a zero
         # load row keeps the sign of its zero
-        load = np.array((
-            nhx * mx[0] - hy * my[0], nhx * mx[1] - hy * my[1],
-            nhx * mx[2] - hy * my[2],
-            nhx * mx[3] - hy * my[3] + elastic[3],
-            nhx * mx[4] - hy * my[4] + elastic[4]))
-        return np.linalg.solve(Mh, load)
+        load = (nhx * mx[0] - hy * my[0], nhx * mx[1] - hy * my[1],
+                nhx * mx[2] - hy * my[2],
+                nhx * mx[3] - hy * my[3] + elastic[3],
+                nhx * mx[4] - hy * my[4] + elastic[4])
+        return solve(Mh, load, signature="dd->d")
 
     return rate

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import field_jacobian
-from .dynamics import _load_core, make_rate_function
+from .dynamics import _load_core, _solve_errstate, make_rate_function
 from .errors import AnalysisError
 from .model import SwimmerParams
 
@@ -105,7 +105,9 @@ def linearize_angles(params: SwimmerParams,
 
     def g(q: np.ndarray, hx: float, hy: float) -> np.ndarray:
         # shape velocity (theta, alpha2, alpha3) as a function of shape
-        return rate(np.array([0.0, 0.0, q[0], q[1], q[2]]), hx, hy)[2:]
+        state = np.array([0.0, 0.0, q[0], q[1], q[2]]).tolist()
+        with _solve_errstate():
+            return rate(state, hx, hy)[2:]
 
     a = field_jacobian(lambda q: g(q, 1.0, 0.0), np.zeros(3), step)
     b = g(np.zeros(3), 0.0, 1.0)

@@ -47,10 +47,14 @@ def format_cell(value: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """The bytes ``csv.writer`` gives for ``format_cell`` cells, CRLF line
+    ends included, written as one block: no cell needs quoting."""
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    lines += [",".join([format(v, ".17g") for v in row])
+              for row in _rows(traj)]
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        writer.writerows([format_cell(v) for v in row] for row in _rows(traj))
+        fh.write("\r\n".join(lines))
 
 
 def _trajectory_from_rows(rows: list[list[float]]) -> Trajectory:

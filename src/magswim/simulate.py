@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import make_rate_function
+from .dynamics import _solve_errstate, make_rate_function
 from .errors import IntegrationError
 from .model import Configuration, FieldProgram, SinusoidalField, SwimmerParams
 
@@ -94,27 +94,55 @@ def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _step(rate, field: FieldProgram, t: float, y: np.ndarray,
-          dt: float) -> np.ndarray:
+def _step(rate, field: FieldProgram, t: float, y: list, dt: float) -> list:
+    """One RK4 step of the state ``y``, a list of five floats.
+
+    The stages are combined elementwise on Python floats in the order the
+    array form ``y + h*k`` and ``y + (dt/6)*(k1 + 2*(k2 + k3) + k4)``
+    evaluates them; IEEE ``+`` and ``*`` give the same bits either way, and
+    five floats cost less than five-element arrays."""
+    h = 0.5 * dt
+    y0, y1, y2, y3, y4 = y
     hx1, hy1 = field.sample(t)
-    k1 = rate(y, hx1, hy1)
-    hx2, hy2 = field.sample(t + 0.5 * dt)
-    k2 = rate(y + (0.5 * dt) * k1, hx2, hy2)
-    k3 = rate(y + (0.5 * dt) * k2, hx2, hy2)
+    a0, a1, a2, a3, a4 = rate(y, hx1, hy1).tolist()
+    hx2, hy2 = field.sample(t + h)
+    b0, b1, b2, b3, b4 = rate(
+        [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4],
+        hx2, hy2).tolist()
+    c0, c1, c2, c3, c4 = rate(
+        [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4],
+        hx2, hy2).tolist()
     hx4, hy4 = field.sample(t + dt)
-    k4 = rate(y + dt * k3, hx4, hy4)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    d0, d1, d2, d3, d4 = rate(
+        [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+         y4 + dt * c4], hx4, hy4).tolist()
+    s = dt / 6.0
+    return [y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0),
+            y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1),
+            y2 + s * ((a2 + 2.0 * (b2 + c2)) + d2),
+            y3 + s * ((a3 + 2.0 * (b3 + c3)) + d3),
+            y4 + s * ((a4 + 2.0 * (b4 + c4)) + d4)]
 
 
-def _advance(rate, field: FieldProgram, y: np.ndarray, t0: float,
+def _advance(rate, field: FieldProgram, y, t0: float,
              span: float, dt: float, record=None) -> np.ndarray:
-    """RK4 from ``t0`` over ``span``, the last step shortened to land on it;
-    ``record(k, t, y)``, when given, sees the state ``y`` after ``k`` steps,
-    at time ``t``."""
+    """RK4 of the five-float state ``y`` from ``t0`` over ``span``, the last
+    step shortened to land on it; ``record(k, t, y)``, when given, sees the
+    state after ``k`` steps, at time ``t``, as a list of five floats.
+
+    The loop runs inside the solve's error state,
+    :func:`dynamics._solve_errstate`, entered here once rather than once
+    per rate call, so an exactly singular ``Mh`` still ends the run as
+    ``LinAlgError('Singular matrix')``.  That holds because the rate's
+    gufunc is the only numpy floating-point operation in the loop: the
+    stages are Python float arithmetic, which numpy's error state never
+    sees, and the field programs and the recorder do no numpy arithmetic.
+    """
     n_full, rem = _plan_steps(span, dt)
+    y = np.asarray(y, dtype=float).tolist()
     t = t0
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _solve_errstate():
             for k in range(n_full + (rem > 0.0)):
                 if k < n_full:
                     y = _step(rate, field, t, y, dt)
@@ -122,7 +150,7 @@ def _advance(rate, field: FieldProgram, y: np.ndarray, t0: float,
                 else:
                     y = _step(rate, field, t, y, rem)
                     t = t0 + span
-                if not np.isfinite(y).all():
+                if not all(map(math.isfinite, y)):
                     raise IntegrationError(
                         f"state became non-finite at t = {t:.6g}")
                 if record is not None:
@@ -130,7 +158,7 @@ def _advance(rate, field: FieldProgram, y: np.ndarray, t0: float,
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
-    return y
+    return np.array(y)
 
 
 def integrate(params: SwimmerParams, initial: Configuration,
@@ -156,7 +184,7 @@ def integrate(params: SwimmerParams, initial: Configuration,
     states = np.empty((n_rows, 5))
     fields = np.empty((n_rows, 2))
 
-    def record(k: int, t: float, y: np.ndarray) -> None:
+    def record(k: int, t: float, y: list) -> None:
         if k > n_full:
             # the shortened last step is stamped at t_final itself
             t = t_final
@@ -164,7 +192,7 @@ def integrate(params: SwimmerParams, initial: Configuration,
         states[k] = y
         fields[k] = field.sample(t)
 
-    y = initial.as_array()
+    y = initial.as_array().tolist()
     record(0, t0, y)
     _advance(make_rate_function(params), field, y, t0, span, dt, record)
     times[-1] = t_final

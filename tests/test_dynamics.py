@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magswim
 from magswim import (
     Configuration,
+    ConstantField,
+    IntegrationError,
     NearSingularError,
     SwimmerParams,
     apply_R_transform,
@@ -28,7 +31,8 @@ from magswim import (
     rhs,
     segment_frames,
 )
-from magswim.dynamics import _assemble, _unpack
+from magswim.dynamics import _assemble, _load_core, _unpack
+from magswim.simulate import integrate
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -485,3 +489,53 @@ class TestStraightLineAssembly:
                     args = (theta, a2, a3, *_unpack(params), params.M)
                     assert _assembly_hex(_assemble(*args)) == \
                         _assembly_hex(_loop_assemble(*args)), (theta, a2, a3)
+
+
+def _public_solve_rate(params, state, hx, hy):
+    """The rate closure's load, solved by ``np.linalg.solve``."""
+    Mh, elastic, mx, my = _load_core(params)(*state[2:])
+    nhx, hy = float(-hx), float(hy)
+    load = [nhx * a - hy * b for a, b in zip(mx, my)]
+    load[3] += elastic[3]
+    load[4] += elastic[4]
+    return np.linalg.solve(Mh, np.array(load))
+
+
+class TestRawSolve:
+    """The rate closure calls the LAPACK gufunc inside ``np.linalg.solve``
+    directly, with the solve's ``errstate`` entered by its callers."""
+
+    @given(theta=thetas, a2=angles, a3=angles,
+           hx=st.sampled_from([0, 0.0, -0.0, 1.0]) | st.floats(-2, 2),
+           hy=st.sampled_from([0, 0.0, -0.0]) | st.floats(-2, 2))
+    @settings(max_examples=100)
+    def test_matches_np_linalg_solve_bit_for_bit(self, theta, a2, a3, hx,
+                                                 hy):
+        rate = make_rate_function(CANON)
+        state = [0.2, -0.7, theta, a2, a3]
+        assert [v.hex() for v in rate(state, hx, hy).tolist()] == \
+            [v.hex() for v in _public_solve_rate(CANON, state, hx, hy)]
+
+    @pytest.mark.parametrize("pose", sorted(SIGNED_POSES))
+    @pytest.mark.parametrize("hx, hy", [(0, 0), (0.0, -0.0), (-0.0, 0.0),
+                                        (1.0, 0.3)])
+    def test_signed_zero_poses_match_np_linalg_solve(self, pose, hx, hy):
+        rate = make_rate_function(UNIFORM)
+        state = [0.0, -0.0, *SIGNED_POSES[pose]]
+        assert [v.hex() for v in rate(state, hx, hy).tolist()] == \
+            [v.hex() for v in _public_solve_rate(UNIFORM, state, hx, hy)]
+
+    def test_singular_matrix_raises(self, monkeypatch):
+        assemble = magswim.dynamics._assemble
+
+        def singular(*args):
+            Mh, Mx, My = assemble(*args)
+            Mh = Mh.copy()
+            Mh[4] = 0.0
+            return Mh, Mx, My
+        monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
+        with pytest.raises(IntegrationError, match="Singular matrix"):
+            integrate(CANON, Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
+                      ConstantField(1.0, 0.2), t_final=0.1, dt=0.05)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            rhs(Configuration.straight(), (1.0, 0.0), CANON)

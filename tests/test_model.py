@@ -100,6 +100,69 @@ class TestFieldPrograms:
             TabulatedField([0.0, 1.0], [0.0, math.nan], [0.0, 0.0])
 
 
+def _interp_queries(times, fractions):
+    """Queries inside every interval, exactly on and next to every node, at
+    both ends, outside the range, at both zeros and at the non-finite."""
+    queries = [0.0, -0.0, math.inf, -math.inf, math.nan,
+               times[0] - 1.0, times[-1] + 1.0]
+    for t in times:
+        queries += [t, math.nextafter(t, -math.inf),
+                    math.nextafter(t, math.inf)]
+    for a, b in zip(times, times[1:]):
+        queries += [a + u * (b - a) for u in fractions]
+        queries.append(0.5 * (a + b))
+    return queries
+
+
+@st.composite
+def tables(draw):
+    times = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                 max_size=60, unique=True)))
+    values = st.lists(st.floats(-1e6, 1e6), min_size=len(times),
+                      max_size=len(times))
+    return times, draw(values), draw(values)
+
+
+class TestTabulatedSample:
+    @given(table=tables(),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_matches_np_interp_bit_for_bit(self, table, fractions):
+        times, hx, hy = table
+        field = TabulatedField(times, hx, hy)
+        for t in _interp_queries(times, fractions):
+            got = field.sample(t)
+            want = (float(np.interp(t, times, hx)),
+                    float(np.interp(t, times, hy)))
+            assert [v.hex() for v in got] == [v.hex() for v in want], t
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [-1.0, 0.0, 2.0],
+                                       [-2.0, -0.0, 3.0]])
+    def test_signed_zero_node_and_query(self, times):
+        hx, hy = [0.5, -1.5, 2.0][:len(times)], [-0.0, 0.0, 1.0][:len(times)]
+        field = TabulatedField(times, hx, hy)
+        for t in (0.0, -0.0):
+            want = (float(np.interp(t, times, hx)),
+                    float(np.interp(t, times, hy)))
+            assert [v.hex() for v in field.sample(t)] == \
+                [v.hex() for v in want]
+
+    def test_caller_mutation_does_not_reach_samples(self):
+        times = np.array([0.0, 1.0, 2.0])
+        hx = np.array([0.0, 2.0, 2.0])
+        hy = [1.0, 1.0, 3.0]
+        field = TabulatedField(times, hx, hy)
+        before = [field.sample(t) for t in (-1.0, 0.0, 0.5, 1.5, 2.0, 3.0)]
+        times[1] = 0.1
+        hx[:] = 7.0
+        hy[2] = -9.0
+        after = [field.sample(t) for t in (-1.0, 0.0, 0.5, 1.5, 2.0, 3.0)]
+        assert after == before
+        assert field.times.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            field.hx[0] = 1.0
+
+
 class TestSegmentFrames:
     @given(x=coords, y=coords, theta=angles, a2=angles, a3=angles, L=lengths)
     @settings(max_examples=60)

@@ -1,4 +1,5 @@
 """Integrator behavior and period-level experiments."""
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,14 @@ UNIFORM = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
 
 def bent_start():
     return Configuration(0.0, 0.0, 0.1, 0.3, -0.2)
+
+
+def digest(traj):
+    """sha256 of the times, states and field samples, signed zeros and all."""
+    h = hashlib.sha256()
+    for a in (traj.times, traj.states, traj.field_samples):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
 
 
 class TestIntegrate:
@@ -123,6 +132,30 @@ class TestIntegrate:
             0.006513724792657479, 0.002054251654653432]
         assert traj.field_samples[-1].tolist() == [0.8500000000000001, 0.12]
 
+    @pytest.mark.parametrize("start,field,t_final,dt,rows,sha", [
+        # integer zero field: the rate negates before converting, so the
+        # load rows carry the signs a float 0.0 field gives them
+        (Configuration.straight(), ConstantField(0, 0), 1.0, 0.05, 21,
+         "dbb1e3519b82426dc84da5dc43ec722d7e8ae1639c48ac15f7fc4f4047f7142b"),
+        (Configuration(0.0, 0.0, 0.1, 0.3, -0.2), ConstantField(0, 0), 1.0,
+         0.05, 21,
+         "70adc26f06bd6871a3895e04cb23ced9e6e15733b8f8a588c6b16116a4c2e7cf"),
+        # signed zeros in the start and the field stay signed zeros
+        (Configuration(-0.0, 0.0, -0.0, 0.0, -0.0), ConstantField(-0.0, -0.0),
+         1.0, 0.05, 21,
+         "2f4eaf45ba48a578f2dc032d12f513e12b23d98acd7d48ad6b249b0a79f98144"),
+        # an integer hx0 is sampled as given and recorded as a float
+        (Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
+         SinusoidalField(hx0=1, epsilon=0.2, omega=1.3), 2.0, 0.03, 68,
+         "0bcc41664fa54801b189fc2985dac3628bd5013bcc474843721d6c8d7ce71d95"),
+    ])
+    def test_zero_and_integer_fields_are_frozen(self, start, field, t_final,
+                                                dt, rows, sha):
+        # digests as the numpy-array RK4 stages produced them
+        traj = integrate(CANON, start, field, t_final, dt)
+        assert len(traj) == rows
+        assert digest(traj) == sha
+
     def test_aborts_on_blowup(self):
         # absurd stiffness with a coarse step makes RK4 diverge; the
         # integrator must stop with a diagnostic instead of returning junk
@@ -214,6 +247,20 @@ class TestSymmetryExperiment:
             UNIFORM, Configuration(0.0, 0.0, -0.3, 0.7, 0.7), field,
             t_final=4.0, dt=0.002)
         assert rep.within_tolerance
+
+    def test_report_is_frozen(self):
+        # one period at the default step; values as the numpy-array RK4
+        # stages produced them
+        field = SinusoidalField(hx0=1.0, epsilon=0.05, omega=1.3)
+        rep = symmetry_experiment(
+            UNIFORM, Configuration(0.0, 0.0, 0.2, 0.4, 0.4), field,
+            t_final=field.period)
+        assert [v.hex() for v in (rep.max_alpha_gap, rep.max_abs_x,
+                                  rep.max_abs_y, rep.dt, rep.tolerance)] == [
+            "0x1.4000000000000p-54", "0x1.62e1cd60d6c4bp-58",
+            "0x1.16e8f7489778ep-57", "0x1.3cbff78ba08bcp-9",
+            "0x1.76fed0b5bff22p-32"]
+        assert rep.steps == 2000
 
     def test_rejects_asymmetric_setup(self):
         field = ConstantField(1.0, 0.0)
