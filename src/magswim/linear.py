@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .brackets import field_jacobian
 from .dynamics import _load_core, _solve_errstate, make_rate_function
@@ -55,22 +56,24 @@ __all__ = [
 ]
 
 QUADRATURE_SAMPLES = 4096
-# frequencies per block of the batched quadrature: two keep its
-# temporaries (three (2, 4096, 3) arrays) near 0.6 MB
-_GUARD_CHUNK = 2
+_IEYE = 1j * np.eye(3)
 
 
-def _trapezoid_phases(samples: int) -> np.ndarray:
-    """``[cos 2 pi k / N, sin 2 pi k / N]`` for the N uniform nodes.
+def _phase_gram(samples: int) -> np.ndarray:
+    """``sum_k p_k^T p_k`` over the phase rows
+    ``p_k = [cos 2 pi k / N, sin 2 pi k / N]`` of the N uniform nodes.
 
     On the grid ``t_k = k T / N`` the phase ``omega t_k`` is ``2 pi k / N``
-    whatever ``omega`` is, so one table serves every frequency.
+    whatever ``omega`` is, so this one 2x2 matrix serves every frequency:
+    the trapezoid sum of any quadratic form in ``p_k`` is a contraction
+    with it.
     """
     angle = (2.0 * math.pi / samples) * np.arange(samples)
-    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    phases = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return phases.T @ phases
 
 
-_PHASES = _trapezoid_phases(QUADRATURE_SAMPLES)
+_PHASE_GRAM = _phase_gram(QUADRATURE_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -191,13 +194,33 @@ def closed_form_char_coeffs(params: SwimmerParams
     return (-1.0, a2, a1, a0)
 
 
-def resolvents(a: np.ndarray, omega: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """``(-a + i omega I)^-1`` and ``(-a - i omega I)^-1``."""
+def _resolvent(neg_a: np.ndarray, omega: float) -> np.ndarray:
+    """``(neg_a + i omega I)^-1`` for a 3x3 ``neg_a``, bit for bit what
+    ``np.linalg.inv`` returns.
+
+    The inverse is the LAPACK gufunc behind ``np.linalg.inv``, called
+    bare inside the error state that function enters, so an exactly
+    singular matrix still raises ``LinAlgError('Singular matrix')``.  That
+    state covers the gufunc alone: the invalid flag of any other operation
+    would read as a singular matrix.
+    """
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
+    m = neg_a + omega * _IEYE
+    with _solve_errstate():
+        return _umath_linalg.inv(m, signature="D->D")
+
+
+def resolvents(a: np.ndarray, omega: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(-a + i omega I)^-1`` and ``(-a - i omega I)^-1`` for a real 3x3
+    ``a`` and a finite ``omega > 0``."""
     a = np.asarray(a, dtype=float)
-    a_plus = np.linalg.inv(-a + 1j * omega * np.eye(a.shape[0]))
+    if a.shape != (3, 3):
+        raise ValueError("resolvents expects a 3x3 matrix")
+    a_plus = _resolvent(-a, omega)
     # a is real, so the second resolvent is the conjugate of the first
     return a_plus, a_plus.conj()
 
@@ -311,9 +334,14 @@ def closed_form_skew_kernel(params: SwimmerParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _QuadraticModel:
+    """``A``, ``b`` and ``grad Gx``, plus ``-A`` (complex) and the skew part
+    ``w = grad Gx - grad Gx^T`` that every resolvent evaluation reads."""
+
     a: np.ndarray
     b: np.ndarray
     grad_gx: np.ndarray
+    neg_a: np.ndarray
+    w: np.ndarray
 
 
 def displacement_model(params: SwimmerParams) -> _QuadraticModel:
@@ -324,13 +352,15 @@ def displacement_model(params: SwimmerParams) -> _QuadraticModel:
         raise AnalysisError(
             "straight equilibrium is not strictly stable; periodic "
             "response is undefined")
-    return _QuadraticModel(a=lin.a, b=lin.b, grad_gx=grad_gx_origin(params))
+    grad_gx = grad_gx_origin(params)
+    return _QuadraticModel(a=lin.a, b=lin.b, grad_gx=grad_gx,
+                           neg_a=(-lin.a).astype(complex),
+                           w=grad_gx - grad_gx.T)
 
 
 def _dx2_resolvent(model: _QuadraticModel, omega: float) -> float:
-    a_plus, a_minus = resolvents(model.a, omega)
-    w = model.grad_gx - model.grad_gx.T
-    z = model.b @ (a_plus.T @ (w @ (a_minus @ model.b)))
+    a_plus = _resolvent(model.neg_a, omega)
+    z = model.b @ (a_plus.T @ (model.w @ (a_plus.conj() @ model.b)))
     # z is purely imaginary up to roundoff; its real part is a numerical
     # residue and must stay tiny
     if abs(z.real) > 1e-10 * max(1.0, abs(z.imag)):
@@ -345,26 +375,24 @@ def _dx2_quadrature(model: _QuadraticModel, omega,
     ``q . grad Gx . qdot`` along the steady orbit.
 
     ``omega`` is a scalar (a float comes back) or a 1-d array (an array of
-    the same length comes back).  With ``c = c_plus`` and the phase table
-    ``[cos, sin]`` of the nodes, ``q = [cos, sin] @ [Im c; Re c]`` and
-    ``qdot = omega [cos, sin] @ [Re c; -Im c]``; the integrand is formed at
-    every node and summed, a few frequencies at a time.
+    the same length comes back).  With ``c = c_plus`` and the phase row
+    ``p_k = [cos, sin]`` of node k, ``q = p_k S`` with ``S = [Im c; Re c]``
+    and ``qdot = p_k R`` with ``R = omega [Re c; -Im c]``, so the integrand
+    is ``p_k (S grad Gx R^T) p_k^T``.  Its sum over the nodes is therefore
+    ``S grad Gx R^T`` contracted with the nodes' 2x2 phase Gram matrix
+    ``sum_k p_k^T p_k``: the same trapezoid sum, without forming the
+    integrand node by node.
     """
     flat = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(flat <= 0.0):
         raise ValueError("omega must be positive")
-    phases = _PHASES if samples == QUADRATURE_SAMPLES else \
-        _trapezoid_phases(samples)
-    c = np.linalg.inv(-model.a + 1j * flat[:, None, None] * np.eye(3)) \
-        @ model.b
+    gram = _PHASE_GRAM if samples == QUADRATURE_SAMPLES else \
+        _phase_gram(samples)
+    c = np.linalg.inv(model.neg_a + flat[:, None, None] * _IEYE) @ model.b
     shape_coef = np.stack([c.imag, c.real], axis=1)
     rate_coef = flat[:, None, None] * np.stack([c.real, -c.imag], axis=1)
-    sums = np.empty(flat.size)
-    for start in range(0, flat.size, _GUARD_CHUNK):
-        block = slice(start, start + _GUARD_CHUNK)
-        q = phases @ shape_coef[block]
-        qdot = phases @ rate_coef[block]
-        sums[block] = np.einsum("mtj,mtj->m", q @ model.grad_gx, qdot)
+    form = shape_coef @ model.grad_gx @ rate_coef.transpose(0, 2, 1)
+    sums = np.einsum("mab,ab->m", form, gram)
     # uniform grid over one period: the trapezoid rule is spectrally
     # accurate for this smooth periodic integrand
     values = sums / samples * (2.0 * math.pi / flat)
@@ -375,14 +403,14 @@ def _guard(model: _QuadraticModel, omegas, values) -> float:
     """Check resolvent values against the quadrature at their frequencies.
 
     Raises for the first frequency whose gap exceeds
-    ``1e-8 max(1, |quadrature|)``; otherwise returns the largest relative
-    gap ``|resolvent - quadrature| / max(1, |quadrature|)``.
+    ``1e-8 max(1, |quadrature|)`` or is NaN; otherwise returns the largest
+    relative gap ``|resolvent - quadrature| / max(1, |quadrature|)``.
     """
     omegas = np.asarray(omegas, dtype=float)
     quad = _dx2_quadrature(model, omegas)
     gaps = np.abs(np.asarray(values, dtype=float) - quad)
     scales = np.maximum(1.0, np.abs(quad))
-    bad = np.flatnonzero(gaps > 1e-8 * scales)
+    bad = np.flatnonzero(~(gaps <= 1e-8 * scales))
     if bad.size:
         k = bad[0]
         raise AnalysisError(
@@ -396,9 +424,10 @@ def net_displacement_quadratic(params: SwimmerParams, omega: float,
     """Per-cycle x-displacement at quadratic order, per unit eps^2.
 
     Returns the closed resolvent expression after checking it against the
-    time-domain quadrature of the steady orbit, the same guard that
-    ``frequency_sweep`` runs over all of its frequencies at once.  A gap
-    above 1e-8 means the linearization or the orbit reconstruction is
+    time-domain quadrature of the steady orbit (the 4096-node trapezoid
+    sum, contracted through the nodes' phase Gram matrix), the same guard
+    that ``frequency_sweep`` runs over all of its frequencies at once.  A
+    gap above 1e-8 means the linearization or the orbit reconstruction is
     broken, so it raises instead of returning either number.
     """
     if model is None:
@@ -461,6 +490,8 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     ``net_displacement_quadratic`` checks all of them in one batch,
     raising for the first (in visiting order) whose two paths disagree.
     """
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
+        raise ValueError("omega_min and omega_max must be finite")
     if not (0.0 < omega_min < omega_max):
         raise ValueError("need 0 < omega_min < omega_max")
     if n_grid < 16:

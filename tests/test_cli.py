@@ -218,6 +218,19 @@ directory = {tmp_path}
         assert (f"path_gap {results['path_gap']!r} "
                 f"evaluations {results['evaluations']}") in out
 
+    @pytest.mark.parametrize("flag,value", [("--omega-max", "inf"),
+                                            ("--omega-max", "nan"),
+                                            ("--omega-min", "nan")])
+    def test_non_finite_bound_is_a_usage_error(self, tmp_path, capsys, flag,
+                                               value):
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", flag, value, "--output-dir", str(tmp_path),
+                     "--json", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid request" in err and "must be finite" in err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not report.exists()
+
 
 class TestFieldAmplitude:
     """The linear theory and the displacement measurement take Hx = 1."""

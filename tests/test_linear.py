@@ -1,4 +1,8 @@
 """Linearization, stability, and quadratic displacement cross-checks."""
+import dataclasses
+import hashlib
+import math
+import random
 import warnings
 
 import numpy as np
@@ -25,6 +29,7 @@ from magswim.linear import (
     skew_kernel,
     steady_periodic,
     _dx2_quadrature,
+    _dx2_resolvent,
 )
 from magswim.model import SinusoidalField
 from magswim.simulate import integrate
@@ -196,6 +201,27 @@ class TestResolvents:
             direct = np.linalg.inv(-a - 1j * omega * np.eye(3))
             assert resolvents(a, omega)[1].tobytes() == direct.tobytes()
 
+    @pytest.mark.parametrize("omega,message", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+        (0.0, "positive"), (-1.0, "positive")])
+    def test_rejects_invalid_frequency(self, omega, message):
+        model = displacement_model(CANON)
+        with pytest.raises(ValueError, match=f"^omega must be {message}$"):
+            resolvents(-np.eye(3), omega)
+        with pytest.raises(ValueError, match=f"^omega must be {message}$"):
+            _dx2_resolvent(model, omega)
+
+    def test_exactly_singular_matrix_raises(self):
+        # -a + i I has the singular block [[i, 1], [-1, i]]: LU meets an
+        # exact zero pivot, which the bare inverse must still report
+        a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            resolvents(a, 1.0)
+        model = dataclasses.replace(displacement_model(CANON), a=a,
+                                    neg_a=(-a).astype(complex))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _dx2_resolvent(model, 1.0)
+
 
 class TestSteadyPeriodic:
     def test_solves_the_ode(self):
@@ -305,6 +331,27 @@ class TestNetDisplacement:
         assert batch.shape == (20,)
         assert np.max(np.abs(batch - single)) <= 1e-15
 
+    @pytest.mark.parametrize("samples", [8, 64, 4096])
+    def test_quadrature_is_the_node_by_node_trapezoid_sum(self, samples):
+        # the integrand swings up to 256 times its mean (at omega = 0.03),
+        # so agreement is measured against the same trapezoid sum of
+        # |integrand|, the scale its rounding errors carry
+        model = displacement_model(CANON)
+        for omega in (0.03, 0.62, 7.0):
+            c = np.linalg.inv(-model.a + 1j * omega * np.eye(3)) @ model.b
+            terms = []
+            for k in range(samples):
+                cos = math.cos(2.0 * math.pi * k / samples)
+                sin = math.sin(2.0 * math.pi * k / samples)
+                q = cos * c.imag + sin * c.real
+                qdot = omega * (cos * c.real - sin * c.imag)
+                terms.append(q @ model.grad_gx @ qdot)
+            weight = 2.0 * math.pi / omega / samples
+            loop = math.fsum(terms) * weight
+            scale = math.fsum(abs(t) for t in terms) * weight
+            got = _dx2_quadrature(model, omega, samples=samples)
+            assert abs(got - loop) <= 1e-15 * scale
+
     def test_quadrature_sample_count_is_converged(self):
         model = displacement_model(CANON)
         full = _dx2_quadrature(model, 0.62)
@@ -395,14 +442,96 @@ class TestFrequencySweep:
                            match=f"at omega = {target:g}$"):
             frequency_sweep(CANON, 1e-2, 1e2, 64)
 
+    def test_guard_rejects_a_nan_value(self, monkeypatch):
+        grid = np.logspace(-2.0, 2.0, 64)
+        target = float(grid[40])
+        real = magswim.linear._dx2_resolvent
+
+        def one_point_nan(model, omega):
+            return math.nan if omega == target else real(model, omega)
+
+        monkeypatch.setattr(magswim.linear, "_dx2_resolvent", one_point_nan)
+        with pytest.raises(AnalysisError,
+                           match=f"by nan at omega = {target:g}$"):
+            frequency_sweep(CANON, 1e-2, 1e2, 64)
+
     def test_reports_guard_gap_and_evaluations(self):
         sw = frequency_sweep(CANON, 1e-2, 1e2, 64)
         assert 0.0 <= sw.path_gap <= 1e-8
         # 64 grid points, 29 golden-section points and omega_star
         assert sw.evaluations == 94
 
+    @pytest.mark.parametrize("bounds", [(1e-2, math.inf), (math.nan, 1e2),
+                                        (1e-2, math.nan), (-math.inf, 1e2)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            frequency_sweep(CANON, *bounds)
+
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             frequency_sweep(CANON, 1e-1, 1e1, n_grid=8)
         with pytest.raises(ValueError):
             frequency_sweep(CANON, 1.0, 0.5)
+
+
+def seeded_swimmer(seed):
+    """A head-asymmetric swimmer drawn from ``seed``: heavy head, slender
+    links, strongly stable straight state."""
+    rng = random.Random(seed)
+    return SwimmerParams(1.0, (rng.uniform(0.6, 0.9), 0.5, 0.5),
+                         (rng.uniform(1.6, 2.6), 1.0, 1.0),
+                         rng.uniform(0.7, 1.5), rng.uniform(0.7, 1.5))
+
+
+def sweep_digest(sw):
+    """sha256 of every sweep output but ``path_gap``, bit for bit."""
+    h = hashlib.sha256(np.ascontiguousarray(sw.dx2, dtype=float).tobytes())
+    h.update(" ".join([sw.omega_star.hex(), sw.dx2_star.hex(),
+                       str(sw.evaluations), str(sw.boundary),
+                       str(sw.near_zero)]).encode())
+    return h.hexdigest()
+
+
+class TestFrozenSweepDigests:
+    """Sweep outputs as the node-by-node quadrature guard and the
+    ``np.linalg.inv`` resolvent produced them.  Only ``path_gap`` depends
+    on how the guard sums its nodes, so every other output is pinned."""
+
+    SWEEPS = {
+        (1, 64): "d203dbc8ccb3f9b98544ef15c6cb4c2617ce3d7befdc3780ddcde3e718e42e78",
+        (1, 128): "f1a83dd0e91250630ee1e3e6abac44a5dc4e35549bf94288249cde29d9d781c1",
+        (2, 64): "4098460bb4f2a2125de0dd59ff0e2426258f2aeaa4e8663b0816b9e39c0cea4b",
+        (2, 128): "077b7e20d7b73ade67e9916e75651951df2035f8a814172d26f5eb527ca9da5d",
+        (3, 64): "310f023cb9aa59ae1ef803066c2ba42c37467790a4f1f1274acbec3183b3d6a2",
+        (3, 128): "e914bacc56cb4343b737c514444a49e280666ff15de098e91ce3b612d7496649",
+        (4, 64): "2e9496decd997c2a5d7a089b6597f02c4a437ed7c3ac45574674a3152c226e5e",
+        (4, 128): "9ec59032c4b253d833cd81c501c4ab0c3b491745aa11dce83dea06ddbff6c5a4",
+        (5, 64): "f104d611b0a02b382cbf4fa9d0fce3cdab0f037ae7f66195d1ce1820ebe54a71",
+        (5, 128): "48d38e740535d8d104883f6c1983b39aeb38a9f2b542aa6180abfb1c40b4122c",
+        (6, 64): "cdb8fd0599b9eeee2b975c4958193d9f4dc0f848702575b1cf579ddee2a44fdd",
+        (6, 128): "c57d0a2116d099d4499e5e54024bf5cb4cfecfefc8aa89d1d8f9e1377b1edd79",
+        (7, 64): "731efdb5a83042384e13562efd411555d9932cb37256374881f5175038fe9369",
+        (7, 128): "4b138945070533cc8c1cf49cfcf62a325ea4b740cffa1a8ed9c9614e62087338",
+        (8, 64): "6f5149c0b3e2673023cfafadadf00446f6b754844906e8e784b85a5a1118492b",
+        (8, 128): "9b7f44973f542880fc9d64c5a641a3340bada7fbabb48b005f54b1d60720a2a9",
+    }
+
+    @pytest.mark.parametrize("seed,n_grid", sorted(SWEEPS))
+    def test_seeded_sweep(self, seed, n_grid):
+        sw = frequency_sweep(seeded_swimmer(seed), 1e-2, 1e2, n_grid)
+        assert not sw.boundary and not sw.near_zero
+        assert 0.0 <= sw.path_gap <= 1e-8
+        assert sweep_digest(sw) == self.SWEEPS[seed, n_grid]
+
+    def test_equal_coefficient_sweep(self):
+        sw = frequency_sweep(SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0),
+                             1e-1, 1e1, 16)
+        assert sw.near_zero
+        assert sweep_digest(sw) == (
+            "f17b3611636b8495af606b4acd0a740a505194e26fcb1c9cd4273301f32156e6")
+
+    def test_net_displacement_values(self):
+        values = [net_displacement_quadratic(CANON, float(w))
+                  for w in np.logspace(-3.0, 3.0, 20)]
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "61eb819082e3fe8137bd2c8b9b297929b8f5213e41c3c2687d91a672ddefcd6b")
