@@ -25,12 +25,15 @@ X = (x, y, theta, 0, 0):
 """
 from __future__ import annotations
 
+import numbers
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .dynamics import _field_columns, _load_core
+from .dynamics import _field_columns, _load_core, _solve_errstate
 from .model import SwimmerParams
 
 __all__ = [
@@ -80,9 +83,8 @@ class ControlSystem:
         return (self.f0, self.fx, self.fy)
 
 
-# a system's memo is cleared once it holds this many poses: one depth-3
-# lie_rank touches 49 (54 when theta is -0.0), and a long-lived system
-# must not grow without limit
+# a system's memo is cleared once it holds this many poses: a long-lived
+# system, evaluated at ever new poses, must not grow without limit
 _MEMO_LIMIT = 256
 
 
@@ -137,21 +139,8 @@ def field_jacobian(field: VectorField, point: np.ndarray,
     """Central-difference Jacobian, entry [i, j] = d field_i / d x_j, of
     any field from n-vectors to n-vectors."""
     point = np.asarray(point, dtype=float)
-    return _difference_columns(field, point, step, range(point.size))
-
-
-def _angle_jacobian(field: VectorField, point: np.ndarray,
-                    step: float) -> np.ndarray:
-    """``field_jacobian`` of a field that depends on the angles only, such
-    as the fields of ``control_vector_fields``: its x and y columns, exact
-    zeros of the difference, stay +0.0 and cost no evaluation."""
-    return _difference_columns(field, point, step, range(2, STATE_DIM))
-
-
-def _difference_columns(field: VectorField, point: np.ndarray, step: float,
-                        axes: range) -> np.ndarray:
     jac = np.zeros((point.size, point.size))
-    for j in axes:
+    for j in range(point.size):
         dx = np.zeros(point.size)
         dx[j] = step
         jac[:, j] = (field(point + dx) - field(point - dx)) / (2.0 * step)
@@ -171,6 +160,81 @@ def lie_bracket_field(f: VectorField, g: VectorField,
     return VectorField(
         fn=lambda x: lie_bracket(f, g, x, step),
         label=f"[{f.label},{g.label}]")
+
+
+# The rank and the identities work on the 5x3 blocks C(x) = [f0 fx fy] of
+# the generators, rather than on VectorFields, with the floating-point
+# operations of lie_bracket on them: the same stencil poses, differences
+# and matrix-vector products, so the same bits.
+
+_POSE = struct.Struct("3d")
+
+
+def _shifted(angles: tuple, step: float) -> list[tuple]:
+    """The poses ``angles +- step e_j`` of a central difference over the
+    three angles, in the order +e_0, -e_0, +e_1, -e_1, +e_2, -e_2.
+
+    Each is formed as ``point +- dx`` forms it on the full state: the other
+    angles move by +-0.0, and -0.0 + 0.0 is +0.0, so its signed zeros are
+    those of ``field_jacobian``'s poses.
+    """
+    t, a2, a3 = angles
+    return [(t + step, a2 + 0.0, a3 + 0.0), (t - step, a2 - 0.0, a3 - 0.0),
+            (t + 0.0, a2 + step, a3 + 0.0), (t - 0.0, a2 - step, a3 - 0.0),
+            (t + 0.0, a2 + 0.0, a3 + step), (t - 0.0, a2 - 0.0, a3 - step)]
+
+
+def _solve_poses(loads: Callable[..., tuple],
+                 poses: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """``(Mh, F)`` at each of ``poses`` (angle triples): ``Mh`` is
+    (n, 5, 5), and ``F`` (n, 3, 5) holds f0, fx, fy as contiguous rows.
+
+    A pose is assembled once however often it recurs, told apart by its
+    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
+    in signed zeros).  All poses are then solved by one call of the LAPACK
+    gufunc inside ``np.linalg.solve``, per matrix the factorization
+    ``_field_columns`` makes, under the error state it enters, so an
+    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
+    """
+    slots: dict[bytes, int] = {}
+    index = []
+    matrices, rows = [], []
+    for pose in poses:
+        key = _POSE.pack(*pose)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(matrices)
+            Mh, elastic, Mx, My = loads(*pose)
+            matrices.append(Mh)
+            rows += elastic
+            rows += Mx
+            rows += My
+        index.append(slot)
+    mh = np.array(matrices)
+    # rows elastic, -Mx, -My: the transposed right-hand side of the solve
+    rhs = np.array(rows).reshape(len(matrices), 3, STATE_DIM)
+    np.negative(rhs[:, 1:], out=rhs[:, 1:])
+    with _solve_errstate():
+        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
+                                   signature="dd->d")
+    return mh[index], np.ascontiguousarray(cols[index].transpose(0, 2, 1))
+
+
+def _angle_jacobians(plus: np.ndarray, minus: np.ndarray,
+                     step: float) -> np.ndarray:
+    """Central-difference Jacobians of fields that depend on the angles
+    only.
+
+    ``plus[..., j, m, :]`` and ``minus`` hold field m at the poses
+    ``pose +- step e_j`` (the pairs of ``_shifted``).  Returns the
+    (..., m, 5, 5) Jacobians with x and y columns +0.0, those differences
+    being exact zeros.  Each is C-contiguous like ``field_jacobian``'s, so
+    a product with it runs the same BLAS kernel and rounds the same way.
+    """
+    diff = (plus - minus) / (2.0 * step)
+    jac = np.zeros(diff.shape[:-3] + (diff.shape[-2], STATE_DIM, STATE_DIM))
+    jac[..., 2:] = np.moveaxis(diff, -3, -1)
+    return jac
 
 
 @dataclass(frozen=True)
@@ -211,19 +275,18 @@ def equilibrium_identities(params: SwimmerParams,
     if abs(np.cos(theta)) < 0.05:
         raise ValueError(
             "theta too close to a transverse pose; tan(theta) blows up")
-    point = np.array([0.0, 0.0, float(theta), 0.0, 0.0])
-    system = control_vector_fields(params)
-    fx_val = system.fx(point)
-    fy_val = system.fy(point)
+    centre = (float(theta), 0.0, 0.0)
+    mh, fields = _solve_poses(_load_core(params),
+                              [centre, *_shifted(centre, BASE_STEP)])
+    _, fx_val, fy_val = fields[0]
     fy_norm = float(np.linalg.norm(fy_val))
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
-    # lie_bracket(fx, fy, point), differencing the angles only
-    bracket = (_angle_jacobian(system.fy, point, BASE_STEP) @ fx_val
-               - _angle_jacobian(system.fx, point, BASE_STEP) @ fy_val)
+    # lie_bracket(fx, fy) at the straight state
+    jac = _angle_jacobians(fields[1::2], fields[2::2], BASE_STEP)
+    bracket = jac[2] @ fx_val - jac[1] @ fy_val
     claimed = fy_val[2] * fy_val
-    mh = _load_core(params)(point[2], 0.0, 0.0)[0]
     corrected = (params.M / np.cos(theta)) * np.linalg.solve(
-        mh, _angle_stencil(fy_val))
+        mh[0], _angle_stencil(fy_val))
     return EquilibriumReport(
         theta=float(theta),
         alignment_residual=float(alignment / fy_norm),
@@ -263,17 +326,22 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     depth 3 adds the nine once-nested words [s, w] with s a generator and
     w a depth-2 bracket, evaluated with the coarser nested step.
 
-    Each nested word is ``Dw s - Ds w``, the arithmetic of ``lie_bracket``
-    with the Jacobians hoisted: ``Dw`` is taken once per depth-2 word,
-    ``Ds`` once per generator, and ``s``, ``w`` at the point are the
-    depth-1 and depth-2 columns; ``Ds`` differences the angles only, as
-    the generators ignore x and y.  A depth-3 rank makes 747 field calls.
-    With the shared solve of ``control_vector_fields``, depth 3 assembles
-    once per distinct pose of its difference stencil: 49, or 54 when theta
-    is -0.0.
+    The words are those of ``lie_bracket`` on the fields of
+    ``control_vector_fields``, bit for bit, without going through either.
+    A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians; a
+    nested word is ``Dw s - Ds w`` with ``NESTED_STEP`` Jacobians, taken
+    once per generator and per depth-2 word.  Every Jacobian differences
+    the three angles only, as the fields ignore x and y.  The poses of the
+    difference stencil are listed first: the point, at depth 3 the six
+    ``point +- NESTED_STEP e_j``, and the six ``+- BASE_STEP e_k`` around
+    each of those.  Each distinct pose is assembled once (1, 7 and 49 at
+    depths 1, 2 and 3), all of them are solved in one batched call, and
+    each Jacobian is one array difference of the solved fields.
     """
-    if depth not in (1, 2, 3):
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
+            or depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2, or 3")
+    depth = int(depth)
     point = np.asarray(point, dtype=float)
     if point.shape != (STATE_DIM,):
         raise ValueError("point must be a 5-vector state")
@@ -281,29 +349,37 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
         raise ValueError("point must be finite")
     if not 0.0 < tol_factor < 1.0:
         raise ValueError("tol_factor must lie in (0, 1)")
-    system = control_vector_fields(params)
-    generators = system.generators()
-    columns = [g(point) for g in generators]
-    labels = [g.label for g in generators]
+    # at depth 3, centres 1-6 are point +- NESTED_STEP e_j, where the
+    # depth-2 words are differenced
+    centres = [tuple(point[2:].tolist())]
+    if depth == 3:
+        centres += _shifted(centres[0], NESTED_STEP)
+    poses = list(centres)
     if depth >= 2:
-        pairs = ((system.f0, system.fx), (system.f0, system.fy),
-                 (system.fx, system.fy))
-        second = [lie_bracket_field(f, g) for f, g in pairs]
-        for w in second:
-            columns.append(w(point))
-            labels.append(w.label)
-    if depth >= 3:
-        # Dw still differences x and y, exact zeros as well: at theta = -0.0
-        # those columns alone visit two +0.0 twin poses of the stencil,
-        # which keeps its 54 assembled poses
-        d_second = [field_jacobian(w, point, NESTED_STEP) for w in second]
-        for i, s in enumerate(generators):
-            d_s = _angle_jacobian(s, point, NESTED_STEP)
-            for j, w in enumerate(second):
-                columns.append(d_second[j] @ columns[i]
-                               - d_s @ columns[3 + j])
-                labels.append(f"[{s.label},{w.label}]")
-    matrix = np.column_stack(columns)
+        for centre in centres:
+            poses += _shifted(centre, BASE_STEP)
+    fields = _solve_poses(_load_core(params), poses)[1]
+    n = len(centres)
+    rows = [fields[0]]
+    labels = ["f0", "fx", "fy"]
+    if depth >= 2:
+        around = fields[n:].reshape(n, 3, 2, 3, STATE_DIM)
+        jac = _angle_jacobians(around[:, :, 0], around[:, :, 1], BASE_STEP)
+        # [f, g] = Dg f - Df g for (f, g) = (f0, fx), (f0, fy), (fx, fy)
+        f, g = [0, 0, 1], [1, 2, 2]
+        second = (jac[:, g] @ fields[:n, f, :, None]
+                  - jac[:, f] @ fields[:n, g, :, None])[..., 0]
+        rows.append(second[0])
+        labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
+    if depth == 3:
+        d_gen = _angle_jacobians(fields[1:n:2], fields[2:n:2], NESTED_STEP)
+        d_second = _angle_jacobians(second[1::2], second[2::2], NESTED_STEP)
+        # [s, w] = Dw s - Ds w, s the outer and w the inner index
+        third = (d_second @ fields[0, :, None, :, None]
+                 - d_gen[:, None] @ second[0, :, :, None])[..., 0]
+        rows.append(third.reshape(9, STATE_DIM))
+        labels += [f"[{s},{w}]" for s in labels[:3] for w in labels[3:6]]
+    matrix = np.concatenate(rows).T
     raw = np.linalg.svd(matrix, compute_uv=False)
     # fewer columns than states yields fewer singular values; the missing
     # ones are exact zeros of the padded problem

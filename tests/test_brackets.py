@@ -1,5 +1,9 @@
 """Control fields, Lie bracket machinery, and accessibility rank."""
-from dataclasses import replace
+import hashlib
+import math
+import random
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,6 +237,22 @@ class TestLieRank:
         with pytest.raises(ValueError):
             lie_rank(CANON, np.zeros(4), depth=2)
 
+    @pytest.mark.parametrize("depth", [
+        True, False, np.bool_(True), 2.0, 3.0, np.float64(3.0), "3", None],
+        ids=["True", "False", "bool_", "2.0", "3.0", "float64", "str",
+             "None"])
+    def test_rejects_depth_that_is_not_an_integer(self, depth):
+        with pytest.raises(ValueError, match="depth must be 1, 2, or 3"):
+            lie_rank(CANON, np.zeros(5), depth=depth)
+
+    def test_numpy_integer_depth_is_stored_as_int(self):
+        point = np.array([0.0, 0.0, 0.2, 0.4, -0.3])
+        report = lie_rank(CANON, point, depth=np.int64(3))
+        assert type(report.depth) is int and report.depth == 3
+        np.testing.assert_array_equal(
+            report.singular_values,
+            lie_rank(CANON, point, depth=3).singular_values)
+
     @pytest.mark.parametrize("index, value", [
         (2, np.nan), (2, np.inf), (0, np.nan), (4, -np.inf)])
     def test_rejects_non_finite_point(self, index, value):
@@ -318,36 +338,188 @@ class TestSharedSolve:
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=depth)
         assert len(calls) == assemblies
 
-    def test_generator_jacobians_skip_position(self, monkeypatch):
-        # the generators ignore x and y, so their Jacobians difference the
-        # three angles only: 759 -> 747 field calls at depth 3 and 24 -> 14
-        # in the identities, with the assemblies unchanged
-        calls = []
-        fields = magswim.brackets.control_vector_fields
+    def test_one_batched_solve_per_call(self, monkeypatch):
+        # every stencil pose is assembled once and all of them are solved
+        # by one call of the batched LAPACK gufunc: 49 poses at depth 3,
+        # the point and its six BASE_STEP neighbours in the identities
+        solves = []
+        solve = magswim.brackets._umath_linalg.solve
 
-        def counting(fn):
-            def call(x):
-                calls.append(1)
-                return fn(x)
-            return call
-
-        def counted(params):
-            system = fields(params)
-            return replace(system, **{
-                key: replace(f, fn=counting(f.fn))
-                for key, f in (("f0", system.f0), ("fx", system.fx),
-                               ("fy", system.fy))})
-        monkeypatch.setattr(magswim.brackets, "control_vector_fields", counted)
+        def counted(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(magswim.brackets, "_umath_linalg",
+                            SimpleNamespace(solve=counted))
         assemblies = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=3)
-        assert (len(calls), len(assemblies)) == (747, 49)
-        del calls[:]
+        assert (len(assemblies), solves) == (49, [(49, 5, 5)])
+        del assemblies[:], solves[:]
         equilibrium_identities(CANON, 0.3)
-        assert len(calls) == 14
+        assert (len(assemblies), solves) == (7, [(7, 5, 5)])
 
     def test_signed_zero_poses_are_kept_apart(self, monkeypatch):
-        # -0.0 + 0.0 is 0.0, so five stencil poses at theta = -0.0 have a
-        # twin that differs only in the sign of theta's zero
+        # -0.0 + 0.0 is 0.0, so at theta = -0.0 the stencil poses that move
+        # another angle carry theta = +0.0 on their + side and -0.0 on their
+        # - side; told apart by their bytes, the stencil still has 49 poses
         calls = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array(FROZEN_POSES["signed_zero"]), depth=3)
-        assert len(calls) == 54
+        assert len(calls) == 49
+        signs = [math.copysign(1.0, t) for t, _, _ in calls if t == 0.0]
+        assert (signs.count(1.0), signs.count(-1.0)) == (16, 9)
+
+    def test_collapsed_steps_assemble_each_pose_once(self, monkeypatch):
+        # at theta = 1e300 every theta step rounds away, so stencil poses
+        # recur, some differing only in the sign of alpha2's zero: the 28
+        # distinct poses, the set the VectorField route assembled
+        calls = self._count_assemblies(monkeypatch)
+        lie_rank(CANON, np.array([0.0, 0.0, 1e300, -0.0, 0.2]), depth=3)
+        signs = [math.copysign(1.0, a2) for _, a2, _ in calls if a2 == 0.0]
+        assert (len(calls), signs.count(1.0), signs.count(-1.0)) == (28, 8, 4)
+
+    def test_field_memo_keeps_signed_zeros_apart(self, monkeypatch):
+        # the memo of control_vector_fields is keyed on bytes: theta = -0.0
+        # and theta = 0.0 are two poses, each assembled once
+        calls = self._count_assemblies(monkeypatch)
+        system = control_vector_fields(CANON)
+        for theta in (-0.0, 0.0, -0.0, 0.0):
+            for field in system.generators():
+                field(np.array([0.0, 0.0, theta, 0.25, -0.15]))
+        assert [math.copysign(1.0, t) for t, _, _ in calls] == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_exactly_singular_matrix_raises(self, monkeypatch, depth):
+        assemble = magswim.dynamics._assemble
+
+        def singular(*args):
+            Mh, Mx, My = assemble(*args)
+            Mh[4] = 0.0
+            return Mh, Mx, My
+        monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]),
+                     depth=depth)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            equilibrium_identities(CANON, 0.3)
+
+    @pytest.mark.parametrize("point", [
+        [0.0, 0.0, -0.0, -0.0, -0.0],
+        [1e308, -1e308, 0.3, 0.2, -0.1],
+        [0.0, 0.0, 1e300, -1e300, 5e-324],
+        [0.0, 0.0, 40.0, -25.0, 3.0]])
+    def test_finite_points_do_not_trip_the_solve_error_state(self, point):
+        # only the batched solve runs under the error state that turns an
+        # invalid flag into LinAlgError; no finite pose sets that flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lie_rank(CANON, np.array(point), depth=3)
+        assert np.all(np.isfinite(report.singular_values))
+
+
+def seeded_swimmer(seed):
+    """A head-asymmetric swimmer drawn from ``seed``: heavy head, slender
+    links, strongly stable straight state."""
+    rng = random.Random(seed)
+    return SwimmerParams(1.0, (rng.uniform(0.6, 0.9), 0.5, 0.5),
+                         (rng.uniform(1.6, 2.6), 1.0, 1.0),
+                         rng.uniform(0.7, 1.5), rng.uniform(0.7, 1.5))
+
+
+def seeded_poses(seed):
+    """Eight poses drawn from ``seed``, straight and bent in turn."""
+    rng = random.Random(1000 + seed)
+    poses = []
+    for k in range(8):
+        x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        theta = rng.uniform(-1.2, 1.2)
+        a2, a3 = ((0.0, 0.0) if k % 2 == 0 else
+                  (rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
+        poses.append([x, y, theta, a2, a3])
+    return poses
+
+
+SIGNED_ZERO_POSES = [
+    [0.0, 0.0, -0.0, 0.0, 0.0],
+    [0.0, 0.0, -0.0, -0.0, -0.0],
+    [0.3, -0.1, -0.0, 0.25, -0.15],
+    [0.0, 0.0, 0.4, -0.0, 0.2],
+    [-0.2, 0.5, -0.7, 0.1, -0.0],
+    [0.0, 0.0, 0.0, -0.0, -0.0],
+]
+
+
+def rank_digest(params, poses, depth):
+    """sha256 of ``lie_rank``'s singular values, rank, gap and labels at
+    each pose, bit for bit."""
+    h = hashlib.sha256()
+    for pose in poses:
+        r = lie_rank(params, np.array(pose), depth=depth)
+        h.update(" ".join([*(v.hex() for v in r.singular_values.tolist()),
+                           str(r.rank), float(r.gap_4_5).hex(),
+                           *r.labels]).encode())
+    return h.hexdigest()
+
+
+def identities_digest(params, thetas):
+    """sha256 of every ``equilibrium_identities`` field at each theta."""
+    h = hashlib.sha256()
+    for theta in thetas:
+        report = equilibrium_identities(params, theta)
+        h.update(" ".join(float(v).hex()
+                          for v in vars(report).values()).encode())
+    return h.hexdigest()
+
+
+class TestFrozenRankDigests:
+    """Rank reports and identities as the VectorField route through
+    ``lie_bracket`` produced them: 40 seeded poses over five swimmers and
+    six poses with signed-zero angles, at every depth."""
+
+    RANKS = {
+        (1, 1): "8a21024bbfbd309cafd5d9f88f4da08e35e4e8d123d59950269c162a444060e7",
+        (1, 2): "ace1a767cf114e6ee117d8ae630756b77e2595f4008f72364ccf6bcd3256651a",
+        (1, 3): "2b3b93783dfcb1648b3dea4d0f7fd32b1d9a8a2dc53b4fa356a6c22b09fd001f",
+        (2, 1): "16df9099049c486527ebb3a1b94e815dca832497b031cdd5678c45e7bc07deba",
+        (2, 2): "762a9e19d10c8aca5b2808a862368c827308ebd55cab220e2bbd3301aa3619b3",
+        (2, 3): "04a1e149562c003ba23f77fc89d717ce7b27dc1afcb61bfefeb91f9fd11b6b0c",
+        (3, 1): "f2db6bd74a8b202ba2d23a08925326c329863c7cdbf28a1d69a383dd5a8bc519",
+        (3, 2): "950eb7371bc858ba541d9e6af3dc9be0882b07a4b531114b854a0245a91cb75e",
+        (3, 3): "37a1521e60684a48914cbe9725f60e185dddc5ea4c7c7fec4aefd3060d4e7bfe",
+        (4, 1): "bc0be78e04ce8d74ab91b83888e777a1886554515dd286abefce33621b06d66d",
+        (4, 2): "af7afb3803004faff2e7d6b408520e846ec469f008238452462890ed44ad79f6",
+        (4, 3): "7867309509cad162fe01a8bacab58a6005a69aa77d527c83b7918059ad7d5bfd",
+        (5, 1): "ae927c6ae44d79d0ada4b37e1297ca99a3bb761d19a77f2df37dda28eb614497",
+        (5, 2): "da74ede073f9b98fc65c8e37c02dac558eccfeba6792289688103507deb3add9",
+        (5, 3): "1280932e413c922e122927573b6feb89e64f7a1c1d87335d694c36ef8824c37d",
+    }
+    SIGNED_ZERO_RANKS = {
+        1: "e129447882fe6a67dc97f62b3602f35ffeb5cd22ffd0c00720562c7a5cbadb0c",
+        2: "4ac1210a70c5f2a00b075eba2465bbf5cc1d6e6f47acb7b5e56764635e2b90c7",
+        3: "540bd9c53633ce99b9c6d479f64c905692420b81c8e27addc8bd84b99cb38d8d",
+    }
+    IDENTITIES = {
+        1: "306a04a2d82fca39382fea9984774a9e674db9d5eab35c4d12acdc9022a288ad",
+        2: "052d23414cb0663f658fbecc025cd73d8f927c3c15c5202ad44efed35f890e72",
+        3: "c8f447bfa4fbe4d41c1175d31bd4be5af4b63b753c3b69ae01a447a92713e688",
+        4: "00cf376cc657cb631decac62282fa925ed1790914496982c20f2a6e116b3b9c6",
+        5: "a554bc6b58ae275a2ca89fc1efdb042b78816be52a6dc8aea7edbb406e248227",
+    }
+
+    @pytest.mark.parametrize("seed, depth", sorted(RANKS))
+    def test_seeded_ranks(self, seed, depth):
+        assert rank_digest(seeded_swimmer(seed), seeded_poses(seed),
+                           depth) == self.RANKS[seed, depth]
+
+    @pytest.mark.parametrize("depth", sorted(SIGNED_ZERO_RANKS))
+    def test_signed_zero_ranks(self, depth):
+        assert rank_digest(CANON, SIGNED_ZERO_POSES, depth) == (
+            self.SIGNED_ZERO_RANKS[depth])
+
+    @pytest.mark.parametrize("seed", sorted(IDENTITIES))
+    def test_seeded_identities(self, seed):
+        thetas = [pose[2] for pose in seeded_poses(seed)[::2]]
+        assert identities_digest(seeded_swimmer(seed), thetas) == (
+            self.IDENTITIES[seed])
+
+    def test_signed_zero_identities(self):
+        assert identities_digest(CANON, [-0.0, 0.0, 0.3, -0.3]) == (
+            "69bd521c2029226f172bcbc33896c2f41a7e59e7039874f51c276f6782d16443")
