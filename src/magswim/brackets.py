@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynamics import _field_columns, _load_core, _solve_errstate
+from .dynamics import _load_core, _solve_errstate
 from .model import SwimmerParams
 
 __all__ = [
@@ -83,50 +83,100 @@ class ControlSystem:
         return (self.f0, self.fx, self.fy)
 
 
+_POSE = struct.Struct("3d")
+
+
+def _solve_poses(loads: Callable[..., tuple],
+                 poses: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(Mh, F)`` for ``poses``, n angle triples: ``F`` (n, 3, 5) holds
+    f0, fx, fy at each pose as contiguous rows, and ``Mh`` the matrix of
+    each distinct pose in order of first appearance, so ``Mh[0]`` is that
+    of ``poses[0]``.
+
+    A pose is assembled once however often it recurs, told apart by its
+    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
+    in signed zeros).  All poses are then solved by one call of the LAPACK
+    gufunc inside ``np.linalg.solve``, per matrix the factorization
+    ``_field_columns`` makes, under the error state it enters, so an
+    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
+    """
+    slots: dict[bytes, int] = {}
+    index = []
+    matrices, rows = [], []
+    for pose in poses:
+        key = _POSE.pack(*pose)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(matrices)
+            Mh, elastic, Mx, My = loads(*pose)
+            matrices.append(Mh)
+            rows += elastic
+            rows += Mx
+            rows += My
+        index.append(slot)
+    mh = np.array(matrices)
+    # rows elastic, -Mx, -My: the transposed right-hand side of the solve
+    rhs = np.array(rows).reshape(len(matrices), 3, STATE_DIM)
+    np.negative(rhs[:, 1:], out=rhs[:, 1:])
+    with _solve_errstate():
+        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
+                                   signature="dd->d")
+    return mh, np.ascontiguousarray(cols[index].transpose(0, 2, 1))
+
+
 # a system's memo is cleared once it holds this many poses: a long-lived
 # system, evaluated at ever new poses, must not grow without limit
 _MEMO_LIMIT = 256
 
 
 class _SharedSolve:
-    """The ``_field_columns`` solve of one system, memoised per pose.
+    """The ``_solve_poses`` solve of one system, memoised per state or
+    stack of states.
 
     The fields depend on the angles only, so the memo is keyed on the
-    bytes of ``x[2:5]``: a float key would merge -0.0 with 0.0, whose
-    outputs may differ in signed zeros.  Each field returns a copy of its
-    column, so a caller cannot change what the memo holds.
+    shape and the bytes of ``x[..., 2:5]``: a float key would merge -0.0
+    with 0.0, whose outputs may differ in signed zeros.  Each field returns
+    a copy of its rows, so a caller cannot change what the memo holds.
     """
 
     def __init__(self, params: SwimmerParams) -> None:
         self._loads = _load_core(params)
-        self.memo: dict[bytes, np.ndarray] = {}
+        self.memo: dict[tuple, np.ndarray] = {}
+        self._held = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        key = x[2:5].tobytes()
-        columns = self.memo.get(key)
-        if columns is None:
-            if len(self.memo) >= _MEMO_LIMIT:
+        angles = x[..., 2:5]
+        key = (x.shape, angles.tobytes())
+        fields = self.memo.get(key)
+        if fields is None:
+            poses = angles.reshape(-1, 3).tolist()
+            if self._held + len(poses) > _MEMO_LIMIT:
                 self.memo.clear()
-            columns = _field_columns(*self._loads(x[2], x[3], x[4]))
-            self.memo[key] = columns
-        return columns
+                self._held = 0
+            fields = _solve_poses(self._loads, poses)[1].reshape(
+                x.shape[:-1] + (3, STATE_DIM))
+            self.memo[key] = fields
+            self._held += len(poses)
+        return fields
 
     def f0(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[:, 0].copy()
+        return self(x)[..., 0, :].copy()
 
     def fx(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[:, 1].copy()
+        return self(x)[..., 1, :].copy()
 
     def fy(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[:, 2].copy()
+        return self(x)[..., 2, :].copy()
 
 
 def control_vector_fields(params: SwimmerParams) -> ControlSystem:
     """The fields f0, fx, fy of the swimmer with ``params``.
 
-    The three fields come from one 3-column solve.  They share a memo of
-    that solve, so evaluating all three at one pose, or the same pose
-    again, assembles and solves once.
+    Each field maps a state, or a stack of states of shape (..., 5), to
+    the field there, of the same shape.  The three fields come from one
+    3-column solve per pose, batched over a stack.  They share a memo of
+    that solve, so evaluating all three at one state or stack, or the same
+    one again, assembles and solves once.
     """
     solve = _SharedSolve(params)
     return ControlSystem(f0=VectorField(solve.f0, "f0"),
@@ -163,61 +213,29 @@ def lie_bracket_field(f: VectorField, g: VectorField,
 
 
 # The rank and the identities work on the 5x3 blocks C(x) = [f0 fx fy] of
-# the generators, rather than on VectorFields, with the floating-point
+# the generators at every pose of their difference stencil at once, rather
+# than one pose at a time through lie_bracket, with the floating-point
 # operations of lie_bracket on them: the same stencil poses, differences
 # and matrix-vector products, so the same bits.
 
-_POSE = struct.Struct("3d")
+# the unit steps e_2, e_3, e_4 of the three angles on the full state
+_ANGLE_UNITS = np.eye(STATE_DIM)[2:]
 
 
-def _shifted(angles: tuple, step: float) -> list[tuple]:
-    """The poses ``angles +- step e_j`` of a central difference over the
-    three angles, in the order +e_0, -e_0, +e_1, -e_1, +e_2, -e_2.
+def _shifted(states: np.ndarray, step: float) -> np.ndarray:
+    """The states ``x +- step e_j`` of a central difference over the
+    three angles, for each x of the (..., 5) ``states``: (..., 6, 5) in
+    the order +e_2, -e_2, +e_3, -e_3, +e_4, -e_4.
 
-    Each is formed as ``point +- dx`` forms it on the full state: the other
-    angles move by +-0.0, and -0.0 + 0.0 is +0.0, so its signed zeros are
-    those of ``field_jacobian``'s poses.
+    Each is formed as ``field_jacobian`` forms ``point +- dx``: the other
+    entries move by +-0.0, and -0.0 + 0.0 is +0.0, so the signed zeros are
+    those of its poses.
     """
-    t, a2, a3 = angles
-    return [(t + step, a2 + 0.0, a3 + 0.0), (t - step, a2 - 0.0, a3 - 0.0),
-            (t + 0.0, a2 + step, a3 + 0.0), (t - 0.0, a2 - step, a3 - 0.0),
-            (t + 0.0, a2 + 0.0, a3 + step), (t - 0.0, a2 - 0.0, a3 - step)]
-
-
-def _solve_poses(loads: Callable[..., tuple],
-                 poses: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """``(Mh, F)`` at each of ``poses`` (angle triples): ``Mh`` is
-    (n, 5, 5), and ``F`` (n, 3, 5) holds f0, fx, fy as contiguous rows.
-
-    A pose is assembled once however often it recurs, told apart by its
-    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
-    in signed zeros).  All poses are then solved by one call of the LAPACK
-    gufunc inside ``np.linalg.solve``, per matrix the factorization
-    ``_field_columns`` makes, under the error state it enters, so an
-    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
-    """
-    slots: dict[bytes, int] = {}
-    index = []
-    matrices, rows = [], []
-    for pose in poses:
-        key = _POSE.pack(*pose)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(matrices)
-            Mh, elastic, Mx, My = loads(*pose)
-            matrices.append(Mh)
-            rows += elastic
-            rows += Mx
-            rows += My
-        index.append(slot)
-    mh = np.array(matrices)
-    # rows elastic, -Mx, -My: the transposed right-hand side of the solve
-    rhs = np.array(rows).reshape(len(matrices), 3, STATE_DIM)
-    np.negative(rhs[:, 1:], out=rhs[:, 1:])
-    with _solve_errstate():
-        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
-                                   signature="dd->d")
-    return mh[index], np.ascontiguousarray(cols[index].transpose(0, 2, 1))
+    dx = step * _ANGLE_UNITS
+    out = np.empty(states.shape[:-1] + (6, STATE_DIM))
+    out[..., 0::2, :] = states[..., None, :] + dx
+    out[..., 1::2, :] = states[..., None, :] - dx
+    return out
 
 
 def _angle_jacobians(plus: np.ndarray, minus: np.ndarray,
@@ -275,9 +293,9 @@ def equilibrium_identities(params: SwimmerParams,
     if abs(np.cos(theta)) < 0.05:
         raise ValueError(
             "theta too close to a transverse pose; tan(theta) blows up")
-    centre = (float(theta), 0.0, 0.0)
-    mh, fields = _solve_poses(_load_core(params),
-                              [centre, *_shifted(centre, BASE_STEP)])
+    centre = np.array([0.0, 0.0, theta, 0.0, 0.0])
+    states = np.concatenate([centre[None], _shifted(centre, BASE_STEP)])
+    mh, fields = _solve_poses(_load_core(params), states[:, 2:].tolist())
     _, fx_val, fy_val = fields[0]
     fy_norm = float(np.linalg.norm(fy_val))
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
@@ -327,16 +345,18 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     w a depth-2 bracket, evaluated with the coarser nested step.
 
     The words are those of ``lie_bracket`` on the fields of
-    ``control_vector_fields``, bit for bit, without going through either.
+    ``control_vector_fields``, bit for bit, but ``lie_bracket`` is not
+    called.
     A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians; a
     nested word is ``Dw s - Ds w`` with ``NESTED_STEP`` Jacobians, taken
     once per generator and per depth-2 word.  Every Jacobian differences
     the three angles only, as the fields ignore x and y.  The poses of the
     difference stencil are listed first: the point, at depth 3 the six
     ``point +- NESTED_STEP e_j``, and the six ``+- BASE_STEP e_k`` around
-    each of those.  Each distinct pose is assembled once (1, 7 and 49 at
-    depths 1, 2 and 3), all of them are solved in one batched call, and
-    each Jacobian is one array difference of the solved fields.
+    each of those.  The three fields are evaluated on the stack of these
+    poses, which assembles each distinct pose once (1, 7 and 49 at depths
+    1, 2 and 3) and solves all of them in one batched call; each Jacobian
+    is one array difference of the solved fields.
     """
     if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
             or depth not in (1, 2, 3):
@@ -349,16 +369,18 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
         raise ValueError("point must be finite")
     if not 0.0 < tol_factor < 1.0:
         raise ValueError("tol_factor must lie in (0, 1)")
-    # at depth 3, centres 1-6 are point +- NESTED_STEP e_j, where the
-    # depth-2 words are differenced
-    centres = [tuple(point[2:].tolist())]
+    # the stencil: at depth 3, centres 1-6 are point +- NESTED_STEP e_j,
+    # where the depth-2 words are differenced
+    centres = point[None]
     if depth == 3:
-        centres += _shifted(centres[0], NESTED_STEP)
-    poses = list(centres)
+        centres = np.concatenate([centres, _shifted(point, NESTED_STEP)])
+    states = centres
     if depth >= 2:
-        for centre in centres:
-            poses += _shifted(centre, BASE_STEP)
-    fields = _solve_poses(_load_core(params), poses)[1]
+        states = np.concatenate([
+            centres, _shifted(centres, BASE_STEP).reshape(-1, STATE_DIM)])
+    # the generators at every stencil state, each a stack of one solve
+    fields = np.stack([f(states) for f in
+                       control_vector_fields(params).generators()], axis=1)
     n = len(centres)
     rows = [fields[0]]
     labels = ["f0", "fx", "fy"]

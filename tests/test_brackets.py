@@ -12,6 +12,7 @@ import magswim.dynamics
 from magswim import Configuration, SwimmerParams
 from magswim.brackets import (
     _MEMO_LIMIT,
+    ControlSystem,
     VectorField,
     control_vector_fields,
     equilibrium_identities,
@@ -82,6 +83,36 @@ class TestControlVectorFields:
             system.fy(np.array([0.0, 0.0, theta, 0.1, -0.2]))
             largest = max(largest, len(memo))
         assert largest == _MEMO_LIMIT
+
+    def test_memo_of_stacks_stays_bounded(self):
+        # the bound counts poses, so stacks cannot outgrow it either
+        system = control_vector_fields(CANON)
+        memo = system.f0.fn.__self__.memo
+        states = np.zeros((49, 5))
+        largest = 0
+        for theta in np.linspace(-1.0, 1.0, 40):
+            states[:, 2] = theta + np.arange(49) * 1e-3
+            system.fx(states)
+            largest = max(largest, sum(v.shape[0] for v in memo.values()))
+        assert largest == 5 * 49 <= _MEMO_LIMIT
+
+    def test_stack_matches_each_state(self, monkeypatch):
+        # a stack of states gives each state's field bit for bit, and the
+        # three fields on one stack assemble each distinct pose once
+        calls = TestSharedSolve._count_assemblies(monkeypatch)
+        rng = np.random.default_rng(8)
+        states = rng.uniform(-1.0, 1.0, size=(4, 3, 5))
+        states[0, 0, 2:] = states[1, 2, 2:]
+        states[2, 1, 2:] = [-0.0, 0.0, -0.0]
+        system = control_vector_fields(CANON)
+        stacked = [field(states) for field in system.generators()]
+        assert len(calls) == 11
+        for field, out in zip(system.generators(), stacked):
+            assert out.shape == (4, 3, 5)
+            for index in np.ndindex(4, 3):
+                assert out[index].tolist() == field(states[index]).tolist()
+                # a stack of one state has the bytes of that state
+                assert field(states[index][None]).shape == (1, 5)
 
     def test_fields_ignore_position(self):
         system = control_vector_fields(CANON)
@@ -356,6 +387,24 @@ class TestSharedSolve:
         del assemblies[:], solves[:]
         equilibrium_identities(CANON, 0.3)
         assert (len(assemblies), solves) == (7, [(7, 5, 5)])
+
+    @pytest.mark.parametrize("depth, poses", [(1, 1), (2, 7), (3, 49)])
+    def test_rank_evaluates_each_generator_once_on_the_stencil(
+            self, monkeypatch, depth, poses):
+        # lie_rank reads the generators of control_vector_fields, once
+        # each, on the stack of its stencil states
+        shapes = []
+        fields = magswim.brackets.control_vector_fields
+
+        def recorded(params):
+            system = fields(params)
+            return ControlSystem(*(
+                VectorField(lambda x, f=f: shapes.append(x.shape) or f(x),
+                            f.label) for f in system.generators()))
+        monkeypatch.setattr(magswim.brackets, "control_vector_fields",
+                            recorded)
+        lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=depth)
+        assert shapes == [(poses, 5)] * 3
 
     def test_signed_zero_poses_are_kept_apart(self, monkeypatch):
         # -0.0 + 0.0 is 0.0, so at theta = -0.0 the stencil poses that move
