@@ -2,108 +2,19 @@
 
 __version__ = "0.1.0"
 
-from .model import (
-    SwimmerParams,
-    Configuration,
-    FieldProgram,
-    ConstantField,
-    SinusoidalField,
-    TabulatedField,
-    SegmentFrames,
-    segment_frames,
-    apply_R_transform,
-)
-from .dynamics import (
-    GrandResistance,
-    MagneticCoupling,
-    ControlFields,
-    grand_resistance,
-    magnetic_coupling,
-    elastic_load,
-    control_fields,
-    rhs,
-    make_rate_function,
-)
-from .errors import (
-    MagswimError,
-    NearSingularError,
-    IntegrationError,
-    ConfigError,
-    AnalysisError,
-)
-from .simulate import (
-    Trajectory,
-    DisplacementReport,
-    SymmetryReport,
-    integrate,
-    displacement_per_period,
-    symmetry_experiment,
-)
-from .linear import (
-    LinearizedModel,
-    PeriodicOrbit,
-    DisplacementCurve,
-    linearize_angles,
-    closed_form_angle_matrix,
-    char_poly,
-    routh_hurwitz_stable,
-    closed_form_char_coeffs,
-    resolvents,
-    steady_periodic,
-    grad_gx_origin,
-    closed_form_grad_gx,
-    skew_kernel,
-    closed_form_skew_kernel,
-    net_displacement_quadratic,
-    frequency_sweep,
-    displacement_model,
-)
-from .brackets import (
-    VectorField,
-    ControlSystem,
-    EquilibriumReport,
-    RankReport,
-    control_vector_fields,
-    field_jacobian,
-    lie_bracket,
-    lie_bracket_field,
-    equilibrium_identities,
-    lie_rank,
-)
-from .runconfig import RunConfig, load_config, parse_config, resolved_dt
-from .serialize import (
-    TRAJECTORY_COLUMNS,
-    write_trajectory_csv,
-    read_trajectory_csv,
-    write_trajectory_jsonl,
-    read_trajectory_jsonl,
-    write_json_report,
-)
-from .checks import CheckResult, ValidationReport, run_validation
+# each module's __all__ is the one list of its public names
+from . import brackets, checks, dynamics, errors, linear, model, runconfig
+from . import serialize, simulate
+from .model import *
+from .dynamics import *
+from .errors import *
+from .simulate import *
+from .linear import *
+from .brackets import *
+from .runconfig import *
+from .serialize import *
+from .checks import *
 
-__all__ = [
-    "__version__",
-    "SwimmerParams", "Configuration", "FieldProgram", "ConstantField",
-    "SinusoidalField", "TabulatedField", "SegmentFrames", "segment_frames",
-    "apply_R_transform",
-    "GrandResistance", "MagneticCoupling", "ControlFields",
-    "grand_resistance", "magnetic_coupling", "elastic_load",
-    "control_fields", "rhs", "make_rate_function",
-    "MagswimError", "NearSingularError", "IntegrationError", "ConfigError",
-    "AnalysisError",
-    "Trajectory", "DisplacementReport", "SymmetryReport",
-    "integrate", "displacement_per_period", "symmetry_experiment",
-    "LinearizedModel", "PeriodicOrbit", "DisplacementCurve",
-    "linearize_angles", "closed_form_angle_matrix", "char_poly",
-    "routh_hurwitz_stable", "closed_form_char_coeffs", "resolvents",
-    "steady_periodic", "grad_gx_origin", "closed_form_grad_gx",
-    "skew_kernel", "closed_form_skew_kernel", "net_displacement_quadratic",
-    "frequency_sweep", "displacement_model",
-    "VectorField", "ControlSystem", "EquilibriumReport", "RankReport",
-    "control_vector_fields", "field_jacobian", "lie_bracket",
-    "lie_bracket_field", "equilibrium_identities", "lie_rank",
-    "RunConfig", "load_config", "parse_config", "resolved_dt",
-    "TRAJECTORY_COLUMNS", "write_trajectory_csv", "read_trajectory_csv",
-    "write_trajectory_jsonl", "read_trajectory_jsonl", "write_json_report",
-    "CheckResult", "ValidationReport", "run_validation",
-]
+__all__ = ["__version__", *model.__all__, *dynamics.__all__, *errors.__all__,
+           *simulate.__all__, *linear.__all__, *brackets.__all__,
+           *runconfig.__all__, *serialize.__all__, *checks.__all__]

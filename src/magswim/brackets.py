@@ -26,14 +26,12 @@ X = (x, y, theta, 0, 0):
 from __future__ import annotations
 
 import numbers
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .dynamics import _load_core, _solve_errstate
+from .dynamics import _load_core, _solve_poses
 from .model import SwimmerParams
 
 __all__ = [
@@ -81,47 +79,6 @@ class ControlSystem:
 
     def generators(self) -> tuple[VectorField, VectorField, VectorField]:
         return (self.f0, self.fx, self.fy)
-
-
-_POSE = struct.Struct("3d")
-
-
-def _solve_poses(loads: Callable[..., tuple],
-                 poses: list) -> tuple[np.ndarray, np.ndarray]:
-    """``(Mh, F)`` for ``poses``, n angle triples: ``F`` (n, 3, 5) holds
-    f0, fx, fy at each pose as contiguous rows, and ``Mh`` the matrix of
-    each distinct pose in order of first appearance, so ``Mh[0]`` is that
-    of ``poses[0]``.
-
-    A pose is assembled once however often it recurs, told apart by its
-    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
-    in signed zeros).  All poses are then solved by one call of the LAPACK
-    gufunc inside ``np.linalg.solve``, per matrix the factorization
-    ``_field_columns`` makes, under the error state it enters, so an
-    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
-    """
-    slots: dict[bytes, int] = {}
-    index = []
-    matrices, rows = [], []
-    for pose in poses:
-        key = _POSE.pack(*pose)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(matrices)
-            Mh, elastic, Mx, My = loads(*pose)
-            matrices.append(Mh)
-            rows += elastic
-            rows += Mx
-            rows += My
-        index.append(slot)
-    mh = np.array(matrices)
-    # rows elastic, -Mx, -My: the transposed right-hand side of the solve
-    rhs = np.array(rows).reshape(len(matrices), 3, STATE_DIM)
-    np.negative(rhs[:, 1:], out=rhs[:, 1:])
-    with _solve_errstate():
-        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
-                                   signature="dd->d")
-    return mh, np.ascontiguousarray(cols[index].transpose(0, 2, 1))
 
 
 # a system's memo is cleared once it holds this many poses: a long-lived

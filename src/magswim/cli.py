@@ -9,10 +9,16 @@ settings, and the artifact version, so a plot made from a report file
 can be reproduced from that file alone.  When an analysis error aborts a
 command, the report file carries a machine-readable error record instead
 of results.
+
+Each command states its results once, as one dict: the ``--json``
+report holds it under ``results``, and the text lines are templates
+filled from it (``_say``), so the two cannot drift apart.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import string
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -30,7 +36,7 @@ from .linear import (
     linearize_angles,
     routh_hurwitz_stable,
 )
-from .model import ConstantField, SinusoidalField, TabulatedField
+from .model import FieldProgram, SinusoidalField
 from .runconfig import RunConfig, load_config, parse_config, resolved_dt
 from .serialize import (
     format_cell,
@@ -57,35 +63,50 @@ def _out_dir(args: argparse.Namespace, config: RunConfig) -> Path:
     return path
 
 
-def _field_echo(config: RunConfig) -> dict[str, Any]:
-    field = config.field
-    if isinstance(field, SinusoidalField):
-        return {"kind": field.kind, "hx0": field.hx0,
-                "epsilon": field.epsilon, "omega": field.omega}
-    if isinstance(field, ConstantField):
-        return {"kind": field.kind, "hx": field.hx, "hy": field.hy}
-    if isinstance(field, TabulatedField):
-        return {"kind": field.kind,
-                "times": [float(v) for v in field.times],
-                "hx": [float(v) for v in field.hx],
-                "hy": [float(v) for v in field.hy]}
-    return {"kind": field.kind}
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-ready Python: a dataclass or a field program as a
+    dict of its public attributes, a tuple as a list, an array or a numpy
+    scalar as Python numbers."""
+    if isinstance(value, FieldProgram):
+        return {"kind": value.kind, **{
+            key: _plain(item) for key, item in vars(value).items()
+            if not key.startswith("_")}}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+class _Lines(string.Formatter):
+    """``!j`` writes a sequence as its space-separated reprs, ``!v`` a truth
+    value as PASS or FAIL."""
+
+    def convert_field(self, value: Any, conversion: str | None) -> Any:
+        if conversion == "j":
+            return " ".join(map(repr, value))
+        if conversion == "v":
+            return "PASS" if value else "FAIL"
+        return super().convert_field(value, conversion)
+
+
+def _say(lines: tuple[str, ...], results: dict[str, Any]) -> None:
+    """Print each template of ``lines`` filled from ``results``."""
+    for line in lines:
+        print(_Lines().vformat(line, (), results))
 
 
 def _echo(config: RunConfig) -> dict[str, Any]:
-    p = config.params
-    c = config.initial
-    return {
-        "params": {"L": p.L, "xi": list(p.xi), "eta": list(p.eta),
-                   "K": p.K, "M": p.M},
-        "initial": {"x": c.x, "y": c.y, "theta": c.theta,
-                    "alpha2": c.alpha2, "alpha3": c.alpha3},
-        "field": _field_echo(config),
-        "solver": {"dt": config.dt, "t_final": config.t_final,
-                   "burn_in_periods": config.burn_in_periods,
-                   "measure_periods": config.measure_periods},
-        "applied_defaults": list(config.applied_defaults),
-    }
+    solver = ("dt", "t_final", "burn_in_periods", "measure_periods")
+    return _plain({"params": config.params, "initial": config.initial,
+                   "field": config.field,
+                   "solver": {key: getattr(config, key) for key in solver},
+                   "applied_defaults": config.applied_defaults})
 
 
 def _require_unit_hx(config: RunConfig) -> None:
@@ -125,6 +146,11 @@ def _run_reported(args: argparse.Namespace, command: str, config: RunConfig,
     return code
 
 
+SIMULATE = ("steps {steps} dt {dt!r}", "final x={final[x]!r} "
+            "y={final[y]!r} theta={final[theta]!r} "
+            "alpha2={final[alpha2]!r} alpha3={final[alpha3]!r}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
     dt = resolved_dt(config)
@@ -143,13 +169,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         metadata["solver"]["dt_resolved"] = dt
         write_trajectory_jsonl(traj, path, metadata=metadata)
         written.append(path)
-    final = traj.final()
-    print(f"steps {len(traj) - 1} dt {dt!r}")
-    print(f"final x={final.x!r} y={final.y!r} theta={final.theta!r} "
-          f"alpha2={final.alpha2!r} alpha3={final.alpha3!r}")
+    _say(SIMULATE, {"steps": len(traj) - 1, "dt": dt,
+                    "final": _plain(traj.final())})
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+# per_period is text-only: the report holds delta_x and periods_used
+DISPLACEMENT = ("epsilon {epsilon!r} omega {omega!r}", "delta_x {delta_x!r}",
+                "delta_y {delta_y!r}", "per_period {per_period!r}",
+                "burn_in_periods {burn_in_periods} measured {periods_used}",
+                "theta_drift {theta_drift!r} shape_gap {shape_gap!r}",
+                "converged {converged}")
 
 
 def cmd_displacement(args: argparse.Namespace) -> int:
@@ -177,27 +209,17 @@ def cmd_displacement(args: argparse.Namespace) -> int:
             burn_in_periods=config.burn_in_periods,
             measure_periods=config.measure_periods,
             dt=config.dt)
-        print(f"epsilon {epsilon!r} omega {omega!r}")
-        print(f"delta_x {report.delta_x!r}")
-        print(f"delta_y {report.delta_y!r}")
-        print(f"per_period {report.delta_x / report.periods_used!r}")
-        print(f"burn_in_periods {report.burn_in_periods} "
-              f"measured {report.periods_used}")
-        print(f"theta_drift {report.theta_drift!r} "
-              f"shape_gap {report.shape_gap!r}")
-        print(f"converged {report.converged}")
-        results = {
-            "epsilon": epsilon, "omega": omega,
-            "delta_x": report.delta_x, "delta_y": report.delta_y,
-            "periods_used": report.periods_used,
-            "burn_in_periods": report.burn_in_periods,
-            "theta_drift": report.theta_drift,
-            "shape_gap": report.shape_gap,
-            "converged": report.converged,
-        }
+        results = {"epsilon": epsilon, "omega": omega, **_plain(report)}
+        _say(DISPLACEMENT, {
+            **results, "per_period": report.delta_x / report.periods_used})
         return results, 0 if report.converged else 1
 
     return _run_reported(args, "displacement", config, body)
+
+
+SYMMETRY = ("steps {steps} dt {dt!r}", "max_alpha_gap {max_alpha_gap!r}",
+            "max_abs_x {max_abs_x!r}", "max_abs_y {max_abs_y!r}",
+            "tolerance {tolerance!r}", "symmetry {within_tolerance!v}")
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
@@ -208,30 +230,17 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
                                      config.field,
                                      t_final=config.t_final,
                                      dt=config.dt)
-        print(f"steps {report.steps} dt {report.dt!r}")
-        print(f"max_alpha_gap {report.max_alpha_gap!r}")
-        print(f"max_abs_x {report.max_abs_x!r}")
-        print(f"max_abs_y {report.max_abs_y!r}")
-        print(f"tolerance {report.tolerance!r}")
-        verdict = "PASS" if report.within_tolerance else "FAIL"
-        print(f"symmetry {verdict}")
-        results = {
-            "max_alpha_gap": report.max_alpha_gap,
-            "max_abs_x": report.max_abs_x,
-            "max_abs_y": report.max_abs_y,
-            "dt": report.dt, "steps": report.steps,
-            "tolerance": report.tolerance,
-            "within_tolerance": report.within_tolerance,
-        }
+        results = {**_plain(report),
+                   "within_tolerance": report.within_tolerance}
+        _say(SYMMETRY, results)
         return results, 0 if report.within_tolerance else 1
 
     return _run_reported(args, "symmetry", config, body)
 
 
-def _print_matrix(name: str, matrix: np.ndarray) -> None:
-    for i, row in enumerate(matrix):
-        cells = " ".join(repr(float(v)) for v in row)
-        print(f"{name}[{i}] {cells}")
+LINEARIZE = ("A[0] {a[0]!j}", "A[1] {a[1]!j}", "A[2] {a[2]!j}", "b {b!j}",
+             "char {char_coeffs!j}", "eig_real {eig_real!j}",
+             "stable {stable}")
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
@@ -240,21 +249,13 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
     def body() -> tuple[dict[str, Any], int]:
         numeric = linearize_angles(config.params)
-        _print_matrix("A", numeric.a)
-        print("b " + " ".join(repr(float(v)) for v in numeric.b))
         coeffs = char_poly(numeric.a)
-        print("char " + " ".join(repr(c) for c in coeffs))
-        stable = routh_hurwitz_stable(coeffs)
-        eigs = np.sort(np.linalg.eigvals(numeric.a).real)
-        print("eig_real " + " ".join(repr(float(v)) for v in eigs))
-        print(f"stable {stable}")
-        results: dict[str, Any] = {
-            "a": [[float(v) for v in row] for row in numeric.a],
-            "b": [float(v) for v in numeric.b],
-            "char_coeffs": list(coeffs),
-            "eig_real": [float(v) for v in eigs],
-            "stable": stable,
-        }
+        results = _plain({
+            "a": numeric.a, "b": numeric.b, "char_coeffs": coeffs,
+            "eig_real": np.sort(np.linalg.eigvals(numeric.a).real),
+            "stable": routh_hurwitz_stable(coeffs),
+            "closed_form_relgap": None})
+        relgap = "closed_form_relgap n/a (links 2 and 3 differ)"
         code = 0
         pattern = (config.params.xi[1] == config.params.xi[2]
                    and config.params.eta[1] == config.params.eta[2])
@@ -262,18 +263,21 @@ def cmd_linearize(args: argparse.Namespace) -> int:
             closed = closed_form_angle_matrix(config.params)
             gap = float(np.max(np.abs(numeric.a - closed.a))
                         / np.max(np.abs(closed.a)))
-            print(f"closed_form_relgap {gap!r}")
             results["closed_form_relgap"] = gap
-            if gap > 1e-6:
-                print("closed form and finite differences disagree",
-                      file=sys.stderr)
-                code = 1
-        else:
-            print("closed_form_relgap n/a (links 2 and 3 differ)")
-            results["closed_form_relgap"] = None
+            relgap = "closed_form_relgap {closed_form_relgap!r}"
+            code = int(gap > 1e-6)
+        _say(LINEARIZE + (relgap,), results)
+        if code:
+            print("closed form and finite differences disagree",
+                  file=sys.stderr)
         return results, code
 
     return _run_reported(args, "linearize", config, body)
+
+
+SWEEP = ("omega_star {omega_star!r}", "dx2_star {dx2_star!r}",
+         "boundary {boundary}", "near_zero {near_zero}",
+         "path_gap {path_gap!r} evaluations {evaluations}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -288,35 +292,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def body() -> tuple[dict[str, Any], int]:
         curve = frequency_sweep(config.params, omega_min, omega_max,
                                 n_grid=n_grid)
-        out = _out_dir(args, config)
-        path = out / "sweep.csv"
+        results = _plain(curve)
+        results["omega"] = results.pop("omegas")
+        path = _out_dir(args, config) / "sweep.csv"
         with open(path, "w") as fh:
             fh.write("omega,dx2\n")
-            for w, v in zip(curve.omegas, curve.dx2):
+            for w, v in zip(results["omega"], results["dx2"]):
                 fh.write(f"{format_cell(w)},{format_cell(v)}\n")
-        print(f"omega_star {curve.omega_star!r}")
-        print(f"dx2_star {curve.dx2_star!r}")
-        print(f"boundary {curve.boundary}")
-        print(f"near_zero {curve.near_zero}")
-        print(f"path_gap {curve.path_gap!r} "
-              f"evaluations {curve.evaluations}")
+        _say(SWEEP, results)
         if curve.near_zero:
             print("curve is zero to roundoff: this drag pattern cannot "
                   "translate at quadratic order")
         print(f"wrote {path}")
-        results = {
-            "omega": [float(v) for v in curve.omegas],
-            "dx2": [float(v) for v in curve.dx2],
-            "omega_star": curve.omega_star,
-            "dx2_star": curve.dx2_star,
-            "boundary": curve.boundary,
-            "near_zero": curve.near_zero,
-            "path_gap": curve.path_gap,
-            "evaluations": curve.evaluations,
-        }
         return results, 0
 
     return _run_reported(args, "sweep", config, body)
+
+
+# the scalar shortcut is reported, not asserted: it is off by an
+# order-one factor at every theta
+POSE = ("theta {theta!r} {passed!v}",
+        "  alignment_residual {alignment_residual!r}",
+        "  stencil_relgap {stencil_relgap!r}",
+        "  rank {rank} gap45 {gap_4_5!r} depth {depth}",
+        "  scalar_shortcut_gap {scalar_shortcut_gap!r} "
+        "(|fy| {fy_norm!r}, informational)")
 
 
 def cmd_controllability(args: argparse.Namespace) -> int:
@@ -324,7 +324,6 @@ def cmd_controllability(args: argparse.Namespace) -> int:
     thetas = args.theta if args.theta else [0.0, 0.3, -0.3, 0.7, -0.7]
 
     def body() -> tuple[dict[str, Any], int]:
-        failed = False
         rows = []
         for theta in thetas:
             report = equilibrium_identities(config.params, theta)
@@ -332,23 +331,12 @@ def cmd_controllability(args: argparse.Namespace) -> int:
                             np.array([0.0, 0.0, theta, 0.0, 0.0]),
                             depth=config.bracket_depth)
             stencil_rel = report.corrected_gap / report.bracket_norm
-            ok = (report.alignment_residual <= 1e-8
-                  and stencil_rel <= 1e-5
-                  and rank.rank == 4
-                  and rank.gap_4_5 >= 1e4)
-            failed = failed or not ok
-            verdict = "PASS" if ok else "FAIL"
-            print(f"theta {theta!r} {verdict}")
-            print(f"  alignment_residual {report.alignment_residual!r}")
-            print(f"  stencil_relgap {stencil_rel!r}")
-            print(f"  rank {rank.rank} gap45 {rank.gap_4_5!r} "
-                  f"depth {rank.depth}")
-            # the scalar shortcut is reported, not asserted: it is off
-            # by an order-one factor at every theta
-            print(f"  scalar_shortcut_gap {report.claimed_gap!r} "
-                  f"(|fy| {report.fy_norm!r}, informational)")
-            rows.append({
-                "theta": theta, "passed": ok,
+            row = _plain({
+                "theta": theta,
+                "passed": (report.alignment_residual <= 1e-8
+                           and stencil_rel <= 1e-5
+                           and rank.rank == 4
+                           and rank.gap_4_5 >= 1e4),
                 "alignment_residual": report.alignment_residual,
                 "stencil_relgap": stencil_rel,
                 "scalar_shortcut_gap": report.claimed_gap,
@@ -356,10 +344,11 @@ def cmd_controllability(args: argparse.Namespace) -> int:
                 "rank": rank.rank,
                 "gap_4_5": rank.gap_4_5,
                 "depth": rank.depth,
-                "singular_values": [float(v)
-                                    for v in rank.singular_values],
+                "singular_values": rank.singular_values,
             })
-        return {"poses": rows}, 1 if failed else 0
+            _say(POSE, row)
+            rows.append(row)
+        return {"poses": rows}, int(not all(r["passed"] for r in rows))
 
     return _run_reported(args, "controllability", config, body)
 
@@ -376,10 +365,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "format": "magswim.validation",
             "version": __version__,
             "passed": report.passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in report.results
-            ],
+            "checks": _plain(report.results),
         })
         print(f"wrote {args.json}")
     return 0 if report.passed else 1

@@ -24,9 +24,14 @@ the drift-affine control system
 
     Mh qdot = elastic(q) - Mx(q) Hx - My(q) Hy
     qdot = f0(q) + fx(q) Hx + fy(q) Hy.
+
+Every evaluation assembles through ``_load_core``; the RK4 rate solves
+one load per call, and ``_solve_poses`` solves f0, fx and fy at a batch
+of poses, for ``control_fields`` and for the bracket layer alike.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from math import cos, sin
 from typing import Callable, Sequence
@@ -185,11 +190,45 @@ def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
     return _load_core(params)(config.theta, config.alpha2, config.alpha3)
 
 
-def _field_columns(Mh: np.ndarray, elastic: tuple, Mx: tuple,
-                   My: tuple) -> np.ndarray:
-    """``f0, fx, fy`` as the columns of one multi-column solve."""
-    return np.linalg.solve(
-        Mh, np.array((elastic, [-v for v in Mx], [-v for v in My])).T)
+_POSE = struct.Struct("3d")
+
+
+def _solve_poses(loads: Callable[..., tuple],
+                 poses: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
+    :func:`_load_core`: ``F`` (n, 3, 5) holds f0, fx, fy at each pose as
+    contiguous rows, and ``Mh`` the matrix of each distinct pose in order
+    of first appearance, so ``Mh[0]`` is that of ``poses[0]``.
+
+    A pose is assembled once however often it recurs, told apart by its
+    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
+    in signed zeros).  All poses are then solved for the three columns
+    ``elastic, -Mx, -My`` by one call of the LAPACK gufunc inside
+    ``np.linalg.solve``, under the error state it enters, so an exactly
+    singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
+    """
+    slots: dict[bytes, int] = {}
+    index = []
+    matrices, rows = [], []
+    for pose in poses:
+        key = _POSE.pack(*pose)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(matrices)
+            Mh, elastic, Mx, My = loads(*pose)
+            matrices.append(Mh)
+            rows += elastic
+            rows += Mx
+            rows += My
+        index.append(slot)
+    mh = np.array(matrices)
+    # rows elastic, -Mx, -My: the transposed right-hand side of the solve
+    rhs = np.array(rows).reshape(len(matrices), 3, 5)
+    np.negative(rhs[:, 1:], out=rhs[:, 1:])
+    with _solve_errstate():
+        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
+                                   signature="dd->d")
+    return mh, np.ascontiguousarray(cols[index].transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -289,15 +328,18 @@ def control_fields(config: Configuration,
                    params: SwimmerParams) -> ControlFields:
     """Drift and control fields of the affine system at one configuration.
 
-    Computes the full-space fields by one multi-column 5x5 solve and the
-    reduced fields by block elimination of the force balance, then
-    cross-checks the two (angle components must agree, position components
-    must be G times the angle components).  A mismatch beyond 1e-10
+    Computes the full-space fields by the 3-column solve of
+    :func:`_solve_poses`, the one the bracket layer uses, and the reduced
+    fields by block elimination of the force balance, then cross-checks
+    the two (angle components must agree, position components must be G
+    times the angle components).  A mismatch beyond 1e-10
     relative indicates a broken assembly and raises.
     """
-    Mh, el, Mx, My = _loads_at(config, params)
+    loads = _load_core(params)
+    pose = (config.theta, config.alpha2, config.alpha3)
+    Mh, el, Mx, My = loads(*pose)
     gr = _checked_resistance(Mh)
-    f0, fx, fy = _field_columns(Mh, el, Mx, My).T
+    f0, fx, fy = _solve_poses(loads, [pose])[1][0]
     ah_inv_bh = np.linalg.solve(gr.ah, gr.bh)
     G = -ah_inv_bh
     # Mh is not symmetric (torque rows sit at staircase points), so the

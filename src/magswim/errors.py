@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["MagswimError", "NearSingularError", "IntegrationError",
+           "ConfigError", "AnalysisError"]
+
 
 class MagswimError(Exception):
     """Base class for package-specific failures."""

@@ -150,10 +150,6 @@ class FieldProgram:
         Python floats."""
         raise NotImplementedError
 
-    def negated(self) -> "FieldProgram":
-        """The program ``t -> -H(t)`` (used by the time-reversal check)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantField(FieldProgram):
@@ -163,9 +159,6 @@ class ConstantField(FieldProgram):
 
     def sample(self, t: float) -> tuple[float, float]:
         return (self.hx, self.hy)
-
-    def negated(self) -> "ConstantField":
-        return ConstantField(-self.hx, -self.hy)
 
 
 @dataclass(frozen=True)
@@ -194,9 +187,6 @@ class SinusoidalField(FieldProgram):
 
     def sample(self, t: float) -> tuple[float, float]:
         return (self.hx0, self.epsilon * math.sin(self.omega * t))
-
-    def negated(self) -> "SinusoidalField":
-        return SinusoidalField(-self.hx0, -self.epsilon, self.omega)
 
 
 class TabulatedField(FieldProgram):
@@ -251,9 +241,6 @@ class TabulatedField(FieldProgram):
         dt = times[j + 1] - tj
         return ((hx[j + 1] - hx[j]) / dt * (t - tj) + hx[j],
                 (hy[j + 1] - hy[j]) / dt * (t - tj) + hy[j])
-
-    def negated(self) -> "TabulatedField":
-        return TabulatedField(self.times, -self.hx, -self.hy)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TabulatedField)

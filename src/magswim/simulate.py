@@ -44,9 +44,6 @@ class Trajectory:
     def final(self) -> Configuration:
         return Configuration.from_array(self.states[-1])
 
-    def configurations(self) -> list[Configuration]:
-        return [Configuration.from_array(row) for row in self.states]
-
 
 @dataclass(frozen=True)
 class DisplacementReport:
@@ -86,7 +83,10 @@ def _default_dt(field: FieldProgram, t_final: float) -> float:
 
 
 def _plan_steps(span: float, dt: float) -> tuple[int, float]:
-    """Number of full steps and the remainder needed to land on ``span``."""
+    """Number of full steps and the remainder needed to land on ``span``;
+    every stepping loop plans here, so this is where ``dt`` is checked."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
     if rem <= 1e-9 * dt:
@@ -171,10 +171,8 @@ def integrate(params: SwimmerParams, initial: Configuration,
     :class:`IntegrationError` if the state leaves the finite range or a
     resistance solve fails.
     """
-    if not all(math.isfinite(v) for v in (t0, t_final, dt)):
-        raise ValueError("t0, t_final and dt must be finite")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t_final)):
+        raise ValueError("t0 and t_final must be finite")
     span = t_final - t0
     if span < 0.0:
         raise ValueError("t_final must not precede t0")

@@ -374,12 +374,12 @@ class TestSharedSolve:
         # by one call of the batched LAPACK gufunc: 49 poses at depth 3,
         # the point and its six BASE_STEP neighbours in the identities
         solves = []
-        solve = magswim.brackets._umath_linalg.solve
+        solve = magswim.dynamics._umath_linalg.solve
 
         def counted(*args, **kwargs):
             solves.append(args[0].shape)
             return solve(*args, **kwargs)
-        monkeypatch.setattr(magswim.brackets, "_umath_linalg",
+        monkeypatch.setattr(magswim.dynamics, "_umath_linalg",
                             SimpleNamespace(solve=counted))
         assemblies = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=3)

@@ -318,3 +318,151 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "stable True" in proc.stdout
+
+
+TABULATED = """
+[field]
+kind = tabulated
+samples =
+    0.0 1.0 0.0
+    0.2 0.8 0.6
+    0.5 1.2 -0.4
+
+[initial]
+theta = 0.2
+alpha2 = 0.3
+alpha3 = -0.2
+
+[solver]
+dt = 0.005
+
+[output]
+directory = {out}
+formats = csv, jsonl
+"""
+
+CONSTANT_JSONL = """
+[field]
+kind = constant
+hx = 1.0
+hy = 0.3
+
+[initial]
+alpha2 = 0.1
+
+[solver]
+dt = 0.01
+t_final = 0.5
+
+[output]
+directory = {out}
+formats = jsonl
+"""
+
+SHORT_DISPLACEMENT = """
+[field]
+kind = sinusoidal
+epsilon = 0.05
+omega = 2.0
+
+[solver]
+dt = 0.0314159
+burn_in_periods = 2
+measure_periods = 2
+"""
+
+SHORT_CONSTANT = """
+[field]
+kind = constant
+
+[solver]
+dt = 0.05
+burn_in_periods = 1
+measure_periods = 1
+"""
+
+SHORT_SYMMETRY = UNIFORM_SYMMETRIC.replace("t_final = 12.6", "t_final = 1.0")
+
+SWEEP_BOUNDARY = """
+[analysis]
+omega_min = 0.3
+omega_max = 0.6
+n_grid = 16
+"""
+
+# name -> (config text or None, arguments, writes a --json report)
+TRANSCRIPT = {
+    "simulate_tabulated": (TABULATED, ["simulate"], False),
+    "simulate_constant_jsonl": (CONSTANT_JSONL, ["simulate"], False),
+    "displacement_config": (SHORT_DISPLACEMENT, ["displacement"], True),
+    "displacement_flags": (SHORT_CONSTANT, ["displacement", "--epsilon",
+                                            "0.1", "--omega", "3.0"], True),
+    "symmetry": (SHORT_SYMMETRY, ["symmetry"], True),
+    "linearize_pattern": (None, ["linearize"], True),
+    "linearize_no_pattern": ("[params]\nxi = 1.2, 0.8, 0.9\n",
+                             ["linearize"], True),
+    "sweep_default": (None, ["sweep", "--output-dir", "{out}"], True),
+    "sweep_error_record": ("[params]\nK = 0.0\nM = 0.0\n",
+                           ["sweep", "--output-dir", "{out}"], True),
+    "sweep_boundary": (SWEEP_BOUNDARY, ["sweep", "--output-dir", "{out}"],
+                       True),
+    "controllability_default": (None, ["controllability"], True),
+    "controllability_thetas": (None, ["controllability", "--theta", "-0.0",
+                                      "0.1", "1.5"], True),
+    "validate": (None, ["validate", "--output", "{out}/report.txt"], True),
+}
+
+# exit code and sha256 of stdout, stderr, warnings and every written file,
+# recorded before the commands shared one results dict per command
+FROZEN_TRANSCRIPT = {
+    "controllability_default": (0, '3a2c1ea4a91bbfed86a774a55a2b09a2b06d7cfc104bf7296d0f81c7c3a3b48f'),
+    "controllability_thetas": (0, '0e9dfcb494e61837b7fe674bb70857d42378297aa15e01722c270f9c413fa462'),
+    "displacement_config": (0, 'a4a6acbb7d66dc855e779dab44cd1e635de32173bac18e76d9125b512b8b4ef2'),
+    "displacement_flags": (0, '0c753899a54747d7f86b1f1147ff4663f351e14f1b8f9c4aead72505c676496a'),
+    "linearize_no_pattern": (0, '9e7403d1b1e5fb56a654ed9a168b03c5966da345d6697825fe976d01b9f06b62'),
+    "linearize_pattern": (0, '4248d711659740778f4571a223d0836b4acded17199eaecf63f7ae7440762910'),
+    "simulate_constant_jsonl": (0, '2048eff5875710ba775a72dff94d21879b3c3cbfd8042e4c3269dcb30bef9e51'),
+    "simulate_tabulated": (0, '36a93d990286078e69f428c532b163b2e8512c922bf27c226b30320e53b0a30f'),
+    "sweep_boundary": (0, 'd5b6310a8b1be94aff95d56ff2e36a34a670f0fc065a297fbcdf087ffdf41802'),
+    "sweep_default": (0, '01137a81bb6feebe467c2570c98d7daa572cde5fe28ea57483aa247ffd448dbc'),
+    "sweep_error_record": (1, 'd27bbc8f22094cb3b22dc11776dfc221b13d27c694c305f955c2f13633591f1d'),
+    "symmetry": (0, 'eae5ea821e9667e4cc273be997647ed32890016be3530d060bfa41ead4659b10'),
+    "validate": (0, '653e144069445623b4f2e655cab5c313210bde54c8f83ea868500dfef69ebab7'),
+}
+
+
+class TestFrozenTranscript:
+    """Every command's text, exit code, JSON report and written files are
+    pinned byte for byte."""
+
+    @staticmethod
+    def transcript(tmp_path, capsys, case):
+        import hashlib
+        import warnings
+        config, argv, report = TRANSCRIPT[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(out=out) for a in argv]
+        if config is not None:
+            argv += ["--config",
+                     write_config(tmp_path, config.format(out=out))]
+        if report:
+            argv += ["--json", str(out / "report.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        digest = hashlib.sha256()
+        for text in (captured.out, captured.err,
+                     *(f"{w.category.__name__}: {w.message}"
+                       for w in caught)):
+            digest.update(text.replace(str(tmp_path), "<tmp>").encode())
+            digest.update(b"\0")
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        return code, digest.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(TRANSCRIPT))
+    def test_output_is_frozen(self, tmp_path, capsys, case):
+        assert self.transcript(tmp_path, capsys, case) == \
+            FROZEN_TRANSCRIPT[case]

@@ -70,7 +70,6 @@ class TestFieldPrograms:
     def test_constant(self):
         f = ConstantField(0.3, -0.2)
         assert f.sample(0.0) == f.sample(17.3) == (0.3, -0.2)
-        assert f.negated().sample(1.0) == (-0.3, 0.2)
 
     def test_sinusoidal(self):
         f = SinusoidalField(hx0=2.0, epsilon=0.1, omega=4.0)

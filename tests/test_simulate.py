@@ -226,6 +226,15 @@ class TestDisplacementPerPeriod:
             displacement_per_period(CANON, Configuration.straight(),
                                     1e-2, 1.0, burn_in_periods=0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_step(self, dt):
+        # a non-positive or infinite step used to plan zero steps and
+        # report a converged, motionless swimmer
+        with pytest.raises(ValueError, match="dt must be finite and "
+                                             "positive"):
+            displacement_per_period(CANON, Configuration.straight(),
+                                    1e-2, 1.0, dt=dt)
+
 
 class TestSymmetryExperiment:
     def test_symmetric_set_is_invariant(self):
