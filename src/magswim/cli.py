@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import string
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Callable
 
@@ -187,21 +188,20 @@ DISPLACEMENT = ("epsilon {epsilon!r} omega {omega!r}", "delta_x {delta_x!r}",
 def cmd_displacement(args: argparse.Namespace) -> int:
     config = _load(args)
     _require_unit_hx(config)
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-    elif isinstance(config.field, SinusoidalField):
-        epsilon = config.field.epsilon
-    else:
+    sine = config.field if isinstance(config.field, SinusoidalField) \
+        else None
+    if sine is None and args.epsilon is None:
         raise ConfigError(
             "displacement needs a sinusoidal drive; set [field] kind or "
             "pass --epsilon/--omega")
-    if args.omega is not None:
-        omega = args.omega
-    elif isinstance(config.field, SinusoidalField):
-        omega = config.field.omega
-    else:
+    if sine is None and args.omega is None:
         raise ConfigError("displacement needs --omega without a "
                           "sinusoidal [field]")
+    epsilon = sine.epsilon if args.epsilon is None else args.epsilon
+    omega = sine.omega if args.omega is None else args.omega
+    # the report echoes the drive that is run, not the one it replaced
+    config = dataclasses.replace(config, field=SinusoidalField(
+        hx0=1.0, epsilon=epsilon, omega=omega))
 
     def body() -> tuple[dict[str, Any], int]:
         report = displacement_per_period(
@@ -290,8 +290,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_grid = args.n_grid if args.n_grid is not None else config.n_grid
 
     def body() -> tuple[dict[str, Any], int]:
-        curve = frequency_sweep(config.params, omega_min, omega_max,
-                                n_grid=n_grid)
+        with warnings.catch_warnings():
+            # stdout and the report already say "boundary True"
+            warnings.simplefilter("ignore", UserWarning)
+            curve = frequency_sweep(config.params, omega_min, omega_max,
+                                    n_grid=n_grid)
         results = _plain(curve)
         results["omega"] = results.pop("omegas")
         path = _out_dir(args, config) / "sweep.csv"

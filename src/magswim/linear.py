@@ -30,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .brackets import field_jacobian
-from .dynamics import _load_core, _solve_errstate, make_rate_function
+from .dynamics import _load_core, _solve_errstate
 from .errors import AnalysisError
 from .model import SwimmerParams
 
 __all__ = [
     "LinearizedModel",
-    "PeriodicOrbit",
     "DisplacementCurve",
     "linearize_angles",
     "closed_form_angle_matrix",
@@ -45,7 +43,6 @@ __all__ = [
     "routh_hurwitz_stable",
     "closed_form_char_coeffs",
     "resolvents",
-    "steady_periodic",
     "grad_gx_origin",
     "closed_form_grad_gx",
     "skew_kernel",
@@ -96,24 +93,45 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
             "closed forms need links 2 and 3 to share drag coefficients")
 
 
+def _origin_derivatives(params: SwimmerParams, step: float = 1e-6
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, b, grad Gx)`` from the 7 poses ``0`` and ``+-step e_j`` (the
+    other angles +0.0), each assembled once.  One batched solve gives the
+    shape rates under ``(Hx, Hy) = (1, 0)`` at the offsets and ``b``, under
+    ``(0, 1)`` at the origin, from loads formed as the rate closure of
+    ``make_rate_function`` forms them, so to its last bit; one more gives
+    the coupling x-row ``Gx`` at the offsets.  ``A`` and ``grad Gx`` are
+    their central differences."""
+    loads = _load_core(params)
+    poses = np.zeros((7, 3))
+    poses[1::2] += step * np.eye(3)
+    poses[2::2] -= step * np.eye(3)
+    # Mh, elastic, Mx and My of each pose, stacked
+    mh, elastic, mx, my = map(np.array, zip(*map(loads, *poses.T.tolist())))
+    # -Hx and Hy per pose: (0, 1) at the origin, (1, 0) at the offsets
+    nhx, hy = np.array([[-0.0] + [-1.0] * 6, [1.0] + [0.0] * 6])[..., None]
+    load = nhx * mx - hy * my
+    load[:, 3:] += elastic[:, 3:]
+    with _solve_errstate():
+        rates = _umath_linalg.solve1(mh, load, signature="dd->d")
+        # (xdot, ydot) = -Ah^-1 Bh (angle rates) under zero net force
+        coupling = _umath_linalg.solve(mh[1:, :2, :2], mh[1:, :2, 2:],
+                                       signature="dd->d")
+    gx = -coupling[:, 0]
+    a = (rates[1::2, 2:] - rates[2::2, 2:]) / (2.0 * step)
+    return a.T.copy(), rates[0, 2:], (gx[0::2] - gx[1::2]) / (2.0 * step)
+
+
 def linearize_angles(params: SwimmerParams,
                      step: float = 1e-6) -> LinearizedModel:
     """Finite-difference ``A`` and ``b`` at the straight equilibrium.
 
     Central differences with a fixed step; the assembled rates are smooth
     and order-one near the origin, so 1e-6 balances truncation against
-    roundoff at about 1e-10 relative.
+    roundoff at about 1e-10 relative.  Both come from the 7-pose batch
+    of ``_origin_derivatives`` that ``displacement_model`` reads.
     """
-    rate = make_rate_function(params)
-
-    def g(q: np.ndarray, hx: float, hy: float) -> np.ndarray:
-        # shape velocity (theta, alpha2, alpha3) as a function of shape
-        state = np.array([0.0, 0.0, q[0], q[1], q[2]]).tolist()
-        with _solve_errstate():
-            return rate(state, hx, hy)[2:]
-
-    a = field_jacobian(lambda q: g(q, 1.0, 0.0), np.zeros(3), step)
-    b = g(np.zeros(3), 0.0, 1.0)
+    a, b, _ = _origin_derivatives(params, step)
     return LinearizedModel(a=a, b=b, source="numeric")
 
 
@@ -194,8 +212,8 @@ def closed_form_char_coeffs(params: SwimmerParams
     return (-1.0, a2, a1, a0)
 
 
-def _resolvent(neg_a: np.ndarray, omega: float) -> np.ndarray:
-    """``(neg_a + i omega I)^-1`` for a 3x3 ``neg_a``, bit for bit what
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of each complex 3x3 matrix of ``m``, bit for bit what
     ``np.linalg.inv`` returns.
 
     The inverse is the LAPACK gufunc behind ``np.linalg.inv``, called
@@ -204,13 +222,17 @@ def _resolvent(neg_a: np.ndarray, omega: float) -> np.ndarray:
     state covers the gufunc alone: the invalid flag of any other operation
     would read as a singular matrix.
     """
+    with _solve_errstate():
+        return _umath_linalg.inv(m, signature="D->D")
+
+
+def _resolvent(neg_a: np.ndarray, omega: float) -> np.ndarray:
+    """``(neg_a + i omega I)^-1`` for a 3x3 ``neg_a``."""
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    m = neg_a + omega * _IEYE
-    with _solve_errstate():
-        return _umath_linalg.inv(m, signature="D->D")
+    return _inverse(neg_a + omega * _IEYE)
 
 
 def resolvents(a: np.ndarray, omega: float
@@ -225,35 +247,6 @@ def resolvents(a: np.ndarray, omega: float
     return a_plus, a_plus.conj()
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
-    """Steady response of ``qdot = a q + b sin(omega t)`` per unit drive.
-
-    The orbit is ``q(t) = Im(c_plus e^{i omega t})`` with
-    ``c_plus = (-a + i omega)^-1 b``; its time derivative follows by
-    differentiating inside the imaginary part.
-    """
-
-    omega: float
-    c_plus: np.ndarray
-
-    def shape(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phase = np.exp(1j * self.omega * t)
-        return np.imag(np.multiply.outer(phase, self.c_plus))
-
-    def rate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phase = np.exp(1j * self.omega * t)
-        return self.omega * np.real(np.multiply.outer(phase, self.c_plus))
-
-
-def steady_periodic(a: np.ndarray, b: np.ndarray,
-                    omega: float) -> PeriodicOrbit:
-    a_plus, _ = resolvents(a, omega)
-    return PeriodicOrbit(omega=float(omega), c_plus=a_plus @ b)
-
-
 def grad_gx_origin(params: SwimmerParams, step: float = 1e-6) -> np.ndarray:
     """Gradient of the x-row of the position coupling at the origin.
 
@@ -261,16 +254,7 @@ def grad_gx_origin(params: SwimmerParams, step: float = 1e-6) -> np.ndarray:
     ``j``, where ``xdot = Gx(q) . qdot``.  ``Gx(0) = 0`` by symmetry, so
     this gradient carries the entire quadratic displacement.
     """
-    loads = _load_core(params)
-
-    def gx_row(q: np.ndarray) -> np.ndarray:
-        # recover G's x-row from the force balance alone: with zero net
-        # force, (xdot, ydot) = -Ah^-1 Bh (angle rates)
-        mh = loads(q[0], q[1], q[2])[0]
-        g = -np.linalg.solve(mh[:2, :2], mh[:2, 2:])
-        return g[0, :]
-
-    return field_jacobian(gx_row, np.zeros(3), step).T.copy()
+    return _origin_derivatives(params, step)[2]
 
 
 def closed_form_grad_gx(params: SwimmerParams) -> np.ndarray:
@@ -345,17 +329,15 @@ class _QuadraticModel:
 
 
 def displacement_model(params: SwimmerParams) -> _QuadraticModel:
-    """Numeric (A, b, grad Gx) bundle used by the displacement formulas."""
-    lin = linearize_angles(params)
-    coeffs = char_poly(lin.a)
-    if not routh_hurwitz_stable(coeffs):
+    """Numeric (A, b, grad Gx) bundle used by the displacement formulas,
+    from one batch of 7 poses (``_origin_derivatives``)."""
+    a, b, grad_gx = _origin_derivatives(params)
+    if not routh_hurwitz_stable(char_poly(a)):
         raise AnalysisError(
             "straight equilibrium is not strictly stable; periodic "
             "response is undefined")
-    grad_gx = grad_gx_origin(params)
-    return _QuadraticModel(a=lin.a, b=lin.b, grad_gx=grad_gx,
-                           neg_a=(-lin.a).astype(complex),
-                           w=grad_gx - grad_gx.T)
+    return _QuadraticModel(a=a, b=b, grad_gx=grad_gx,
+                           neg_a=(-a).astype(complex), w=grad_gx - grad_gx.T)
 
 
 def _dx2_resolvent(model: _QuadraticModel, omega: float) -> float:
@@ -367,6 +349,21 @@ def _dx2_resolvent(model: _QuadraticModel, omega: float) -> float:
         raise AnalysisError(
             f"resolvent quadratic form has real residue {z.real:.3e}")
     return (2.0 * math.pi / omega) * (omega / 4.0) * float(z.imag)
+
+
+def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray) -> np.ndarray:
+    """``_dx2_resolvent`` at each of the positive ``omegas``, to the bit: one
+    stacked inverse, then stacked products on column vectors, which numpy
+    hands to the same BLAS kernels as the scalar path's."""
+    a_plus = _inverse(model.neg_a + omegas[:, None, None] * _IEYE)
+    col = model.w @ (a_plus.conj() @ model.b[:, None])
+    z = (model.b @ (a_plus.transpose(0, 2, 1) @ col))[:, 0]
+    # fmax is Python's max(1.0, .) on NaN as well
+    bad = np.flatnonzero(np.abs(z.real) > 1e-10 * np.fmax(1.0, abs(z.imag)))
+    if bad.size:
+        raise AnalysisError(f"resolvent quadratic form has real residue "
+                            f"{z.real[bad[0]]:.3e}")
+    return (2.0 * math.pi / omegas) * (omegas / 4.0) * z.imag
 
 
 def _dx2_quadrature(model: _QuadraticModel, omega,
@@ -388,7 +385,7 @@ def _dx2_quadrature(model: _QuadraticModel, omega,
         raise ValueError("omega must be positive")
     gram = _PHASE_GRAM if samples == QUADRATURE_SAMPLES else \
         _phase_gram(samples)
-    c = np.linalg.inv(model.neg_a + flat[:, None, None] * _IEYE) @ model.b
+    c = _inverse(model.neg_a + flat[:, None, None] * _IEYE) @ model.b
     shape_coef = np.stack([c.imag, c.real], axis=1)
     rate_coef = flat[:, None, None] * np.stack([c.real, -c.imag], axis=1)
     form = shape_coef @ model.grad_gx @ rate_coef.transpose(0, 2, 1)
@@ -483,9 +480,10 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
                     omega_max: float, n_grid: int = 64) -> DisplacementCurve:
     """Sweep ``dx2`` over a log-spaced grid and refine the peak.
 
-    ``dx2`` comes from the resolvent expression at each grid point; the
-    peak of ``|dx2|`` is then refined by golden section inside its
-    bracketing grid cell to 1e-6 relative.  Every frequency evaluated on
+    ``dx2`` comes from the resolvent expression, over the whole grid in one
+    batch (``_dx2_grid``); the peak of ``|dx2|`` is then refined, one
+    frequency at a time, by golden section inside its bracketing grid
+    cell to 1e-6 relative.  Every frequency evaluated on
     the way is recorded, and at the end the quadrature guard of
     ``net_displacement_quadratic`` checks all of them in one batch,
     raising for the first (in visiting order) whose two paths disagree.
@@ -499,16 +497,14 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     model = displacement_model(params)
     omegas = np.logspace(math.log10(omega_min), math.log10(omega_max),
                          n_grid)
-    visited: list[float] = []
-    values: list[float] = []
+    dx2 = _dx2_grid(model, omegas)
+    visited, values = omegas.tolist(), dx2.tolist()
 
     def evaluate(w: float) -> float:
-        value = _dx2_resolvent(model, w)
         visited.append(w)
-        values.append(value)
-        return value
+        values.append(_dx2_resolvent(model, w))
+        return values[-1]
 
-    dx2 = np.array([evaluate(w) for w in omegas])
     peak = int(np.argmax(np.abs(dx2)))
     scale = float(np.max(np.abs(dx2)))
     near_zero = scale <= 1e-12

@@ -90,6 +90,27 @@ burn_in_periods = 6
         assert main(["displacement", "--config", cfg]) == 2
         assert "sinusoidal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        "kind = constant\nhy = 0.3",
+        "kind = sinusoidal\nepsilon = 0.05\nomega = 2.0"])
+    def test_report_echoes_the_drive_run(self, tmp_path, capsys, field):
+        import json
+        cfg = write_config(tmp_path, f"""
+[field]
+{field}
+
+[solver]
+dt = 0.05
+burn_in_periods = 1
+measure_periods = 1
+""")
+        report = tmp_path / "displacement.json"
+        assert main(["displacement", "--config", cfg, "--epsilon", "0.1",
+                     "--omega", "3.0", "--json", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["field"] == {"kind": "sinusoidal", "hx0": 1.0,
+                                    "epsilon": 0.1, "omega": 3.0}
+
 
 class TestSymmetry:
     def test_symmetric_setup_passes(self, tmp_path, capsys):
@@ -139,6 +160,17 @@ directory = {tmp_path}
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "omega,dx2"
         assert len(lines) == 17
+
+    def test_boundary_peak_leaves_stderr_clean(self, tmp_path):
+        # the report says "boundary True"; a warning would add a cli.py
+        # file:line and source line that move with every edit
+        proc = subprocess.run(
+            [sys.executable, "-m", "magswim.cli", "sweep", "--omega-max",
+             "0.6", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "boundary True" in proc.stdout
+        assert "cli.py" not in proc.stderr
 
     def test_unstable_parameters_fail_analysis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[params]\nK = 0.0\nM = 0.0\n")
@@ -413,17 +445,20 @@ TRANSCRIPT = {
 }
 
 # exit code and sha256 of stdout, stderr, warnings and every written file,
-# recorded before the commands shared one results dict per command
+# recorded before the commands shared one results dict per command; two
+# moved since, by their report's field echo (displacement_flags now echoes
+# the sinusoidal drive it runs) and by the boundary warning that sweep no
+# longer raises (sweep_boundary)
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, '3a2c1ea4a91bbfed86a774a55a2b09a2b06d7cfc104bf7296d0f81c7c3a3b48f'),
     "controllability_thetas": (0, '0e9dfcb494e61837b7fe674bb70857d42378297aa15e01722c270f9c413fa462'),
     "displacement_config": (0, 'a4a6acbb7d66dc855e779dab44cd1e635de32173bac18e76d9125b512b8b4ef2'),
-    "displacement_flags": (0, '0c753899a54747d7f86b1f1147ff4663f351e14f1b8f9c4aead72505c676496a'),
+    "displacement_flags": (0, '21c2f0f1086d96806d355ca03c7cd52af5ab4d9bf7ef70351a2cce93e13fe06e'),
     "linearize_no_pattern": (0, '9e7403d1b1e5fb56a654ed9a168b03c5966da345d6697825fe976d01b9f06b62'),
     "linearize_pattern": (0, '4248d711659740778f4571a223d0836b4acded17199eaecf63f7ae7440762910'),
     "simulate_constant_jsonl": (0, '2048eff5875710ba775a72dff94d21879b3c3cbfd8042e4c3269dcb30bef9e51'),
     "simulate_tabulated": (0, '36a93d990286078e69f428c532b163b2e8512c922bf27c226b30320e53b0a30f'),
-    "sweep_boundary": (0, 'd5b6310a8b1be94aff95d56ff2e36a34a670f0fc065a297fbcdf087ffdf41802'),
+    "sweep_boundary": (0, '0839ecbbdf1a409265415071cfc88219c99d7b4031d1450e8180f1f87c5172f8'),
     "sweep_default": (0, '01137a81bb6feebe467c2570c98d7daa572cde5fe28ea57483aa247ffd448dbc'),
     "sweep_error_record": (1, 'd27bbc8f22094cb3b22dc11776dfc221b13d27c694c305f955c2f13633591f1d'),
     "symmetry": (0, 'eae5ea821e9667e4cc273be997647ed32890016be3530d060bfa41ead4659b10'),

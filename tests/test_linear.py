@@ -27,7 +27,7 @@ from magswim.linear import (
     resolvents,
     routh_hurwitz_stable,
     skew_kernel,
-    steady_periodic,
+    _dx2_grid,
     _dx2_quadrature,
     _dx2_resolvent,
 )
@@ -221,16 +221,29 @@ class TestResolvents:
                                     neg_a=(-a).astype(complex))
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             _dx2_resolvent(model, 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _dx2_grid(model, np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _dx2_quadrature(model, 1.0)
+
+
+def steady_orbit(model, omega, t):
+    """Shape and rate along the steady response of ``qdot = A q + b
+    sin(omega t)`` per unit drive: ``q = Im(c e^{i omega t})`` with
+    ``c = (-A + i omega)^-1 b``, and its derivative."""
+    c = resolvents(model.a, omega)[0] @ model.b
+    orbit = np.multiply.outer(np.exp(1j * omega * np.asarray(t)), c)
+    return np.imag(orbit), omega * np.real(orbit)
 
 
 class TestSteadyPeriodic:
     def test_solves_the_ode(self):
         model = displacement_model(CANON)
         omega = 0.8
-        orbit = steady_periodic(model.a, model.b, omega)
         ts = np.linspace(0.0, 2 * np.pi / omega, 65)
-        residual = orbit.rate(ts) - (orbit.shape(ts) @ model.a.T
-                                     + np.outer(np.sin(omega * ts), model.b))
+        shape, rate = steady_orbit(model, omega, ts)
+        residual = rate - (shape @ model.a.T
+                           + np.outer(np.sin(omega * ts), model.b))
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_conjugate_symmetry_keeps_orbit_real(self):
@@ -242,14 +255,13 @@ class TestSteadyPeriodic:
     def test_matches_nonlinear_simulation_at_small_drive(self):
         eps, omega = 1e-3, 0.62
         model = displacement_model(CANON)
-        orbit = steady_periodic(model.a, model.b, omega)
         period = 2 * np.pi / omega
         field = SinusoidalField(hx0=1.0, epsilon=eps, omega=omega)
         traj = integrate(CANON, Configuration.straight(), field,
                          t_final=11 * period, dt=period / 1000)
         tail = traj.times >= 10 * period
         sim = traj.states[tail][:, 2:]
-        predicted = eps * orbit.shape(traj.times[tail])
+        predicted = eps * steady_orbit(model, omega, traj.times[tail])[0]
         # agreement is first order in eps; the gap is the eps^2 remainder
         gap = np.max(np.abs(sim - predicted))
         assert gap < 100.0 * eps ** 2
@@ -430,14 +442,13 @@ class TestFrequencySweep:
         grid = np.logspace(-2.0, 2.0, 64)
         # the grid point nearest the peak, where 1e-6 relative is 3e-8
         target = float(grid[np.argmin(np.abs(np.log(grid / 0.62)))])
-        real = magswim.linear._dx2_resolvent
+        real = magswim.linear._dx2_grid
 
-        def one_point_skewed(model, omega):
-            value = real(model, omega)
-            return value * (1 + 1e-6) if omega == target else value
+        def one_point_skewed(model, omegas):
+            values = real(model, omegas)
+            return np.where(omegas == target, values * (1 + 1e-6), values)
 
-        monkeypatch.setattr(magswim.linear, "_dx2_resolvent",
-                            one_point_skewed)
+        monkeypatch.setattr(magswim.linear, "_dx2_grid", one_point_skewed)
         with pytest.raises(AnalysisError,
                            match=f"at omega = {target:g}$"):
             frequency_sweep(CANON, 1e-2, 1e2, 64)
@@ -445,15 +456,45 @@ class TestFrequencySweep:
     def test_guard_rejects_a_nan_value(self, monkeypatch):
         grid = np.logspace(-2.0, 2.0, 64)
         target = float(grid[40])
-        real = magswim.linear._dx2_resolvent
+        real = magswim.linear._dx2_grid
 
-        def one_point_nan(model, omega):
-            return math.nan if omega == target else real(model, omega)
+        def one_point_nan(model, omegas):
+            return np.where(omegas == target, math.nan, real(model, omegas))
 
-        monkeypatch.setattr(magswim.linear, "_dx2_resolvent", one_point_nan)
+        monkeypatch.setattr(magswim.linear, "_dx2_grid", one_point_nan)
         with pytest.raises(AnalysisError,
                            match=f"by nan at omega = {target:g}$"):
             frequency_sweep(CANON, 1e-2, 1e2, 64)
+
+    @pytest.mark.parametrize("n_grid", [16, 64, 128])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_grid_is_the_scalar_loop(self, seed, n_grid):
+        # the batched grid must be a loop of scalar evaluations to the bit,
+        # also on the equal-coefficient swimmer (seed None)
+        params = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0) \
+            if seed is None else seeded_swimmer(seed)
+        model = displacement_model(params)
+        grid = np.logspace(-2.0, 2.0, n_grid)
+        loop = np.array([_dx2_resolvent(model, w) for w in grid])
+        assert _dx2_grid(model, grid).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_grid_raises_for_the_first_residue(self, order):
+        # a symmetric part in w gives the form a real residue that exceeds
+        # its bound at the low end of the grid only
+        model = displacement_model(CANON)
+        model = dataclasses.replace(model, w=model.w + 1e-9 * np.eye(3))
+        grid = np.logspace(-2.0, 2.0, 64)[::order]
+        messages = []
+        for w in grid:
+            try:
+                _dx2_resolvent(model, float(w))
+            except AnalysisError as exc:
+                messages.append(str(exc))
+        assert 1 < len(messages) < len(grid)
+        with pytest.raises(AnalysisError) as caught:
+            _dx2_grid(model, grid)
+        assert str(caught.value) == messages[0]
 
     def test_reports_guard_gap_and_evaluations(self):
         sw = frequency_sweep(CANON, 1e-2, 1e2, 64)
@@ -535,3 +576,42 @@ class TestFrozenSweepDigests:
                   for w in np.logspace(-3.0, 3.0, 20)]
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
             "61eb819082e3fe8137bd2c8b9b297929b8f5213e41c3c2687d91a672ddefcd6b")
+
+
+class TestFrozenOriginDigests:
+    """``A``, ``b`` and ``grad Gx`` as the per-pose rate closure and
+    ``field_jacobian`` loops produced them, sign bits included: the 7-pose
+    batch must not move a bit, also with links 2 and 3 unequal and with
+    other steps."""
+
+    CASES = {
+        "canon": (CANON, 1e-6),
+        "canon_step_1e-4": (CANON, 1e-4),
+        "uniform": (SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0), 1e-6),
+        "unequal_tail": (SwimmerParams(0.8, (0.9, 0.6, 0.7),
+                                       (2.2, 1.3, 1.1), 2.0, 0.5), 1e-6),
+        "unequal_tail_step_3e-7": (SwimmerParams(1.3, (0.7, 0.4, 0.6),
+                                                 (1.9, 1.2, 0.8), 0.6, 1.4),
+                                   3e-7),
+        **{f"seed_{s}": (seeded_swimmer(s), 1e-6) for s in (1, 2, 3, 4)},
+    }
+    DIGESTS = {
+        "canon": "85205e982443b5938f8131b8db24e28d023e0abd772eadc8e59cbe1e2167169b",
+        "canon_step_1e-4": "b8926e4c4ec91487bcc3416b166cdb4c5fc92feca0f0188273ae3b3c4568ba8d",
+        "uniform": "b2c5ad6a4dc4271a8ffc5b4c85ea2e6f333dcf870f40a80b025f4113e98a613d",
+        "unequal_tail": "b83fef759c918698f1b870a14657fce09183cd61a00b4d401095a39b94ebac03",
+        "unequal_tail_step_3e-7": "d8838933f2227450a5a88264834f654c4c786ae9ff4b78f56ca56c51702c678a",
+        "seed_1": "649e9ba42ebd5fc44cce306f807635e796c0bc4dcf9979f92515edc4571f392a",
+        "seed_2": "aebd0a1b7ad49a713928b6c48bf714abbcddc785e10dc79b875e5b6e6ca44ebd",
+        "seed_3": "17888aba6623b6aea5576be3f58b89f3ab85339b6a9d38436bca3d6aa5ad98df",
+        "seed_4": "bc56038e4cc36e070ecb7af8591008fc6b81aac211a552acbc4811d3aa943124",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_origin_derivatives(self, case):
+        params, step = self.CASES[case]
+        lin = linearize_angles(params, step)
+        h = hashlib.sha256()
+        for arr in (lin.a, lin.b, grad_gx_origin(params, step)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == self.DIGESTS[case]
