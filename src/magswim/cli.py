@@ -292,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def body() -> tuple[dict[str, Any], int]:
         with warnings.catch_warnings():
             # stdout and the report already say "boundary True"
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.filterwarnings("ignore", "displacement peak", UserWarning)
             curve = frequency_sweep(config.params, omega_min, omega_max,
                                     n_grid=n_grid)
         results = _plain(curve)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynamics import _load_core, _solve_errstate
+from .dynamics import _load_core, _solve_errstate, make_rate_function
 from .errors import AnalysisError
 from .model import SwimmerParams
 
@@ -95,31 +95,30 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
 
 def _origin_derivatives(params: SwimmerParams, step: float = 1e-6
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A, b, grad Gx)`` from the 7 poses ``0`` and ``+-step e_j`` (the
-    other angles +0.0), each assembled once.  One batched solve gives the
-    shape rates under ``(Hx, Hy) = (1, 0)`` at the offsets and ``b``, under
-    ``(0, 1)`` at the origin, from loads formed as the rate closure of
-    ``make_rate_function`` forms them, so to its last bit; one more gives
-    the coupling x-row ``Gx`` at the offsets.  ``A`` and ``grad Gx`` are
-    their central differences."""
+    """``(A, b, grad Gx)``: ``b`` is one rate-closure call at the origin
+    under ``(Hx, Hy) = (0, 1)``.  The 6 poses ``+-step e_j`` (the other
+    angles +0.0) are assembled once each; one batched solve gives their
+    shape rates under ``(1, 0)``, from loads formed as the closure forms
+    them, so to its last bit, and one more their coupling x-row ``Gx``."""
+    with _solve_errstate():
+        b = make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:]
     loads = _load_core(params)
-    poses = np.zeros((7, 3))
-    poses[1::2] += step * np.eye(3)
-    poses[2::2] -= step * np.eye(3)
+    poses = np.zeros((6, 3))
+    poses[0::2] += step * np.eye(3)
+    poses[1::2] -= step * np.eye(3)
     # Mh, elastic, Mx and My of each pose, stacked
     mh, elastic, mx, my = map(np.array, zip(*map(loads, *poses.T.tolist())))
-    # -Hx and Hy per pose: (0, 1) at the origin, (1, 0) at the offsets
-    nhx, hy = np.array([[-0.0] + [-1.0] * 6, [1.0] + [0.0] * 6])[..., None]
-    load = nhx * mx - hy * my
+    # -Hx Mx - Hy My under (Hx, Hy) = (1, 0), term by term as the closure
+    load = -1.0 * mx - 0.0 * my
     load[:, 3:] += elastic[:, 3:]
     with _solve_errstate():
         rates = _umath_linalg.solve1(mh, load, signature="dd->d")
         # (xdot, ydot) = -Ah^-1 Bh (angle rates) under zero net force
-        coupling = _umath_linalg.solve(mh[1:, :2, :2], mh[1:, :2, 2:],
+        coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
                                        signature="dd->d")
     gx = -coupling[:, 0]
-    a = (rates[1::2, 2:] - rates[2::2, 2:]) / (2.0 * step)
-    return a.T.copy(), rates[0, 2:], (gx[0::2] - gx[1::2]) / (2.0 * step)
+    a = (rates[0::2, 2:] - rates[1::2, 2:]) / (2.0 * step)
+    return a.T.copy(), b, (gx[0::2] - gx[1::2]) / (2.0 * step)
 
 
 def linearize_angles(params: SwimmerParams,
@@ -128,8 +127,9 @@ def linearize_angles(params: SwimmerParams,
 
     Central differences with a fixed step; the assembled rates are smooth
     and order-one near the origin, so 1e-6 balances truncation against
-    roundoff at about 1e-10 relative.  Both come from the 7-pose batch
-    of ``_origin_derivatives`` that ``displacement_model`` reads.
+    roundoff at about 1e-10 relative.  ``A`` comes from the 6-pose batch
+    of ``_origin_derivatives`` that ``displacement_model`` reads, ``b``
+    from one rate-closure call at the origin.
     """
     a, b, _ = _origin_derivatives(params, step)
     return LinearizedModel(a=a, b=b, source="numeric")
@@ -330,7 +330,8 @@ class _QuadraticModel:
 
 def displacement_model(params: SwimmerParams) -> _QuadraticModel:
     """Numeric (A, b, grad Gx) bundle used by the displacement formulas,
-    from one batch of 7 poses (``_origin_derivatives``)."""
+    from one rate-closure call and one batch of 6 poses
+    (``_origin_derivatives``)."""
     a, b, grad_gx = _origin_derivatives(params)
     if not routh_hurwitz_stable(char_poly(a)):
         raise AnalysisError(

@@ -1,9 +1,11 @@
 """Exit codes and outputs of the command-line front end."""
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from magswim import cli
 from magswim.cli import main
 from magswim.serialize import read_trajectory_csv, read_trajectory_jsonl
 
@@ -171,6 +173,19 @@ directory = {tmp_path}
         assert proc.returncode == 0
         assert "boundary True" in proc.stdout
         assert "cli.py" not in proc.stderr
+
+    def test_other_sweep_warnings_still_reach_the_user(self, tmp_path,
+                                                       monkeypatch):
+        real = cli.frequency_sweep
+
+        def noisy(*args, **kwargs):
+            warnings.warn("another sweep warning", UserWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "frequency_sweep", noisy)
+        with pytest.warns(UserWarning, match="another sweep warning"):
+            assert main(["sweep", "--omega-max", "0.6", "--output-dir",
+                         str(tmp_path)]) == 0
 
     def test_unstable_parameters_fail_analysis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[params]\nK = 0.0\nM = 0.0\n")

@@ -580,7 +580,7 @@ class TestFrozenSweepDigests:
 
 class TestFrozenOriginDigests:
     """``A``, ``b`` and ``grad Gx`` as the per-pose rate closure and
-    ``field_jacobian`` loops produced them, sign bits included: the 7-pose
+    ``field_jacobian`` loops produced them, sign bits included: the origin
     batch must not move a bit, also with links 2 and 3 unequal and with
     other steps."""
 
