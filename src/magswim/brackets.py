@@ -42,9 +42,6 @@ __all__ = [
     "EquilibriumReport",
     "RankReport",
     "control_vector_fields",
-    "field_jacobian",
-    "lie_bracket",
-    "lie_bracket_field",
     "equilibrium_identities",
     "lie_rank",
 ]
@@ -81,40 +78,34 @@ class ControlSystem:
         return (self.f0, self.fx, self.fy)
 
 
-# a system's memo is cleared once it holds this many poses: a long-lived
-# system, evaluated at ever new poses, must not grow without limit
-_MEMO_LIMIT = 256
-
-
 class _SharedSolve:
-    """The ``_solve_poses`` solve of one system, memoised per state or
-    stack of states.
+    """The ``_solve_poses`` solve of one system at the last state or stack
+    of states, so f0, fx and fy on one stack solve once.
 
-    The fields depend on the angles only, so the memo is keyed on the
+    The fields depend on the angles only, so the solve is keyed on the
     shape and the bytes of ``x[..., 2:5]``: a float key would merge -0.0
     with 0.0, whose outputs may differ in signed zeros.  Each field returns
-    a copy of its rows, so a caller cannot change what the memo holds.
+    a copy of its rows, so a caller cannot change what is held.
     """
 
     def __init__(self, params: SwimmerParams) -> None:
         self._loads = _load_core(params)
-        self.memo: dict[tuple, np.ndarray] = {}
-        self._held = 0
+        self._key: tuple | None = None
+        self._fields = np.empty(0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[-1:] != (STATE_DIM,):
+            raise ValueError("states must be 5-vectors")
         angles = x[..., 2:5]
         key = (x.shape, angles.tobytes())
-        fields = self.memo.get(key)
-        if fields is None:
-            poses = angles.reshape(-1, 3).tolist()
-            if self._held + len(poses) > _MEMO_LIMIT:
-                self.memo.clear()
-                self._held = 0
-            fields = _solve_poses(self._loads, poses)[1].reshape(
-                x.shape[:-1] + (3, STATE_DIM))
-            self.memo[key] = fields
-            self._held += len(poses)
-        return fields
+        if key != self._key:
+            if not np.all(np.isfinite(angles)):
+                raise ValueError("state angles must be finite")
+            self._fields = _solve_poses(
+                self._loads, angles.reshape(-1, 3).tolist())[1].reshape(
+                    x.shape[:-1] + (3, STATE_DIM))
+            self._key = key
+        return self._fields
 
     def f0(self, x: np.ndarray) -> np.ndarray:
         return self(x)[..., 0, :].copy()
@@ -131,9 +122,10 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
 
     Each field maps a state, or a stack of states of shape (..., 5), to
     the field there, of the same shape.  The three fields come from one
-    3-column solve per pose, batched over a stack.  They share a memo of
-    that solve, so evaluating all three at one state or stack, or the same
-    one again, assembles and solves once.
+    3-column solve per pose, batched over a stack, and share the last one:
+    evaluating all three at one state or stack assembles and solves once.
+    A state that is not a 5-vector, or whose angles are not finite, raises
+    ``ValueError``; the fields ignore the position.
     """
     solve = _SharedSolve(params)
     return ControlSystem(f0=VectorField(solve.f0, "f0"),
@@ -141,39 +133,9 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
                          fy=VectorField(solve.fy, "fy"))
 
 
-def field_jacobian(field: VectorField, point: np.ndarray,
-                   step: float = BASE_STEP) -> np.ndarray:
-    """Central-difference Jacobian, entry [i, j] = d field_i / d x_j, of
-    any field from n-vectors to n-vectors."""
-    point = np.asarray(point, dtype=float)
-    jac = np.zeros((point.size, point.size))
-    for j in range(point.size):
-        dx = np.zeros(point.size)
-        dx[j] = step
-        jac[:, j] = (field(point + dx) - field(point - dx)) / (2.0 * step)
-    return jac
-
-
-def lie_bracket(f: VectorField, g: VectorField, point: np.ndarray,
-                step: float = BASE_STEP) -> np.ndarray:
-    """``[f, g](point) = Dg f - Df g`` by central differences."""
-    point = np.asarray(point, dtype=float)
-    return (field_jacobian(g, point, step) @ f(point)
-            - field_jacobian(f, point, step) @ g(point))
-
-
-def lie_bracket_field(f: VectorField, g: VectorField,
-                      step: float = BASE_STEP) -> VectorField:
-    return VectorField(
-        fn=lambda x: lie_bracket(f, g, x, step),
-        label=f"[{f.label},{g.label}]")
-
-
-# The rank and the identities work on the 5x3 blocks C(x) = [f0 fx fy] of
-# the generators at every pose of their difference stencil at once, rather
-# than one pose at a time through lie_bracket, with the floating-point
-# operations of lie_bracket on them: the same stencil poses, differences
-# and matrix-vector products, so the same bits.
+# The rank and the identities difference the blocks C(x) = [f0 fx fy] at
+# every pose of a stencil at once; the frozen rank and identities digests
+# pin the bits of its poses, differences and products.
 
 # the unit steps e_2, e_3, e_4 of the three angles on the full state
 _ANGLE_UNITS = np.eye(STATE_DIM)[2:]
@@ -184,15 +146,21 @@ def _shifted(states: np.ndarray, step: float) -> np.ndarray:
     three angles, for each x of the (..., 5) ``states``: (..., 6, 5) in
     the order +e_2, -e_2, +e_3, -e_3, +e_4, -e_4.
 
-    Each is formed as ``field_jacobian`` forms ``point +- dx``: the other
-    entries move by +-0.0, and -0.0 + 0.0 is +0.0, so the signed zeros are
-    those of its poses.
+    Each is ``x + dx`` or ``x - dx`` with dx the full 5-vector step: the
+    other entries move by +-0.0, and -0.0 + 0.0 is +0.0, so a -0.0 of x
+    becomes +0.0 on the + side of another angle's difference.
     """
     dx = step * _ANGLE_UNITS
     out = np.empty(states.shape[:-1] + (6, STATE_DIM))
     out[..., 0::2, :] = states[..., None, :] + dx
     out[..., 1::2, :] = states[..., None, :] - dx
     return out
+
+
+def _with_neighbours(centres: np.ndarray) -> np.ndarray:
+    """The (n, 5) ``centres``, then the ``BASE_STEP`` neighbours of each."""
+    return np.concatenate([
+        centres, _shifted(centres, BASE_STEP).reshape(-1, STATE_DIM)])
 
 
 def _angle_jacobians(plus: np.ndarray, minus: np.ndarray,
@@ -203,13 +171,25 @@ def _angle_jacobians(plus: np.ndarray, minus: np.ndarray,
     ``plus[..., j, m, :]`` and ``minus`` hold field m at the poses
     ``pose +- step e_j`` (the pairs of ``_shifted``).  Returns the
     (..., m, 5, 5) Jacobians with x and y columns +0.0, those differences
-    being exact zeros.  Each is C-contiguous like ``field_jacobian``'s, so
-    a product with it runs the same BLAS kernel and rounds the same way.
+    being exact zeros.  Each is C-contiguous, the layout the frozen
+    digests were recorded with: a product with it runs that BLAS kernel
+    and rounds the same way.
     """
     diff = (plus - minus) / (2.0 * step)
     jac = np.zeros(diff.shape[:-3] + (diff.shape[-2], STATE_DIM, STATE_DIM))
     jac[..., 2:] = np.moveaxis(diff, -3, -1)
     return jac
+
+
+def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
+    """The words [f0,fx], [f0,fy], [fx,fy] at n centres from the
+    generators on the ``_with_neighbours`` stencil of those centres."""
+    around = fields[n:].reshape(n, 3, 2, 3, STATE_DIM)
+    jac = _angle_jacobians(around[:, :, 0], around[:, :, 1], BASE_STEP)
+    # [f, g] = Dg f - Df g for (f, g) = (f0, fx), (f0, fy), (fx, fy)
+    f, g = [0, 0, 1], [1, 2, 2]
+    return (jac[:, g] @ fields[:n, f, :, None]
+            - jac[:, f] @ fields[:n, g, :, None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -250,15 +230,13 @@ def equilibrium_identities(params: SwimmerParams,
     if abs(np.cos(theta)) < 0.05:
         raise ValueError(
             "theta too close to a transverse pose; tan(theta) blows up")
-    centre = np.array([0.0, 0.0, theta, 0.0, 0.0])
-    states = np.concatenate([centre[None], _shifted(centre, BASE_STEP)])
+    states = _with_neighbours(np.array([[0.0, 0.0, theta, 0.0, 0.0]]))
     mh, fields = _solve_poses(_load_core(params), states[:, 2:].tolist())
     _, fx_val, fy_val = fields[0]
     fy_norm = float(np.linalg.norm(fy_val))
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
-    # lie_bracket(fx, fy) at the straight state
-    jac = _angle_jacobians(fields[1::2], fields[2::2], BASE_STEP)
-    bracket = jac[2] @ fx_val - jac[1] @ fy_val
+    # [fx, fy] at the straight state, the word of lie_rank
+    bracket = _second_words(fields, 1)[0, 2]
     claimed = fy_val[2] * fy_val
     corrected = (params.M / np.cos(theta)) * np.linalg.solve(
         mh[0], _angle_stencil(fy_val))
@@ -301,19 +279,16 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     depth 3 adds the nine once-nested words [s, w] with s a generator and
     w a depth-2 bracket, evaluated with the coarser nested step.
 
-    The words are those of ``lie_bracket`` on the fields of
-    ``control_vector_fields``, bit for bit, but ``lie_bracket`` is not
-    called.
     A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians; a
     nested word is ``Dw s - Ds w`` with ``NESTED_STEP`` Jacobians, taken
     once per generator and per depth-2 word.  Every Jacobian differences
     the three angles only, as the fields ignore x and y.  The poses of the
     difference stencil are listed first: the point, at depth 3 the six
     ``point +- NESTED_STEP e_j``, and the six ``+- BASE_STEP e_k`` around
-    each of those.  The three fields are evaluated on the stack of these
-    poses, which assembles each distinct pose once (1, 7 and 49 at depths
-    1, 2 and 3) and solves all of them in one batched call; each Jacobian
-    is one array difference of the solved fields.
+    each of those.  The fields of ``control_vector_fields`` are evaluated
+    on the stack of these poses, which assembles each pose once (1, 7 and
+    49 at depths 1, 2 and 3) and solves all of them in one batched call;
+    each Jacobian is one array difference of the solved fields.
     """
     if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
             or depth not in (1, 2, 3):
@@ -331,10 +306,7 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     centres = point[None]
     if depth == 3:
         centres = np.concatenate([centres, _shifted(point, NESTED_STEP)])
-    states = centres
-    if depth >= 2:
-        states = np.concatenate([
-            centres, _shifted(centres, BASE_STEP).reshape(-1, STATE_DIM)])
+    states = _with_neighbours(centres) if depth >= 2 else centres
     # the generators at every stencil state, each a stack of one solve
     fields = np.stack([f(states) for f in
                        control_vector_fields(params).generators()], axis=1)
@@ -342,12 +314,7 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     rows = [fields[0]]
     labels = ["f0", "fx", "fy"]
     if depth >= 2:
-        around = fields[n:].reshape(n, 3, 2, 3, STATE_DIM)
-        jac = _angle_jacobians(around[:, :, 0], around[:, :, 1], BASE_STEP)
-        # [f, g] = Dg f - Df g for (f, g) = (f0, fx), (f0, fy), (fx, fy)
-        f, g = [0, 0, 1], [1, 2, 2]
-        second = (jac[:, g] @ fields[:n, f, :, None]
-                  - jac[:, f] @ fields[:n, g, :, None])[..., 0]
+        second = _second_words(fields, n)
         rows.append(second[0])
         labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
     if depth == 3:

@@ -131,6 +131,8 @@ def _run_reported(args: argparse.Namespace, command: str, config: RunConfig,
         "command": command,
     }
     base.update(_echo(config))
+    if command == "displacement":  # it runs whole periods, not t_final
+        del base["solver"]["t_final"]
     try:
         results, code = body()
     except AnalysisError as exc:

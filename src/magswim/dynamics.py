@@ -31,7 +31,6 @@ of poses, for ``control_fields`` and for the bracket layer alike.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import cos, sin
 from typing import Callable, Sequence
@@ -190,37 +189,22 @@ def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
     return _load_core(params)(config.theta, config.alpha2, config.alpha3)
 
 
-_POSE = struct.Struct("3d")
-
-
 def _solve_poses(loads: Callable[..., tuple],
                  poses: list) -> tuple[np.ndarray, np.ndarray]:
     """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
-    :func:`_load_core`: ``F`` (n, 3, 5) holds f0, fx, fy at each pose as
-    contiguous rows, and ``Mh`` the matrix of each distinct pose in order
-    of first appearance, so ``Mh[0]`` is that of ``poses[0]``.
+    :func:`_load_core`: ``Mh[i]`` is the matrix of ``poses[i]``, and
+    ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.
 
-    A pose is assembled once however often it recurs, told apart by its
-    bytes (a float key would merge -0.0 with 0.0, whose fields may differ
-    in signed zeros).  All poses are then solved for the three columns
-    ``elastic, -Mx, -My`` by one call of the LAPACK gufunc inside
-    ``np.linalg.solve``, under the error state it enters, so an exactly
-    singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
+    Every pose is assembled, as often as it recurs, and all are solved for
+    the columns ``elastic, -Mx, -My`` by one call of the LAPACK gufunc
+    inside ``np.linalg.solve``, under the error state it enters, so an
+    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
     """
-    slots: dict[bytes, int] = {}
-    index = []
     matrices, rows = [], []
     for pose in poses:
-        key = _POSE.pack(*pose)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(matrices)
-            Mh, elastic, Mx, My = loads(*pose)
-            matrices.append(Mh)
-            rows += elastic
-            rows += Mx
-            rows += My
-        index.append(slot)
+        Mh, elastic, Mx, My = loads(*pose)
+        matrices.append(Mh)
+        rows += (*elastic, *Mx, *My)
     mh = np.array(matrices)
     # rows elastic, -Mx, -My: the transposed right-hand side of the solve
     rhs = np.array(rows).reshape(len(matrices), 3, 5)
@@ -228,7 +212,7 @@ def _solve_poses(loads: Callable[..., tuple],
     with _solve_errstate():
         cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
                                    signature="dd->d")
-    return mh, np.ascontiguousarray(cols[index].transpose(0, 2, 1))
+    return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -274,18 +258,6 @@ class ControlFields:
     gx: np.ndarray
     gy: np.ndarray
     position_coupling: np.ndarray
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self.position_coupling[:, 0]
-
-    @property
-    def g2(self) -> np.ndarray:
-        return self.position_coupling[:, 1]
-
-    @property
-    def g3(self) -> np.ndarray:
-        return self.position_coupling[:, 2]
 
 
 def _checked_resistance(Mh: np.ndarray) -> GrandResistance:

@@ -1,4 +1,4 @@
-"""Control fields, Lie bracket machinery, and accessibility rank."""
+"""Control fields, Lie bracket words, and accessibility rank."""
 import hashlib
 import math
 import random
@@ -11,14 +11,10 @@ import pytest
 import magswim.dynamics
 from magswim import Configuration, SwimmerParams
 from magswim.brackets import (
-    _MEMO_LIMIT,
     ControlSystem,
     VectorField,
     control_vector_fields,
     equilibrium_identities,
-    field_jacobian,
-    lie_bracket,
-    lie_bracket_field,
     lie_rank,
 )
 from magswim.dynamics import control_fields, rhs
@@ -76,29 +72,30 @@ class TestControlVectorFields:
             assert field(x).tolist() == before
 
     def test_memo_stays_bounded(self):
+        # the shared solve holds the last state only, however many it saw
         system = control_vector_fields(CANON)
-        memo = system.f0.fn.__self__.memo
-        largest = 0
+        solve = system.f0.fn.__self__
         for theta in np.linspace(-1.0, 1.0, 1000):
-            system.fy(np.array([0.0, 0.0, theta, 0.1, -0.2]))
-            largest = max(largest, len(memo))
-        assert largest == _MEMO_LIMIT
+            x = np.array([0.0, 0.0, theta, 0.1, -0.2])
+            system.fy(x)
+            assert solve._fields.shape == (3, 5)
+        assert solve._key == ((5,), x[2:].tobytes())
 
     def test_memo_of_stacks_stays_bounded(self):
-        # the bound counts poses, so stacks cannot outgrow it either
+        # the bound is one stack, so stacks cannot outgrow it either
         system = control_vector_fields(CANON)
-        memo = system.f0.fn.__self__.memo
+        solve = system.f0.fn.__self__
         states = np.zeros((49, 5))
-        largest = 0
         for theta in np.linspace(-1.0, 1.0, 40):
             states[:, 2] = theta + np.arange(49) * 1e-3
             system.fx(states)
-            largest = max(largest, sum(v.shape[0] for v in memo.values()))
-        assert largest == 5 * 49 <= _MEMO_LIMIT
+            assert solve._fields.shape == (49, 3, 5)
+        assert solve._key == ((49, 5), states[:, 2:].tobytes())
 
     def test_stack_matches_each_state(self, monkeypatch):
         # a stack of states gives each state's field bit for bit, and the
-        # three fields on one stack assemble each distinct pose once
+        # three fields on one stack assemble each of its 12 poses once,
+        # the one that recurs included
         calls = TestSharedSolve._count_assemblies(monkeypatch)
         rng = np.random.default_rng(8)
         states = rng.uniform(-1.0, 1.0, size=(4, 3, 5))
@@ -106,7 +103,7 @@ class TestControlVectorFields:
         states[2, 1, 2:] = [-0.0, 0.0, -0.0]
         system = control_vector_fields(CANON)
         stacked = [field(states) for field in system.generators()]
-        assert len(calls) == 11
+        assert len(calls) == 12
         for field, out in zip(system.generators(), stacked):
             assert out.shape == (4, 3, 5)
             for index in np.ndindex(4, 3):
@@ -122,54 +119,73 @@ class TestControlVectorFields:
             np.testing.assert_array_equal(field(a), field(b))
 
 
-class TestBracketMachinery:
-    def test_linear_fields_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 5))
-        fa = VectorField(lambda z: a @ z, "A")
-        fb = VectorField(lambda z: b @ z, "B")
-        z = rng.normal(size=5)
-        exact = (b @ a - a @ b) @ z
-        np.testing.assert_allclose(lie_bracket(fa, fb, z), exact, atol=1e-8)
+class TestLastStack:
+    """The shared solve holds the last state or stack only; a field never
+    returns what another state or shape left there.  That a caller cannot
+    change it: ``test_in_place_change_does_not_reach_the_next_call``."""
 
-    def test_quadratic_fields_oracle(self):
-        # f = (z1^2, 0, ...), g = (0, z0, ...):
-        # [f, g] = (-2 z1 z0, z1^2, 0, 0, 0); central differences are
-        # exact for quadratics, so only roundoff remains
-        f = VectorField(lambda z: np.array([z[1] ** 2, 0, 0, 0, 0.0]), "f")
-        g = VectorField(lambda z: np.array([0, z[0], 0, 0, 0.0]), "g")
-        z = np.array([0.7, -0.4, 0.0, 0.0, 0.0])
-        exact = np.array([-2 * z[1] * z[0], z[1] ** 2, 0, 0, 0.0])
-        np.testing.assert_allclose(lie_bracket(f, g, z), exact, atol=1e-9)
+    A = [0.1, -0.2, 0.3, 0.4, -0.5]
+    B = [0.0, 0.0, -0.7, 0.2, 0.6]
 
-    def test_constant_fields_commute(self):
-        f = VectorField(lambda z: np.array([1.0, 2.0, 3.0, 4.0, 5.0]), "f")
-        g = VectorField(lambda z: np.array([-1.0, 0.5, 0.0, 2.0, 1.0]), "g")
-        assert np.all(lie_bracket(f, g, np.zeros(5)) == 0.0)
+    @staticmethod
+    def bits(out):
+        return [v.hex() for v in np.ravel(out).tolist()], out.shape
 
-    def test_antisymmetry_is_exact(self):
+    def fresh(self, x):
+        """Each field at ``x`` from a system that saw nothing else."""
+        return [self.bits(field(x)) for field in
+                control_vector_fields(CANON).generators()]
+
+    def seen(self, system, x):
+        return [self.bits(field(x)) for field in system.generators()]
+
+    def test_alternating_stacks(self):
         system = control_vector_fields(CANON)
-        x = np.array([0.0, 0.0, 0.2, 0.3, -0.1])
-        fwd = lie_bracket(system.fx, system.fy, x)
-        rev = lie_bracket(system.fy, system.fx, x)
-        np.testing.assert_array_equal(fwd, -rev)
+        a = np.array([self.A, self.B])
+        b = np.array([self.B, self.A, self.B])
+        for x in (a, b, a):
+            assert self.seen(system, x) == self.fresh(x)
 
-    def test_self_bracket_vanishes(self):
+    def test_array_changed_in_place_between_calls(self):
         system = control_vector_fields(CANON)
-        x = np.array([0.0, 0.0, 0.2, 0.3, -0.1])
-        assert np.all(lie_bracket(system.fy, system.fy, x) == 0.0)
+        x = np.array(self.A)
+        self.seen(system, x)
+        x[2:] = self.B[2:]
+        assert self.seen(system, x) == self.fresh(np.array(self.B))
 
-    def test_jacobian_of_linear_field(self):
-        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        fa = VectorField(lambda z: a @ z, "A")
-        np.testing.assert_allclose(
-            field_jacobian(fa, np.ones(5)), a, atol=1e-9)
-
-    def test_bracket_field_label(self):
+    def test_same_bytes_in_another_shape(self):
         system = control_vector_fields(CANON)
-        w = lie_bracket_field(system.f0, system.fx)
-        assert w.label == "[f0,fx]"
+        x = np.array(self.A)
+        for state in (x, x[None], x):
+            assert self.seen(system, state) == self.fresh(state)
+
+    def test_signed_zero_theta(self):
+        # fx at these two poses differs in the sign of one zero
+        system = control_vector_fields(CANON)
+        minus = np.array([0.0, 0.0, -0.0, -0.0, -0.0])
+        plus = np.array([0.0, 0.0, 0.0, -0.0, -0.0])
+        assert self.fresh(minus) != self.fresh(plus)
+        for x in (minus, plus, minus):
+            assert self.seen(system, x) == self.fresh(x)
+
+    @pytest.mark.parametrize("state", [
+        [0.0, 0.0, np.nan, 0.0, 0.0],
+        [0.0, 0.0, np.inf, 0.0, 0.0],
+        [0.0, 0.0, 0.3, -np.inf, 0.0],
+        [[0.0, 0.0, 0.3, 0.1, 0.2], [0.0, 0.0, 0.3, 0.1, np.nan]]],
+        ids=["nan", "inf", "-inf", "stack"])
+    def test_rejects_non_finite_angles(self, state):
+        for field in control_vector_fields(CANON).generators():
+            with pytest.raises(ValueError, match="angles must be finite"):
+                field(state)
+
+    @pytest.mark.parametrize("state", [
+        [0.0, 0.0, 0.3, 0.1], [0.0] * 6, np.zeros((3, 4)), 0.3],
+        ids=["4-vector", "6-vector", "stack-of-4", "scalar"])
+    def test_rejects_states_that_are_not_5_vectors(self, state):
+        for field in control_vector_fields(CANON).generators():
+            with pytest.raises(ValueError, match="5-vectors"):
+                field(state)
 
 
 class TestEquilibriumIdentities:
@@ -409,7 +425,7 @@ class TestSharedSolve:
     def test_signed_zero_poses_are_kept_apart(self, monkeypatch):
         # -0.0 + 0.0 is 0.0, so at theta = -0.0 the stencil poses that move
         # another angle carry theta = +0.0 on their + side and -0.0 on their
-        # - side; told apart by their bytes, the stencil still has 49 poses
+        # - side; each of the 49 stencil poses keeps its own signed zeros
         calls = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array(FROZEN_POSES["signed_zero"]), depth=3)
         assert len(calls) == 49
@@ -418,22 +434,31 @@ class TestSharedSolve:
 
     def test_collapsed_steps_assemble_each_pose_once(self, monkeypatch):
         # at theta = 1e300 every theta step rounds away, so stencil poses
-        # recur, some differing only in the sign of alpha2's zero: the 28
-        # distinct poses, the set the VectorField route assembled
+        # recur, some differing only in the sign of alpha2's zero; each of
+        # the 49 is assembled once, and the report keeps the bits recorded
+        # when the 28 distinct ones were assembled once each
         calls = self._count_assemblies(monkeypatch)
-        lie_rank(CANON, np.array([0.0, 0.0, 1e300, -0.0, 0.2]), depth=3)
-        signs = [math.copysign(1.0, a2) for _, a2, _ in calls if a2 == 0.0]
-        assert (len(calls), signs.count(1.0), signs.count(-1.0)) == (28, 8, 4)
+        report = lie_rank(CANON, np.array([0.0, 0.0, 1e300, -0.0, 0.2]),
+                          depth=3)
+        assert len(calls) == 49
+        assert [v.hex() for v in report.singular_values.tolist()] == [
+            "0x1.a7292a697bc1dp+10", "0x1.18cb5d73bb9b9p+0",
+            "0x1.2705be9ef12d7p-1", "0x1.a2c062ae05a02p-17",
+            "0x1.6ffe62812c380p-33"]
+        assert (report.rank, float(report.gap_4_5).hex()) == (
+            3, "0x1.234f75b5efbdbp+16")
 
     def test_field_memo_keeps_signed_zeros_apart(self, monkeypatch):
-        # the memo of control_vector_fields is keyed on bytes: theta = -0.0
-        # and theta = 0.0 are two poses, each assembled once
+        # the solve of control_vector_fields is keyed on bytes: theta =
+        # -0.0 and theta = 0.0 are two poses, and as only the last one is
+        # held, each turn assembles once for the three fields
         calls = self._count_assemblies(monkeypatch)
         system = control_vector_fields(CANON)
         for theta in (-0.0, 0.0, -0.0, 0.0):
             for field in system.generators():
                 field(np.array([0.0, 0.0, theta, 0.25, -0.15]))
-        assert [math.copysign(1.0, t) for t, _, _ in calls] == [-1.0, 1.0]
+        assert [math.copysign(1.0, t) for t, _, _ in calls] == [
+            -1.0, 1.0, -1.0, 1.0]
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_exactly_singular_matrix_raises(self, monkeypatch, depth):
@@ -519,9 +544,9 @@ def identities_digest(params, thetas):
 
 
 class TestFrozenRankDigests:
-    """Rank reports and identities as the VectorField route through
-    ``lie_bracket`` produced them: 40 seeded poses over five swimmers and
-    six poses with signed-zero angles, at every depth."""
+    """Rank reports and identities as the former pose-by-pose route
+    through ``lie_bracket`` produced them: 40 seeded poses over five
+    swimmers and six poses with signed-zero angles, at every depth."""
 
     RANKS = {
         (1, 1): "8a21024bbfbd309cafd5d9f88f4da08e35e4e8d123d59950269c162a444060e7",

@@ -113,6 +113,22 @@ measure_periods = 1
         assert payload["field"] == {"kind": "sinusoidal", "hx0": 1.0,
                                     "epsilon": 0.1, "omega": 3.0}
 
+    def test_report_echoes_only_the_solver_keys_run(self, tmp_path, capsys):
+        # whole periods of the drive are run, so t_final is not echoed
+        import json
+        cfg = write_config(tmp_path, """
+[solver]
+dt = 0.05
+t_final = 62.0
+burn_in_periods = 1
+measure_periods = 1
+""")
+        report = tmp_path / "displacement.json"
+        assert main(["displacement", "--config", cfg, "--epsilon", "0.1",
+                     "--omega", "2.0", "--json", str(report)]) == 0
+        assert json.loads(report.read_text())["solver"] == {
+            "dt": 0.05, "burn_in_periods": 1, "measure_periods": 1}
+
 
 class TestSymmetry:
     def test_symmetric_setup_passes(self, tmp_path, capsys):
@@ -460,15 +476,16 @@ TRANSCRIPT = {
 }
 
 # exit code and sha256 of stdout, stderr, warnings and every written file,
-# recorded before the commands shared one results dict per command; two
+# recorded before the commands shared one results dict per command; three
 # moved since, by their report's field echo (displacement_flags now echoes
-# the sinusoidal drive it runs) and by the boundary warning that sweep no
-# longer raises (sweep_boundary)
+# the sinusoidal drive it runs), by the boundary warning that sweep no
+# longer raises (sweep_boundary) and by the solver echo of displacement,
+# which no longer holds the unused t_final (both displacement cases)
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, '3a2c1ea4a91bbfed86a774a55a2b09a2b06d7cfc104bf7296d0f81c7c3a3b48f'),
     "controllability_thetas": (0, '0e9dfcb494e61837b7fe674bb70857d42378297aa15e01722c270f9c413fa462'),
-    "displacement_config": (0, 'a4a6acbb7d66dc855e779dab44cd1e635de32173bac18e76d9125b512b8b4ef2'),
-    "displacement_flags": (0, '21c2f0f1086d96806d355ca03c7cd52af5ab4d9bf7ef70351a2cce93e13fe06e'),
+    "displacement_config": (0, 'bbfaa7826cc05dba19b47d904491c5a2e14586af185488e8166bc2cbb4f42ef2'),
+    "displacement_flags": (0, 'e62797cdce2423e557ac4e7119784d4e68cd6664501a1f0afefc1a279528ea6f'),
     "linearize_no_pattern": (0, '9e7403d1b1e5fb56a654ed9a168b03c5966da345d6697825fe976d01b9f06b62'),
     "linearize_pattern": (0, '4248d711659740778f4571a223d0836b4acded17199eaecf63f7ae7440762910'),
     "simulate_constant_jsonl": (0, '2048eff5875710ba775a72dff94d21879b3c3cbfd8042e4c3269dcb30bef9e51'),

@@ -319,7 +319,6 @@ class TestControlFields:
     def test_position_coupling_shape(self):
         cf = control_fields(Configuration(0.0, 0.0, 0.2, 0.1, -0.3), CANON)
         assert cf.position_coupling.shape == (2, 3)
-        np.testing.assert_allclose(cf.position_coupling[:, 0], cf.g1)
 
     def test_unactuated_swimmer_is_inert(self):
         p = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 0.0, 0.0)
