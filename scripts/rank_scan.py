@@ -7,6 +7,10 @@ finite-difference noise while the fourth stays order one.  Bending the
 swimmer opens the fifth direction.  This script scans a grid of joint
 angles at a fixed heading and prints the rank and the smallest singular
 value at each point.
+
+The heading only rotates the plane and the field, so ``lie_rank`` reads
+the rank in the body frame and every line after the first is the same
+at every ``--theta``.
 """
 import argparse
 import sys

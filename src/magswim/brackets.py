@@ -7,9 +7,16 @@ The balance law is affine in the two field components,
 with drift f0 carrying the elastic relaxation and fx, fy the magnetic
 response per unit field.  This module evaluates those three vector fields
 on the full state X = (x, y, theta, alpha2, alpha3), forms iterated Lie
-brackets by finite differences, and measures the rank of the span at a
-point.  That rank bounds the locally reachable set: directions outside
-the span cannot be generated by any field program.
+brackets, and measures the rank of the span at a point.  That rank bounds
+the locally reachable set: directions outside the span cannot be
+generated by any field program.
+
+The fields ignore the position, and the heading enters only through a
+rotation of the plane and of the field, so a bracket's derivatives along
+x, y and theta are exact; only the joint angles alpha2 and alpha3 are
+differenced, centrally.  The same rotation leaves the singular values of
+the bracket span unchanged, so the rank is read in the body frame,
+theta = 0, and depends on (alpha2, alpha3) alone.
 
 Two algebraic identities hold at the straight, bent-free states
 X = (x, y, theta, 0, 0):
@@ -136,22 +143,28 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
 # The rank and the identities difference the blocks C(x) = [f0 fx fy] at
 # every pose of a stencil at once; the frozen rank and identities digests
 # pin the bits of its poses, differences and products.
+#
+# The heading enters only through a rotation: with T(phi) turning (x, y)
+# and R(phi) the field, f0 and [fx, fy] at theta + phi are T f0 and
+# T [fx, fy], and the pair (fx, fy) is T [fx fy] R(phi)^T.  So every
+# theta-derivative is exact, and only the joint angles are differenced.
 
-# the unit steps e_2, e_3, e_4 of the three angles on the full state
-_ANGLE_UNITS = np.eye(STATE_DIM)[2:]
+# the unit steps e_3, e_4 of the two joint angles on the full state
+_ANGLE_UNITS = np.eye(STATE_DIM)[3:]
 
 
 def _shifted(states: np.ndarray, step: float) -> np.ndarray:
     """The states ``x +- step e_j`` of a central difference over the
-    three angles, for each x of the (..., 5) ``states``: (..., 6, 5) in
-    the order +e_2, -e_2, +e_3, -e_3, +e_4, -e_4.
+    joint angles alpha2 and alpha3, for each x of the (..., 5)
+    ``states``: (..., 4, 5) in the order +e_3, -e_3, +e_4, -e_4.
 
     Each is ``x + dx`` or ``x - dx`` with dx the full 5-vector step: the
     other entries move by +-0.0, and -0.0 + 0.0 is +0.0, so a -0.0 of x
-    becomes +0.0 on the + side of another angle's difference.
+    becomes +0.0 on the + side of another angle's difference.  The
+    heading is never shifted; its derivative is exact (``_turned``).
     """
     dx = step * _ANGLE_UNITS
-    out = np.empty(states.shape[:-1] + (6, STATE_DIM))
+    out = np.empty(states.shape[:-1] + (4, STATE_DIM))
     out[..., 0::2, :] = states[..., None, :] + dx
     out[..., 1::2, :] = states[..., None, :] - dx
     return out
@@ -163,29 +176,47 @@ def _with_neighbours(centres: np.ndarray) -> np.ndarray:
         centres, _shifted(centres, BASE_STEP).reshape(-1, STATE_DIM)])
 
 
-def _angle_jacobians(plus: np.ndarray, minus: np.ndarray,
-                     step: float) -> np.ndarray:
-    """Central-difference Jacobians of fields that depend on the angles
-    only.
+def _turned(rows: np.ndarray, u: int, w: int) -> np.ndarray:
+    """The exact theta-derivative of the (..., 3, 5) field ``rows``.
 
-    ``plus[..., j, m, :]`` and ``minus`` hold field m at the poses
-    ``pose +- step e_j`` (the pairs of ``_shifted``).  Returns the
-    (..., m, 5, 5) Jacobians with x and y columns +0.0, those differences
-    being exact zeros.  Each is C-contiguous, the layout the frozen
-    digests were recorded with: a product with it runs that BLAS kernel
-    and rounds the same way.
+    With ``J v = (-v_y, v_x, 0, 0, 0)``, a row that rotates with the
+    plane (f0, [fx, fy]) has derivative ``J v``; the pair (u, w) that
+    also turns with the field ((fx, fy), or ([f0,fx], [f0,fy])) has
+    ``J u - w`` and ``J w + u``.
     """
-    diff = (plus - minus) / (2.0 * step)
-    jac = np.zeros(diff.shape[:-3] + (diff.shape[-2], STATE_DIM, STATE_DIM))
-    jac[..., 2:] = np.moveaxis(diff, -3, -1)
+    out = np.zeros_like(rows)
+    out[..., 0] = -rows[..., 1]
+    out[..., 1] = rows[..., 0]
+    out[..., u, :] -= rows[..., w, :]
+    out[..., w, :] += rows[..., u, :]
+    return out
+
+
+def _jacobians(rows: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+               step: float, u: int, w: int) -> np.ndarray:
+    """Jacobians of three fields that depend on the angles only.
+
+    ``rows`` (..., 3, 5) holds the fields at the centres, whose pair
+    (u, w) turns with the field (``_turned``), and ``plus[..., j, m, :]``
+    and ``minus`` hold field m at ``centre +- step e_{3+j}`` (the pairs
+    of ``_shifted``).  Returns the (..., 3, 5, 5) Jacobians: x and y
+    columns +0.0, those derivatives being exact zeros, the theta column
+    exact and the joint-angle columns central differences.  Each is
+    C-contiguous, the layout the frozen digests were recorded with: a
+    product with it runs that BLAS kernel and rounds the same way.
+    """
+    jac = np.zeros(rows.shape + (STATE_DIM,))
+    jac[..., 2] = _turned(rows, u, w)
+    jac[..., 3:] = np.moveaxis((plus - minus) / (2.0 * step), -3, -1)
     return jac
 
 
 def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
     """The words [f0,fx], [f0,fy], [fx,fy] at n centres from the
     generators on the ``_with_neighbours`` stencil of those centres."""
-    around = fields[n:].reshape(n, 3, 2, 3, STATE_DIM)
-    jac = _angle_jacobians(around[:, :, 0], around[:, :, 1], BASE_STEP)
+    around = fields[n:].reshape(n, 2, 2, 3, STATE_DIM)
+    jac = _jacobians(fields[:n], around[:, :, 0], around[:, :, 1],
+                     BASE_STEP, 1, 2)
     # [f, g] = Dg f - Df g for (f, g) = (f0, fx), (f0, fy), (fx, fy)
     f, g = [0, 0, 1], [1, 2, 2]
     return (jac[:, g] @ fields[:n, f, :, None]
@@ -279,16 +310,29 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     depth 3 adds the nine once-nested words [s, w] with s a generator and
     w a depth-2 bracket, evaluated with the coarser nested step.
 
+    The rank is read in the body frame, at (0, 0, 0, alpha2, alpha3).  A
+    turn of the heading multiplies the matrix of words by the orthogonal
+    ``T(theta)`` on the left and mixes its columns orthogonally on the
+    right (fx with fy and [f0,fx] with [f0,fy] as pairs, the nine nested
+    words by the Kronecker product of those two), so its singular values
+    do not depend on theta, and the report is the same, bit for bit, at
+    every theta.  ``point`` is echoed as given.
+
     A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians; a
     nested word is ``Dw s - Ds w`` with ``NESTED_STEP`` Jacobians, taken
-    once per generator and per depth-2 word.  Every Jacobian differences
-    the three angles only, as the fields ignore x and y.  The poses of the
-    difference stencil are listed first: the point, at depth 3 the six
-    ``point +- NESTED_STEP e_j``, and the six ``+- BASE_STEP e_k`` around
-    each of those.  The fields of ``control_vector_fields`` are evaluated
-    on the stack of these poses, which assembles each pose once (1, 7 and
-    49 at depths 1, 2 and 3) and solves all of them in one batched call;
-    each Jacobian is one array difference of the solved fields.
+    once per generator and per depth-2 word.  Each Jacobian has zero x
+    and y columns, as the fields ignore the position, the exact theta
+    column of the rotation rule, and central differences over alpha2 and
+    alpha3.  The poses of the difference stencil are listed first: the
+    point, at depth 3 the four ``point +- NESTED_STEP e_j``, and the four
+    ``+- BASE_STEP e_k`` around each of those.  The fields of
+    ``control_vector_fields`` are evaluated on the stack of these poses,
+    which assembles each pose once (1, 5 and 25 at depths 1, 2 and 3) and
+    solves all of them in one batched call; each Jacobian is one array
+    difference of the solved fields.
+
+    A point whose words overflow (a joint angle near 1e300 loads the
+    spring with as much) raises ``ValueError``.
     """
     if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
             or depth not in (1, 2, 3):
@@ -301,11 +345,11 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
         raise ValueError("point must be finite")
     if not 0.0 < tol_factor < 1.0:
         raise ValueError("tol_factor must lie in (0, 1)")
-    # the stencil: at depth 3, centres 1-6 are point +- NESTED_STEP e_j,
-    # where the depth-2 words are differenced
-    centres = point[None]
+    # the stencil, in the body frame: at depth 3, centres 1-4 are
+    # point +- NESTED_STEP e_j, where the depth-2 words are differenced
+    centres = np.array([[0.0, 0.0, 0.0, point[3], point[4]]])
     if depth == 3:
-        centres = np.concatenate([centres, _shifted(point, NESTED_STEP)])
+        centres = np.concatenate([centres, _shifted(centres[0], NESTED_STEP)])
     states = _with_neighbours(centres) if depth >= 2 else centres
     # the generators at every stencil state, each a stack of one solve
     fields = np.stack([f(states) for f in
@@ -313,19 +357,25 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     n = len(centres)
     rows = [fields[0]]
     labels = ["f0", "fx", "fy"]
-    if depth >= 2:
-        second = _second_words(fields, n)
-        rows.append(second[0])
-        labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
-    if depth == 3:
-        d_gen = _angle_jacobians(fields[1:n:2], fields[2:n:2], NESTED_STEP)
-        d_second = _angle_jacobians(second[1::2], second[2::2], NESTED_STEP)
-        # [s, w] = Dw s - Ds w, s the outer and w the inner index
-        third = (d_second @ fields[0, :, None, :, None]
-                 - d_gen[:, None] @ second[0, :, :, None])[..., 0]
-        rows.append(third.reshape(9, STATE_DIM))
-        labels += [f"[{s},{w}]" for s in labels[:3] for w in labels[3:6]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if depth >= 2:
+            second = _second_words(fields, n)
+            rows.append(second[0])
+            labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
+        if depth == 3:
+            d_gen = _jacobians(fields[0], fields[1:n:2], fields[2:n:2],
+                               NESTED_STEP, 1, 2)
+            d_second = _jacobians(second[0], second[1::2], second[2::2],
+                                  NESTED_STEP, 0, 1)
+            # [s, w] = Dw s - Ds w, s the outer and w the inner index
+            third = (d_second @ fields[0, :, None, :, None]
+                     - d_gen[:, None] @ second[0, :, :, None])[..., 0]
+            rows.append(third.reshape(9, STATE_DIM))
+            labels += [f"[{s},{w}]" for s in labels[:3]
+                       for w in labels[3:6]]
     matrix = np.concatenate(rows).T
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("the bracket words overflow at this point")
     raw = np.linalg.svd(matrix, compute_uv=False)
     # fewer columns than states yields fewer singular values; the missing
     # ones are exact zeros of the padded problem

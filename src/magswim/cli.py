@@ -5,10 +5,10 @@ assertion fails (an instability, a residual above tolerance, a failed
 validation check), 2 for usage and configuration problems.
 
 Every ``--json`` report embeds the exact parameter echo, the solver
-settings, and the artifact version, so a plot made from a report file
-can be reproduced from that file alone.  When an analysis error aborts a
-command, the report file carries a machine-readable error record instead
-of results.
+settings its command reads, and the artifact version, so a plot made
+from a report file can be reproduced from that file alone.  When an
+analysis error aborts a command, the report file carries a
+machine-readable error record instead of results.
 
 Each command states its results once, as one dict: the ``--json``
 report holds it under ``results``, and the text lines are templates
@@ -102,11 +102,22 @@ def _say(lines: tuple[str, ...], results: dict[str, Any]) -> None:
         print(_Lines().vformat(line, (), results))
 
 
-def _echo(config: RunConfig) -> dict[str, Any]:
-    solver = ("dt", "t_final", "burn_in_periods", "measure_periods")
+# the solver settings each command reads, and so echoes
+SOLVER_KEYS = {
+    "simulate": ("dt", "t_final"),
+    "symmetry": ("dt", "t_final"),
+    "displacement": ("dt", "burn_in_periods", "measure_periods"),
+    "linearize": (),
+    "sweep": (),
+    "controllability": (),
+}
+
+
+def _echo(config: RunConfig, command: str) -> dict[str, Any]:
     return _plain({"params": config.params, "initial": config.initial,
                    "field": config.field,
-                   "solver": {key: getattr(config, key) for key in solver},
+                   "solver": {key: getattr(config, key)
+                              for key in SOLVER_KEYS[command]},
                    "applied_defaults": config.applied_defaults})
 
 
@@ -130,9 +141,7 @@ def _run_reported(args: argparse.Namespace, command: str, config: RunConfig,
         "version": __version__,
         "command": command,
     }
-    base.update(_echo(config))
-    if command == "displacement":  # it runs whole periods, not t_final
-        del base["solver"]["t_final"]
+    base.update(_echo(config, command))
     try:
         results, code = body()
     except AnalysisError as exc:
@@ -167,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         written.append(path)
     if "jsonl" in config.formats:
         path = out / "trajectory.jsonl"
-        metadata = _echo(config)
+        metadata = _echo(config, "simulate")
         metadata["artifact_version"] = __version__
         metadata["solver"]["dt_resolved"] = dt
         write_trajectory_jsonl(traj, path, metadata=metadata)

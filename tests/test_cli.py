@@ -130,6 +130,41 @@ measure_periods = 1
             "dt": 0.05, "burn_in_periods": 1, "measure_periods": 1}
 
 
+SOLVER_ECHO = UNIFORM_SYMMETRIC.replace("t_final = 12.6", """t_final = 1.0
+burn_in_periods = 2
+measure_periods = 3
+
+[output]
+directory = {out}""")
+
+
+class TestSolverEcho:
+    """A report echoes the solver settings its command reads, and no
+    other; ``displacement``: ``test_report_echoes_only_the_solver_keys_run``.
+    """
+
+    @pytest.mark.parametrize("command, echoed", [
+        ("controllability", {}),
+        ("linearize", {}),
+        ("sweep", {}),
+        ("symmetry", {"dt": 0.02, "t_final": 1.0})],
+        ids=["controllability", "linearize", "sweep", "symmetry"])
+    def test_report(self, tmp_path, capsys, command, echoed):
+        import json
+        cfg = write_config(tmp_path, SOLVER_ECHO.format(out=tmp_path))
+        report = tmp_path / "report.json"
+        main([command, "--config", cfg, "--json", str(report)])
+        assert json.loads(report.read_text())["solver"] == echoed
+
+    def test_simulate_trajectory_header(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SOLVER_ECHO.format(out=tmp_path)
+                           + "formats = jsonl\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        _, header = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
+        assert header["solver"] == {"dt": 0.02, "t_final": 1.0,
+                                    "dt_resolved": 0.02}
+
+
 class TestSymmetry:
     def test_symmetric_setup_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, UNIFORM_SYMMETRIC)
@@ -476,25 +511,29 @@ TRANSCRIPT = {
 }
 
 # exit code and sha256 of stdout, stderr, warnings and every written file,
-# recorded before the commands shared one results dict per command; three
-# moved since, by their report's field echo (displacement_flags now echoes
-# the sinusoidal drive it runs), by the boundary warning that sweep no
-# longer raises (sweep_boundary) and by the solver echo of displacement,
-# which no longer holds the unused t_final (both displacement cases)
+# recorded before the commands shared one results dict per command; moved
+# since: displacement_flags by its report's field echo (it echoes the
+# sinusoidal drive it runs); sweep_boundary by the boundary warning sweep
+# no longer raises; every report and trajectory header but validate's by
+# the solver echo, which holds only the keys its command reads (simulate
+# and symmetry: dt and t_final; displacement: dt and the period counts;
+# linearize, sweep and controllability: none); controllability and
+# validate by the body-frame rank with an exact theta derivative (gap45
+# and the [fx, fy] stencil residual)
 FROZEN_TRANSCRIPT = {
-    "controllability_default": (0, '3a2c1ea4a91bbfed86a774a55a2b09a2b06d7cfc104bf7296d0f81c7c3a3b48f'),
-    "controllability_thetas": (0, '0e9dfcb494e61837b7fe674bb70857d42378297aa15e01722c270f9c413fa462'),
+    "controllability_default": (0, 'd6f63cd9ec49f4df9945b55158e58e70653e159fda6dcf7200fcfedc68680b74'),
+    "controllability_thetas": (0, 'bf75ea95c1d07ab6d9f50e3f8f8e37f5318330a4403d7e2295f0336b594b76c0'),
     "displacement_config": (0, 'bbfaa7826cc05dba19b47d904491c5a2e14586af185488e8166bc2cbb4f42ef2'),
     "displacement_flags": (0, 'e62797cdce2423e557ac4e7119784d4e68cd6664501a1f0afefc1a279528ea6f'),
-    "linearize_no_pattern": (0, '9e7403d1b1e5fb56a654ed9a168b03c5966da345d6697825fe976d01b9f06b62'),
-    "linearize_pattern": (0, '4248d711659740778f4571a223d0836b4acded17199eaecf63f7ae7440762910'),
-    "simulate_constant_jsonl": (0, '2048eff5875710ba775a72dff94d21879b3c3cbfd8042e4c3269dcb30bef9e51'),
-    "simulate_tabulated": (0, '36a93d990286078e69f428c532b163b2e8512c922bf27c226b30320e53b0a30f'),
-    "sweep_boundary": (0, '0839ecbbdf1a409265415071cfc88219c99d7b4031d1450e8180f1f87c5172f8'),
-    "sweep_default": (0, '01137a81bb6feebe467c2570c98d7daa572cde5fe28ea57483aa247ffd448dbc'),
-    "sweep_error_record": (1, 'd27bbc8f22094cb3b22dc11776dfc221b13d27c694c305f955c2f13633591f1d'),
-    "symmetry": (0, 'eae5ea821e9667e4cc273be997647ed32890016be3530d060bfa41ead4659b10'),
-    "validate": (0, '653e144069445623b4f2e655cab5c313210bde54c8f83ea868500dfef69ebab7'),
+    "linearize_no_pattern": (0, 'cca35e6e66c47d4ff6434269128520f3e12f9377c1e8d6127c651b0e91cda527'),
+    "linearize_pattern": (0, '9458f41697b11db54d6e5dc7509fe1addcf2abb150033bd8954103ff5c8cb711'),
+    "simulate_constant_jsonl": (0, '8007af4bb5671f2b6864be4d186533a40c9542b328ef38dcb2bcfc1aec1c90dc'),
+    "simulate_tabulated": (0, '0931610a7c6b0a922e53829b2faa69880a95c9b8c20c729a136c399e7f5821d3'),
+    "sweep_boundary": (0, '26197278d79c5ade44790068ab98e510e52739b1d3373719f0dfec00ce9ca1a8'),
+    "sweep_default": (0, '44bad62063d2b95b63757d1238536e3616a041a36f0857540ba0661bb6100bb7'),
+    "sweep_error_record": (1, '45e66de0356fed6c941de5ee9b5467122ddfe3555f332cf2285dd5e5506030ba'),
+    "symmetry": (0, 'bdff3a898356523621aa95e3e22ef14ec3d3ae30d6fb20a7e0a89fd63efbc726'),
+    "validate": (0, 'f00cfb5a7d65f1e53828c63e12a0a4f92b17a1549cdb0b8987fc8ccaf4b50c5c'),
 }
 
 
