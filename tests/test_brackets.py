@@ -484,6 +484,9 @@ class TestSharedSolve:
     @pytest.mark.parametrize("point", [
         [0.0, 0.0, -0.0, -0.0, -0.0],
         [1e308, -1e308, 0.3, 0.2, -0.1],
+        # a large spring load whose depth-3 products stay below overflow;
+        # 1e300 overflows, see test_overflowing_words_raise
+        [0.0, 0.0, 1e100, -1e100, 5e-324],
         [0.0, 0.0, 40.0, -25.0, 3.0]])
     def test_finite_points_do_not_trip_the_solve_error_state(self, point):
         # only the batched solve runs under the error state that turns an
