@@ -4,11 +4,12 @@ Exit codes follow the usual triage: 0 on success, 1 when an analysis
 assertion fails (an instability, a residual above tolerance, a failed
 validation check), 2 for usage and configuration problems.
 
-Every ``--json`` report embeds the exact parameter echo, the solver
-settings its command reads, and the artifact version, so a plot made
-from a report file can be reproduced from that file alone.  When an
-analysis error aborts a command, the report file carries a
-machine-readable error record instead of results.
+Every ``--json`` report embeds the exact parameter echo, the initial
+state, field and solver settings its command reads (``ECHO_KEYS``), and
+the artifact version, so a plot made from a report file can be
+reproduced from that file alone.  When an analysis error aborts a
+command, the report file carries a machine-readable error record
+instead of results.
 
 Each command states its results once, as one dict: the ``--json``
 report holds it under ``results``, and the text lines are templates
@@ -102,22 +103,25 @@ def _say(lines: tuple[str, ...], results: dict[str, Any]) -> None:
         print(_Lines().vformat(line, (), results))
 
 
-# the solver settings each command reads, and so echoes
-SOLVER_KEYS = {
-    "simulate": ("dt", "t_final"),
-    "symmetry": ("dt", "t_final"),
-    "displacement": ("dt", "burn_in_periods", "measure_periods"),
-    "linearize": (),
-    "sweep": (),
-    "controllability": (),
+# what each command reads of the run beside its parameters, and so
+# echoes: the sections it reads whole, then its solver settings
+ECHO_KEYS = {
+    "simulate": (("initial", "field"), ("dt", "t_final")),
+    "symmetry": (("initial", "field"), ("dt", "t_final")),
+    "displacement": (("initial", "field"),
+                     ("dt", "burn_in_periods", "measure_periods")),
+    # linearize and sweep read the field to hold it to hx0 = 1
+    "linearize": (("field",), ()),
+    "sweep": (("field",), ()),
+    "controllability": ((), ()),
 }
 
 
 def _echo(config: RunConfig, command: str) -> dict[str, Any]:
-    return _plain({"params": config.params, "initial": config.initial,
-                   "field": config.field,
-                   "solver": {key: getattr(config, key)
-                              for key in SOLVER_KEYS[command]},
+    sections, solver = ECHO_KEYS[command]
+    return _plain({"params": config.params,
+                   **{key: getattr(config, key) for key in sections},
+                   "solver": {key: getattr(config, key) for key in solver},
                    "applied_defaults": config.applied_defaults})
 
 
@@ -268,10 +272,11 @@ def cmd_linearize(args: argparse.Namespace) -> int:
             "closed_form_relgap": None})
         relgap = "closed_form_relgap n/a (links 2 and 3 differ)"
         code = 0
-        pattern = (config.params.xi[1] == config.params.xi[2]
-                   and config.params.eta[1] == config.params.eta[2])
-        if pattern:
+        try:
             closed = closed_form_angle_matrix(config.params)
+        except ValueError:
+            pass    # links 2 and 3 differ in drag: no closed form
+        else:
             gap = float(np.max(np.abs(numeric.a - closed.a))
                         / np.max(np.abs(closed.a)))
             results["closed_form_relgap"] = gap

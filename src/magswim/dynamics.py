@@ -27,33 +27,19 @@ the drift-affine control system
 
 Every evaluation assembles through ``_load_core``; the RK4 rate solves
 one load per call, and ``_solve_poses`` solves f0, fx and fy at a batch
-of poses, for ``control_fields`` and for the bracket layer alike.
+of poses for the bracket layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, sin
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NearSingularError
 from .model import Configuration, SwimmerParams
 
-__all__ = [
-    "GrandResistance",
-    "MagneticCoupling",
-    "ControlFields",
-    "grand_resistance",
-    "magnetic_coupling",
-    "elastic_load",
-    "control_fields",
-    "rhs",
-    "make_rate_function",
-]
-
-COND_LIMIT = 1e12
+__all__ = ["rhs", "make_rate_function"]
 
 
 def _assemble(theta: float, a2: float, a3: float, L: float,
@@ -159,6 +145,8 @@ def _assemble(theta: float, a2: float, a3: float, L: float,
         0.0,
         0.0 - w3,
     ))
+    # a link at angle phi with moment M along its tangent feels the torque
+    # M (e(phi) x H); each staircase row sums the links it holds
     Mx = (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3)
     My = (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3)
     return np.negative(load, out=load).reshape(5, 5), Mx, My
@@ -185,10 +173,6 @@ def _load_core(params: SwimmerParams) -> Callable[..., tuple]:
     return loads
 
 
-def _loads_at(config: Configuration, params: SwimmerParams) -> tuple:
-    return _load_core(params)(config.theta, config.alpha2, config.alpha3)
-
-
 def _solve_poses(loads: Callable[..., tuple],
                  poses: list) -> tuple[np.ndarray, np.ndarray]:
     """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
@@ -213,126 +197,6 @@ def _solve_poses(loads: Callable[..., tuple],
         cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
                                    signature="dd->d")
     return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-
-@dataclass(frozen=True)
-class GrandResistance:
-    """The 5x5 grand resistance and its blocks.
-
-    ``ah`` (2x2) couples rigid translations, ``bh`` (2x3) translations to
-    angle rates, ``ch`` (3x3) the angle rates.  ``cond`` is the 2-norm
-    condition number of the full matrix.  Note the staircase torque rows
-    make ``mh`` nonsymmetric; the block below ``ah`` is ``mh[2:, :2]``,
-    not ``bh.T``.
-    """
-
-    mh: np.ndarray
-    ah: np.ndarray
-    bh: np.ndarray
-    ch: np.ndarray
-    cond: float
-
-
-@dataclass(frozen=True)
-class MagneticCoupling:
-    """Coupling vectors: magnetic load = -mx * Hx - my * Hy."""
-
-    mx: np.ndarray
-    my: np.ndarray
-
-
-@dataclass(frozen=True)
-class ControlFields:
-    """Drift and control vector fields, full and shape-reduced.
-
-    ``f0, fx, fy`` act on the full 5-dimensional state; ``g0, gx, gy`` are
-    their angle components after eliminating the force balance, and
-    ``position_coupling`` is the 2x3 matrix G with ``(xdot, ydot) =
-    G (thetadot, a2dot, a3dot)``.
-    """
-
-    f0: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
-    g0: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    position_coupling: np.ndarray
-
-
-def _checked_resistance(Mh: np.ndarray) -> GrandResistance:
-    cond = float(np.linalg.cond(Mh))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NearSingularError(
-            f"grand resistance nearly singular: cond = {cond:.3e}")
-    return GrandResistance(mh=Mh, ah=Mh[:2, :2].copy(), bh=Mh[:2, 2:].copy(),
-                           ch=Mh[2:, 2:].copy(), cond=cond)
-
-
-def grand_resistance(config: Configuration,
-                     params: SwimmerParams) -> GrandResistance:
-    """Assemble the grand resistance at a configuration.
-
-    Raises :class:`NearSingularError` when the condition number exceeds
-    ``COND_LIMIT``; downstream solves would then be meaningless.
-    """
-    return _checked_resistance(_loads_at(config, params)[0])
-
-
-def magnetic_coupling(config: Configuration,
-                      params: SwimmerParams) -> MagneticCoupling:
-    """Torque coupling of the uniform external field to the magnetized links.
-
-    A link at absolute angle ``phi`` with moment M along its tangent feels
-    torque ``M (e(phi) x H)``; summing over the links that enter each
-    staircase row gives cumulative sine/cosine patterns.
-    """
-    _, _, Mx, My = _loads_at(config, params)
-    return MagneticCoupling(mx=np.array(Mx), my=np.array(My))
-
-
-def elastic_load(config: Configuration, params: SwimmerParams) -> np.ndarray:
-    """Generalized load of the joint springs at a configuration."""
-    return np.array(_loads_at(config, params)[1])
-
-
-def control_fields(config: Configuration,
-                   params: SwimmerParams) -> ControlFields:
-    """Drift and control fields of the affine system at one configuration.
-
-    Computes the full-space fields by the 3-column solve of
-    :func:`_solve_poses`, the one the bracket layer uses, and the reduced
-    fields by block elimination of the force balance, then cross-checks
-    the two (angle components must agree, position components must be G
-    times the angle components).  A mismatch beyond 1e-10
-    relative indicates a broken assembly and raises.
-    """
-    loads = _load_core(params)
-    pose = (config.theta, config.alpha2, config.alpha3)
-    Mh, el, Mx, My = loads(*pose)
-    gr = _checked_resistance(Mh)
-    f0, fx, fy = _solve_poses(loads, [pose])[1][0]
-    ah_inv_bh = np.linalg.solve(gr.ah, gr.bh)
-    G = -ah_inv_bh
-    # Mh is not symmetric (torque rows sit at staircase points), so the
-    # lower-left block is mh[2:, :2] rather than bh.T
-    ct = gr.ch - Mh[2:, :2] @ ah_inv_bh
-    # the magnetic and elastic loads have zero force rows, so the reduced
-    # loads are just their angle rows
-    g0 = np.linalg.solve(ct, el[2:])
-    gx = -np.linalg.solve(ct, Mx[2:])
-    gy = -np.linalg.solve(ct, My[2:])
-    scale = max(1.0, float(np.max(np.abs([f0, fx, fy]))))
-    worst = 0.0
-    for full, red in ((f0, g0), (fx, gx), (fy, gy)):
-        worst = max(worst, float(np.max(np.abs(full[2:] - red))))
-        worst = max(worst, float(np.max(np.abs(full[:2] - G @ red))))
-    if worst > 1e-10 * scale:
-        raise NearSingularError(
-            f"full/reduced field mismatch {worst:.3e} exceeds tolerance; "
-            f"cond = {gr.cond:.3e}")
-    return ControlFields(f0=f0, fx=fx, fy=fy, g0=g0, gx=gx, gy=gy,
-                         position_coupling=G)
 
 
 def _raise_singular(err: str, flag: int) -> None:

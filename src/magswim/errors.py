@@ -1,15 +1,11 @@
 """Exception types shared across the package."""
 
-__all__ = ["MagswimError", "NearSingularError", "IntegrationError",
-           "ConfigError", "AnalysisError"]
+__all__ = ["MagswimError", "IntegrationError", "ConfigError",
+           "AnalysisError"]
 
 
 class MagswimError(Exception):
     """Base class for package-specific failures."""
-
-
-class NearSingularError(MagswimError):
-    """Grand resistance matrix is numerically singular."""
 
 
 class IntegrationError(MagswimError):

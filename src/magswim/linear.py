@@ -24,6 +24,7 @@ that regime; the numeric paths work for any parameters.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -493,6 +494,8 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
         raise ValueError("omega_min and omega_max must be finite")
     if not (0.0 < omega_min < omega_max):
         raise ValueError("need 0 < omega_min < omega_max")
+    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral):
+        raise ValueError("n_grid must be an integer")
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     model = displacement_model(params)

@@ -10,6 +10,7 @@ which the integrator guarantees by shortening the final step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,8 +212,13 @@ def displacement_per_period(params: SwimmerParams, initial: Configuration,
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+           for n in (burn_in_periods, measure_periods)):
+        raise ValueError("period counts must be integers")
     if burn_in_periods < 1 or measure_periods < 1:
         raise ValueError("period counts must be at least 1")
+    burn_in_periods, measure_periods = int(burn_in_periods), \
+        int(measure_periods)
     field = SinusoidalField(hx0=1.0, epsilon=epsilon, omega=omega)
     T = field.period
     if dt is None:

@@ -20,7 +20,7 @@ from magswim.brackets import (
     equilibrium_identities,
     lie_rank,
 )
-from magswim.dynamics import control_fields, rhs
+from magswim.dynamics import _load_core, rhs
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -32,10 +32,14 @@ class TestControlVectorFields:
                       [0.0, 0.0, -1.1, 0.6, 0.4],
                       [2.0, 1.0, 0.0, -0.5, 0.9]):
             x = np.array(state)
-            cf = control_fields(Configuration.from_array(x), CANON)
-            np.testing.assert_allclose(system.f0(x), cf.f0, atol=1e-13)
-            np.testing.assert_allclose(system.fx(x), cf.fx, atol=1e-13)
-            np.testing.assert_allclose(system.fy(x), cf.fy, atol=1e-13)
+            # Mh f0 = elastic, Mh fx = -Mx, Mh fy = -My
+            Mh, elastic, Mx, My = _load_core(CANON)(*state[2:])
+            np.testing.assert_allclose(Mh @ system.f0(x), elastic,
+                                       atol=1e-13)
+            np.testing.assert_allclose(Mh @ system.fx(x), np.negative(Mx),
+                                       atol=1e-13)
+            np.testing.assert_allclose(Mh @ system.fy(x), np.negative(My),
+                                       atol=1e-13)
 
     def test_affine_reconstruction(self):
         system = control_vector_fields(CANON)

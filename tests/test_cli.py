@@ -139,28 +139,35 @@ directory = {out}""")
 
 
 class TestSolverEcho:
-    """A report echoes the solver settings its command reads, and no
-    other; ``displacement``: ``test_report_echoes_only_the_solver_keys_run``.
+    """A report echoes the initial state, the field and the solver
+    settings its command reads, and no other; ``displacement`` with
+    ``t_final`` set: ``test_report_echoes_only_the_solver_keys_run``.
     """
 
-    @pytest.mark.parametrize("command, echoed", [
-        ("controllability", {}),
-        ("linearize", {}),
-        ("sweep", {}),
-        ("symmetry", {"dt": 0.02, "t_final": 1.0})],
-        ids=["controllability", "linearize", "sweep", "symmetry"])
-    def test_report(self, tmp_path, capsys, command, echoed):
+    @pytest.mark.parametrize("command, sections, echoed", [
+        ("controllability", set(), {}),
+        ("linearize", {"field"}, {}),
+        ("sweep", {"field"}, {}),
+        ("symmetry", {"initial", "field"}, {"dt": 0.02, "t_final": 1.0}),
+        ("displacement", {"initial", "field"},
+         {"dt": 0.02, "burn_in_periods": 2, "measure_periods": 3})],
+        ids=["controllability", "linearize", "sweep", "symmetry",
+             "displacement"])
+    def test_report(self, tmp_path, capsys, command, sections, echoed):
         import json
         cfg = write_config(tmp_path, SOLVER_ECHO.format(out=tmp_path))
         report = tmp_path / "report.json"
         main([command, "--config", cfg, "--json", str(report)])
-        assert json.loads(report.read_text())["solver"] == echoed
+        payload = json.loads(report.read_text())
+        assert payload.keys() & {"initial", "field"} == sections
+        assert payload["solver"] == echoed
 
     def test_simulate_trajectory_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SOLVER_ECHO.format(out=tmp_path)
                            + "formats = jsonl\n")
         assert main(["simulate", "--config", cfg]) == 0
         _, header = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
+        assert header.keys() & {"initial", "field"} == {"initial", "field"}
         assert header["solver"] == {"dt": 0.02, "t_final": 1.0,
                                     "dt_resolved": 0.02}
 
@@ -519,19 +526,21 @@ TRANSCRIPT = {
 # and symmetry: dt and t_final; displacement: dt and the period counts;
 # linearize, sweep and controllability: none); controllability and
 # validate by the body-frame rank with an exact theta derivative (gap45
-# and the [fx, fy] stencil residual)
+# and the [fx, fy] stencil residual); the linearize, sweep and
+# controllability reports by dropping the echo of the initial state, which
+# none of them reads, and controllability's by dropping the field echo too
 FROZEN_TRANSCRIPT = {
-    "controllability_default": (0, 'd6f63cd9ec49f4df9945b55158e58e70653e159fda6dcf7200fcfedc68680b74'),
-    "controllability_thetas": (0, 'bf75ea95c1d07ab6d9f50e3f8f8e37f5318330a4403d7e2295f0336b594b76c0'),
+    "controllability_default": (0, 'f1b2446468aa05d290647dd91fb9e742c95dd53a6fea1865eaf9ce04e6f037e7'),
+    "controllability_thetas": (0, '0b7695632452d63e29ffbd36a0493c48c7c7c3f878eaea81e5faf59809f0a6ec'),
     "displacement_config": (0, 'bbfaa7826cc05dba19b47d904491c5a2e14586af185488e8166bc2cbb4f42ef2'),
     "displacement_flags": (0, 'e62797cdce2423e557ac4e7119784d4e68cd6664501a1f0afefc1a279528ea6f'),
-    "linearize_no_pattern": (0, 'cca35e6e66c47d4ff6434269128520f3e12f9377c1e8d6127c651b0e91cda527'),
-    "linearize_pattern": (0, '9458f41697b11db54d6e5dc7509fe1addcf2abb150033bd8954103ff5c8cb711'),
+    "linearize_no_pattern": (0, 'e507e9f3b7789933080633684231a4f4c07ae5e98f300298a70889b73f5732f5'),
+    "linearize_pattern": (0, '292520cfc6b7382556f0d7c6fa0601811fe1b1a0f870b53aa887e93649e3bc75'),
     "simulate_constant_jsonl": (0, '8007af4bb5671f2b6864be4d186533a40c9542b328ef38dcb2bcfc1aec1c90dc'),
     "simulate_tabulated": (0, '0931610a7c6b0a922e53829b2faa69880a95c9b8c20c729a136c399e7f5821d3'),
-    "sweep_boundary": (0, '26197278d79c5ade44790068ab98e510e52739b1d3373719f0dfec00ce9ca1a8'),
-    "sweep_default": (0, '44bad62063d2b95b63757d1238536e3616a041a36f0857540ba0661bb6100bb7'),
-    "sweep_error_record": (1, '45e66de0356fed6c941de5ee9b5467122ddfe3555f332cf2285dd5e5506030ba'),
+    "sweep_boundary": (0, 'fc50d8072a720488b7113d12217c5cceb10cee528dcd11d5d54b669280d5078d'),
+    "sweep_default": (0, '67047c029d5004d1692fd0a463d79b63263155de2cde498fe4f1809d10359cb1'),
+    "sweep_error_record": (1, '752497c3396ee4d3ebde8c16a4a876eabcc932fa67d9af8ba473a6bd844f58c4'),
     "symmetry": (0, 'bdff3a898356523621aa95e3e22ef14ec3d3ae30d6fb20a7e0a89fd63efbc726'),
     "validate": (0, 'f00cfb5a7d65f1e53828c63e12a0a4f92b17a1549cdb0b8987fc8ccaf4b50c5c'),
 }

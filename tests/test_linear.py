@@ -514,6 +514,17 @@ class TestFrequencySweep:
         with pytest.raises(ValueError):
             frequency_sweep(CANON, 1.0, 0.5)
 
+    @pytest.mark.parametrize("n_grid", [64.0, 16.5, True, "64"])
+    def test_rejects_a_grid_size_that_is_not_an_integer(self, n_grid):
+        # 64.0 used to escape as numpy's TypeError from the grid
+        with pytest.raises(ValueError, match="n_grid must be an integer"):
+            frequency_sweep(CANON, 1e-2, 1e2, n_grid)
+
+    def test_accepts_a_numpy_integer_grid_size(self):
+        assert sweep_digest(frequency_sweep(CANON, 1e-1, 1e1,
+                                            np.int64(16))) == \
+            sweep_digest(frequency_sweep(CANON, 1e-1, 1e1, 16))
+
 
 def seeded_swimmer(seed):
     """A head-asymmetric swimmer drawn from ``seed``: heavy head, slender

@@ -226,6 +226,26 @@ class TestDisplacementPerPeriod:
             displacement_per_period(CANON, Configuration.straight(),
                                     1e-2, 1.0, burn_in_periods=0)
 
+    @pytest.mark.parametrize("counts", [
+        {"burn_in_periods": 2.5}, {"burn_in_periods": 2.0},
+        {"burn_in_periods": True}, {"measure_periods": 1.0},
+        {"measure_periods": False}, {"measure_periods": "1"}],
+        ids=["burn_in_fraction", "burn_in_float", "burn_in_bool",
+             "measure_float", "measure_bool", "measure_str"])
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        # a float count used to escape as range()'s TypeError, and True
+        # ran as one period
+        with pytest.raises(ValueError, match="must be integers"):
+            displacement_per_period(CANON, Configuration.straight(), 1e-2,
+                                    2.0, dt=0.05, **counts)
+
+    def test_accepts_numpy_integer_counts(self):
+        args = (CANON, Configuration.straight(), 1e-2, 2.0)
+        assert displacement_per_period(
+            *args, burn_in_periods=np.int64(1), measure_periods=np.int32(1),
+            dt=0.05) == displacement_per_period(
+            *args, burn_in_periods=1, measure_periods=1, dt=0.05)
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
     def test_rejects_bad_step(self, dt):
         # a non-positive or infinite step used to plan zero steps and
