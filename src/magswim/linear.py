@@ -342,21 +342,48 @@ def displacement_model(params: SwimmerParams) -> _QuadraticModel:
                            neg_a=(-a).astype(complex), w=grad_gx - grad_gx.T)
 
 
-def _dx2_resolvent(model: _QuadraticModel, omega: float) -> float:
-    a_plus = _resolvent(model.neg_a, omega)
-    z = model.b @ (a_plus.T @ (model.w @ (a_plus.conj() @ model.b)))
+def _dx2_terms(model: _QuadraticModel, omega: float, a_plus: np.ndarray
+               ) -> tuple[float, float, float]:
+    """``dx2`` at ``omega`` and its first two ``omega``-derivatives, from the
+    resolvent ``a_plus = (-A + i omega I)^-1``.
+
+    With ``c = a_plus b``, ``e = a_plus c``, ``f = a_plus e`` and
+    ``d a_plus / d omega = -i a_plus^2``:
+    ``dx2 = (pi/2) Im(c^T w conj(c))``, ``dx2' = -pi Re(e^T w conj(c))``
+    and ``dx2'' = -pi Re(-2i f^T w conj(c) + i e^T w conj(e))``.  The
+    value's own product passes through ``v = a_plus^T w conj(c)``, so
+    ``e^T w conj(c) = c^T v`` and ``f^T w conj(c) = e^T v``; ``w`` is skew,
+    so ``e^T w conj(e) = -2i Re(e)^T w Im(e)``.
+    """
+    c_conj = a_plus.conj() @ model.b
+    v = a_plus.T @ (model.w @ c_conj)
+    z = model.b @ v
     # z is purely imaginary up to roundoff; its real part is a numerical
     # residue and must stay tiny
     if abs(z.real) > 1e-10 * max(1.0, abs(z.imag)):
         raise AnalysisError(
             f"resolvent quadratic form has real residue {z.real:.3e}")
-    return (2.0 * math.pi / omega) * (omega / 4.0) * float(z.imag)
+    c = c_conj.conj()
+    e = a_plus @ c
+    slope = -math.pi * float((c @ v).real)
+    curvature = -2.0 * math.pi * float(
+        (e @ v).imag + e.real @ (model.w @ e.imag))
+    value = (2.0 * math.pi / omega) * (omega / 4.0) * float(z.imag)
+    return value, slope, curvature
 
 
-def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray) -> np.ndarray:
-    """``_dx2_resolvent`` at each of the positive ``omegas``, to the bit: one
-    stacked inverse, then stacked products on column vectors, which numpy
-    hands to the same BLAS kernels as the scalar path's."""
+def _dx2_resolvent(model: _QuadraticModel, omega: float
+                   ) -> tuple[float, float, float]:
+    """``_dx2_terms`` at ``omega``, from one scalar inverse."""
+    return _dx2_terms(model, omega, _resolvent(model.neg_a, omega))
+
+
+def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The value of ``_dx2_resolvent`` at each of the positive ``omegas``,
+    to the bit, and the stacked resolvents: one stacked inverse, then
+    stacked products on column vectors, which numpy hands to the same BLAS
+    kernels as the scalar path's."""
     a_plus = _inverse(model.neg_a + omegas[:, None, None] * _IEYE)
     col = model.w @ (a_plus.conj() @ model.b[:, None])
     z = (model.b @ (a_plus.transpose(0, 2, 1) @ col))[:, 0]
@@ -365,19 +392,23 @@ def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray) -> np.ndarray:
     if bad.size:
         raise AnalysisError(f"resolvent quadratic form has real residue "
                             f"{z.real[bad[0]]:.3e}")
-    return (2.0 * math.pi / omegas) * (omegas / 4.0) * z.imag
+    return (2.0 * math.pi / omegas) * (omegas / 4.0) * z.imag, a_plus
 
 
 def _dx2_quadrature(model: _QuadraticModel, omega,
-                    samples: int = QUADRATURE_SAMPLES):
+                    samples: int = QUADRATURE_SAMPLES,
+                    a_plus: np.ndarray | None = None):
     """Time-domain value of ``dx2``: the trapezoid sum over one period of
     ``q . grad Gx . qdot`` along the steady orbit.
 
     ``omega`` is a scalar (a float comes back) or a 1-d array (an array of
-    the same length comes back).  With ``c = c_plus`` and the phase row
-    ``p_k = [cos, sin]`` of node k, ``q = p_k S`` with ``S = [Im c; Re c]``
-    and ``qdot = p_k R`` with ``R = omega [Re c; -Im c]``, so the integrand
-    is ``p_k (S grad Gx R^T) p_k^T``.  Its sum over the nodes is therefore
+    the same length comes back).  ``a_plus`` is the stack of resolvents
+    ``(-A + i omega I)^-1`` at ``omega`` when the caller has them already;
+    otherwise they are inverted here.  With ``c = a_plus b`` and the phase
+    row ``p_k = [cos, sin]`` of node k, ``q = p_k S`` with
+    ``S = [Im c; Re c]`` and ``qdot = p_k R`` with
+    ``R = omega [Re c; -Im c]``, so the integrand is
+    ``p_k (S grad Gx R^T) p_k^T``.  Its sum over the nodes is therefore
     ``S grad Gx R^T`` contracted with the nodes' 2x2 phase Gram matrix
     ``sum_k p_k^T p_k``: the same trapezoid sum, without forming the
     integrand node by node.
@@ -387,7 +418,9 @@ def _dx2_quadrature(model: _QuadraticModel, omega,
         raise ValueError("omega must be positive")
     gram = _PHASE_GRAM if samples == QUADRATURE_SAMPLES else \
         _phase_gram(samples)
-    c = _inverse(model.neg_a + flat[:, None, None] * _IEYE) @ model.b
+    if a_plus is None:
+        a_plus = _inverse(model.neg_a + flat[:, None, None] * _IEYE)
+    c = a_plus @ model.b
     shape_coef = np.stack([c.imag, c.real], axis=1)
     rate_coef = flat[:, None, None] * np.stack([c.real, -c.imag], axis=1)
     form = shape_coef @ model.grad_gx @ rate_coef.transpose(0, 2, 1)
@@ -398,15 +431,17 @@ def _dx2_quadrature(model: _QuadraticModel, omega,
     return float(values[0]) if np.ndim(omega) == 0 else values
 
 
-def _guard(model: _QuadraticModel, omegas, values) -> float:
-    """Check resolvent values against the quadrature at their frequencies.
+def _guard(model: _QuadraticModel, omegas, values,
+           a_plus: np.ndarray | None = None) -> float:
+    """Check resolvent values against the quadrature at their frequencies
+    (whose resolvents ``a_plus`` the quadrature reuses when given).
 
     Raises for the first frequency whose gap exceeds
     ``1e-8 max(1, |quadrature|)`` or is NaN; otherwise returns the largest
     relative gap ``|resolvent - quadrature| / max(1, |quadrature|)``.
     """
     omegas = np.asarray(omegas, dtype=float)
-    quad = _dx2_quadrature(model, omegas)
+    quad = _dx2_quadrature(model, omegas, a_plus=a_plus)
     gaps = np.abs(np.asarray(values, dtype=float) - quad)
     scales = np.maximum(1.0, np.abs(quad))
     bad = np.flatnonzero(~(gaps <= 1e-8 * scales))
@@ -431,7 +466,7 @@ def net_displacement_quadratic(params: SwimmerParams, omega: float,
     """
     if model is None:
         model = displacement_model(params)
-    value = _dx2_resolvent(model, omega)
+    value = _dx2_resolvent(model, omega)[0]
     _guard(model, [omega], [value])
     return value
 
@@ -444,9 +479,10 @@ class DisplacementCurve:
     boundary the refinement is skipped and ``boundary`` is set.
     ``near_zero`` flags curves that vanish to roundoff (equal-coefficient
     swimmers cannot translate at this order).  ``evaluations`` counts the
-    frequencies the sweep evaluated (grid, refinement and ``omega_star``),
-    and ``path_gap`` is the largest relative gap between the resolvent and
-    quadrature values over all of them.
+    frequencies the sweep evaluated: the grid, the Newton iterates of the
+    refinement (none on the boundary or near-zero paths) and
+    ``omega_star``.  ``path_gap`` is the largest relative gap between the
+    resolvent and quadrature values over all of them.
     """
 
     omegas: np.ndarray
@@ -459,23 +495,41 @@ class DisplacementCurve:
     evaluations: int
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal bracket."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _newton_peak(evaluate, omegas: np.ndarray, peak: int,
+                 terms: tuple[float, float, float]) -> float:
+    """The stationary point of ``|dx2|`` next to the interior grid peak.
+
+    ``terms`` are ``_dx2_terms`` at ``omegas[peak]``.  With ``s`` the sign
+    of ``dx2`` there, the slope ``s dx2'`` falls through zero in the grid
+    cell on the side it points to, which is the first bracket.  Each step
+    is a Newton step on that slope, or the bracket's midpoint when the
+    Newton step would leave the bracket or ``s dx2''`` is not negative;
+    each point evaluated (``evaluate`` returns its terms) becomes the
+    bracket end on its side.  Once a step is below 1e-9 of ``omega`` the
+    point it reaches is returned: Newton converges quadratically, so that
+    point is far closer than 1e-9 to the root.
+    """
+    sign = math.copysign(1.0, terms[0])
+    omega = float(omegas[peak])
+    if sign * terms[1] > 0.0:
+        lo, hi = omega, float(omegas[peak + 1])
+    else:
+        lo, hi = float(omegas[peak - 1]), omega
+    while True:
+        _, slope, curvature = terms
+        step = -slope / curvature if sign * curvature < 0.0 else math.nan
+        # a Newton step from a bracket end points into the bracket; one
+        # below the tolerance may round back onto that end
+        if not (abs(step) < 1e-9 * omega or lo < omega + step < hi):
+            step = 0.5 * (lo + hi) - omega
+        if abs(step) < 1e-9 * omega:
+            return omega + step
+        omega += step
+        terms = evaluate(omega)
+        if sign * terms[1] > 0.0:
+            lo = omega
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            hi = omega
 
 
 def frequency_sweep(params: SwimmerParams, omega_min: float,
@@ -484,11 +538,13 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
 
     ``dx2`` comes from the resolvent expression, over the whole grid in one
     batch (``_dx2_grid``); the peak of ``|dx2|`` is then refined, one
-    frequency at a time, by golden section inside its bracketing grid
-    cell to 1e-6 relative.  Every frequency evaluated on
-    the way is recorded, and at the end the quadrature guard of
-    ``net_displacement_quadratic`` checks all of them in one batch,
-    raising for the first (in visiting order) whose two paths disagree.
+    frequency at a time, by a safeguarded Newton iteration on the exact
+    ``omega``-slope of ``dx2`` inside the grid cell that brackets it
+    (``_newton_peak``), typically 2-4 points before ``omega_star``.  Every
+    frequency evaluated on the way is recorded, and at the end the
+    quadrature guard of ``net_displacement_quadratic`` checks all of them
+    in one batch, reusing the grid's resolvents, and raises for the first
+    (in visiting order) whose two paths disagree.
     """
     if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
         raise ValueError("omega_min and omega_max must be finite")
@@ -501,13 +557,16 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     model = displacement_model(params)
     omegas = np.logspace(math.log10(omega_min), math.log10(omega_max),
                          n_grid)
-    dx2 = _dx2_grid(model, omegas)
-    visited, values = omegas.tolist(), dx2.tolist()
+    dx2, grid_resolvents = _dx2_grid(model, omegas)
+    visited, values, resolvents_seen = omegas.tolist(), dx2.tolist(), []
 
-    def evaluate(w: float) -> float:
+    def evaluate(w: float) -> tuple[float, float, float]:
+        a_plus = _resolvent(model.neg_a, w)
+        terms = _dx2_terms(model, w, a_plus)
         visited.append(w)
-        values.append(_dx2_resolvent(model, w))
-        return values[-1]
+        values.append(terms[0])
+        resolvents_seen.append(a_plus)
+        return terms
 
     peak = int(np.argmax(np.abs(dx2)))
     scale = float(np.max(np.abs(dx2)))
@@ -522,11 +581,12 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
             "frequency range", stacklevel=2)
         omega_star = float(omegas[peak])
     else:
-        omega_star = _golden_max(
-            lambda w: abs(evaluate(w)),
-            float(omegas[peak - 1]), float(omegas[peak + 1]))
-    dx2_star = evaluate(omega_star)
-    path_gap = _guard(model, visited, values)
+        omega_star = _newton_peak(
+            evaluate, omegas, peak,
+            _dx2_terms(model, float(omegas[peak]), grid_resolvents[peak]))
+    dx2_star = evaluate(omega_star)[0]
+    path_gap = _guard(model, visited, values, np.concatenate(
+        [grid_resolvents, resolvents_seen]))
     return DisplacementCurve(
         omegas=omegas, dx2=dx2, omega_star=omega_star, dx2_star=dx2_star,
         boundary=boundary, near_zero=near_zero, path_gap=path_gap,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -105,13 +106,37 @@ def write_trajectory_jsonl(traj: Trajectory, path: str | Path,
             raise MagswimError(
                 f"metadata keys collide with header: {sorted(overlap)}")
         header.update(metadata)
+    # one dumps call over every row: rows hold numbers only, so "], ["
+    # is exactly where one row ends and the next begins
+    body = json.dumps(_rows(traj))[1:-1].replace("], [", "]\n[")
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(json.dumps(row) + "\n" for row in _rows(traj))
+        if body:
+            fh.write(body + "\n")
+
+
+def _row_error(row: Any) -> str | None:
+    """Why a decoded JSONL record is not a sample: ``None`` for a list of
+    ``len(TRAJECTORY_COLUMNS)`` JSON numbers that are doubles (bools are
+    not numbers; an integer beyond the double range is not a double)."""
+    if not isinstance(row, list):
+        return f"expected a JSON array, got {json.dumps(row)}"
+    if len(row) != len(TRAJECTORY_COLUMNS):
+        return (f"expected {len(TRAJECTORY_COLUMNS)} fields, "
+                f"got {len(row)}")
+    for value in row:
+        if type(value) is not float and (
+                type(value) is not int or abs(value) > sys.float_info.max):
+            return f"expected a number, got {json.dumps(value)}"
+    return None
 
 
 def read_trajectory_jsonl(path: str | Path
                           ) -> tuple[Trajectory, dict[str, Any]]:
+    """The samples and the metadata record of a ``write_trajectory_jsonl``
+    file.  Each non-blank line after the metadata must be one array of
+    ``len(TRAJECTORY_COLUMNS)`` JSON numbers; anything else raises
+    ``MagswimError("path:lineno: ...")`` for the first line at fault."""
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -123,19 +148,26 @@ def read_trajectory_jsonl(path: str | Path
         if not isinstance(header, dict) or header.get("format") != \
                 JSONL_FORMAT:
             raise MagswimError(f"{path}: not a {JSONL_FORMAT} file")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=2)
+                 if not line.isspace()]
+    # one loads call over every line; the line-by-line pass runs only to
+    # name the line at fault
+    try:
+        rows = json.loads("[" + ",".join([line for _, line in lines]) + "]")
+    except json.JSONDecodeError:
+        rows = None
+    # a line that does not open with "[" may hold a part of a sample, or
+    # more than one; the line-by-line pass decides
+    if rows is None or len(rows) != len(lines) or \
+            any(map(_row_error, rows)) or \
+            any(line[0] != "[" for _, line in lines):
+        for lineno, line in lines:
             try:
-                row = json.loads(line)
+                error = _row_error(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise MagswimError(f"{path}:{lineno}: {exc}") from exc
-            if len(row) != len(TRAJECTORY_COLUMNS):
-                raise MagswimError(
-                    f"{path}:{lineno}: expected "
-                    f"{len(TRAJECTORY_COLUMNS)} fields, got {len(row)}")
-            rows.append([float(v) for v in row])
+                error = str(exc)
+            if error:
+                raise MagswimError(f"{path}:{lineno}: {error}")
     if len(rows) != header.get("rows"):
         raise MagswimError(
             f"{path}: header promises {header.get('rows')} rows, "

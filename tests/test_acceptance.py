@@ -138,7 +138,7 @@ def test_criterion_04_two_displacement_paths_agree(param_sets):
     for params in param_sets:
         model = displacement_model(params)
         for omega in freqs:
-            res = _dx2_resolvent(model, float(omega))
+            res = _dx2_resolvent(model, float(omega))[0]
             quad = _dx2_quadrature(model, float(omega))
             worst = max(worst, abs(res - quad) / max(1.0, abs(quad)))
     _report(4, worst <= 1e-8,

@@ -292,16 +292,16 @@ directory = {tmp_path}
                                                     monkeypatch):
         import json
         import magswim.linear
-        real = magswim.linear._golden_max
+        real = magswim.linear._newton_peak
         refinement = []
 
-        def counted(f, lo, hi, *args, **kwargs):
+        def counted(evaluate, *args, **kwargs):
             def g(w):
                 refinement.append(w)
-                return f(w)
-            return real(g, lo, hi, *args, **kwargs)
+                return evaluate(w)
+            return real(g, *args, **kwargs)
 
-        monkeypatch.setattr(magswim.linear, "_golden_max", counted)
+        monkeypatch.setattr(magswim.linear, "_newton_peak", counted)
         cfg = write_config(tmp_path, f"""
 [analysis]
 omega_min = 0.3
@@ -317,11 +317,25 @@ directory = {tmp_path}
         out = capsys.readouterr().out
         results = json.loads(report.read_text())["results"]
         assert 0.0 <= results["path_gap"] <= 1e-8
-        # the grid, the golden-section points and omega_star itself
+        # the grid, the Newton iterates and omega_star itself
         assert refinement
         assert results["evaluations"] == 16 + len(refinement) + 1
         assert (f"path_gap {results['path_gap']!r} "
                 f"evaluations {results['evaluations']}") in out
+
+    def test_default_peak_within_golden_bound(self, tmp_path):
+        # the golden section placed the default peak at omega_star
+        # 0.9315710808648037, dx2_star 0.03758248655751319, to 1e-6
+        # relative; dx2 is flat at the peak, so the Newton value may not
+        # fall below that but for rounding
+        import json
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", "--output-dir", str(tmp_path),
+                     "--json", str(report)]) == 0
+        results = json.loads(report.read_text())["results"]
+        assert abs(results["omega_star"] - 0.9315710808648037) <= \
+            1e-6 * 0.9315710808648037
+        assert results["dx2_star"] >= 0.03758248655751319 * (1.0 - 1e-14)
 
     @pytest.mark.parametrize("flag,value", [("--omega-max", "inf"),
                                             ("--omega-max", "nan"),
@@ -528,7 +542,9 @@ TRANSCRIPT = {
 # validate by the body-frame rank with an exact theta derivative (gap45
 # and the [fx, fy] stencil residual); the linearize, sweep and
 # controllability reports by dropping the echo of the initial state, which
-# none of them reads, and controllability's by dropping the field echo too
+# none of them reads, and controllability's by dropping the field echo too;
+# sweep_default by the Newton peak refinement (omega_star, dx2_star,
+# path_gap and evaluations; the grid and sweep.csv kept their bytes)
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, 'f1b2446468aa05d290647dd91fb9e742c95dd53a6fea1865eaf9ce04e6f037e7'),
     "controllability_thetas": (0, '0b7695632452d63e29ffbd36a0493c48c7c7c3f878eaea81e5faf59809f0a6ec'),
@@ -539,7 +555,7 @@ FROZEN_TRANSCRIPT = {
     "simulate_constant_jsonl": (0, '8007af4bb5671f2b6864be4d186533a40c9542b328ef38dcb2bcfc1aec1c90dc'),
     "simulate_tabulated": (0, '0931610a7c6b0a922e53829b2faa69880a95c9b8c20c729a136c399e7f5821d3'),
     "sweep_boundary": (0, 'fc50d8072a720488b7113d12217c5cceb10cee528dcd11d5d54b669280d5078d'),
-    "sweep_default": (0, '67047c029d5004d1692fd0a463d79b63263155de2cde498fe4f1809d10359cb1'),
+    "sweep_default": (0, '89f9c07db32250f8d788b89c816541d7eb3b85821ffb8e17a8d4a34939ab7d1b'),
     "sweep_error_record": (1, '752497c3396ee4d3ebde8c16a4a876eabcc932fa67d9af8ba473a6bd844f58c4'),
     "symmetry": (0, 'bdff3a898356523621aa95e3e22ef14ec3d3ae30d6fb20a7e0a89fd63efbc726'),
     "validate": (0, 'f00cfb5a7d65f1e53828c63e12a0a4f92b17a1549cdb0b8987fc8ccaf4b50c5c'),

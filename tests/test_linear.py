@@ -30,6 +30,7 @@ from magswim.linear import (
     _dx2_grid,
     _dx2_quadrature,
     _dx2_resolvent,
+    _newton_peak,
 )
 from magswim.model import SinusoidalField
 from magswim.simulate import integrate
@@ -410,12 +411,16 @@ class TestFrequencySweep:
         assert np.max(np.abs(sw.dx2)) < 1e-12
 
     def test_outputs_are_frozen(self):
-        # values as the sweep produced them before its quadrature guard was
-        # batched; the returned numbers come from the resolvent alone, so
-        # they must not move by a single bit
+        # the grid as the sweep produced it before its quadrature guard was
+        # batched, the peak as the Newton refinement places it; the
+        # returned numbers come from the resolvent alone, so they must not
+        # move by a single bit
         sw = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16)
-        assert sw.omega_star == 0.6200599044339132
-        assert sw.dx2_star == 0.032026960542143434
+        assert sw.omega_star == 0.6200600334506731
+        assert sw.dx2_star == 0.032026960542144156
+        # the golden section's peak, 1e-6 wide, bounds the new one
+        assert_peak_within_golden_bound(sw, 0.6200599044339132,
+                                        0.032026960542143434)
         assert sw.dx2.tolist() == [
             0.009981438730766193, 0.01329028938373455, 0.017406715218230437,
             0.022165065949740152, 0.026970954424814172, 0.030693592656634485,
@@ -427,14 +432,15 @@ class TestFrequencySweep:
 
     def test_guard_covers_refinement_points(self, monkeypatch):
         grid = set(np.logspace(-2.0, 2.0, 64).tolist())
-        real = magswim.linear._dx2_resolvent
+        real = magswim.linear._dx2_terms
 
-        def off_grid_skewed(model, omega):
-            value = real(model, omega)
-            return value if float(omega) in grid else value * (1 + 1e-6)
+        def off_grid_skewed(model, omega, a_plus):
+            value, slope, curvature = real(model, omega, a_plus)
+            if float(omega) not in grid:
+                value *= 1 + 1e-6
+            return value, slope, curvature
 
-        monkeypatch.setattr(magswim.linear, "_dx2_resolvent",
-                            off_grid_skewed)
+        monkeypatch.setattr(magswim.linear, "_dx2_terms", off_grid_skewed)
         with pytest.raises(AnalysisError, match="paths disagree"):
             frequency_sweep(CANON, 1e-2, 1e2, 64)
 
@@ -445,8 +451,9 @@ class TestFrequencySweep:
         real = magswim.linear._dx2_grid
 
         def one_point_skewed(model, omegas):
-            values = real(model, omegas)
-            return np.where(omegas == target, values * (1 + 1e-6), values)
+            values, a_plus = real(model, omegas)
+            return np.where(omegas == target, values * (1 + 1e-6),
+                            values), a_plus
 
         monkeypatch.setattr(magswim.linear, "_dx2_grid", one_point_skewed)
         with pytest.raises(AnalysisError,
@@ -459,7 +466,8 @@ class TestFrequencySweep:
         real = magswim.linear._dx2_grid
 
         def one_point_nan(model, omegas):
-            return np.where(omegas == target, math.nan, real(model, omegas))
+            values, a_plus = real(model, omegas)
+            return np.where(omegas == target, math.nan, values), a_plus
 
         monkeypatch.setattr(magswim.linear, "_dx2_grid", one_point_nan)
         with pytest.raises(AnalysisError,
@@ -475,8 +483,8 @@ class TestFrequencySweep:
             if seed is None else seeded_swimmer(seed)
         model = displacement_model(params)
         grid = np.logspace(-2.0, 2.0, n_grid)
-        loop = np.array([_dx2_resolvent(model, w) for w in grid])
-        assert _dx2_grid(model, grid).tobytes() == loop.tobytes()
+        loop = np.array([_dx2_resolvent(model, w)[0] for w in grid])
+        assert _dx2_grid(model, grid)[0].tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_grid_raises_for_the_first_residue(self, order):
@@ -499,8 +507,8 @@ class TestFrequencySweep:
     def test_reports_guard_gap_and_evaluations(self):
         sw = frequency_sweep(CANON, 1e-2, 1e2, 64)
         assert 0.0 <= sw.path_gap <= 1e-8
-        # 64 grid points, 29 golden-section points and omega_star
-        assert sw.evaluations == 94
+        # 64 grid points, 3 Newton iterates and omega_star
+        assert sw.evaluations == 68
 
     @pytest.mark.parametrize("bounds", [(1e-2, math.inf), (math.nan, 1e2),
                                         (1e-2, math.nan), (-math.inf, 1e2)])
@@ -526,6 +534,35 @@ class TestFrequencySweep:
             sweep_digest(frequency_sweep(CANON, 1e-1, 1e1, 16))
 
 
+class TestNewtonPeak:
+    """``_newton_peak`` on a narrow Gaussian peak of either sign, whose
+    curvature has the wrong sign at the grid peak and one cell further:
+    the safeguard must bisect there, and Newton steps finish the job."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bisects_where_the_curvature_has_the_wrong_sign(self, sign):
+        center, width = 1.047, 0.02
+
+        def terms(w):
+            u = (w - center) / width
+            g = sign * math.exp(-u * u)
+            return (g, -2.0 * u / width * g,
+                    (4.0 * u * u - 2.0) / width ** 2 * g)
+
+        seen = []
+
+        def evaluate(w):
+            seen.append(w)
+            return terms(w)
+
+        omega = _newton_peak(evaluate, np.array([0.9, 1.0, 1.2]), 1,
+                             terms(1.0))
+        assert omega == pytest.approx(center, rel=1e-12)
+        # the midpoints of [1.0, 1.2] and [1.0, 1.1] come first
+        assert seen[:2] == [1.1, 1.05]
+        assert all(1.0 < w < 1.2 for w in seen)
+
+
 def seeded_swimmer(seed):
     """A head-asymmetric swimmer drawn from ``seed``: heavy head, slender
     links, strongly stable straight state."""
@@ -533,6 +570,17 @@ def seeded_swimmer(seed):
     return SwimmerParams(1.0, (rng.uniform(0.6, 0.9), 0.5, 0.5),
                          (rng.uniform(1.6, 2.6), 1.0, 1.0),
                          rng.uniform(0.7, 1.5), rng.uniform(0.7, 1.5))
+
+
+def assert_peak_within_golden_bound(sw, omega_star, dx2_star):
+    """The Newton peak against the golden section's: within 1e-6 relative
+    of its ``omega_star``, and ``|dx2_star|`` no smaller than its own but
+    for the rounding of the value near the peak.  The value is flat there:
+    within 5e-12 of the peak it spreads up to 1e-14 relative from
+    rounding alone, while the golden section's 1e-6 offset lowers it by
+    less than 1e-12."""
+    assert abs(sw.omega_star - omega_star) <= 1e-6 * omega_star
+    assert abs(sw.dx2_star) >= abs(dx2_star) * (1.0 - 1e-14)
 
 
 def sweep_digest(sw):
@@ -545,27 +593,48 @@ def sweep_digest(sw):
 
 
 class TestFrozenSweepDigests:
-    """Sweep outputs as the node-by-node quadrature guard and the
-    ``np.linalg.inv`` resolvent produced them.  Only ``path_gap`` depends
-    on how the guard sums its nodes, so every other output is pinned."""
+    """Sweep outputs as the Newton refinement places the peak, on the grid
+    that the node-by-node quadrature guard and the ``np.linalg.inv``
+    resolvent produced.  Only ``path_gap`` depends on how the guard sums
+    its nodes, so every other output is pinned."""
 
     SWEEPS = {
-        (1, 64): "d203dbc8ccb3f9b98544ef15c6cb4c2617ce3d7befdc3780ddcde3e718e42e78",
-        (1, 128): "f1a83dd0e91250630ee1e3e6abac44a5dc4e35549bf94288249cde29d9d781c1",
-        (2, 64): "4098460bb4f2a2125de0dd59ff0e2426258f2aeaa4e8663b0816b9e39c0cea4b",
-        (2, 128): "077b7e20d7b73ade67e9916e75651951df2035f8a814172d26f5eb527ca9da5d",
-        (3, 64): "310f023cb9aa59ae1ef803066c2ba42c37467790a4f1f1274acbec3183b3d6a2",
-        (3, 128): "e914bacc56cb4343b737c514444a49e280666ff15de098e91ce3b612d7496649",
-        (4, 64): "2e9496decd997c2a5d7a089b6597f02c4a437ed7c3ac45574674a3152c226e5e",
-        (4, 128): "9ec59032c4b253d833cd81c501c4ab0c3b491745aa11dce83dea06ddbff6c5a4",
-        (5, 64): "f104d611b0a02b382cbf4fa9d0fce3cdab0f037ae7f66195d1ce1820ebe54a71",
-        (5, 128): "48d38e740535d8d104883f6c1983b39aeb38a9f2b542aa6180abfb1c40b4122c",
-        (6, 64): "cdb8fd0599b9eeee2b975c4958193d9f4dc0f848702575b1cf579ddee2a44fdd",
-        (6, 128): "c57d0a2116d099d4499e5e54024bf5cb4cfecfefc8aa89d1d8f9e1377b1edd79",
-        (7, 64): "731efdb5a83042384e13562efd411555d9932cb37256374881f5175038fe9369",
-        (7, 128): "4b138945070533cc8c1cf49cfcf62a325ea4b740cffa1a8ed9c9614e62087338",
-        (8, 64): "6f5149c0b3e2673023cfafadadf00446f6b754844906e8e784b85a5a1118492b",
-        (8, 128): "9b7f44973f542880fc9d64c5a641a3340bada7fbabb48b005f54b1d60720a2a9",
+        (1, 64): "035b7d8318ea362b2521d2dc44b76352c7f85af18b11d409d8c69240cfaf4111",
+        (1, 128): "1fdedcd2cc9fd60a0364e8970a023c76f502e77a10732ec0c940c4caf5662036",
+        (2, 64): "36f020ba65d96e563084962b3354aed912da9403f2c5b1698a1975823abecbf5",
+        (2, 128): "90e5389cf66c2b36a08a9d530dbc20629d3f7af86365afddfba14a829aaac902",
+        (3, 64): "1d905c4c99195fa81425d031eb7ffa302fdd17169f507a2423d91ae0f00a0aa7",
+        (3, 128): "16c1ded75d9404e57902fd4499e810a0c11415357ae79b3b684b2cbd74ba22ba",
+        (4, 64): "81c65da8a718396af012a0e992618593bbd83bd0d6498f6d00879a77d01247ec",
+        (4, 128): "68c3c246cfe76d5940834afb99ea6f4c8f6de4a189c7d87e7f74b19f36d9b8c6",
+        (5, 64): "f1532689a9071fdba1d4b3f50deb38927f26f1b50d9283eaddfb9d07160e7227",
+        (5, 128): "9f00f26d9c5d7f6fd98642f12a6433681c7639418d6e0cf8bc4c20c4393b4b0c",
+        (6, 64): "b57c951bec0dddd73d1e2957940f40dfd6e8f842ce66b5b6b63ee2c3187f7fe3",
+        (6, 128): "b8828211c8fe260e9f3162cf6105c2e8ba45479da40791045ff61ab413a17ad0",
+        (7, 64): "0ec1d8497d69c7cf0be9f09c2d8e7df98ac70e56b83654c33499cd7cac14733e",
+        (7, 128): "f4ad9aeec2971be4aabf832855275c821582d5a26b2f6330e5a0f4fee439b612",
+        (8, 64): "4f0ef5be19e7a245aa4fdf8d425bf93ef37fc98835eea25d5410549bafb28881",
+        (8, 128): "103bd847a56a01dfbb74a9b3e5341141db7f263f1586003202f578aaed6d85c7",
+    }
+    # (omega_star, dx2_star) of the golden section that placed the peak
+    # before, to 1e-6 relative
+    GOLDEN = {
+        (1, 64): (0.7832598664189729, 0.049338130806697196),
+        (1, 128): (0.7832597757570863, 0.0493381308066977),
+        (2, 64): (0.6474690130660008, 0.05538414494262902),
+        (2, 128): (0.6474691549927747, 0.05538414494262724),
+        (3, 64): (1.060993217924033, 0.04429678927515277),
+        (3, 128): (1.0609930103218363, 0.04429678927515222),
+        (4, 64): (0.8269339716471611, 0.025124749371437643),
+        (4, 128): (0.8269341891293625, 0.025124749371437584),
+        (5, 64): (1.2642809736405658, 0.050351223297507075),
+        (5, 128): (1.2642807062433323, 0.05035122329750583),
+        (6, 64): (0.7874985213932141, 0.048431196939090544),
+        (6, 128): (0.7874985470341831, 0.048431196939090815),
+        (7, 64): (0.7580201150156745, 0.024228866607012994),
+        (7, 128): (0.7580202554963875, 0.024228866607012758),
+        (8, 64): (1.043328551720466, 0.06439930996031787),
+        (8, 128): (1.0433285299497086, 0.06439930996031792),
     }
 
     @pytest.mark.parametrize("seed,n_grid", sorted(SWEEPS))
@@ -574,6 +643,41 @@ class TestFrozenSweepDigests:
         assert not sw.boundary and not sw.near_zero
         assert 0.0 <= sw.path_gap <= 1e-8
         assert sweep_digest(sw) == self.SWEEPS[seed, n_grid]
+        assert_peak_within_golden_bound(sw, *self.GOLDEN[seed, n_grid])
+
+    @pytest.mark.parametrize("seed,n_grid", sorted(SWEEPS))
+    def test_seeded_peak_is_stationary(self, seed, n_grid):
+        params = seeded_swimmer(seed)
+        sw = frequency_sweep(params, 1e-2, 1e2, n_grid)
+        _, slope, _ = _dx2_resolvent(displacement_model(params),
+                                     sw.omega_star)
+        assert abs(slope) * sw.omega_star <= 1e-12 * abs(sw.dx2_star)
+        assert net_displacement_quadratic(params, sw.omega_star) == \
+            sw.dx2_star
+
+    @pytest.mark.parametrize("seed,n_grid", sorted(SWEEPS))
+    def test_iterates_stay_in_the_bracket_cell(self, seed, n_grid,
+                                               monkeypatch):
+        # the first terms are the grid peak's; the sign of dx2 times its
+        # slope there names the cell, which holds every later point
+        real = magswim.linear._dx2_terms
+        seen = []
+
+        def recorded(model, omega, a_plus):
+            seen.append((omega, real(model, omega, a_plus)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(magswim.linear, "_dx2_terms", recorded)
+        sw = frequency_sweep(seeded_swimmer(seed), 1e-2, 1e2, n_grid)
+        (omega, (value, slope, _)), *refinement = seen
+        peak = int(np.argmax(np.abs(sw.dx2)))
+        assert omega == sw.omegas[peak]
+        step = 1 if value * slope > 0.0 else -1
+        lo, hi = sorted([omega, sw.omegas[peak + step]])
+        assert refinement[-1][0] == sw.omega_star
+        assert 2 <= len(refinement) <= 8
+        for w, _ in refinement:
+            assert lo < w < hi
 
     def test_equal_coefficient_sweep(self):
         sw = frequency_sweep(SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0),
@@ -587,6 +691,30 @@ class TestFrozenSweepDigests:
                   for w in np.logspace(-3.0, 3.0, 20)]
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
             "61eb819082e3fe8137bd2c8b9b297929b8f5213e41c3c2687d91a672ddefcd6b")
+
+
+class TestSlopeAndCurvature:
+    """The exact omega-derivatives of ``dx2`` from the resolvent powers,
+    against central differences of the value.  Errors are scaled by
+    ``|dx2| / omega`` and ``|dx2| / omega^2``; the differences' own error
+    is about 1e-9 and 1e-6 of those at these steps."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_match_central_differences(self, seed):
+        model = displacement_model(seeded_swimmer(seed))
+        for omega in (0.05, 0.3, 0.9, 3.0, 20.0):
+            value, slope, curvature = _dx2_resolvent(model, omega)
+
+            def at(step):
+                return _dx2_resolvent(model, omega * (1.0 + step))[0]
+
+            h = 1e-5 * omega
+            first = (at(1e-5) - at(-1e-5)) / (2.0 * h)
+            assert abs(slope - first) * omega <= 1e-8 * abs(value)
+            h = 1e-4 * omega
+            second = (at(1e-4) - 2.0 * value + at(-1e-4)) / h ** 2
+            assert abs(curvature - second) * omega ** 2 <= \
+                2e-5 * abs(value)
 
 
 class TestFrozenOriginDigests:

@@ -1,6 +1,7 @@
 """Round-trip fidelity of the trajectory and report writers."""
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,41 @@ class TestJsonl:
         path = tmp_path / "void.jsonl"
         path.write_text("")
         with pytest.raises(MagswimError, match="empty"):
+            read_trajectory_jsonl(path)
+
+    @pytest.mark.parametrize("row,reason", [
+        ("5", "expected a JSON array, got 5"),
+        ("null", "expected a JSON array, got null"),
+        ('["a", 1, 2, 3, 4, 5, 6, 7]', 'expected a number, got "a"'),
+        ("[true, 1, 2, 3, 4, 5, 6, 7]", "expected a number, got true"),
+        ("[1" + "0" * 400 + ", 1, 2, 3, 4, 5, 6, 7]",
+         "expected a number, got 1" + "0" * 400),
+    ], ids=["number", "null", "string", "bool", "huge_integer"])
+    def test_rejects_a_row_that_is_not_eight_numbers(
+            self, short_trajectory, tmp_path, row, reason):
+        # these escaped as TypeError, as a bare ValueError or as
+        # OverflowError, or (true) were read as 1.0
+        path = tmp_path / "traj.jsonl"
+        write_trajectory_jsonl(short_trajectory, path)
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MagswimError,
+                           match=f"^{re.escape(f'{path}:4: {reason}')}$"):
+            read_trajectory_jsonl(path)
+
+    def test_rejects_a_sample_split_across_lines(self, short_trajectory,
+                                                 tmp_path):
+        # the same numbers in the same order, but the third sample's last
+        # value opens the next line: parsed as one text they still make
+        # whole samples, line by line they do not
+        path = tmp_path / "traj.jsonl"
+        write_trajectory_jsonl(short_trajectory, path)
+        lines = path.read_text().splitlines()
+        head, tail = lines[3].rsplit(", ", 1)
+        lines[3], lines[4] = head, tail + ", " + lines[4]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MagswimError, match=f"^{re.escape(str(path))}:4: "):
             read_trajectory_jsonl(path)
 
     def test_blank_lines_tolerated(self, short_trajectory, tmp_path):
