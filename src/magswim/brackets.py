@@ -256,6 +256,16 @@ def _angle_stencil(v: np.ndarray) -> np.ndarray:
 
 def equilibrium_identities(params: SwimmerParams,
                            theta: float) -> EquilibriumReport:
+    """Residuals of the alignment and bracket identities at the straight
+    state ``(0, 0, theta, 0, 0)``.
+
+    The generators are solved at that state and at its four ``BASE_STEP``
+    neighbours in alpha2 and alpha3, a stencil of 5 poses assembled and
+    solved in one batch; ``[fx, fy]`` is the depth-2 word of ``lie_rank``
+    on it.  Both identities carry ``tan theta`` or ``1 / cos theta``, so
+    a heading with ``|cos theta| < 0.05``, or one that is not finite,
+    raises ``ValueError``.
+    """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     if abs(np.cos(theta)) < 0.05:
@@ -285,8 +295,8 @@ def equilibrium_identities(params: SwimmerParams,
 class RankReport:
     """Span of the bracket-generated directions at a point.
 
-    ``rank`` counts singular values above ``tol_factor`` times the
-    largest one.  ``gap_4_5`` is the ratio of the fourth to the fifth
+    ``rank`` counts singular values above 1e-8 times the largest one, a
+    fixed cut.  ``gap_4_5`` is the ratio of the fourth to the fifth
     singular value; a large value certifies a clean rank-4 span.  At
     straight states (``is_straight``) the y-translation is obstructed and
     the rank stays at 4 for every bracket depth; bent states reach 5.
@@ -299,11 +309,10 @@ class RankReport:
     gap_4_5: float
     labels: tuple[str, ...]
     is_straight: bool
-    tol_factor: float
 
 
-def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
-             tol_factor: float = 1e-8) -> RankReport:
+def lie_rank(params: SwimmerParams, point: np.ndarray,
+             depth: int = 3) -> RankReport:
     """Rank of {generators and brackets up to ``depth``} at ``point``.
 
     Depth 1 uses f0, fx, fy; depth 2 adds [f0,fx], [f0,fy], [fx,fy];
@@ -343,8 +352,6 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
         raise ValueError("point must be a 5-vector state")
     if not np.all(np.isfinite(point)):
         raise ValueError("point must be finite")
-    if not 0.0 < tol_factor < 1.0:
-        raise ValueError("tol_factor must lie in (0, 1)")
     # the stencil, in the body frame: at depth 3, centres 1-4 are
     # point +- NESTED_STEP e_j, where the depth-2 words are differenced
     centres = np.array([[0.0, 0.0, 0.0, point[3], point[4]]])
@@ -381,7 +388,7 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     # ones are exact zeros of the padded problem
     singular = np.zeros(STATE_DIM)
     singular[:raw.size] = raw
-    rank = int(np.sum(singular > tol_factor * singular[0]))
+    rank = int(np.sum(singular > 1e-8 * singular[0]))
     if singular[4] > 0.0:
         gap = float(singular[3] / singular[4])
     elif singular[3] > 0.0:
@@ -392,5 +399,4 @@ def lie_rank(params: SwimmerParams, point: np.ndarray, depth: int = 3,
     return RankReport(
         point=point, depth=depth, rank=rank,
         singular_values=singular, gap_4_5=gap,
-        labels=tuple(labels), is_straight=is_straight,
-        tol_factor=float(tol_factor))
+        labels=tuple(labels), is_straight=is_straight)

@@ -41,7 +41,6 @@ from .linear import (
 from .model import FieldProgram, SinusoidalField
 from .runconfig import RunConfig, load_config, parse_config, resolved_dt
 from .serialize import (
-    format_cell,
     write_json_report,
     write_trajectory_csv,
     write_trajectory_jsonl,
@@ -118,11 +117,17 @@ ECHO_KEYS = {
 
 
 def _echo(config: RunConfig, command: str) -> dict[str, Any]:
+    """The parameters, ``ECHO_KEYS[command]`` and the applied defaults
+    among them."""
     sections, solver = ECHO_KEYS[command]
+    # a default is listed when its section or its "solver.key" is echoed
+    echoed = {"params", *sections, *(f"solver.{key}" for key in solver)}
     return _plain({"params": config.params,
                    **{key: getattr(config, key) for key in sections},
                    "solver": {key: getattr(config, key) for key in solver},
-                   "applied_defaults": config.applied_defaults})
+                   "applied_defaults": [
+                       name for name in config.applied_defaults
+                       if {name, name.partition(".")[0]} & echoed]})
 
 
 def _require_unit_hx(config: RunConfig) -> None:
@@ -317,7 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with open(path, "w") as fh:
             fh.write("omega,dx2\n")
             for w, v in zip(results["omega"], results["dx2"]):
-                fh.write(f"{format_cell(w)},{format_cell(v)}\n")
+                fh.write(f"{w:.17g},{v:.17g}\n")
         _say(SWEEP, results)
         if curve.near_zero:
             print("curve is zero to roundoff: this drag pattern cannot "

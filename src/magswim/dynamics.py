@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import Configuration, SwimmerParams
+from .model import SwimmerParams
 
-__all__ = ["rhs", "make_rate_function"]
+__all__ = ["make_rate_function"]
 
 
 def _assemble(theta: float, a2: float, a3: float, L: float,
@@ -215,14 +215,6 @@ def _solve_errstate() -> np.errstate:
                        divide="ignore", under="ignore")
 
 
-def rhs(config: Configuration, h: tuple[float, float],
-        params: SwimmerParams) -> np.ndarray:
-    """Configuration velocity under field ``h = (Hx, Hy)``."""
-    with _solve_errstate():
-        return make_rate_function(params)(config.as_array().tolist(),
-                                          h[0], h[1])
-
-
 def make_rate_function(params: SwimmerParams) -> Callable[[Sequence[float], float, float], np.ndarray]:
     """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure.
 
@@ -236,8 +228,8 @@ def make_rate_function(params: SwimmerParams) -> Callable[[Sequence[float], floa
     factorization itself.  The closure therefore raises
     ``LinAlgError('Singular matrix')`` on an exactly singular ``Mh`` only
     inside :func:`_solve_errstate`, which ``simulate._advance`` enters once
-    around its stepping loop and :func:`rhs` around its one call;
-    elsewhere such a solve returns NaN with a RuntimeWarning.
+    around its stepping loop; elsewhere such a solve returns NaN with a
+    RuntimeWarning.
     """
     loads = _load_core(params)
     solve = _umath_linalg.solve1

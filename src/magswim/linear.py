@@ -46,7 +46,6 @@ __all__ = [
     "resolvents",
     "grad_gx_origin",
     "closed_form_grad_gx",
-    "skew_kernel",
     "closed_form_skew_kernel",
     "net_displacement_quadratic",
     "frequency_sweep",
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 QUADRATURE_SAMPLES = 4096
+# central-difference step of the derivatives at the origin: the rates are
+# smooth and order one there, so it balances truncation against roundoff
+# at about 1e-10 relative
+_ORIGIN_STEP = 1e-6
 _IEYE = 1j * np.eye(3)
 
 
@@ -76,16 +79,10 @@ _PHASE_GRAM = _phase_gram(QUADRATURE_SAMPLES)
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """Shape-space linearization: ``qdot = a q + b Hy``.
-
-    ``source`` records how the entries were obtained ("numeric" for finite
-    differences of the assembled dynamics, "closed-form" for the analytic
-    expressions).
-    """
+    """Shape-space linearization: ``qdot = a q + b Hy``."""
 
     a: np.ndarray
     b: np.ndarray
-    source: str
 
 
 def _require_head_asymmetric(params: SwimmerParams) -> None:
@@ -94,19 +91,20 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
             "closed forms need links 2 and 3 to share drag coefficients")
 
 
-def _origin_derivatives(params: SwimmerParams, step: float = 1e-6
+def _origin_derivatives(params: SwimmerParams
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(A, b, grad Gx)``: ``b`` is one rate-closure call at the origin
-    under ``(Hx, Hy) = (0, 1)``.  The 6 poses ``+-step e_j`` (the other
-    angles +0.0) are assembled once each; one batched solve gives their
-    shape rates under ``(1, 0)``, from loads formed as the closure forms
-    them, so to its last bit, and one more their coupling x-row ``Gx``."""
+    under ``(Hx, Hy) = (0, 1)``.  The 6 poses ``+-_ORIGIN_STEP e_j`` (the
+    other angles +0.0) are assembled once each; one batched solve gives
+    their shape rates under ``(1, 0)``, from loads formed as the closure
+    forms them, so to its last bit, and one more their coupling x-row
+    ``Gx``."""
     with _solve_errstate():
         b = make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:]
     loads = _load_core(params)
     poses = np.zeros((6, 3))
-    poses[0::2] += step * np.eye(3)
-    poses[1::2] -= step * np.eye(3)
+    poses[0::2] += _ORIGIN_STEP * np.eye(3)
+    poses[1::2] -= _ORIGIN_STEP * np.eye(3)
     # Mh, elastic, Mx and My of each pose, stacked
     mh, elastic, mx, my = map(np.array, zip(*map(loads, *poses.T.tolist())))
     # -Hx Mx - Hy My under (Hx, Hy) = (1, 0), term by term as the closure
@@ -118,22 +116,20 @@ def _origin_derivatives(params: SwimmerParams, step: float = 1e-6
         coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
                                        signature="dd->d")
     gx = -coupling[:, 0]
-    a = (rates[0::2, 2:] - rates[1::2, 2:]) / (2.0 * step)
-    return a.T.copy(), b, (gx[0::2] - gx[1::2]) / (2.0 * step)
+    a = (rates[0::2, 2:] - rates[1::2, 2:]) / (2.0 * _ORIGIN_STEP)
+    return a.T.copy(), b, (gx[0::2] - gx[1::2]) / (2.0 * _ORIGIN_STEP)
 
 
-def linearize_angles(params: SwimmerParams,
-                     step: float = 1e-6) -> LinearizedModel:
+def linearize_angles(params: SwimmerParams) -> LinearizedModel:
     """Finite-difference ``A`` and ``b`` at the straight equilibrium.
 
-    Central differences with a fixed step; the assembled rates are smooth
-    and order-one near the origin, so 1e-6 balances truncation against
-    roundoff at about 1e-10 relative.  ``A`` comes from the 6-pose batch
-    of ``_origin_derivatives`` that ``displacement_model`` reads, ``b``
-    from one rate-closure call at the origin.
+    ``A`` comes from central differences with the fixed step 1e-6, over
+    the 6-pose batch of ``_origin_derivatives`` that
+    ``displacement_model`` reads, ``b`` from one rate-closure call at the
+    origin.
     """
-    a, b, _ = _origin_derivatives(params, step)
-    return LinearizedModel(a=a, b=b, source="numeric")
+    a, b, _ = _origin_derivatives(params)
+    return LinearizedModel(a=a, b=b)
 
 
 def closed_form_angle_matrix(params: SwimmerParams) -> LinearizedModel:
@@ -159,7 +155,7 @@ def closed_form_angle_matrix(params: SwimmerParams) -> LinearizedModel:
          -4 * (7 * K + 3 * M) * eta * eta1 - 5 * K * eta1 ** 2,
          -16 * (2 * K + M) * eta * eta1 - (16 * K + 11 * M) * eta1 ** 2],
     ])
-    return LinearizedModel(a=a, b=-a[:, 0].copy(), source="closed-form")
+    return LinearizedModel(a=a, b=-a[:, 0].copy())
 
 
 def char_poly(a: np.ndarray) -> tuple[float, float, float, float]:
@@ -248,14 +244,14 @@ def resolvents(a: np.ndarray, omega: float
     return a_plus, a_plus.conj()
 
 
-def grad_gx_origin(params: SwimmerParams, step: float = 1e-6) -> np.ndarray:
+def grad_gx_origin(params: SwimmerParams) -> np.ndarray:
     """Gradient of the x-row of the position coupling at the origin.
 
     Entry ``[j, k]`` is the derivative of ``Gx_k`` along shape coordinate
     ``j``, where ``xdot = Gx(q) . qdot``.  ``Gx(0) = 0`` by symmetry, so
     this gradient carries the entire quadratic displacement.
     """
-    return _origin_derivatives(params, step)[2]
+    return _origin_derivatives(params)[2]
 
 
 def closed_form_grad_gx(params: SwimmerParams) -> np.ndarray:
@@ -275,29 +271,6 @@ def closed_form_grad_gx(params: SwimmerParams) -> np.ndarray:
          eta1 * (eta - xi) / den,
          eta * (eta + eta1 + xi) / den],
     ])
-
-
-def skew_kernel(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Unit kernel vector of a skew-symmetric 3x3 matrix.
-
-    A 3x3 skew matrix is the cross-product map of a single vector; that
-    vector spans its kernel.  Raises if ``w`` is not skew or the kernel
-    residual exceeds ``tol``.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (3, 3):
-        raise ValueError("skew_kernel expects a 3x3 matrix")
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w + w.T)) > tol * scale:
-        raise ValueError("matrix is not skew-symmetric")
-    u = np.array([w[1, 2], -w[0, 2], w[0, 1]])
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        raise ValueError("skew matrix is zero; kernel is everything")
-    u = u / norm
-    if np.max(np.abs(w @ u)) > tol * scale:
-        raise ValueError("kernel residual above tolerance")
-    return u
 
 
 def closed_form_skew_kernel(params: SwimmerParams) -> np.ndarray:
@@ -372,16 +345,10 @@ def _dx2_terms(model: _QuadraticModel, omega: float, a_plus: np.ndarray
     return value, slope, curvature
 
 
-def _dx2_resolvent(model: _QuadraticModel, omega: float
-                   ) -> tuple[float, float, float]:
-    """``_dx2_terms`` at ``omega``, from one scalar inverse."""
-    return _dx2_terms(model, omega, _resolvent(model.neg_a, omega))
-
-
 def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """The value of ``_dx2_resolvent`` at each of the positive ``omegas``,
-    to the bit, and the stacked resolvents: one stacked inverse, then
+    """The value ``_dx2_terms`` gives on the scalar resolvent at each of
+    the positive ``omegas``, to the bit, and the stacked resolvents: one stacked inverse, then
     stacked products on column vectors, which numpy hands to the same BLAS
     kernels as the scalar path's."""
     a_plus = _inverse(model.neg_a + omegas[:, None, None] * _IEYE)
@@ -453,8 +420,7 @@ def _guard(model: _QuadraticModel, omegas, values,
     return float(np.max(gaps / scales))
 
 
-def net_displacement_quadratic(params: SwimmerParams, omega: float,
-                               model: _QuadraticModel | None = None) -> float:
+def net_displacement_quadratic(params: SwimmerParams, omega: float) -> float:
     """Per-cycle x-displacement at quadratic order, per unit eps^2.
 
     Returns the closed resolvent expression after checking it against the
@@ -462,12 +428,13 @@ def net_displacement_quadratic(params: SwimmerParams, omega: float,
     sum, contracted through the nodes' phase Gram matrix), the same guard
     that ``frequency_sweep`` runs over all of its frequencies at once.  A
     gap above 1e-8 means the linearization or the orbit reconstruction is
-    broken, so it raises instead of returning either number.
+    broken, so it raises instead of returning either number.  The guard's
+    quadrature reuses the value's resolvent.
     """
-    if model is None:
-        model = displacement_model(params)
-    value = _dx2_resolvent(model, omega)[0]
-    _guard(model, [omega], [value])
+    model = displacement_model(params)
+    a_plus = _resolvent(model.neg_a, omega)
+    value = _dx2_terms(model, omega, a_plus)[0]
+    _guard(model, [omega], [value], a_plus[None])
     return value
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
     "ConstantField",
     "SinusoidalField",
     "TabulatedField",
-    "SegmentFrames",
-    "segment_frames",
     "apply_R_transform",
 ]
 
@@ -96,9 +94,6 @@ class SwimmerParams:
         """True when all links share the same drag coefficients."""
         return (self.xi[0] == self.xi[1] == self.xi[2]
                 and self.eta[0] == self.eta[1] == self.eta[2])
-
-    def with_magnetization(self, M: float) -> "SwimmerParams":
-        return replace(self, M=M)
 
 
 @dataclass(frozen=True)
@@ -247,51 +242,6 @@ class TabulatedField(FieldProgram):
                 and np.array_equal(self.times, other.times)
                 and np.array_equal(self.hx, other.hx)
                 and np.array_equal(self.hy, other.hy))
-
-
-@dataclass(frozen=True)
-class SegmentFrames:
-    """Endpoints, centers, and orthonormal frames of the three links.
-
-    ``endpoints`` stacks the four chain points A1..A4 (shape (4, 2)); link i
-    runs from ``endpoints[i]`` to ``endpoints[i+1]``.  ``tangents[i]`` and
-    ``normals[i]`` are the unit tangent/normal of link i and ``angles[i]``
-    its absolute angle.
-    """
-
-    endpoints: np.ndarray
-    centers: np.ndarray
-    tangents: np.ndarray
-    normals: np.ndarray
-    angles: np.ndarray
-
-
-def segment_frames(config: Configuration, params: SwimmerParams) -> SegmentFrames:
-    """Assemble the per-link frames for a configuration.
-
-    The chain closes by construction: ``endpoints[i+1] - endpoints[i]``
-    equals ``L * tangents[i]`` exactly.
-    """
-    L = params.L
-    th1 = config.theta + config.alpha2
-    th2 = config.theta
-    th3 = config.theta + config.alpha3
-    angles = np.array([th1, th2, th3])
-    tangents = np.column_stack([np.cos(angles), np.sin(angles)])
-    normals = np.column_stack([-np.sin(angles), np.cos(angles)])
-    c2 = np.array([config.x, config.y])
-    a2 = c2 - 0.5 * L * tangents[1]
-    a3 = c2 + 0.5 * L * tangents[1]
-    a1 = a2 - L * tangents[0]
-    a4 = a3 + L * tangents[2]
-    endpoints = np.vstack([a1, a2, a3, a4])
-    centers = np.vstack([
-        0.5 * (a1 + a2),
-        c2,
-        0.5 * (a3 + a4),
-    ])
-    return SegmentFrames(endpoints=endpoints, centers=centers,
-                         tangents=tangents, normals=normals, angles=angles)
 
 
 def apply_R_transform(config: Configuration,

@@ -180,6 +180,9 @@ def _construct(section: str, build, values: list):
 
 
 def parse_config(text: str) -> RunConfig:
+    """The ``RunConfig`` of INI ``text``.  Malformed INI, an unknown
+    section or key, a value its parser or section rejects, a field key the
+    kind does not take, or a missing required key raises ``ConfigError``."""
     cp = configparser.ConfigParser(interpolation=None)
     # keep keys case-sensitive so "L" stays "L" and a stray "l" is caught
     cp.optionxform = str
@@ -259,6 +262,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """``parse_config`` of the file at ``path``; an unreadable file raises
+    ``ConfigError``."""
     path = Path(path)
     try:
         text = path.read_text()

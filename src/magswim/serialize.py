@@ -21,7 +21,6 @@ from .simulate import Trajectory
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
-    "format_cell",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_trajectory_jsonl",
@@ -42,14 +41,10 @@ def _rows(traj: Trajectory) -> list[list[float]]:
     return table.astype(float, copy=False).tolist()
 
 
-def format_cell(value: float) -> str:
-    """17 significant digits: the shortest count that is always lossless."""
-    return f"{float(value):.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """The bytes ``csv.writer`` gives for ``format_cell`` cells, CRLF line
-    ends included, written as one block: no cell needs quoting."""
+    """The bytes ``csv.writer`` gives for cells of 17 significant digits,
+    CRLF line ends included, written as one block: no cell needs
+    quoting."""
     lines = [",".join(TRAJECTORY_COLUMNS)]
     lines += [",".join([format(v, ".17g") for v in row])
               for row in _rows(traj)]
@@ -69,6 +64,9 @@ def _trajectory_from_rows(rows: list[list[float]]) -> Trajectory:
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
+    """The samples of a ``write_trajectory_csv`` file.  The header must be
+    ``TRAJECTORY_COLUMNS`` and every row as many numbers; anything else
+    raises ``MagswimError`` naming the file and, for a row, its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -1,0 +1,69 @@
+"""Helpers shared by the tests.
+
+``segment_frames`` builds the link geometry of a configuration directly
+from its angles: the independent oracle from which the quadrature check
+of ``test_dynamics`` takes its material points, knowing nothing of the
+moment integrals of the assembly.  ``velocity`` is the configuration
+velocity as one call of the rate closure, inside the error state in which
+a singular solve raises ``LinAlgError``.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+
+from magswim import Configuration, SwimmerParams, make_rate_function
+from magswim.dynamics import _solve_errstate
+
+
+def velocity(config: Configuration, h: tuple[float, float],
+             params: SwimmerParams) -> np.ndarray:
+    """Configuration velocity under the field ``h = (Hx, Hy)``."""
+    with _solve_errstate():
+        return make_rate_function(params)(config.as_array().tolist(),
+                                          h[0], h[1])
+
+
+@dataclass(frozen=True)
+class SegmentFrames:
+    """Endpoints, centers, and orthonormal frames of the three links.
+
+    ``endpoints`` stacks the four chain points A1..A4 (shape (4, 2)); link i
+    runs from ``endpoints[i]`` to ``endpoints[i+1]``.  ``tangents[i]`` and
+    ``normals[i]`` are the unit tangent/normal of link i and ``angles[i]``
+    its absolute angle.
+    """
+
+    endpoints: np.ndarray
+    centers: np.ndarray
+    tangents: np.ndarray
+    normals: np.ndarray
+    angles: np.ndarray
+
+
+def segment_frames(config: Configuration,
+                   params: SwimmerParams) -> SegmentFrames:
+    """Assemble the per-link frames for a configuration.
+
+    The chain closes by construction: ``endpoints[i+1] - endpoints[i]``
+    equals ``L * tangents[i]`` exactly.
+    """
+    L = params.L
+    th1 = config.theta + config.alpha2
+    th2 = config.theta
+    th3 = config.theta + config.alpha3
+    angles = np.array([th1, th2, th3])
+    tangents = np.column_stack([np.cos(angles), np.sin(angles)])
+    normals = np.column_stack([-np.sin(angles), np.cos(angles)])
+    c2 = np.array([config.x, config.y])
+    a2 = c2 - 0.5 * L * tangents[1]
+    a3 = c2 + 0.5 * L * tangents[1]
+    a1 = a2 - L * tangents[0]
+    a4 = a3 + L * tangents[2]
+    endpoints = np.vstack([a1, a2, a3, a4])
+    centers = np.vstack([
+        0.5 * (a1 + a2),
+        c2,
+        0.5 * (a3 + a4),
+    ])
+    return SegmentFrames(endpoints=endpoints, centers=centers,
+                         tangents=tangents, normals=normals, angles=angles)

@@ -7,6 +7,7 @@ import pytest
 
 from magswim import cli
 from magswim.cli import main
+from magswim.runconfig import parse_config
 from magswim.serialize import read_trajectory_csv, read_trajectory_jsonl
 
 UNIFORM_SYMMETRIC = """
@@ -170,6 +171,41 @@ class TestSolverEcho:
         assert header.keys() & {"initial", "field"} == {"initial", "field"}
         assert header["solver"] == {"dt": 0.02, "t_final": 1.0,
                                     "dt_resolved": 0.02}
+
+    @pytest.mark.parametrize("command", sorted(cli.ECHO_KEYS))
+    def test_applied_defaults_name_echoed_keys(self, tmp_path, capsys,
+                                               command):
+        # most keys left to their defaults; the run kept short
+        import json
+        text = f"""
+[params]
+xi = 0.8, 0.8, 0.8
+eta = 1.5, 1.5, 1.5
+
+[solver]
+t_final = 1.0
+burn_in_periods = 1
+
+[output]
+directory = {tmp_path}
+formats = jsonl
+"""
+        cfg = write_config(tmp_path, text)
+        if command == "simulate":
+            main(["simulate", "--config", cfg])
+            _, payload = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
+        else:
+            report = tmp_path / "report.json"
+            main([command, "--config", cfg, "--json", str(report)])
+            payload = json.loads(report.read_text())
+        echoed = {f"{section}.{key}"
+                  for section in ("params", "initial", "field")
+                  if section in payload for key in payload[section]}
+        echoed |= {f"solver.{key}" for key in payload["solver"]}
+        listed = payload["applied_defaults"]
+        assert listed and set(listed) <= echoed
+        assert listed == [name for name in parse_config(text).applied_defaults
+                          if name in echoed]
 
 
 class TestSymmetry:
@@ -545,19 +581,22 @@ TRANSCRIPT = {
 # none of them reads, and controllability's by dropping the field echo too;
 # sweep_default by the Newton peak refinement (omega_star, dx2_star,
 # path_gap and evaluations; the grid and sweep.csv kept their bytes)
+# every case but validate by the applied_defaults echo, which lists only
+# the defaults of echoed keys (the parameters, the sections and solver
+# keys of ECHO_KEYS)
 FROZEN_TRANSCRIPT = {
-    "controllability_default": (0, 'f1b2446468aa05d290647dd91fb9e742c95dd53a6fea1865eaf9ce04e6f037e7'),
-    "controllability_thetas": (0, '0b7695632452d63e29ffbd36a0493c48c7c7c3f878eaea81e5faf59809f0a6ec'),
-    "displacement_config": (0, 'bbfaa7826cc05dba19b47d904491c5a2e14586af185488e8166bc2cbb4f42ef2'),
-    "displacement_flags": (0, 'e62797cdce2423e557ac4e7119784d4e68cd6664501a1f0afefc1a279528ea6f'),
-    "linearize_no_pattern": (0, 'e507e9f3b7789933080633684231a4f4c07ae5e98f300298a70889b73f5732f5'),
-    "linearize_pattern": (0, '292520cfc6b7382556f0d7c6fa0601811fe1b1a0f870b53aa887e93649e3bc75'),
-    "simulate_constant_jsonl": (0, '8007af4bb5671f2b6864be4d186533a40c9542b328ef38dcb2bcfc1aec1c90dc'),
-    "simulate_tabulated": (0, '0931610a7c6b0a922e53829b2faa69880a95c9b8c20c729a136c399e7f5821d3'),
-    "sweep_boundary": (0, 'fc50d8072a720488b7113d12217c5cceb10cee528dcd11d5d54b669280d5078d'),
-    "sweep_default": (0, '89f9c07db32250f8d788b89c816541d7eb3b85821ffb8e17a8d4a34939ab7d1b'),
-    "sweep_error_record": (1, '752497c3396ee4d3ebde8c16a4a876eabcc932fa67d9af8ba473a6bd844f58c4'),
-    "symmetry": (0, 'bdff3a898356523621aa95e3e22ef14ec3d3ae30d6fb20a7e0a89fd63efbc726'),
+    "controllability_default": (0, '94edc3f3571072cf23f45d6df8a4f7e6f488cb01087fa5abd79dfa3505135505'),
+    "controllability_thetas": (0, '6237f7dd63b7a9c35ac336c098429a1c5940f42821bef3eee2faf92837027388'),
+    "displacement_config": (0, '6b87c3ef4784713840d2750fb493582b7c6f960c3d4860e0c6cec7cde666eaf4'),
+    "displacement_flags": (0, '481be90ca93a73fc0c6dd8ad16511aeadf89a85f3d682b6d9b2bace0f90b0b93'),
+    "linearize_no_pattern": (0, '55afb52604641a903a04971bf8b0482dbbb144d1ac3cce3581c928c6b064cfe2'),
+    "linearize_pattern": (0, 'b38325c60abbae6cbe04c4fc13b2b75d5e95e67fc0ae83b2112888e33b91d21a'),
+    "simulate_constant_jsonl": (0, 'ea06ba5f484cc8d45772ecbe6f1a9cf22b8f07d59965ad3e1d3b2a7c007425ec'),
+    "simulate_tabulated": (0, '40cc886b0661ee3737be6c9f4e2bb41e00cc250fb06525232b3df47172a512c4'),
+    "sweep_boundary": (0, 'f44360f7fa83db03d0165216af1e4ac0a7565fa8e9e13c569097855a6a722ac5'),
+    "sweep_default": (0, '89a4e26c7bab15a1f84e1bf9734f8d683f595238e417b494390a6e91f94c9c81'),
+    "sweep_error_record": (1, 'daa9f963d3801b46ed676344bc924a89a8fccf3f4772ce27fa28f572ba75b2a6'),
+    "symmetry": (0, 'b9817962b3a27b625801f6fef07981100b732b3263d37db1a404111a3ccf2c32'),
     "validate": (0, 'f00cfb5a7d65f1e53828c63e12a0a4f92b17a1549cdb0b8987fc8ccaf4b50c5c'),
 }
 

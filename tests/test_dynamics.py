@@ -2,11 +2,13 @@
 
 The production assembly uses exact moment integrals of the drag density.
 The oracle here knows nothing about that: it takes material-point positions
-from segment_frames, differentiates them numerically to get velocities per
-unit generalized rate, and integrates force and torque densities by Simpson
-quadrature (exact for these polynomial integrands up to finite-difference
-noise).  Agreement pins the assembly conventions, not just its algebra.
+from segment_frames (tests/oracles.py), differentiates them numerically to
+get velocities per unit generalized rate, and integrates force and torque
+densities by Simpson quadrature (exact for these polynomial integrands up to
+finite-difference noise).  Agreement pins the assembly conventions, not just
+its algebra.
 """
+import dataclasses
 import hashlib
 from math import cos, sin
 
@@ -24,11 +26,10 @@ from magswim import (
     apply_R_transform,
     control_vector_fields,
     make_rate_function,
-    rhs,
-    segment_frames,
 )
 from magswim.dynamics import _assemble, _load_core, _unpack
 from magswim.simulate import integrate
+from oracles import segment_frames, velocity
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -143,7 +144,7 @@ class TestStraightConfig:
         np.testing.assert_allclose(My, [0, 0, -3.0, -2.0, -1.0], atol=1e-15)
 
     def test_rhs_vanishes_in_axial_field(self):
-        v = rhs(Configuration.straight(), (2.0, 0.0), CANON)
+        v = velocity(Configuration.straight(), (2.0, 0.0), CANON)
         np.testing.assert_allclose(v, np.zeros(5), atol=1e-14)
 
 
@@ -170,8 +171,8 @@ class TestInvariances:
     def test_translation_invariance(self, x, y, theta, a2, a3, hx, hy):
         here = Configuration(x, y, theta, a2, a3)
         origin = Configuration(0.0, 0.0, theta, a2, a3)
-        np.testing.assert_array_equal(rhs(here, (hx, hy), CANON),
-                                      rhs(origin, (hx, hy), CANON))
+        np.testing.assert_array_equal(velocity(here, (hx, hy), CANON),
+                                      velocity(origin, (hx, hy), CANON))
 
     @given(theta=thetas, a2=angles, a3=angles, phi=thetas,
            hx=st.floats(-2, 2), hy=st.floats(-2, 2))
@@ -182,8 +183,8 @@ class TestInvariances:
         cr = Configuration(0.0, 0.0, theta + phi, a2, a3)
         R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
         h_rot = tuple(R @ [hx, hy])
-        v = rhs(c, (hx, hy), CANON)
-        vr = rhs(cr, h_rot, CANON)
+        v = velocity(c, (hx, hy), CANON)
+        vr = velocity(cr, h_rot, CANON)
         expect = np.concatenate([R @ v[:2], v[2:]])
         assert np.max(np.abs(vr - expect)) < 1e-10 * max(1.0, np.max(np.abs(v)))
 
@@ -201,18 +202,18 @@ class TestInvariances:
         p = SwimmerParams(1.1, (1.2, 0.8, 1.2), (3.0, 1.5, 3.0), 0.9, 1.1)
         c = Configuration(x, y, theta, a2, a3)
         rc, _ = apply_R_transform(c, (hx, hy))
-        v = rhs(c, (hx, hy), p)
+        v = velocity(c, (hx, hy), p)
         mirrored = np.array([-v[0], -v[1], v[2], v[4], v[3]])
-        assert np.max(np.abs(rhs(rc, (hx, hy), p) - mirrored)) \
+        assert np.max(np.abs(velocity(rc, (hx, hy), p) - mirrored)) \
             < 1e-11 * max(1.0, np.max(np.abs(v)))
 
     def test_magnetization_field_product_scaling(self):
         # M and H enter the dynamics only through their products M Hx, M Hy;
         # halving M while doubling H is exact in floating point
         c = Configuration(0.3, -0.1, 0.7, 0.5, -0.4)
-        half = CANON.with_magnetization(0.5 * CANON.M)
-        np.testing.assert_array_equal(rhs(c, (0.8, -0.3), CANON),
-                                      rhs(c, (1.6, -0.6), half))
+        half = dataclasses.replace(CANON, M=0.5 * CANON.M)
+        np.testing.assert_array_equal(velocity(c, (0.8, -0.3), CANON),
+                                      velocity(c, (1.6, -0.6), half))
 
 
 class TestDissipation:
@@ -321,7 +322,7 @@ class TestControlFields:
         system = control_vector_fields(CANON)
         hx, hy = 0.7, -0.4
         np.testing.assert_allclose(
-            rhs(c, (hx, hy), CANON),
+            velocity(c, (hx, hy), CANON),
             system.f0(x) + hx * system.fx(x) + hy * system.fy(x),
             rtol=1e-10, atol=1e-12)
 
@@ -334,7 +335,7 @@ class TestRateFunction:
         rate = make_rate_function(CANON)
         c = Configuration(0.2, -0.7, theta, a2, a3)
         np.testing.assert_array_equal(rate(c.as_array(), hx, hy),
-                                      rhs(c, (hx, hy), CANON))
+                                      velocity(c, (hx, hy), CANON))
 
 
 def _loop_assemble(theta, a2, a3, L, xi1, xi2, xi3, eta1, eta2, eta3, M):
@@ -521,4 +522,4 @@ class TestRawSolve:
             integrate(CANON, Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
                       ConstantField(1.0, 0.2), t_final=0.1, dt=0.05)
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            rhs(Configuration.straight(), (1.0, 0.0), CANON)
+            velocity(Configuration.straight(), (1.0, 0.0), CANON)

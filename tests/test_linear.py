@@ -26,16 +26,23 @@ from magswim.linear import (
     net_displacement_quadratic,
     resolvents,
     routh_hurwitz_stable,
-    skew_kernel,
     _dx2_grid,
     _dx2_quadrature,
-    _dx2_resolvent,
+    _dx2_terms,
     _newton_peak,
+    _resolvent,
 )
 from magswim.model import SinusoidalField
 from magswim.simulate import integrate
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
+
+
+def dx2_terms(model, omega):
+    """``_dx2_terms`` on one scalar resolvent, as
+    ``net_displacement_quadratic`` and the sweep's refinement take it."""
+    return _dx2_terms(model, omega, _resolvent(model.neg_a, omega))
+
 
 # head-asymmetric family: links 2 and 3 share coefficients.  Property
 # tests deliberately roam outside the slender-body ordering eta > xi, so
@@ -210,7 +217,9 @@ class TestResolvents:
         with pytest.raises(ValueError, match=f"^omega must be {message}$"):
             resolvents(-np.eye(3), omega)
         with pytest.raises(ValueError, match=f"^omega must be {message}$"):
-            _dx2_resolvent(model, omega)
+            dx2_terms(model, omega)
+        with pytest.raises(ValueError, match=f"^omega must be {message}$"):
+            net_displacement_quadratic(CANON, omega)
 
     def test_exactly_singular_matrix_raises(self):
         # -a + i I has the singular block [[i, 1], [-1, i]]: LU meets an
@@ -221,7 +230,7 @@ class TestResolvents:
         model = dataclasses.replace(displacement_model(CANON), a=a,
                                     neg_a=(-a).astype(complex))
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            _dx2_resolvent(model, 1.0)
+            dx2_terms(model, 1.0)
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             _dx2_grid(model, np.array([0.5, 1.0, 2.0]))
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
@@ -302,25 +311,6 @@ class TestGradGx:
 
 
 class TestSkewKernel:
-    @given(ux=st.floats(-3, 3), uy=st.floats(-3, 3), uz=st.floats(-3, 3))
-    @settings(max_examples=50)
-    def test_recovers_axis_vector(self, ux, uy, uz):
-        u = np.array([ux, uy, uz])
-        assume(np.linalg.norm(u) > 1e-3)
-        w = np.array([[0.0, u[2], -u[1]],
-                      [-u[2], 0.0, u[0]],
-                      [u[1], -u[0], 0.0]])
-        got = skew_kernel(w)
-        unit = u / np.linalg.norm(u)
-        assert min(np.linalg.norm(got - unit),
-                   np.linalg.norm(got + unit)) < 1e-12
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            skew_kernel(np.eye(3))
-        with pytest.raises(ValueError):
-            skew_kernel(np.zeros((3, 3)))
-
     @given(params=ha_params)
     @settings(max_examples=25, deadline=None)
     def test_closed_kernel_annihilates_numeric_skew(self, params):
@@ -376,13 +366,24 @@ class TestNetDisplacement:
         assert abs(net_displacement_quadratic(p, 0.7)) < 1e-12
 
     def test_asymptotic_scalings(self):
-        model = displacement_model(CANON)
-        low = [net_displacement_quadratic(CANON, w, model=model)
-               for w in (1e-3, 2e-3)]
-        high = [net_displacement_quadratic(CANON, w, model=model)
-                for w in (1e3, 2e3)]
+        low = [net_displacement_quadratic(CANON, w) for w in (1e-3, 2e-3)]
+        high = [net_displacement_quadratic(CANON, w) for w in (1e3, 2e3)]
         assert low[1] / low[0] == pytest.approx(2.0, rel=0.05)
         assert high[0] / high[1] == pytest.approx(8.0, rel=0.05)
+
+    def test_inverts_the_resolvent_once(self, monkeypatch):
+        # the guard's quadrature reuses the value's resolvent
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return inverse(m)
+
+        inverse = magswim.linear._inverse
+        monkeypatch.setattr(magswim.linear, "_inverse", counted)
+        assert net_displacement_quadratic(CANON, 0.62) == \
+            0.03202696038636458
+        assert calls == [(3, 3)]
 
     def test_unstable_matrix_is_rejected(self):
         # zero stiffness and zero magnetization: no restoring force at all
@@ -483,7 +484,7 @@ class TestFrequencySweep:
             if seed is None else seeded_swimmer(seed)
         model = displacement_model(params)
         grid = np.logspace(-2.0, 2.0, n_grid)
-        loop = np.array([_dx2_resolvent(model, w)[0] for w in grid])
+        loop = np.array([dx2_terms(model, w)[0] for w in grid])
         assert _dx2_grid(model, grid)[0].tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -496,7 +497,7 @@ class TestFrequencySweep:
         messages = []
         for w in grid:
             try:
-                _dx2_resolvent(model, float(w))
+                dx2_terms(model, float(w))
             except AnalysisError as exc:
                 messages.append(str(exc))
         assert 1 < len(messages) < len(grid)
@@ -649,7 +650,7 @@ class TestFrozenSweepDigests:
     def test_seeded_peak_is_stationary(self, seed, n_grid):
         params = seeded_swimmer(seed)
         sw = frequency_sweep(params, 1e-2, 1e2, n_grid)
-        _, slope, _ = _dx2_resolvent(displacement_model(params),
+        _, slope, _ = dx2_terms(displacement_model(params),
                                      sw.omega_star)
         assert abs(slope) * sw.omega_star <= 1e-12 * abs(sw.dx2_star)
         assert net_displacement_quadratic(params, sw.omega_star) == \
@@ -703,10 +704,10 @@ class TestSlopeAndCurvature:
     def test_match_central_differences(self, seed):
         model = displacement_model(seeded_swimmer(seed))
         for omega in (0.05, 0.3, 0.9, 3.0, 20.0):
-            value, slope, curvature = _dx2_resolvent(model, omega)
+            value, slope, curvature = dx2_terms(model, omega)
 
             def at(step):
-                return _dx2_resolvent(model, omega * (1.0 + step))[0]
+                return dx2_terms(model, omega * (1.0 + step))[0]
 
             h = 1e-5 * omega
             first = (at(1e-5) - at(-1e-5)) / (2.0 * h)
@@ -747,10 +748,11 @@ class TestFrozenOriginDigests:
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_origin_derivatives(self, case):
+    def test_origin_derivatives(self, case, monkeypatch):
         params, step = self.CASES[case]
-        lin = linearize_angles(params, step)
+        monkeypatch.setattr(magswim.linear, "_ORIGIN_STEP", step)
+        lin = linearize_angles(params)
         h = hashlib.sha256()
-        for arr in (lin.a, lin.b, grad_gx_origin(params, step)):
+        for arr in (lin.a, lin.b, grad_gx_origin(params)):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == self.DIGESTS[case]

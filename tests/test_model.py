@@ -13,8 +13,8 @@ from magswim import (
     SwimmerParams,
     TabulatedField,
     apply_R_transform,
-    segment_frames,
 )
+from oracles import segment_frames
 
 angles = st.floats(-6.0, 6.0)
 coords = st.floats(-5.0, 5.0)
