@@ -5,9 +5,9 @@ assertion fails (an instability, a residual above tolerance, a failed
 validation check), 2 for usage and configuration problems.
 
 Every ``--json`` report embeds the exact parameter echo, the initial
-state, field and solver settings its command reads (``ECHO_KEYS``), and
-the artifact version, so a plot made from a report file can be
-reproduced from that file alone.  When an analysis error aborts a
+state, field, solver and analysis settings its command reads
+(``ECHO_KEYS``), and the artifact version, so a plot made from a report
+file can be reproduced from that file alone.  When an analysis error aborts a
 command, the report file carries a machine-readable error record
 instead of results.
 
@@ -103,28 +103,35 @@ def _say(lines: tuple[str, ...], results: dict[str, Any]) -> None:
 
 
 # what each command reads of the run beside its parameters, and so
-# echoes: the sections it reads whole, then its solver settings
+# echoes: the sections it reads whole, then its "section.key" settings
 ECHO_KEYS = {
-    "simulate": (("initial", "field"), ("dt", "t_final")),
-    "symmetry": (("initial", "field"), ("dt", "t_final")),
+    "simulate": (("initial", "field"), ("solver.dt", "solver.t_final")),
+    "symmetry": (("initial", "field"), ("solver.dt", "solver.t_final")),
     "displacement": (("initial", "field"),
-                     ("dt", "burn_in_periods", "measure_periods")),
+                     ("solver.dt", "solver.burn_in_periods",
+                      "solver.measure_periods")),
     # linearize and sweep read the field to hold it to hx0 = 1
     "linearize": (("field",), ()),
-    "sweep": (("field",), ()),
-    "controllability": ((), ()),
+    "sweep": (("field",), ("analysis.omega_min", "analysis.omega_max",
+                           "analysis.n_grid")),
+    "controllability": ((), ("analysis.bracket_depth",)),
 }
 
 
 def _echo(config: RunConfig, command: str) -> dict[str, Any]:
-    """The parameters, ``ECHO_KEYS[command]`` and the applied defaults
-    among them."""
-    sections, solver = ECHO_KEYS[command]
-    # a default is listed when its section or its "solver.key" is echoed
-    echoed = {"params", *sections, *(f"solver.{key}" for key in solver)}
+    """The parameters, ``ECHO_KEYS[command]``, its keys grouped by section
+    (every report has a ``solver`` group), and the applied defaults among
+    them."""
+    sections, keys = ECHO_KEYS[command]
+    groups: dict[str, dict[str, Any]] = {"solver": {}}
+    for name in keys:
+        section, _, key = name.partition(".")
+        groups.setdefault(section, {})[key] = getattr(config, key)
+    # a default is listed when its section or its "section.key" is echoed
+    echoed = {"params", *sections, *keys}
     return _plain({"params": config.params,
                    **{key: getattr(config, key) for key in sections},
-                   "solver": {key: getattr(config, key) for key in solver},
+                   **groups,
                    "applied_defaults": [
                        name for name in config.applied_defaults
                        if {name, name.partition(".")[0]} & echoed]})
@@ -298,24 +305,26 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 SWEEP = ("omega_star {omega_star!r}", "dx2_star {dx2_star!r}",
          "boundary {boundary}", "near_zero {near_zero}",
-         "path_gap {path_gap!r} evaluations {evaluations}")
+         "evaluations {evaluations}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
     _require_unit_hx(config)
-    omega_min = args.omega_min if args.omega_min is not None else \
-        config.omega_min
-    omega_max = args.omega_max if args.omega_max is not None else \
-        config.omega_max
-    n_grid = args.n_grid if args.n_grid is not None else config.n_grid
+    # the report echoes the grid that is run, not the one it replaced
+    flags = {key: getattr(args, key) for key in
+             ("omega_min", "omega_max", "n_grid")
+             if getattr(args, key) is not None}
+    config = dataclasses.replace(config, **flags, applied_defaults=tuple(
+        name for name in config.applied_defaults
+        if name.partition(".")[2] not in flags))
 
     def body() -> tuple[dict[str, Any], int]:
         with warnings.catch_warnings():
             # stdout and the report already say "boundary True"
             warnings.filterwarnings("ignore", "displacement peak", UserWarning)
-            curve = frequency_sweep(config.params, omega_min, omega_max,
-                                    n_grid=n_grid)
+            curve = frequency_sweep(config.params, config.omega_min,
+                                    config.omega_max, n_grid=config.n_grid)
         results = _plain(curve)
         results["omega"] = results.pop("omegas")
         path = _out_dir(args, config) / "sweep.csv"
@@ -441,8 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
             "bracket identities and accessibility rank at straight states")
     p.add_argument("--theta", type=float, nargs="*", default=None)
 
-    p = add("validate", cmd_validate,
-            "run the deterministic self-validation suite", report=False)
+    # validate runs fixed inputs and reads no configuration
+    p = sub.add_parser("validate",
+                       help="run the deterministic self-validation suite")
+    p.set_defaults(func=cmd_validate)
     p.add_argument("--output", default=None,
                    help="also write the text report here")
     p.add_argument("--json", default=None,

@@ -90,10 +90,10 @@ class SwimmerParams:
         """All three links share one ``xi`` and one ``eta``."""
         return cls(L, (xi, xi, xi), (eta, eta, eta), K, M)
 
-    def equal_coefficients(self) -> bool:
-        """True when all links share the same drag coefficients."""
-        return (self.xi[0] == self.xi[1] == self.xi[2]
-                and self.eta[0] == self.eta[1] == self.eta[2])
+    def palindromic(self) -> bool:
+        """True when the first and third links share drag coefficients
+        (``xi1 = xi3``, ``eta1 = eta3``), whatever the middle link's."""
+        return self.xi[0] == self.xi[2] and self.eta[0] == self.eta[2]
 
 
 @dataclass(frozen=True)

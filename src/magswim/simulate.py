@@ -255,16 +255,17 @@ def symmetry_experiment(params: SwimmerParams, initial: Configuration,
                         dt: float | None = None) -> SymmetryReport:
     """Track how well the symmetric set ``{x = y = 0, alpha2 = alpha3}`` holds.
 
-    Preconditions are strict: all links must share drag coefficients (the
-    point symmetry otherwise is not a symmetry of the dynamics at all) and
-    the initial state must lie exactly on the symmetric set.  The reported
+    Preconditions are strict: the swimmer must be palindromic, its first
+    and third links sharing drag coefficients (the half-turn that swaps
+    them is otherwise not a symmetry of the dynamics at all), and the
+    initial state must lie exactly on the symmetric set.  The reported
     tolerance is ``max(10 dt^4, 1e-12)``: integrator truncation enters at
     fourth order and the floor covers accumulated roundoff.
     """
-    if not params.equal_coefficients():
+    if not params.palindromic():
         raise ValueError(
-            "symmetry experiment requires identical drag coefficients "
-            "on all three links")
+            "symmetry experiment requires the first and third links to "
+            "share drag coefficients (xi1 = xi3, eta1 = eta3)")
     if initial.x != 0.0 or initial.y != 0.0:
         raise ValueError("initial position must be exactly (0, 0)")
     if initial.alpha2 != initial.alpha3:

@@ -139,9 +139,10 @@ def test_criterion_04_two_displacement_paths_agree(param_sets):
     for params in param_sets:
         model = displacement_model(params)
         for omega in freqs:
-            res = _dx2_terms(model, float(omega),
-                             _resolvent(model.neg_a, float(omega)))[0]
-            quad = _dx2_quadrature(model, float(omega))
+            a_plus = _resolvent(model.neg_a, float(omega))
+            res = _dx2_terms(model, float(omega), a_plus)[0]
+            quad = float(_dx2_quadrature(model, np.array([omega]),
+                                         a_plus[None])[0])
             worst = max(worst, abs(res - quad) / max(1.0, abs(quad)))
     _report(4, worst <= 1e-8,
             f"max_path_gap={worst:.3e} over {N_SETS} sets x 20 "

@@ -48,8 +48,14 @@ class TestSwimmerParams:
         p = SwimmerParams.uniform(1.0, 0.7, 1.4, 0.5, 0.2)
         assert p.xi == (0.7, 0.7, 0.7)
         assert p.eta == (1.4, 1.4, 1.4)
-        assert p.equal_coefficients()
-        assert not canonical_params().equal_coefficients()
+        assert p.palindromic()
+        assert not canonical_params().palindromic()
+
+    def test_palindromic_reads_only_the_outer_links(self):
+        assert SwimmerParams(1.0, (1.2, 0.8, 1.2), (3.0, 1.5, 3.0),
+                             1.0, 1.0).palindromic()
+        assert not SwimmerParams(1.0, (1.2, 0.8, 1.2), (3.0, 1.5, 2.9),
+                                 1.0, 1.0).palindromic()
 
 
 class TestConfiguration:

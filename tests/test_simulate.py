@@ -22,6 +22,8 @@ from magswim.simulate import (
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 UNIFORM = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
+# links 1 and 3 alike, the middle link not
+PALINDROME = SwimmerParams(1.1, (1.2, 0.8, 1.2), (3.0, 1.5, 3.0), 0.9, 1.1)
 
 
 def bent_start():
@@ -277,6 +279,23 @@ class TestSymmetryExperiment:
             UNIFORM, Configuration(0.0, 0.0, -0.3, 0.7, 0.7), field,
             t_final=4.0, dt=0.002)
         assert rep.within_tolerance
+
+    def test_palindromic_swimmer_keeps_symmetry(self):
+        # the half-turn that swaps links 1 and 3 needs only those two
+        # alike; under a sinusoid and under validate's tabulated field
+        rng = np.random.default_rng(2024)
+        times = np.linspace(0.0, 4.0, 17)
+        tabulated = TabulatedField(times, 1.0 + 0.3 * rng.standard_normal(17),
+                                   0.4 * rng.standard_normal(17))
+        sine = SinusoidalField(hx0=1.0, epsilon=0.3, omega=1.0)
+        for field, t_final, dt in ((sine, 2 * sine.period, None),
+                                   (tabulated, 4.0, 0.01)):
+            rep = symmetry_experiment(
+                PALINDROME, Configuration(0.0, 0.0, 0.2, 0.4, 0.4), field,
+                t_final=t_final, dt=dt)
+            assert rep.within_tolerance
+            assert max(rep.max_alpha_gap, rep.max_abs_x,
+                       rep.max_abs_y) < 1e-14
 
     def test_report_is_frozen(self):
         # one period at the default step; values as the numpy-array RK4
