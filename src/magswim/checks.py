@@ -18,7 +18,6 @@ from .brackets import EquilibriumReport, equilibrium_identities, lie_rank
 from .linear import (
     _QuadraticModel,
     _dx2_quadrature,
-    _resolvent,
     char_poly,
     closed_form_angle_matrix,
     closed_form_char_coeffs,
@@ -26,6 +25,7 @@ from .linear import (
     closed_form_skew_kernel,
     displacement_model,
     net_displacement_quadratic,
+    resolvents,
     routh_hurwitz_stable,
 )
 from .model import (
@@ -119,10 +119,10 @@ def _check_skew_kernel(model: _QuadraticModel) -> CheckResult:
 
 def _check_displacement_two_path(model: _QuadraticModel) -> CheckResult:
     value = net_displacement_quadratic(CANON, 0.62)
-    a_plus = _resolvent(model.neg_a, 0.62)[None]
+    a_plus = resolvents(model.a, 0.62)[0][None]
     quad = float(_dx2_quadrature(model, np.array([0.62]), a_plus)[0])
-    # the resolvent value against the time-domain formula, and against
-    # its frozen bits
+    # the rational value against the resolvent's time-domain formula, and
+    # against its frozen bits
     agree = abs(value - quad) <= 1e-8 * max(1.0, abs(quad))
     frozen = 0.03202696038636458
     gap = abs(value - frozen) / abs(frozen)

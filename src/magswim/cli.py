@@ -110,23 +110,25 @@ ECHO_KEYS = {
     "displacement": (("initial", "field"),
                      ("solver.dt", "solver.burn_in_periods",
                       "solver.measure_periods")),
-    # linearize and sweep read the field to hold it to hx0 = 1
-    "linearize": (("field",), ()),
-    "sweep": (("field",), ("analysis.omega_min", "analysis.omega_max",
-                           "analysis.n_grid")),
+    # linearize and sweep read the field's kind and hx0 to hold it to 1
+    "linearize": ((), ("field.kind", "field.hx0")),
+    "sweep": ((), ("field.kind", "field.hx0", "analysis.omega_min",
+                   "analysis.omega_max", "analysis.n_grid")),
     "controllability": ((), ("analysis.bracket_depth",)),
 }
 
 
 def _echo(config: RunConfig, command: str) -> dict[str, Any]:
     """The parameters, ``ECHO_KEYS[command]``, its keys grouped by section
-    (every report has a ``solver`` group), and the applied defaults among
-    them."""
+    (every report has a ``solver`` group; a ``field`` key the field's kind
+    does not take is left out), and the applied defaults among them."""
     sections, keys = ECHO_KEYS[command]
     groups: dict[str, dict[str, Any]] = {"solver": {}}
     for name in keys:
         section, _, key = name.partition(".")
-        groups.setdefault(section, {})[key] = getattr(config, key)
+        source = config.field if section == "field" else config
+        if hasattr(source, key):
+            groups.setdefault(section, {})[key] = getattr(source, key)
     # a default is listed when its section or its "section.key" is echoed
     echoed = {"params", *sections, *keys}
     return _plain({"params": config.params,
@@ -226,9 +228,14 @@ def cmd_displacement(args: argparse.Namespace) -> int:
                           "sinusoidal [field]")
     epsilon = sine.epsilon if args.epsilon is None else args.epsilon
     omega = sine.omega if args.omega is None else args.omega
-    # the report echoes the drive that is run, not the one it replaced
-    config = dataclasses.replace(config, field=SinusoidalField(
-        hx0=1.0, epsilon=epsilon, omega=omega))
+    # the report echoes the drive that is run, not the one it replaced: a
+    # flag's value is no default, nor is a key the drive does not have
+    replaced = {"hx", "hy", *(key for key in ("epsilon", "omega")
+                              if getattr(args, key) is not None)}
+    config = dataclasses.replace(
+        config, field=SinusoidalField(hx0=1.0, epsilon=epsilon, omega=omega),
+        applied_defaults=tuple(name for name in config.applied_defaults
+                               if name.partition(".")[2] not in replaced))
 
     def body() -> tuple[dict[str, Any], int]:
         report = displacement_per_period(

@@ -14,8 +14,8 @@ and ``q = 0`` is an equilibrium.  For the weak transverse drive
 The steady periodic orbit of that system, pushed through the quadratic
 term of the x-displacement map, produces the per-cycle net displacement at
 order eps^2.  Everything in this module is that chain: the numeric and
-closed-form ``A``, stability of ``A``, the resolvent orbit, and the two
-independent evaluations of the quadratic displacement.
+closed-form ``A``, stability of ``A``, the quadratic displacement as a
+rational function of omega, and the resolvent orbit, its second route.
 
 Closed forms assume the head-asymmetric drag pattern: links 2 and 3 share
 coefficients (xi, eta), link 1 may differ (xi1, eta1).  They are exact in
@@ -23,7 +23,6 @@ that regime; the numeric paths work for any parameters.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import warnings
@@ -57,7 +56,6 @@ __all__ = [
 # smooth and order one there, so it balances truncation against roundoff
 # at about 1e-10 relative
 _ORIGIN_STEP = 1e-6
-_IEYE = 1j * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -206,15 +204,6 @@ def _inverse(m: np.ndarray) -> np.ndarray:
         return _umath_linalg.inv(m, signature="D->D")
 
 
-def _resolvent(neg_a: np.ndarray, omega: float) -> np.ndarray:
-    """``(neg_a + i omega I)^-1`` for a 3x3 ``neg_a``."""
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    return _inverse(neg_a + omega * _IEYE)
-
-
 def resolvents(a: np.ndarray, omega: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """``(-a + i omega I)^-1`` and ``(-a - i omega I)^-1`` for a real 3x3
@@ -222,7 +211,11 @@ def resolvents(a: np.ndarray, omega: float
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise ValueError("resolvents expects a 3x3 matrix")
-    a_plus = _resolvent(-a, omega)
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    a_plus = _inverse(-a + omega * (1j * np.eye(3)))
     # a is real, so the second resolvent is the conjugate of the first
     return a_plus, a_plus.conj()
 
@@ -275,78 +268,104 @@ def closed_form_skew_kernel(params: SwimmerParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _QuadraticModel:
-    """``A``, ``b`` and ``grad Gx``, plus ``-A`` (complex) and the skew part
-    ``w = grad Gx - grad Gx^T`` that every resolvent evaluation reads."""
+    """``A``, ``b``, ``grad Gx``, its skew part ``w = grad Gx - grad Gx^T``
+    and the coefficients of ``dx2`` (``_rational_coeffs``)."""
 
     a: np.ndarray
     b: np.ndarray
     grad_gx: np.ndarray
-    neg_a: np.ndarray
     w: np.ndarray
+    coeffs: tuple[float, ...]
+
+
+def _rational_coeffs(a: np.ndarray, b: np.ndarray, w: np.ndarray,
+                     poly: tuple[float, ...]) -> tuple[float, ...]:
+    """``(alpha, beta, q2, q1, q0)`` with ``dx2(omega) = -pi omega (alpha -
+    beta omega^2) / Q(omega^2)``, ``Q(x) = x^3 + q2 x^2 + q1 x + q0``.
+
+    ``poly = char_poly(a)`` holds the trace ``T``, the sum ``m`` of the
+    principal 2x2 minors and the determinant ``D``.  By Cayley-Hamilton
+    ``c = (-A + i omega I)^-1 b = (v - omega^2 b + i omega u) / p(i omega)``
+    with ``p(s) = s^3 - T s^2 + m s - D``, ``u = (A - T I) b`` and ``v = A u
+    + m b``.  ``w`` is skew, so ``(pi/2) Im(c^T w conj(c))`` has ``alpha =
+    v^T w u``, ``beta = b^T w u`` and ``Q(omega^2) = |p(i omega)|^2``.
+    """
+    _, trace, neg_minors, det = poly
+    u = a @ b - trace * b
+    v = a @ u - neg_minors * b
+    wu = w @ u
+    return (float(v @ wu), float(b @ wu), trace * trace + 2.0 * neg_minors,
+            neg_minors * neg_minors - 2.0 * trace * det, det * det)
 
 
 def displacement_model(params: SwimmerParams) -> _QuadraticModel:
     """Numeric (A, b, grad Gx) bundle used by the displacement formulas,
     from one rate-closure call and one batch of 6 poses
-    (``_origin_derivatives``)."""
+    (``_origin_derivatives``), with the coefficients of ``dx2``."""
     a, b, grad_gx = _origin_derivatives(params)
-    if not routh_hurwitz_stable(char_poly(a)):
+    poly = char_poly(a)
+    if not routh_hurwitz_stable(poly):
         raise AnalysisError(
             "straight equilibrium is not strictly stable; periodic "
             "response is undefined")
-    return _QuadraticModel(a=a, b=b, grad_gx=grad_gx,
-                           neg_a=(-a).astype(complex), w=grad_gx - grad_gx.T)
+    w = grad_gx - grad_gx.T
+    return _QuadraticModel(a=a, b=b, grad_gx=grad_gx, w=w,
+                           coeffs=_rational_coeffs(a, b, w, poly))
 
 
-def _dx2_terms(model: _QuadraticModel, omega: float, a_plus: np.ndarray
+def _dx2_fraction(coeffs: tuple[float, ...], hat, sigma):
+    """``(n, d)`` with ``dx2 = -pi n / d`` at ``omega = hat / sigma``,
+    ``sigma = 1 / max(omega, 1)``, floats or arrays: ``n = omega (alpha -
+    beta x)`` and ``d = Q(x)``, ``x = omega^2``, both divided by
+    ``max(omega, 1)^6`` so that neither overflows."""
+    alpha, beta, q2, q1, q0 = coeffs
+    y, tau = hat * hat, sigma * sigma
+    return (hat * sigma * tau * (alpha * tau - beta * y),
+            q0 * tau * tau * tau + y * (q1 * tau * tau + y * (q2 * tau + y)))
+
+
+def _dx2_terms(model: _QuadraticModel, omega: float
                ) -> tuple[float, float, float]:
-    """``dx2`` at ``omega`` and its first two ``omega``-derivatives, from the
-    resolvent ``a_plus = (-A + i omega I)^-1``.
+    """``dx2`` at ``omega`` and its first two ``omega``-derivatives, by the
+    quotient rule on ``_dx2_fraction``, in the grid's rounding.  A value
+    that is not finite, or a zero ``d``, raises ``AnalysisError``."""
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    sigma = 1.0 / max(omega, 1.0)
+    hat = omega * sigma
+    num, den = _dx2_fraction(model.coeffs, hat, sigma)
+    value = -math.pi * num / den if den != 0.0 else math.nan
+    if not math.isfinite(value):
+        raise AnalysisError(f"dx2 = {value:.3e} at omega = {omega:g} is "
+                            f"not finite")
+    # the omega-derivatives of n and d, divided by max(omega, 1)^6 alike
+    alpha, beta, q2, q1, q0 = model.coeffs
+    y, tau = hat * hat, sigma * sigma
+    num1 = tau * tau * (alpha * tau - 3.0 * beta * y)
+    num2 = -6.0 * beta * hat * sigma * tau * tau
+    den1 = 2.0 * hat * sigma * (q1 * tau * tau
+                                + y * (2.0 * q2 * tau + 3.0 * y))
+    den2 = 2.0 * tau * (q1 * tau * tau + y * (6.0 * q2 * tau + 15.0 * y))
+    ratio = num / den
+    slope = (num1 - ratio * den1) / den
+    curvature = (num2 - 2.0 * slope * den1 - ratio * den2) / den
+    return value, -math.pi * slope, -math.pi * curvature
 
-    With ``c = a_plus b``, ``e = a_plus c``, ``f = a_plus e`` and
-    ``d a_plus / d omega = -i a_plus^2``:
-    ``dx2 = (pi/2) Im(c^T w conj(c))``, ``dx2' = -pi Re(e^T w conj(c))``
-    and ``dx2'' = -pi Re(-2i f^T w conj(c) + i e^T w conj(e))``.  The
-    value's own product passes through ``v = a_plus^T w conj(c)``, so
-    ``e^T w conj(c) = c^T v`` and ``f^T w conj(c) = e^T v``; ``w`` is skew,
-    so ``e^T w conj(e) = -2i Re(e)^T w Im(e)``.
-    """
-    c_conj = a_plus.conj() @ model.b
-    v = a_plus.T @ (model.w @ c_conj)
-    z = model.b @ v
-    # z is purely imaginary up to roundoff; its real part is a numerical
-    # residue and must stay tiny, and a NaN or inf in either part fails
-    if not (cmath.isfinite(z)
-            and abs(z.real) <= 1e-10 * max(1.0, abs(z.imag))):
-        raise AnalysisError(f"resolvent quadratic form {z:.3e} at omega = "
-                            f"{omega:g} is not finite or has a real residue")
-    c = c_conj.conj()
-    e = a_plus @ c
-    slope = -math.pi * float((c @ v).real)
-    curvature = -2.0 * math.pi * float(
-        (e @ v).imag + e.real @ (model.w @ e.imag))
-    value = (2.0 * math.pi / omega) * (omega / 4.0) * float(z.imag)
-    return value, slope, curvature
 
-
-def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The value ``_dx2_terms`` gives on the scalar resolvent at each of
-    the positive ``omegas``, to the bit, and the stacked resolvents: one
-    stacked inverse, then stacked products on column vectors, which numpy
-    hands to the same BLAS kernels as the scalar path's."""
-    a_plus = _inverse(model.neg_a + omegas[:, None, None] * _IEYE)
-    col = model.w @ (a_plus.conj() @ model.b[:, None])
-    z = (model.b @ (a_plus.transpose(0, 2, 1) @ col))[:, 0]
-    # the test of _dx2_terms at every frequency; the first failure raises
-    bad = np.flatnonzero(~(np.isfinite(z) & (
-        np.abs(z.real) <= 1e-10 * np.fmax(1.0, abs(z.imag)))))
-    if bad.size:
-        k = bad[0]
-        raise AnalysisError(
-            f"resolvent quadratic form {z[k]:.3e} at omega = "
-            f"{omegas[k]:g} is not finite or has a real residue")
-    return (2.0 * math.pi / omegas) * (omegas / 4.0) * z.imag, a_plus
+def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray) -> np.ndarray:
+    """``_dx2_terms``' value at each of the positive ``omegas``, to the bit;
+    the first frequency whose value is not finite raises."""
+    sigma = 1.0 / np.maximum(omegas, 1.0)
+    num, den = _dx2_fraction(model.coeffs, omegas * sigma, sigma)
+    dx2 = -math.pi * num / np.where(den != 0.0, den, math.nan)
+    finite = np.isfinite(dx2)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise AnalysisError(f"dx2 = {dx2[k]:.3e} at omega = {omegas[k]:g} "
+                            f"is not finite")
+    return dx2
 
 
 def _dx2_quadrature(model: _QuadraticModel, omegas: np.ndarray,
@@ -362,8 +381,8 @@ def _dx2_quadrature(model: _QuadraticModel, omegas: np.ndarray,
     ``p^T p``, which is ``I / 2``, so the integral is
     ``(pi / omega) tr(S grad Gx R^T)``.  The trapezoid sum on N >= 3
     uniform nodes is the same number, because the integrand is a
-    trigonometric polynomial of degree 2.  It equals the resolvent value
-    ``pi y^T w x`` of ``c = x + iy`` algebraically, by another formula:
+    trigonometric polynomial of degree 2.  It is a second route to
+    ``dx2``, by an LU inverse where the sweep takes the adjugate:
     ``validate`` and acceptance criterion 04 compare the two.
     """
     c = a_plus @ model.b
@@ -375,9 +394,8 @@ def _dx2_quadrature(model: _QuadraticModel, omegas: np.ndarray,
 
 def net_displacement_quadratic(params: SwimmerParams, omega: float) -> float:
     """Per-cycle x-displacement at quadratic order, per unit eps^2, from the
-    closed resolvent expression (``_dx2_terms``)."""
-    model = displacement_model(params)
-    return _dx2_terms(model, omega, _resolvent(model.neg_a, omega))[0]
+    rational form of ``dx2`` (``_dx2_terms``)."""
+    return _dx2_terms(displacement_model(params), omega)[0]
 
 
 @dataclass(frozen=True)
@@ -443,9 +461,9 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
                     omega_max: float, n_grid: int = 64) -> DisplacementCurve:
     """Sweep ``dx2`` over a log-spaced grid and refine the peak.
 
-    ``dx2`` comes from the resolvent expression, over the whole grid in one
-    batch (``_dx2_grid``); the peak of ``|dx2|`` is then refined, one
-    frequency at a time, by a safeguarded Newton iteration on the exact
+    ``dx2`` is a rational function of omega, evaluated over the whole
+    grid as arrays (``_dx2_grid``); the peak of ``|dx2|`` is then refined,
+    one frequency at a time, by a safeguarded Newton iteration on the exact
     ``omega``-slope of ``dx2`` inside the grid cell that brackets it
     (``_newton_peak``), typically 2-4 points before ``omega_star``.
     """
@@ -460,17 +478,17 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     model = displacement_model(params)
     omegas = np.logspace(math.log10(omega_min), math.log10(omega_max),
                          n_grid)
-    dx2, grid_resolvents = _dx2_grid(model, omegas)
+    dx2 = _dx2_grid(model, omegas)
     evaluations = n_grid
 
     def evaluate(w: float) -> tuple[float, float, float]:
         nonlocal evaluations
         evaluations += 1
-        return _dx2_terms(model, w, _resolvent(model.neg_a, w))
+        return _dx2_terms(model, w)
 
-    peak = int(np.argmax(np.abs(dx2)))
-    scale = float(np.max(np.abs(dx2)))
-    near_zero = scale <= 1e-12
+    magnitude = np.abs(dx2)
+    peak = int(magnitude.argmax())
+    near_zero = bool(magnitude[peak] <= 1e-12)
     boundary = peak in (0, n_grid - 1)
     if near_zero:
         # a curve that is zero to roundoff has no meaningful peak
@@ -481,9 +499,8 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
             "frequency range", stacklevel=2)
         omega_star = float(omegas[peak])
     else:
-        omega_star = _newton_peak(
-            evaluate, omegas, peak,
-            _dx2_terms(model, float(omegas[peak]), grid_resolvents[peak]))
+        omega_star = _newton_peak(evaluate, omegas, peak,
+                                  _dx2_terms(model, float(omegas[peak])))
     dx2_star = evaluate(omega_star)[0]
     return DisplacementCurve(
         omegas=omegas, dx2=dx2, omega_star=omega_star, dx2_star=dx2_star,

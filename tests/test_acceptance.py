@@ -31,7 +31,6 @@ from magswim.dynamics import _assemble, _unpack
 from magswim.linear import (
     _dx2_quadrature,
     _dx2_terms,
-    _resolvent,
     closed_form_angle_matrix,
     closed_form_char_coeffs,
     closed_form_grad_gx,
@@ -40,6 +39,7 @@ from magswim.linear import (
     grad_gx_origin,
     linearize_angles,
     net_displacement_quadratic,
+    resolvents,
     routh_hurwitz_stable,
 )
 from magswim.model import SinusoidalField
@@ -139,8 +139,8 @@ def test_criterion_04_two_displacement_paths_agree(param_sets):
     for params in param_sets:
         model = displacement_model(params)
         for omega in freqs:
-            a_plus = _resolvent(model.neg_a, float(omega))
-            res = _dx2_terms(model, float(omega), a_plus)[0]
+            a_plus = resolvents(model.a, float(omega))[0]
+            res = _dx2_terms(model, float(omega))[0]
             quad = float(_dx2_quadrature(model, np.array([omega]),
                                          a_plus[None])[0])
             worst = max(worst, abs(res - quad) / max(1.0, abs(quad)))

@@ -190,6 +190,53 @@ directory = {tmp_path}
         assert not {"analysis.omega_max", "analysis.n_grid"} & \
             set(payload["applied_defaults"])
 
+    @pytest.mark.parametrize("command", ["linearize", "sweep"])
+    @pytest.mark.parametrize("field, echo, defaults", [
+        ("", {"kind": "sinusoidal", "hx0": 1.0},
+         ["field.hx0", "field.kind"]),
+        ("[field]\nepsilon = 0.3\n", {"kind": "sinusoidal", "hx0": 1.0},
+         ["field.hx0", "field.kind"]),
+        ("[field]\nkind = constant\n", {"kind": "constant"}, [])],
+        ids=["default", "sinusoidal", "constant"])
+    def test_theory_echoes_only_the_field_keys_it_reads(
+            self, tmp_path, capsys, command, field, echo, defaults):
+        # the field's kind, and hx0 of a sinusoid (_require_unit_hx)
+        import json
+        cfg = write_config(tmp_path, field + f"[output]\ndirectory = "
+                                             f"{tmp_path}\n")
+        report = tmp_path / "report.json"
+        assert main([command, "--config", cfg, "--json", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["field"] == echo
+        assert [name for name in payload["applied_defaults"]
+                if name.startswith("field.")] == defaults
+
+    @pytest.mark.parametrize("field, flags, defaults", [
+        ("kind = constant", ["--epsilon", "0.1", "--omega", "3.0"], []),
+        ("kind = sinusoidal", ["--epsilon", "0.1"],
+         ["field.hx0", "field.omega"]),
+        ("epsilon = 0.1", ["--omega", "3.0"], ["field.hx0", "field.kind"])],
+        ids=["constant", "sinusoidal_epsilon", "default_kind_omega"])
+    def test_displacement_lists_only_the_defaults_of_the_drive_run(
+            self, tmp_path, capsys, field, flags, defaults):
+        # a flag's value is no default, nor is a key of a replaced field
+        import json
+        cfg = write_config(tmp_path, f"""
+[field]
+{field}
+
+[solver]
+dt = 0.05
+burn_in_periods = 1
+measure_periods = 1
+""")
+        report = tmp_path / "report.json"
+        assert main(["displacement", "--config", cfg, *flags,
+                     "--json", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert [name for name in payload["applied_defaults"]
+                if name.startswith("field.")] == defaults
+
     def test_simulate_trajectory_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SOLVER_ECHO.format(out=tmp_path)
                            + "formats = jsonl\n")
@@ -643,21 +690,29 @@ TRANSCRIPT = {
 # the [analysis] keys they read (sweep: omega_min, omega_max and n_grid;
 # controllability: bracket_depth) and their defaults, and the sweep cases
 # by dropping path_gap, a gap between two formulas equal in exact
-# arithmetic (the grid and sweep.csv kept their bytes)
+# arithmetic (the grid and sweep.csv kept their bytes);
+# the linearize and sweep cases by a field echo of the kind and hx0 alone,
+# the keys they read, with only those defaults; displacement_flags by
+# dropping field.hx and field.hy, defaults of the constant field its flags
+# replace, from applied_defaults; sweep_default and sweep_boundary by the
+# rational form of dx2 (the grid, omega_star and dx2_star moved in their
+# last digits, in stdout, the report and sweep.csv); validate by the same
+# form's last digits of the CANON value at 0.62 and of the UNIFORM value,
+# which is roundoff
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, 'c1e9b3bd3343fe5d24c6f4752c8e24786d362fd3663c92445b42e350d9c7e593'),
     "controllability_thetas": (0, 'd076a0d37eaa4d43f8b28b4a8835f81003bd0d242c81145d5358160ff066243a'),
     "displacement_config": (0, '6b87c3ef4784713840d2750fb493582b7c6f960c3d4860e0c6cec7cde666eaf4'),
-    "displacement_flags": (0, '481be90ca93a73fc0c6dd8ad16511aeadf89a85f3d682b6d9b2bace0f90b0b93'),
-    "linearize_no_pattern": (0, '55afb52604641a903a04971bf8b0482dbbb144d1ac3cce3581c928c6b064cfe2'),
-    "linearize_pattern": (0, 'b38325c60abbae6cbe04c4fc13b2b75d5e95e67fc0ae83b2112888e33b91d21a'),
+    "displacement_flags": (0, 'af645e4b2d6210a185ae1a9103f59277317bd2589a2488976c8809146893d7bf'),
+    "linearize_no_pattern": (0, '17993bc3d69cd434e28ca7f8aaf1493d9df568a13fc71bb02ee3e940bd3b02a4'),
+    "linearize_pattern": (0, '1e9dce2ef1cd1c658856302047c98d51bae00977dcb2695e657ba39c5e29345c'),
     "simulate_constant_jsonl": (0, 'ea06ba5f484cc8d45772ecbe6f1a9cf22b8f07d59965ad3e1d3b2a7c007425ec'),
     "simulate_tabulated": (0, '40cc886b0661ee3737be6c9f4e2bb41e00cc250fb06525232b3df47172a512c4'),
-    "sweep_boundary": (0, '7bfa0f633c2b0ef31c06f774b511d2e9a2a6935fef190284a24483c617f10840'),
-    "sweep_default": (0, '09259943cede8f13a55e5a7ff41a996bcf56194832f494188786348dfd7e5906'),
-    "sweep_error_record": (1, '90ec6ff0f730b80752a047d847ad6bd721b0812244e572166a5f89d3241c5184'),
+    "sweep_boundary": (0, 'b99ccc56ee9d79154cd9ddd0e45bc99de9c1996649d53f08282031324cdd375c'),
+    "sweep_default": (0, '2819ca89b35a9b999702b5ab04b4046c179c2f4865047361a76d9f3ff6add1bc'),
+    "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),
     "symmetry": (0, 'b9817962b3a27b625801f6fef07981100b732b3263d37db1a404111a3ccf2c32'),
-    "validate": (0, 'f00cfb5a7d65f1e53828c63e12a0a4f92b17a1549cdb0b8987fc8ccaf4b50c5c'),
+    "validate": (0, 'f1565da77f91f620254ab7456d982a257118447a54b1d85c880bc38cda417ab3'),
 }
 
 
