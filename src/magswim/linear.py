@@ -13,9 +13,12 @@ and ``q = 0`` is an equilibrium.  For the weak transverse drive
 
 The steady periodic orbit of that system, pushed through the quadratic
 term of the x-displacement map, produces the per-cycle net displacement at
-order eps^2.  Everything in this module is that chain: the numeric and
-closed-form ``A``, stability of ``A``, the quadratic displacement as a
-rational function of omega, and the resolvent orbit, its second route.
+order eps^2.  Everything in this module is that chain: ``A``, ``b`` and
+``grad Gx`` at the straight state and their closed forms, stability of
+``A``, the quadratic displacement as a rational function of omega, and the
+resolvent orbit, its second route.  The derivatives take no step size: the
+theta column and row follow from the rotation rule, the joint-angle ones
+from complex steps through the assembly itself, exact to roundoff.
 
 Closed forms assume the head-asymmetric drag pattern: links 2 and 3 share
 coefficients (xi, eta), link 1 may differ (xi1, eta1).  They are exact in
@@ -52,10 +55,9 @@ __all__ = [
     "displacement_model",
 ]
 
-# central-difference step of the derivatives at the origin: the rates are
-# smooth and order one there, so it balances truncation against roundoff
-# at about 1e-10 relative
-_ORIGIN_STEP = 1e-6
+# the complex step: Im f(q + i h e) / h is the derivative of f along e to
+# roundoff for any h this small, as no difference cancels
+_COMPLEX_STEP = 2.0 ** -100
 
 
 @dataclass(frozen=True)
@@ -72,42 +74,58 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
             "closed forms need links 2 and 3 to share drag coefficients")
 
 
+def _complex_steps(params: SwimmerParams, poses: list
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The complex poses ``poses`` (angle triples), assembled once each by
+    ``_assemble_complex`` and solved in one batch: their shape rates
+    under ``(Hx, Hy) = (1, 0)`` (n, 3), from the load ``elastic - Mx``,
+    and ``Ah^-1 Bh`` (n, 2, 3), whose rows map the angle rates to
+    ``-(xdot, ydot)`` under zero net force."""
+    loads = _load_core(params, complex_step=True)
+    mh, elastic, mx, _ = zip(*(loads(*q) for q in poses))
+    mh, load = np.array(mh), np.subtract(elastic, mx)
+    with _solve_errstate():
+        rates = _umath_linalg.solve1(mh, load, signature="DD->D")
+        coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
+                                       signature="DD->D")
+    return rates[:, 2:], coupling
+
+
 def _origin_derivatives(params: SwimmerParams
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A, b, grad Gx)``: ``b`` is one rate-closure call at the origin
-    under ``(Hx, Hy) = (0, 1)``.  The 6 poses ``+-_ORIGIN_STEP e_j`` (the
-    other angles +0.0) are assembled once each; one batched solve gives
-    their shape rates under ``(1, 0)``, from loads formed as the closure
-    forms them, so to its last bit, and one more their coupling x-row
-    ``Gx``."""
+    """``(A, b, grad Gx)`` at the straight state from three assemblies.
+
+    ``b`` is one rate-closure call at the origin under ``(Hx, Hy) = (0,
+    1)``.  The theta column and row follow from the rotation rule:
+    turning the swimmer by theta is turning the field by -theta, so
+    ``A e1 = -b``, and ``(xdot, ydot)`` turn with the swimmer, so
+    ``d Gx / d theta = -Gy``, the y-row of ``Ah^-1 Bh`` at the origin.
+    The alpha2 and alpha3 columns are ``Im(.) / h`` of the complex-step
+    poses ``i h e_2`` and ``i h e_3`` (``_complex_steps``); the real part
+    of the first gives ``Ah^-1 Bh`` at the origin to roundoff.
+    """
     with _solve_errstate():
         b = make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:]
-    loads = _load_core(params)
-    poses = np.zeros((6, 3))
-    poses[0::2] += _ORIGIN_STEP * np.eye(3)
-    poses[1::2] -= _ORIGIN_STEP * np.eye(3)
-    # Mh, elastic, Mx and My of each pose, stacked
-    mh, elastic, mx, my = map(np.array, zip(*map(loads, *poses.T.tolist())))
-    # -Hx Mx - Hy My under (Hx, Hy) = (1, 0), term by term as the closure
-    load = -1.0 * mx - 0.0 * my
-    load[:, 3:] += elastic[:, 3:]
-    with _solve_errstate():
-        rates = _umath_linalg.solve1(mh, load, signature="dd->d")
-        # (xdot, ydot) = -Ah^-1 Bh (angle rates) under zero net force
-        coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
-                                       signature="dd->d")
-    gx = -coupling[:, 0]
-    a = (rates[0::2, 2:] - rates[1::2, 2:]) / (2.0 * _ORIGIN_STEP)
-    return a.T.copy(), b, (gx[0::2] - gx[1::2]) / (2.0 * _ORIGIN_STEP)
+    step = 1j * _COMPLEX_STEP
+    rates, coupling = _complex_steps(params, [(0.0, step, 0.0),
+                                              (0.0, 0.0, step)])
+    a = np.empty((3, 3))
+    a[:, 0] = -b
+    a[:, 1:] = rates.imag.T / _COMPLEX_STEP
+    grad_gx = np.empty((3, 3))
+    grad_gx[0] = coupling[0, 1].real
+    # Gx is minus the x-row of Ah^-1 Bh
+    grad_gx[1:] = coupling[:, 0].imag / -_COMPLEX_STEP
+    return a, b, grad_gx
 
 
 def linearize_angles(params: SwimmerParams) -> LinearizedModel:
-    """Finite-difference ``A`` and ``b`` at the straight equilibrium.
+    """Exact ``A`` and ``b`` at the straight equilibrium, to roundoff.
 
-    ``A`` comes from central differences with the fixed step 1e-6, over
-    the 6-pose batch of ``_origin_derivatives`` that
-    ``displacement_model`` reads, ``b`` from one rate-closure call at the
-    origin.
+    ``b`` is one rate-closure call at the origin, ``A e1 = -b`` the
+    rotation rule and the other two columns complex steps through the
+    same assembly (``_origin_derivatives``, which ``displacement_model``
+    reads); no step size enters.
     """
     a, b, _ = _origin_derivatives(params)
     return LinearizedModel(a=a, b=b)
@@ -142,18 +160,19 @@ def closed_form_angle_matrix(params: SwimmerParams) -> LinearizedModel:
 def char_poly(a: np.ndarray) -> tuple[float, float, float, float]:
     """Coefficients of ``det(a - lam I) = a3 lam^3 + a2 lam^2 + a1 lam + a0``.
 
-    Built from the trace, the principal 2x2 minors, and the determinant,
-    so ``a3`` is always exactly -1.
+    Built on Python floats from the trace, the principal 2x2 minors, and
+    the determinant by cofactors of the first row, so ``a3`` is always
+    exactly -1.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise ValueError("char_poly expects a 3x3 matrix")
-    tr = float(np.trace(a))
-    minors = 0.0
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        minors += float(a[i, i] * a[j, j] - a[i, j] * a[j, i])
-    det = float(np.linalg.det(a))
-    return (-1.0, tr, -minors, det)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    minor0 = a11 * a22 - a12 * a21
+    minors = (a00 * a11 - a01 * a10) + (a00 * a22 - a02 * a20) + minor0
+    det = (a00 * minor0 - a01 * (a10 * a22 - a12 * a20)
+           + a02 * (a10 * a21 - a11 * a20))
+    return (-1.0, a00 + a11 + a22, -minors, det)
 
 
 def routh_hurwitz_stable(coeffs: tuple[float, float, float, float]) -> bool:
@@ -225,7 +244,9 @@ def grad_gx_origin(params: SwimmerParams) -> np.ndarray:
 
     Entry ``[j, k]`` is the derivative of ``Gx_k`` along shape coordinate
     ``j``, where ``xdot = Gx(q) . qdot``.  ``Gx(0) = 0`` by symmetry, so
-    this gradient carries the entire quadratic displacement.
+    this gradient carries the entire quadratic displacement.  The theta
+    row is ``-Gy(0)`` by the rotation rule, the others complex steps
+    (``_origin_derivatives``), exact to roundoff.
     """
     return _origin_derivatives(params)[2]
 
@@ -278,10 +299,17 @@ class _QuadraticModel:
     coeffs: tuple[float, ...]
 
 
+def _matvec(m: list, x: list) -> list[float]:
+    """``m x`` for the rows ``m`` of three floats and the three floats
+    ``x``, on Python floats."""
+    return [r0 * x[0] + r1 * x[1] + r2 * x[2] for r0, r1, r2 in m]
+
+
 def _rational_coeffs(a: np.ndarray, b: np.ndarray, w: np.ndarray,
                      poly: tuple[float, ...]) -> tuple[float, ...]:
     """``(alpha, beta, q2, q1, q0)`` with ``dx2(omega) = -pi omega (alpha -
-    beta omega^2) / Q(omega^2)``, ``Q(x) = x^3 + q2 x^2 + q1 x + q0``.
+    beta omega^2) / Q(omega^2)``, ``Q(x) = x^3 + q2 x^2 + q1 x + q0``, on
+    Python floats.
 
     ``poly = char_poly(a)`` holds the trace ``T``, the sum ``m`` of the
     principal 2x2 minors and the determinant ``D``.  By Cayley-Hamilton
@@ -291,17 +319,18 @@ def _rational_coeffs(a: np.ndarray, b: np.ndarray, w: np.ndarray,
     v^T w u``, ``beta = b^T w u`` and ``Q(omega^2) = |p(i omega)|^2``.
     """
     _, trace, neg_minors, det = poly
-    u = a @ b - trace * b
-    v = a @ u - neg_minors * b
-    wu = w @ u
-    return (float(v @ wu), float(b @ wu), trace * trace + 2.0 * neg_minors,
+    a, b = a.tolist(), b.tolist()
+    u = [ab - trace * bk for ab, bk in zip(_matvec(a, b), b)]
+    v = [au - neg_minors * bk for au, bk in zip(_matvec(a, u), b)]
+    alpha, beta = _matvec((v, b), _matvec(w.tolist(), u))
+    return (alpha, beta, trace * trace + 2.0 * neg_minors,
             neg_minors * neg_minors - 2.0 * trace * det, det * det)
 
 
 def displacement_model(params: SwimmerParams) -> _QuadraticModel:
-    """Numeric (A, b, grad Gx) bundle used by the displacement formulas,
-    from one rate-closure call and one batch of 6 poses
-    (``_origin_derivatives``), with the coefficients of ``dx2``."""
+    """The (A, b, grad Gx) bundle used by the displacement formulas, from
+    one float and two complex assemblies (``_origin_derivatives``), with
+    the coefficients of ``dx2``."""
     a, b, grad_gx = _origin_derivatives(params)
     poly = char_poly(a)
     if not routh_hurwitz_stable(poly):

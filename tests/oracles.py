@@ -5,14 +5,17 @@ from its angles: the independent oracle from which the quadrature check
 of ``test_dynamics`` takes its material points, knowing nothing of the
 moment integrals of the assembly.  ``velocity`` is the configuration
 velocity as one call of the rate closure, inside the error state in which
-a singular solve raises ``LinAlgError``.
+a singular solve raises ``LinAlgError``.  ``complex_step_theta_column`` and
+``central_difference_origin`` measure the derivatives at the straight state
+pose by pose through ``np.linalg.solve``, the first by a complex step along
+theta, the second by central differences along every angle.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from magswim import Configuration, SwimmerParams, make_rate_function
-from magswim.dynamics import _solve_errstate
+from magswim.dynamics import _load_core, _solve_errstate
 
 
 def velocity(config: Configuration, h: tuple[float, float],
@@ -21,6 +24,40 @@ def velocity(config: Configuration, h: tuple[float, float],
     with _solve_errstate():
         return make_rate_function(params)(config.as_array().tolist(),
                                           h[0], h[1])
+
+
+def _shape_rates_and_gx(loads, pose):
+    """Shape rates under ``(Hx, Hy) = (1, 0)`` and the coupling x-row
+    ``Gx`` at ``pose``, by the public solve."""
+    mh, elastic, mx, _ = loads(*pose)
+    rates = np.linalg.solve(mh, np.array(elastic) - np.array(mx))
+    gx = -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[0]
+    return rates[2:], gx
+
+
+def complex_step_theta_column(params: SwimmerParams) -> np.ndarray:
+    """``A e1``: the theta-derivative of the shape rates at the origin
+    under ``(1, 0)``, as ``Im / h`` at the pose ``(i h, 0, 0)``."""
+    h = 2.0 ** -100
+    rates, _ = _shape_rates_and_gx(_load_core(params, complex_step=True),
+                                   (1j * h, 0.0, 0.0))
+    return rates.imag / h
+
+
+def central_difference_origin(params: SwimmerParams, step: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, grad Gx)`` at the origin by central differences of ``step``
+    along theta, alpha2 and alpha3, assembled pose by pose."""
+    loads = _load_core(params)
+    a, grad = np.empty((3, 3)), np.empty((3, 3))
+    for j in range(3):
+        dq = [0.0, 0.0, 0.0]
+        dq[j] = step
+        plus = _shape_rates_and_gx(loads, dq)
+        minus = _shape_rates_and_gx(loads, [-x for x in dq])
+        a[:, j] = (plus[0] - minus[0]) / (2.0 * step)
+        grad[j] = (plus[1] - minus[1]) / (2.0 * step)
+    return a, grad
 
 
 @dataclass(frozen=True)

@@ -434,9 +434,11 @@ directory = {tmp_path}
 
     def test_default_peak_within_golden_bound(self, tmp_path):
         # the golden section placed the default peak at omega_star
-        # 0.9315710808648037, dx2_star 0.03758248655751319, to 1e-6
-        # relative; dx2 is flat at the peak, so the Newton value may not
-        # fall below that but for rounding
+        # 0.9315710808648037, to 1e-6 relative; dx2 is flat at the peak,
+        # so the Newton value may not fall below the closed forms' value
+        # there, 0.03758248655748906, but for rounding (the golden
+        # section's 0.03758248655751319 carried the central differences'
+        # 6.4e-13)
         import json
         report = tmp_path / "sweep.json"
         assert main(["sweep", "--output-dir", str(tmp_path),
@@ -444,7 +446,7 @@ directory = {tmp_path}
         results = json.loads(report.read_text())["results"]
         assert abs(results["omega_star"] - 0.9315710808648037) <= \
             1e-6 * 0.9315710808648037
-        assert results["dx2_star"] >= 0.03758248655751319 * (1.0 - 1e-14)
+        assert results["dx2_star"] >= 0.03758248655748906 * (1.0 - 1e-14)
 
     @pytest.mark.parametrize("flag,value", [("--omega-max", "inf"),
                                             ("--omega-max", "nan"),
@@ -698,21 +700,25 @@ TRANSCRIPT = {
 # rational form of dx2 (the grid, omega_star and dx2_star moved in their
 # last digits, in stdout, the report and sweep.csv); validate by the same
 # form's last digits of the CANON value at 0.62 and of the UNIFORM value,
-# which is roundoff
+# which is roundoff; the linearize, sweep and validate cases by the exact
+# origin model (entry by entry, A and the eigenvalues by at most 1.0e-12
+# relative, the characteristic coefficients by 2.2e-12, omega_star,
+# dx2_star and sweep.csv by 9.1e-13; in validate every closed-form gap,
+# and the frozen CANON value, now the closed forms')
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, 'c1e9b3bd3343fe5d24c6f4752c8e24786d362fd3663c92445b42e350d9c7e593'),
     "controllability_thetas": (0, 'd076a0d37eaa4d43f8b28b4a8835f81003bd0d242c81145d5358160ff066243a'),
     "displacement_config": (0, '6b87c3ef4784713840d2750fb493582b7c6f960c3d4860e0c6cec7cde666eaf4'),
     "displacement_flags": (0, 'af645e4b2d6210a185ae1a9103f59277317bd2589a2488976c8809146893d7bf'),
-    "linearize_no_pattern": (0, '17993bc3d69cd434e28ca7f8aaf1493d9df568a13fc71bb02ee3e940bd3b02a4'),
-    "linearize_pattern": (0, '1e9dce2ef1cd1c658856302047c98d51bae00977dcb2695e657ba39c5e29345c'),
+    "linearize_no_pattern": (0, 'ff29ae6a96c47056307b3d5647ee342c53d7d427a8f04dc5d9d4ef372d8ab178'),
+    "linearize_pattern": (0, '18eadbbb4439bbc9aa98406610afcab8838ca4790e2477b57f6eddc5b8d540fa'),
     "simulate_constant_jsonl": (0, 'ea06ba5f484cc8d45772ecbe6f1a9cf22b8f07d59965ad3e1d3b2a7c007425ec'),
     "simulate_tabulated": (0, '40cc886b0661ee3737be6c9f4e2bb41e00cc250fb06525232b3df47172a512c4'),
-    "sweep_boundary": (0, 'b99ccc56ee9d79154cd9ddd0e45bc99de9c1996649d53f08282031324cdd375c'),
-    "sweep_default": (0, '2819ca89b35a9b999702b5ab04b4046c179c2f4865047361a76d9f3ff6add1bc'),
+    "sweep_boundary": (0, '818f02ae8f1ae90cd4d390c8dc39b5f8c10d28076ea04f96fbaae96009763b70'),
+    "sweep_default": (0, '6974f5d862084ad0b0292fbb6a64267404e378cc808fe2e3cbe217c94e8534fc'),
     "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),
     "symmetry": (0, 'b9817962b3a27b625801f6fef07981100b732b3263d37db1a404111a3ccf2c32'),
-    "validate": (0, 'f1565da77f91f620254ab7456d982a257118447a54b1d85c880bc38cda417ab3'),
+    "validate": (0, '353483f74d972a6e6f01a18b1619a4a4d65b1a4e15ed28bdd3e5da1170395cb9'),
 }
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import magswim.dynamics
 import magswim.linear
 from magswim import AnalysisError, Configuration, SwimmerParams
+from magswim.brackets import lie_rank
 from magswim.dynamics import _assemble, _unpack
 from magswim.linear import (
     char_poly,
@@ -34,6 +36,7 @@ from magswim.linear import (
 )
 from magswim.model import SinusoidalField
 from magswim.simulate import integrate
+from oracles import central_difference_origin, complex_step_theta_column
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -75,20 +78,20 @@ class TestLinearization:
             lin.b, [-14.0 / 11.0, 34.0 / 11.0, 48.0 / 11.0], rtol=1e-9)
 
     def test_outputs_are_frozen(self):
-        # values as the per-module difference loops produced them
+        # values of the rotation rule and the complex steps; b kept its
+        # bits, A and grad Gx moved from the central differences by at
+        # most 6.3e-13 and 5.5e-13 of their largest entries
         lin = linearize_angles(CANON)
         assert lin.a.tolist() == [
-            [1.2727272727270624, 5.818181818178932, 6.909090909086354],
-            [-3.0909090909085783, -13.272727272720614, -9.636363636357938],
-            [-4.36363636363564, -9.090909090905242, -18.54545454544292]]
+            [1.272727272727271, 5.81818181818182, 6.909090909090911],
+            [-3.0909090909090877, -13.272727272727279, -9.636363636363642],
+            [-4.36363636363636, -9.090909090909092, -18.545454545454547]]
         assert lin.b.tolist() == [
             -1.272727272727271, 3.0909090909090877, 4.36363636363636]
         assert grad_gx_origin(CANON).tolist() == [
-            [-0.24999999999995834, -0.24999999999995828,
-             0.12499999999997909],
-            [-0.6964285714281901, -0.3749999999998812,
-             -0.08035714285707724],
-            [0.4553571428569101, 0.06249999999995181, 0.23660714285707876]]
+            [-0.25, -0.25, 0.125],
+            [-0.6964285714285716, -0.375, -0.08035714285714286],
+            [0.4553571428571429, 0.0625, 0.23660714285714285]]
 
     def test_second_set_regression(self):
         p = head_asymmetric(1.3, 1.2, 0.8, 3.0, 1.5, 0.7, 1.1)
@@ -103,28 +106,44 @@ class TestLinearization:
     @given(params=ha_params)
     @settings(max_examples=30, deadline=None)
     def test_closed_form_matches_numeric(self, params):
+        # no step enters, so A and b meet the closed forms to roundoff
+        # (the central differences were 7e-13 off)
         lin = linearize_angles(params)
         closed = closed_form_angle_matrix(params)
         scale = np.max(np.abs(closed.a))
-        assert np.max(np.abs(lin.a - closed.a)) < 1e-7 * scale
-        assert np.max(np.abs(lin.b - closed.b)) < 1e-7 * scale
+        assert np.max(np.abs(lin.a - closed.a)) < 1e-13 * scale
+        assert np.max(np.abs(lin.b - closed.b)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("params", [
+        SwimmerParams(0.8, (0.9, 0.6, 0.7), (2.2, 1.3, 1.1), 2.0, 0.5),
+        SwimmerParams(1.3, (0.7, 0.4, 0.6), (1.9, 1.2, 0.8), 0.6, 1.4)])
+    def test_unequal_tail_matches_central_differences(self, params):
+        # no closed form covers links 2 and 3 apart; central differences
+        # with the former step 1e-6 agree to about 6e-13 there
+        a, grad = central_difference_origin(params, 1e-6)
+        lin = linearize_angles(params)
+        assert np.max(np.abs(lin.a - a)) <= 1e-9 * np.max(np.abs(a))
+        assert np.max(np.abs(grad_gx_origin(params) - grad)) <= \
+            1e-9 * np.max(np.abs(grad))
 
     def test_tangential_drag_does_not_enter(self):
         # A depends only on the normal coefficients; swapping the
-        # tangential set must leave it unchanged to finite-difference noise
+        # tangential set must leave it unchanged to roundoff
         a1 = linearize_angles(
             head_asymmetric(1.0, 1.2, 0.8, 3.0, 1.5, 1.0, 1.0)).a
         a2 = linearize_angles(
             head_asymmetric(1.0, 0.4, 2.9, 3.0, 1.5, 1.0, 1.0)).a
-        assert np.max(np.abs(a1 - a2)) < 1e-7 * np.max(np.abs(a1))
+        assert np.max(np.abs(a1 - a2)) < 1e-13 * np.max(np.abs(a1))
 
     @given(params=ha_params)
     @settings(max_examples=25, deadline=None)
     def test_drive_column_identity(self, params):
-        """Tilting the field equals tilting the swimmer: b = -A e1."""
+        """Tilting the field equals tilting the swimmer: b = -A e1, with
+        A e1 measured by a complex step along theta."""
         lin = linearize_angles(params)
         scale = max(1.0, float(np.max(np.abs(lin.a))))
-        assert np.max(np.abs(lin.b + lin.a[:, 0])) < 1e-7 * scale
+        column = complex_step_theta_column(params)
+        assert np.max(np.abs(lin.b + column)) < 1e-7 * scale
 
     def test_closed_form_rejects_unequal_tail(self):
         p = SwimmerParams(1.0, (1.2, 0.8, 0.9), (3.0, 1.5, 1.5), 1.0, 1.0)
@@ -282,10 +301,10 @@ class TestGradGx:
     @given(params=ha_params)
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_numeric(self, params):
+        # to roundoff, as for A and b
         num = grad_gx_origin(params)
         closed = closed_form_grad_gx(params)
-        assert np.max(np.abs(num - closed)) < 1e-6 * max(
-            1.0, np.max(np.abs(closed)))
+        assert np.max(np.abs(num - closed)) < 1e-13 * np.max(np.abs(closed))
 
     def test_leading_entry(self):
         # (1,1) entry is 2 (eta - eta1) L / (2 (2 eta + eta1))
@@ -372,9 +391,11 @@ class TestNetDisplacement:
 
         inverse = magswim.linear._inverse
         monkeypatch.setattr(magswim.linear, "_inverse", counted)
-        # 8e-17 (2.5e-15 relative) above the resolvent's 0.03202696038636458
+        # 3.3e-16 (1.0e-14 relative) above the closed form's
+        # 0.03202696038633996; the central-difference model gave
+        # 0.03202696038636466
         assert net_displacement_quadratic(CANON, 0.62) == \
-            0.03202696038636466
+            0.03202696038634029
         frequency_sweep(CANON, 1e-2, 1e2, 64)
         assert calls == []
         resolvents(-np.eye(3), 0.62)
@@ -424,35 +445,37 @@ class TestFrequencySweep:
         assert np.max(np.abs(sw.dx2)) < 1e-12
 
     def test_outputs_are_frozen(self):
-        # the outputs of the rational form, and the resolvent's as bounds:
-        # the grid within 1e-13 of its maximum, the peak within 1e-13
-        # relative (they moved by 1.7e-15, 5.4e-16 and 4.3e-16)
+        # the outputs of the exact model, and the closed forms' as bounds:
+        # the grid within 1e-13 of its maximum (closed A, b and grad Gx
+        # through the resolvents), the peak within 1e-13 relative (closed
+        # A, b and grad Gx through this sweep's own peak search)
         sw = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16)
-        assert sw.omega_star == 0.6200600334506727
-        assert sw.dx2_star == 0.03202696054214417
-        assert abs(sw.omega_star - 0.6200600334506731) <= \
-            1e-13 * 0.6200600334506731
-        assert abs(sw.dx2_star - 0.032026960542144156) <= \
-            1e-13 * 0.032026960542144156
-        # the golden section's peak, 1e-6 wide, bounds the new one
+        assert sw.omega_star == 0.6200600334508409
+        assert sw.dx2_star == 0.0320269605421198
+        assert abs(sw.omega_star - 0.6200600334508413) <= \
+            1e-13 * 0.6200600334508413
+        assert abs(sw.dx2_star - 0.0320269605421194) <= \
+            1e-13 * 0.0320269605421194
+        # the golden section's peak, 1e-6 wide, bounds the new one; its
+        # value is the closed form's at omega_star
         assert_peak_within_golden_bound(sw, 0.6200599044339132,
-                                        0.032026960542143434)
+                                        0.032026960542119544)
         assert sw.dx2.tolist() == [
-            0.009981438730766224, 0.01329028938373455, 0.017406715218230458,
-            0.022165065949740163, 0.0269709544248142, 0.030693592656634534,
-            0.032021914331677115, 0.030330512976686076, 0.02620497470880267,
-            0.020932868852145757, 0.015646001199555403, 0.010975319667382214,
-            0.007173727516470478, 0.004315258200719662,
-            0.002370849504632666, 0.0011967390089212486]
-        resolvent = np.array([
-            0.009981438730766193, 0.01329028938373455, 0.017406715218230437,
-            0.022165065949740152, 0.026970954424814172, 0.030693592656634485,
-            0.03202191433167708, 0.030330512976686024, 0.026204974708802613,
-            0.020932868852145747, 0.015646001199555386, 0.01097531966738221,
-            0.007173727516470478, 0.004315258200719666,
-            0.0023708495046326676, 0.001196739008921246])
-        assert np.max(np.abs(sw.dx2 - resolvent)) <= \
-            1e-13 * np.max(np.abs(resolvent))
+            0.009981438730756081, 0.013290289383721189, 0.017406715218213277,
+            0.022165065949718978, 0.026970954424789723, 0.030693592656608773,
+            0.03202191433165289, 0.03033051297666575, 0.0262049747087872,
+            0.020932868852134877, 0.01564600119954836, 0.010975319667378122,
+            0.007173727516468415, 0.004315258200718737,
+            0.002370849504632181, 0.001196739008920864]
+        closed = np.array([
+            0.009981438730755994, 0.013290289383721074, 0.017406715218213166,
+            0.02216506594971879, 0.026970954424789462, 0.030693592656608513,
+            0.03202191433165265, 0.030330512976665478, 0.02620497470878698,
+            0.02093286885213474, 0.015646001199548253, 0.010975319667378016,
+            0.00717372751646838, 0.004315258200718699,
+            0.002370849504632165, 0.0011967390089208595])
+        assert np.max(np.abs(sw.dx2 - closed)) <= \
+            1e-13 * np.max(np.abs(closed))
         assert not sw.boundary and not sw.near_zero
 
     def test_guard_rejects_a_nan_value(self):
@@ -566,12 +589,13 @@ def seeded_swimmer(seed):
 
 
 def assert_peak_within_golden_bound(sw, omega_star, dx2_star):
-    """The Newton peak against the golden section's: within 1e-6 relative
-    of its ``omega_star``, and ``|dx2_star|`` no smaller than its own but
-    for the rounding of the value near the peak.  The value is flat there:
-    within 5e-12 of the peak it spreads up to 1e-14 relative from
-    rounding alone, while the golden section's 1e-6 offset lowers it by
-    less than 1e-12."""
+    """The Newton peak within 1e-6 relative of the golden section's
+    ``omega_star``, and ``|dx2_star|`` no smaller than ``dx2_star``, the
+    closed forms' value at the peak, but for the rounding of the value
+    near the peak.  The value is flat there: within 5e-12 of the peak it
+    spreads up to 1e-14 relative from rounding alone.  (The golden
+    section's own values, 1e-6 off the peak, lowered it by less than
+    1e-12, but carried the central differences' 7e-13.)"""
     assert abs(sw.omega_star - omega_star) <= 1e-6 * omega_star
     assert abs(sw.dx2_star) >= abs(dx2_star) * (1.0 - 1e-14)
 
@@ -589,49 +613,49 @@ def sweep_digest(sw):
 
 
 class TestFrozenSweepDigests:
-    """Sweep outputs of the rational form, the peak as the Newton
-    refinement places it; every output is pinned, ``omega_star`` to 12
-    digits.  Against the resolvent's outputs the grids moved by at most
-    6.6e-15 of their maximum, ``omega_star`` by 1.4e-15 and ``dx2_star``
-    by 5.4e-15 relative."""
+    """Sweep outputs of the rational form on the exact origin model, the
+    peak as the Newton refinement places it; every output is pinned,
+    ``omega_star`` to 12 digits.  Against the central-difference model's
+    outputs the grids moved by at most 8.1e-13 of their maximum,
+    ``omega_star`` by 2.9e-13 and ``dx2_star`` by 7.7e-13 relative."""
 
     SWEEPS = {
-        (1, 64): "1520743490fe375b1e0be89aa1f3fd207358873c36f300920c854b0629974387",
-        (1, 128): "16479100836dee2409856e3975d64eba3622f956431a41a6d2b60eec21ab7705",
-        (2, 64): "4ffc3d698290fd32dff6944bd997d53b6cecf7cb83a47ed41e5186bbd8d3eb57",
-        (2, 128): "70fc1f9a0ee630627c4a031666d51d629b1e1a62a4b7a0bc3bff53a654769801",
-        (3, 64): "9a2c7ee5de34ab44170379c0a1d2f6ab3ad1d995ada3989fac2709abca77ed74",
-        (3, 128): "a99c78d1429100ebd11127130d6e0827c45ae60ba240ca5ae27af751cf73cdde",
-        (4, 64): "5e73118fda07610b980fa9df201fcafd54f471d4252e617c9625411d64774c68",
-        (4, 128): "359b5b651ee720c37fbca862d08950511209a0241b9ecc7513dc28eb9d1bba60",
-        (5, 64): "9d2072a07cd1e924f2b5a1b7759bd1291dc5c22bb0ab0d054caf4918b30bbcd3",
-        (5, 128): "f268ae7541c0892e9827b3b58aa169aff654dfbdb2ace1467cfda229995336c0",
-        (6, 64): "7943f33ef8d0115b2fd0399d2913be35711cea2918172e278f80570ec6ddce3d",
-        (6, 128): "b55e1ee856a9089c7bfe3da1165367e9d12e9d6e3febd72084b0baa117c1e4ca",
-        (7, 64): "afd415da6db90ebf5d3b3991cd6a170e4faccb29168a511adaf27c8047075c80",
-        (7, 128): "65a0e58081d3771ec8ada91e759e4ab2cbbfd1e326d083fac4114d98c7c11a9a",
-        (8, 64): "d8a45734b465316a55107fa525ce27ea586221a3c5130095513ef4fa26e59ee7",
-        (8, 128): "fa2274e74906d20aac29438e50442ceca9c705005cfc34f310982cbf019e2c93",
+        (1, 64): "c7ca0068f4cb160ed70d51050ec9895e9591f036c0c5e221d84478ba48b2479f",
+        (1, 128): "3779a4f513de8ea20c134a51e2f542ad6bfe7d9b619f8ac70acbbf60f5bc4ff0",
+        (2, 64): "1628b295e3749c1a8ed88d75fa3293d5056f33e6385eace523fa4da0b5d983a9",
+        (2, 128): "5f468e261f584917ee4be051005fa51a8ffc05087602a5e49aae9dfc363152d1",
+        (3, 64): "330eb7d5c03e7cf4623021fc21b73cd7848a0b1e2a549d2fdb2fed09a7be2da6",
+        (3, 128): "e78b08dbb7f1cd3f908b525be909761d358e011fdde3c81b6a9a954738119ccc",
+        (4, 64): "bae7732deaedd7172fea9d4a3b7e90118621cc197c16c567efc151e8fe148888",
+        (4, 128): "9a680de8742d5938d2200e2b230255d4ceca2c4a17dbc82919b566d16ca3a490",
+        (5, 64): "6de02b03bea8bf1a1fc4fc1cc00625156ada38ebbc53699025c8c05505227f3d",
+        (5, 128): "967fbd4853c04e2fc6b54f02c530ce47e8d9b56e2e0b11a488d08ce6b314fd59",
+        (6, 64): "fb8305621df72574652a2e8b9e76b894dfc07978ea98f7ac24f3c5429e8b7b02",
+        (6, 128): "a4595046726501db8525bc4a0e8e207d5ae5217e459e76d19eca0220b16a7d33",
+        (7, 64): "90694dd586a0e2fb38a9fc47fbeeb6b6e9398f4cd919ef31feb13858998b642c",
+        (7, 128): "5cab04448b821670ff3fc169fea3451c1b5e93eb3caba2c592345386c7c36874",
+        (8, 64): "101711b80434132cff504b89c26056690c1792202dadf6846bcba82febe9e505",
+        (8, 128): "afd9ad1cf2019ee20a547b781c056ef3a629959e7cb94ab1de6b66c2d6c9969b",
     }
-    # (omega_star, dx2_star) of the golden section that placed the peak
-    # before, to 1e-6 relative
+    # omega_star of the golden section that placed the peak before, to
+    # 1e-6 relative, and dx2 of the closed forms at the Newton peak
     GOLDEN = {
-        (1, 64): (0.7832598664189729, 0.049338130806697196),
-        (1, 128): (0.7832597757570863, 0.0493381308066977),
-        (2, 64): (0.6474690130660008, 0.05538414494262902),
-        (2, 128): (0.6474691549927747, 0.05538414494262724),
-        (3, 64): (1.060993217924033, 0.04429678927515277),
-        (3, 128): (1.0609930103218363, 0.04429678927515222),
-        (4, 64): (0.8269339716471611, 0.025124749371437643),
-        (4, 128): (0.8269341891293625, 0.025124749371437584),
-        (5, 64): (1.2642809736405658, 0.050351223297507075),
-        (5, 128): (1.2642807062433323, 0.05035122329750583),
-        (6, 64): (0.7874985213932141, 0.048431196939090544),
-        (6, 128): (0.7874985470341831, 0.048431196939090815),
-        (7, 64): (0.7580201150156745, 0.024228866607012994),
-        (7, 128): (0.7580202554963875, 0.024228866607012758),
-        (8, 64): (1.043328551720466, 0.06439930996031787),
-        (8, 128): (1.0433285299497086, 0.06439930996031792),
+        (1, 64): (0.7832598664189729, 0.04933813080666692),
+        (1, 128): (0.7832597757570863, 0.04933813080666692),
+        (2, 64): (0.6474690130660008, 0.05538414494259371),
+        (2, 128): (0.6474691549927747, 0.05538414494259367),
+        (3, 64): (1.060993217924033, 0.04429678927511899),
+        (3, 128): (1.0609930103218363, 0.044296789275119076),
+        (4, 64): (0.8269339716471611, 0.025124749371420382),
+        (4, 128): (0.8269341891293625, 0.025124749371420382),
+        (5, 64): (1.2642809736405658, 0.05035122329747367),
+        (5, 128): (1.2642807062433323, 0.05035122329747363),
+        (6, 64): (0.7874985213932141, 0.04843119693906118),
+        (6, 128): (0.7874985470341831, 0.048431196939061165),
+        (7, 64): (0.7580201150156745, 0.024228866606996757),
+        (7, 128): (0.7580202554963875, 0.024228866606996757),
+        (8, 64): (1.043328551720466, 0.0643993099602734),
+        (8, 128): (1.0433285299497086, 0.0643993099602734),
     }
 
     @pytest.mark.parametrize("seed,n_grid", sorted(SWEEPS))
@@ -680,13 +704,13 @@ class TestFrozenSweepDigests:
                              1e-1, 1e1, 16)
         assert sw.near_zero and np.max(np.abs(sw.dx2)) < 1e-12
         assert sweep_digest(sw) == (
-            "e73bdc076dee311a3a6194124db70d625a3f437bde7708e5fe060565c6dbcbb8")
+            "39a2a4b5ef4b9f552ebeb934dad73af3ad177e0b00aa764fd860ccad273d3261")
 
     def test_net_displacement_values(self):
         values = [net_displacement_quadratic(CANON, float(w))
                   for w in np.logspace(-3.0, 3.0, 20)]
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
-            "c3b2939c9fa8f2d3e3b5b57645df0db142fdc74d5220c83cc35d4b0c5720aece")
+            "e329c2377782521d18b20465826b11b3ab443fb232c5de98e9a4d9eec3939c7d")
 
 
 class TestSlopeAndCurvature:
@@ -714,40 +738,72 @@ class TestSlopeAndCurvature:
 
 
 class TestFrozenOriginDigests:
-    """``A``, ``b`` and ``grad Gx`` as the per-pose rate closure and
-    ``field_jacobian`` loops produced them, sign bits included: the origin
-    batch must not move a bit, also with links 2 and 3 unequal and with
-    other steps."""
+    """``A``, ``b`` and ``grad Gx`` as the rotation rule and the complex
+    steps give them, sign bits included, also with links 2 and 3 unequal.
+    ``b`` kept the bits of the central-difference route; ``A`` and
+    ``grad Gx`` moved by at most 6.3e-13 and 6.8e-13 of their largest
+    entries."""
 
     CASES = {
-        "canon": (CANON, 1e-6),
-        "canon_step_1e-4": (CANON, 1e-4),
-        "uniform": (SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0), 1e-6),
-        "unequal_tail": (SwimmerParams(0.8, (0.9, 0.6, 0.7),
-                                       (2.2, 1.3, 1.1), 2.0, 0.5), 1e-6),
-        "unequal_tail_step_3e-7": (SwimmerParams(1.3, (0.7, 0.4, 0.6),
-                                                 (1.9, 1.2, 0.8), 0.6, 1.4),
-                                   3e-7),
-        **{f"seed_{s}": (seeded_swimmer(s), 1e-6) for s in (1, 2, 3, 4)},
+        "canon": CANON,
+        "uniform": SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0),
+        "unequal_tail": SwimmerParams(0.8, (0.9, 0.6, 0.7),
+                                      (2.2, 1.3, 1.1), 2.0, 0.5),
+        **{f"seed_{s}": seeded_swimmer(s) for s in (1, 2, 3, 4)},
     }
     DIGESTS = {
-        "canon": "85205e982443b5938f8131b8db24e28d023e0abd772eadc8e59cbe1e2167169b",
-        "canon_step_1e-4": "b8926e4c4ec91487bcc3416b166cdb4c5fc92feca0f0188273ae3b3c4568ba8d",
-        "uniform": "b2c5ad6a4dc4271a8ffc5b4c85ea2e6f333dcf870f40a80b025f4113e98a613d",
-        "unequal_tail": "b83fef759c918698f1b870a14657fce09183cd61a00b4d401095a39b94ebac03",
-        "unequal_tail_step_3e-7": "d8838933f2227450a5a88264834f654c4c786ae9ff4b78f56ca56c51702c678a",
-        "seed_1": "649e9ba42ebd5fc44cce306f807635e796c0bc4dcf9979f92515edc4571f392a",
-        "seed_2": "aebd0a1b7ad49a713928b6c48bf714abbcddc785e10dc79b875e5b6e6ca44ebd",
-        "seed_3": "17888aba6623b6aea5576be3f58b89f3ab85339b6a9d38436bca3d6aa5ad98df",
-        "seed_4": "bc56038e4cc36e070ecb7af8591008fc6b81aac211a552acbc4811d3aa943124",
+        "canon": "49e97848cfebd5740431c985ea7aa88d538d05192fc154cd4a6ab2261a9a1047",
+        "uniform": "a7adaa8866330092f524e67adef2d050c106671e1073dffafffa9ea4b7ce500d",
+        "unequal_tail": "c2080c60d07ed0e09b4e933fd8ff6c1e9ac9f1b75a9f46b85b0c3d8b71f08df3",
+        "seed_1": "9a43833aedb34e516f42e8fecc3e4f1d230b11457b8c8d37350a52189490b33f",
+        "seed_2": "fe52508ef8b9c6f3877def767256a4112541a2784c43020195ef7da13bc4eef2",
+        "seed_3": "7f9e95feeb22c22ca3f036f8f826951ea6b52a528f49d2c7ab0e1cdfa1564f94",
+        "seed_4": "91438d7f6518c1593ea63ae6b03f283819157c1dd95d79a1f2f766e913cd1e27",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_origin_derivatives(self, case, monkeypatch):
-        params, step = self.CASES[case]
-        monkeypatch.setattr(magswim.linear, "_ORIGIN_STEP", step)
+    def test_origin_derivatives(self, case):
+        params = self.CASES[case]
         lin = linearize_angles(params)
         h = hashlib.sha256()
         for arr in (lin.a, lin.b, grad_gx_origin(params)):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == self.DIGESTS[case]
+
+    def test_three_assemblies_per_model(self, monkeypatch):
+        # one float assembly at the origin (the rate-closure call for b)
+        # and one complex assembly per joint angle
+        calls = []
+        for name in ("_assemble", "_assemble_complex"):
+            real = getattr(magswim.dynamics, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append((name, args[:3]))
+                return real(*args)
+            monkeypatch.setattr(magswim.dynamics, name, counted)
+        displacement_model(CANON)
+        h = 1j * 2.0 ** -100
+        assert calls == [("_assemble", (0.0, 0.0, 0.0)),
+                         ("_assemble_complex", (0.0, h, 0.0)),
+                         ("_assemble_complex", (0.0, 0.0, h))]
+
+    def test_no_complex_argument_reaches_the_float_assembly(
+            self, monkeypatch):
+        # the RK4 and bracket paths assemble on floats only, and never
+        # through the complex instance
+        real = magswim.dynamics._assemble
+        seen = []
+
+        def checked(*args):
+            seen.append(all(type(x) is float for x in args))
+            return real(*args)
+
+        def refused(*args):
+            raise AssertionError("complex assembly outside the origin")
+        monkeypatch.setattr(magswim.dynamics, "_assemble", checked)
+        monkeypatch.setattr(magswim.dynamics, "_assemble_complex", refused)
+        field = SinusoidalField(hx0=1.0, epsilon=0.3, omega=2.0)
+        integrate(CANON, Configuration(0.0, 0.0, 0.2, 0.3, -0.2), field,
+                  t_final=0.1, dt=0.01)
+        lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=3)
+        assert len(seen) == 40 + 25 and all(seen)
