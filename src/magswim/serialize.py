@@ -34,23 +34,25 @@ JSONL_FORMAT = "magswim.trajectory"
 JSONL_VERSION = 1
 
 
-def _rows(traj: Trajectory) -> list[list[float]]:
-    """The samples as lists of Python floats in ``TRAJECTORY_COLUMNS`` order,
-    built in one pass: indexing numpy rows per sample is what costs."""
+def _table(traj: Trajectory) -> np.ndarray:
+    """The samples as one float array, a row per sample in
+    ``TRAJECTORY_COLUMNS`` order: indexing numpy rows per sample is what
+    costs, so every writer converts the whole table at once."""
     table = np.column_stack((traj.times, traj.states, traj.field_samples))
-    return table.astype(float, copy=False).tolist()
+    return table.astype(float, copy=False)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """The bytes ``csv.writer`` gives for cells of 17 significant digits,
-    CRLF line ends included, written as one block: no cell needs
+    CRLF line ends included, formatted by one ``%`` over the whole table
+    (``%.17g`` spells every float, ``-0``, ``nan`` and ``inf`` included, as
+    ``format(v, ".17g")`` does) and written as one block: no cell needs
     quoting."""
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines += [",".join([format(v, ".17g") for v in row])
-              for row in _rows(traj)]
-    lines.append("")
+    table = _table(traj)
+    row = "%.17g," * (len(TRAJECTORY_COLUMNS) - 1) + "%.17g\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n"
+                 + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _trajectory_from_rows(rows: list[list[float]]) -> Trajectory:
@@ -106,7 +108,7 @@ def write_trajectory_jsonl(traj: Trajectory, path: str | Path,
         header.update(metadata)
     # one dumps call over every row: rows hold numbers only, so "], ["
     # is exactly where one row ends and the next begins
-    body = json.dumps(_rows(traj))[1:-1].replace("], [", "]\n[")
+    body = json.dumps(_table(traj).tolist())[1:-1].replace("], [", "]\n[")
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         if body:
