@@ -26,8 +26,8 @@ the drift-affine control system
     qdot = f0(q) + fx(q) Hx + fy(q) Hy.
 
 Every evaluation assembles through ``_load_core``; the RK4 rate solves
-one load per call, and ``_solve_poses`` solves f0, fx and fy at a batch
-of poses for the bracket layer.
+one load per call on Python floats, and ``_solve_poses`` solves f0, fx
+and fy at a batch of poses for the bracket layer through numpy.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import SwimmerParams
 
@@ -44,9 +44,9 @@ __all__ = ["make_rate_function"]
 
 
 def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
-    """The straight-line assembly of (Mh, Mx, My) at a configuration, over
-    the trigonometric functions ``cos`` and ``sin``; ``Mh`` is a 5x5
-    array, ``Mx`` and ``My`` are tuples of five numbers.
+    """The straight-line assembly of (drag, Mx, My) at a configuration,
+    over the trigonometric functions ``cos`` and ``sin``: tuples of the 25
+    drag loads, ``-Mh`` row-major, and of the five rows of Mx and My.
 
     Mh is independent of (x, y), so the geometry is built with the middle
     link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
@@ -66,11 +66,10 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     load is summed link by link from +0.0, so a load that cancels to zero
     is +0.0 whatever the signs of its terms' zeros, and the entry of
     ``Mh``, its negation, is -0.0.  The float instance ``_assemble`` sits
-    inside the RK4 hot loop, hence plain arithmetic and one array, ``Mh``.
-    The same source over ``cmath`` is ``_assemble_complex``: every step is
-    analytic, so at a pose ``q + i h e`` its imaginary parts over ``h`` are
-    the derivatives along ``e`` to roundoff (a complex step).
-    """
+    inside the RK4 hot loop, hence plain arithmetic and no array.  The
+    same source over ``cmath`` is ``_assemble_complex``: every step is
+    analytic, so at ``q + i h e`` its imaginary parts over ``h`` are the
+    derivatives along ``e`` to roundoff (a complex step)."""
 
     def assemble(theta, a2, a3, L, xi1, xi2, xi3, eta1, eta2, eta3, M):
         th1 = theta + a2
@@ -122,7 +121,7 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         fy = 0.0 - Y1 * L - Y2 * L - Y3 * L
         # row-major: rows force x, force y, torques about A1, A2, A3; columns
         # the unit rates of x, y, theta, alpha2, alpha3
-        load = np.array((
+        load = (
             0.0 - X1 * L - X2 * L - X3 * L, fy,
             0.0 - (u1x * L + k1x * m1) - (u3x * L + k3x * m1),
             0.0 - (g1x * L + k1x * m1), 0.0 - k3x * m1,
@@ -149,12 +148,12 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
             0.0 - (v3 * m1 + w3),
             0.0,
             0.0 - w3,
-        ))
+        )
         # a link at angle phi with moment M along its tangent feels the torque
         # M (e(phi) x H); each staircase row sums the links it holds
         Mx = (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3)
         My = (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3)
-        return np.negative(load, out=load).reshape(5, 5), Mx, My
+        return load, Mx, My
 
     return assemble
 
@@ -169,10 +168,9 @@ def _unpack(params: SwimmerParams) -> tuple:
 
 def _load_core(params: SwimmerParams,
                complex_step: bool = False) -> Callable[..., tuple]:
-    """Bind the parameters into ``(theta, alpha2, alpha3) -> (Mh, elastic,
-    Mx, My)``, the terms of ``Mh qdot = elastic - Mx Hx - My Hy`` that every
-    evaluation of the dynamics assembles through; ``elastic`` is a tuple of
-    the five load rows, so the rate closure builds no array for it.  With
+    """Bind the parameters into ``(theta, alpha2, alpha3) -> (drag,
+    elastic, Mx, My)``, the tuples of ``-Mh qdot = Mx Hx + My Hy - elastic``
+    that every evaluation of the dynamics assembles through.  With
     ``complex_step`` the angles may be complex and the assembly is
     ``_assemble_complex``; no integrator or bracket path asks for it."""
     consts = (*_unpack(params), params.M)
@@ -180,33 +178,36 @@ def _load_core(params: SwimmerParams,
     assemble = _assemble_complex if complex_step else _assemble
 
     def loads(theta, a2, a3):
-        Mh, Mx, My = assemble(theta, a2, a3, *consts)
+        drag, Mx, My = assemble(theta, a2, a3, *consts)
         # restoring spring load in the staircase torque rows; signs calibrated
         # against the joint balance (tests: free springs relax, energy decays)
-        return Mh, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
+        return drag, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
 
     return loads
+
+
+def _resistance(drag: Sequence) -> np.ndarray:
+    """The (n, 5, 5) stack of ``Mh`` from the drag loads of n poses."""
+    return np.negative(np.array(drag)).reshape(-1, 5, 5)
 
 
 def _solve_poses(loads: Callable[..., tuple],
                  poses: list) -> tuple[np.ndarray, np.ndarray]:
     """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
     :func:`_load_core`: ``Mh[i]`` is the matrix of ``poses[i]``, and
-    ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.
-
-    Every pose is assembled, as often as it recurs, and all are solved for
-    the columns ``elastic, -Mx, -My`` by one call of the LAPACK gufunc
-    inside ``np.linalg.solve``, under the error state it enters, so an
-    exactly singular ``Mh`` still raises ``LinAlgError('Singular matrix')``.
+    ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.  Each pose
+    is assembled as often as it recurs, and all are solved for the columns
+    ``elastic, -Mx, -My`` by one bare LAPACK call in :func:`_solve_errstate`,
+    so an exactly singular ``Mh`` raises ``LinAlgError('Singular matrix')``.
     """
-    matrices, rows = [], []
+    drag, rows = [], []
     for pose in poses:
-        Mh, elastic, Mx, My = loads(*pose)
-        matrices.append(Mh)
+        g, elastic, Mx, My = loads(*pose)
+        drag += g
         rows += (*elastic, *Mx, *My)
-    mh = np.array(matrices)
+    mh = _resistance(drag)
     # rows elastic, -Mx, -My: the transposed right-hand side of the solve
-    rhs = np.array(rows).reshape(len(matrices), 3, 5)
+    rhs = np.array(rows).reshape(len(mh), 3, 5)
     np.negative(rhs[:, 1:], out=rhs[:, 1:])
     with _solve_errstate():
         cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
@@ -215,51 +216,84 @@ def _solve_poses(loads: Callable[..., tuple],
 
 
 def _raise_singular(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Singular matrix")
+    raise LinAlgError("Singular matrix")
 
 
 def _solve_errstate() -> np.errstate:
     """The floating-point state ``np.linalg.solve`` enters around each of its
     calls: the invalid flag that the LAPACK gufunc raises on a zero pivot
     becomes ``LinAlgError('Singular matrix')``, while overflow, division
-    and underflow inside the factorization are ignored.  The rate closure
-    calls the gufunc bare, so its callers enter this state once around a
-    whole loop of calls; inside it, no other numpy operation that can set
-    the invalid flag may run, or it would read as a singular matrix."""
+    and underflow are ignored.  The batched solves call the gufunc bare in
+    it, where no other numpy operation may set the invalid flag."""
     return np.errstate(call=_raise_singular, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
 
-def make_rate_function(params: SwimmerParams) -> Callable[[Sequence[float], float, float], np.ndarray]:
-    """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure.
+def _solve_drag(g: Sequence, r2, r3, r4) -> tuple:
+    """``qdot`` with ``-Mh qdot = (0, 0, r2, r3, r4)``, ``g`` the drag loads
+    of :func:`_load_core`, by Gaussian elimination on Python floats (or
+    complex numbers, for the origin model's complex steps).  The x and y
+    columns go first, without a pivot, as the force block ``L sum D_i`` is
+    symmetric definite for positive xi and eta; then the 3x3 Schur
+    complement in the torque rows, by partial pivoting.  A zero pivot
+    raises ``LinAlgError('Singular matrix')``."""
+    (g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
+     g20, g21, g22, g23, g24, g30, g31, g32, g33, g34,
+     g40, g41, g42, g43, g44) = g
+    try:
+        # x and y columns unpivoted: zero force loads leave r2-r4 as they are
+        m = g10 / g00
+        g11, g12 = g11 - m * g01, g12 - m * g02
+        g13, g14 = g13 - m * g03, g14 - m * g04
+        m = g20 / g00
+        n = (g21 - m * g01) / g11
+        s22, s23, s24 = (g22 - m * g02 - n * g12, g23 - m * g03 - n * g13,
+                         g24 - m * g04 - n * g14)
+        m = g30 / g00
+        n = (g31 - m * g01) / g11
+        s32, s33, s34 = (g32 - m * g02 - n * g12, g33 - m * g03 - n * g13,
+                         g34 - m * g04 - n * g14)
+        m = g40 / g00
+        n = (g41 - m * g01) / g11
+        s42, s43, s44 = (g42 - m * g02 - n * g12, g43 - m * g03 - n * g13,
+                         g44 - m * g04 - n * g14)
+        # the Schur complement in the torque rows, by partial pivoting
+        if abs(s32) > abs(s22):
+            s22, s23, s24, r2, s32, s33, s34, r3 = \
+                s32, s33, s34, r3, s22, s23, s24, r2
+        if abs(s42) > abs(s22):
+            s22, s23, s24, r2, s42, s43, s44, r4 = \
+                s42, s43, s44, r4, s22, s23, s24, r2
+        m = s32 / s22
+        s33, s34, r3 = s33 - m * s23, s34 - m * s24, r3 - m * r2
+        m = s42 / s22
+        s43, s44, r4 = s43 - m * s23, s44 - m * s24, r4 - m * r2
+        if abs(s43) > abs(s33):
+            s33, s34, r3, s43, s44, r4 = s43, s44, r4, s33, s34, r3
+        m = s43 / s33
+        w4 = (r4 - m * r3) / (s44 - m * s34)
+        w3 = (r3 - s34 * w4) / s33
+        w2 = (r2 - s23 * w3 - s24 * w4) / s22
+        # the y row, then the x row, give the translation rates
+        w1 = -(g12 * w2 + g13 * w3 + g14 * w4) / g11
+        return (-(g01 * w1 + g02 * w2 + g03 * w3 + g04 * w4) / g00,
+                w1, w2, w3, w4)
+    except ZeroDivisionError:
+        raise LinAlgError("Singular matrix") from None
 
-    This is the integrator hot path: one assembly, the load as a tuple of
-    Python floats, and a single 5x5 solve per call.  The state is any
-    sequence of five floats; a list is fastest.
 
-    The solve is ``_umath_linalg.solve1``, the LAPACK gufunc inside
-    ``np.linalg.solve``, called directly: the public function's input
-    checks and the ``errstate`` it enters on every call cost more than the
-    factorization itself.  The closure therefore raises
-    ``LinAlgError('Singular matrix')`` on an exactly singular ``Mh`` only
-    inside :func:`_solve_errstate`, which ``simulate._advance`` enters once
-    around its stepping loop; elsewhere such a solve returns NaN with a
-    RuntimeWarning.
-    """
+def make_rate_function(params: SwimmerParams) -> Callable[..., tuple]:
+    """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure,
+    the integrator hot path: one assembly and one :func:`_solve_drag` per
+    call on Python floats, under no numpy error state.  ``qdot`` is a tuple
+    of five floats; the state any sequence of five floats, a list fastest."""
     loads = _load_core(params)
-    solve = _umath_linalg.solve1
 
-    def rate(state: Sequence[float], hx: float, hy: float) -> np.ndarray:
+    def rate(state: Sequence[float], hx: float, hy: float) -> tuple:
         _, _, theta, a2, a3 = state
-        Mh, elastic, mx, my = loads(theta, a2, a3)
-        # negate before converting: an integer 0 field has no signed zero
-        nhx, hy = float(-hx), float(hy)
-        # (-hx Mx - hy My) + elastic, adding only the spring rows: a zero
-        # load row keeps the sign of its zero
-        load = (nhx * mx[0] - hy * my[0], nhx * mx[1] - hy * my[1],
-                nhx * mx[2] - hy * my[2],
-                nhx * mx[3] - hy * my[3] + elastic[3],
-                nhx * mx[4] - hy * my[4] + elastic[4])
-        return solve(Mh, load, signature="dd->d")
+        g, elastic, mx, my = loads(theta, a2, a3)
+        return _solve_drag(g, hx * mx[2] + hy * my[2],
+                           hx * mx[3] + hy * my[3] - elastic[3],
+                           hx * mx[4] + hy * my[4] - elastic[4])
 
     return rate

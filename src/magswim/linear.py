@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynamics import _load_core, _solve_errstate, make_rate_function
+from .dynamics import (_load_core, _resistance, _solve_drag,
+                       _solve_errstate, make_rate_function)
 from .errors import AnalysisError
 from .model import SwimmerParams
 
@@ -77,18 +78,19 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
 def _complex_steps(params: SwimmerParams, poses: list
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The complex poses ``poses`` (angle triples), assembled once each by
-    ``_assemble_complex`` and solved in one batch: their shape rates
-    under ``(Hx, Hy) = (1, 0)`` (n, 3), from the load ``elastic - Mx``,
-    and ``Ah^-1 Bh`` (n, 2, 3), whose rows map the angle rates to
-    ``-(xdot, ydot)`` under zero net force."""
+    ``_assemble_complex``: shape rates under ``(Hx, Hy) = (1, 0)`` (n, 3)
+    by ``b``'s solve, ``_solve_drag``, whose rounding ``A`` must share with
+    ``-b``, and ``Ah^-1 Bh`` (n, 2, 3) in one batch, whose rows map the
+    angle rates to ``-(xdot, ydot)`` under zero net force."""
     loads = _load_core(params, complex_step=True)
-    mh, elastic, mx, _ = zip(*(loads(*q) for q in poses))
-    mh, load = np.array(mh), np.subtract(elastic, mx)
+    drag, elastic, mx, _ = zip(*(loads(*q) for q in poses))
+    rates = [_solve_drag(g, m[2], m[3] - e[3], m[4] - e[4])[2:]
+             for g, e, m in zip(drag, elastic, mx)]
+    mh = _resistance(drag)
     with _solve_errstate():
-        rates = _umath_linalg.solve1(mh, load, signature="DD->D")
         coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
                                        signature="DD->D")
-    return rates[:, 2:], coupling
+    return np.array(rates), coupling
 
 
 def _origin_derivatives(params: SwimmerParams
@@ -104,8 +106,7 @@ def _origin_derivatives(params: SwimmerParams
     poses ``i h e_2`` and ``i h e_3`` (``_complex_steps``); the real part
     of the first gives ``Ah^-1 Bh`` at the origin to roundoff.
     """
-    with _solve_errstate():
-        b = make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:]
+    b = np.array(make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:])
     step = 1j * _COMPLEX_STEP
     rates, coupling = _complex_steps(params, [(0.0, step, 0.0),
                                               (0.0, 0.0, step)])

@@ -139,10 +139,8 @@ class FieldProgram:
     kind: str = "abstract"
 
     def sample(self, t: float) -> tuple[float, float]:
-        """``(Hx, Hy)`` at time ``t``.  The integrator calls this inside the
-        solve's error state, where a numpy operation that sets the invalid
-        flag reads as a singular matrix; the programs here compute on
-        Python floats."""
+        """``(Hx, Hy)`` at time ``t``.  The programs here compute on Python
+        floats, as the RK4 stages and the rate closure do."""
         raise NotImplementedError
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _solve_errstate, make_rate_function
+from .dynamics import make_rate_function
 from .errors import IntegrationError
 from .model import Configuration, FieldProgram, SinusoidalField, SwimmerParams
 
@@ -105,18 +105,18 @@ def _step(rate, field: FieldProgram, t: float, y: list, dt: float) -> list:
     h = 0.5 * dt
     y0, y1, y2, y3, y4 = y
     hx1, hy1 = field.sample(t)
-    a0, a1, a2, a3, a4 = rate(y, hx1, hy1).tolist()
+    a0, a1, a2, a3, a4 = rate(y, hx1, hy1)
     hx2, hy2 = field.sample(t + h)
     b0, b1, b2, b3, b4 = rate(
         [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4],
-        hx2, hy2).tolist()
+        hx2, hy2)
     c0, c1, c2, c3, c4 = rate(
         [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4],
-        hx2, hy2).tolist()
+        hx2, hy2)
     hx4, hy4 = field.sample(t + dt)
     d0, d1, d2, d3, d4 = rate(
         [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-         y4 + dt * c4], hx4, hy4).tolist()
+         y4 + dt * c4], hx4, hy4)
     s = dt / 6.0
     return [y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0),
             y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1),
@@ -131,32 +131,27 @@ def _advance(rate, field: FieldProgram, y, t0: float,
     step shortened to land on it; ``record(k, t, y)``, when given, sees the
     state after ``k`` steps, at time ``t``, as a list of five floats.
 
-    The loop runs inside the solve's error state,
-    :func:`dynamics._solve_errstate`, entered here once rather than once
-    per rate call, so an exactly singular ``Mh`` still ends the run as
-    ``LinAlgError('Singular matrix')``.  That holds because the rate's
-    gufunc is the only numpy floating-point operation in the loop: the
-    stages are Python float arithmetic, which numpy's error state never
-    sees, and the field programs and the recorder do no numpy arithmetic.
+    The rate, the stages and the field programs compute on Python floats,
+    under no numpy error state; an exactly singular ``Mh`` ends the run by
+    the rate's ``LinAlgError('Singular matrix')``.
     """
     n_full, rem = _plan_steps(span, dt)
     y = np.asarray(y, dtype=float).tolist()
     t = t0
     try:
-        with _solve_errstate():
-            for k in range(n_full + (rem > 0.0)):
-                if k < n_full:
-                    y = _step(rate, field, t, y, dt)
-                    t = t0 + (k + 1) * dt
-                else:
-                    y = _step(rate, field, t, y, rem)
-                    t = t0 + span
-                if not all(map(math.isfinite, y)):
-                    raise IntegrationError(
-                        f"state became non-finite at t = {t:.6g}")
-                if record is not None:
-                    record(k + 1, t, y)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        for k in range(n_full + (rem > 0.0)):
+            if k < n_full:
+                y = _step(rate, field, t, y, dt)
+                t = t0 + (k + 1) * dt
+            else:
+                y = _step(rate, field, t, y, rem)
+                t = t0 + span
+            if not all(map(math.isfinite, y)):
+                raise IntegrationError(
+                    f"state became non-finite at t = {t:.6g}")
+            if record is not None:
+                record(k + 1, t, y)
+    except ValueError as exc:  # LinAlgError is a ValueError
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
     return np.array(y)

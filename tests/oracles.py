@@ -4,8 +4,9 @@
 from its angles: the independent oracle from which the quadrature check
 of ``test_dynamics`` takes its material points, knowing nothing of the
 moment integrals of the assembly.  ``velocity`` is the configuration
-velocity as one call of the rate closure, inside the error state in which
-a singular solve raises ``LinAlgError``.  ``complex_step_theta_column`` and
+velocity as one call of the rate closure, as an array; the closure solves
+on Python floats and needs no numpy error state.  ``resistance`` is ``Mh``
+at one pose as a 5x5 array.  ``complex_step_theta_column`` and
 ``central_difference_origin`` measure the derivatives at the straight state
 pose by pose through ``np.linalg.solve``, the first by a complex step along
 theta, the second by central differences along every angle.
@@ -15,21 +16,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from magswim import Configuration, SwimmerParams, make_rate_function
-from magswim.dynamics import _load_core, _solve_errstate
+from magswim.dynamics import _load_core, _resistance
 
 
 def velocity(config: Configuration, h: tuple[float, float],
              params: SwimmerParams) -> np.ndarray:
-    """Configuration velocity under the field ``h = (Hx, Hy)``."""
-    with _solve_errstate():
-        return make_rate_function(params)(config.as_array().tolist(),
-                                          h[0], h[1])
+    """Configuration velocity under the field ``h = (Hx, Hy)``: one call of
+    the rate closure, which solves on Python floats, so no numpy error
+    state is entered around it."""
+    return np.array(make_rate_function(params)(config.as_array().tolist(),
+                                               h[0], h[1]))
+
+
+def resistance(params: SwimmerParams, pose) -> np.ndarray:
+    """``Mh`` at the angle triple ``pose``, from the drag loads of
+    ``_load_core``."""
+    return _resistance(_load_core(params)(*pose)[0])[0]
 
 
 def _shape_rates_and_gx(loads, pose):
     """Shape rates under ``(Hx, Hy) = (1, 0)`` and the coupling x-row
     ``Gx`` at ``pose``, by the public solve."""
-    mh, elastic, mx, _ = loads(*pose)
+    drag, elastic, mx, _ = loads(*pose)
+    mh = _resistance(drag)[0]
     rates = np.linalg.solve(mh, np.array(elastic) - np.array(mx))
     gx = -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[0]
     return rates[2:], gx

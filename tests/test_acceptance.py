@@ -27,7 +27,7 @@ import pytest
 from magswim import Configuration, SwimmerParams, TabulatedField
 from magswim.brackets import equilibrium_identities, lie_rank
 from magswim.checks import run_validation
-from magswim.dynamics import _assemble, _unpack
+from magswim.dynamics import _assemble, _resistance, _unpack
 from magswim.linear import (
     _dx2_quadrature,
     _dx2_terms,
@@ -119,7 +119,8 @@ def test_criterion_03_coupling_gradients(param_sets):
         consts = _unpack(params)
 
         def gy_row(q):
-            mh, _, _ = _assemble(q[0], q[1], q[2], *consts, params.M)
+            mh = _resistance(
+                _assemble(q[0], q[1], q[2], *consts, params.M)[0])[0]
             return -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[1, :]
 
         for j in range(3):

@@ -21,7 +21,7 @@ from magswim.brackets import (
     lie_rank,
 )
 from magswim.dynamics import _load_core
-from oracles import velocity
+from oracles import resistance, velocity
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -34,7 +34,8 @@ class TestControlVectorFields:
                       [2.0, 1.0, 0.0, -0.5, 0.9]):
             x = np.array(state)
             # Mh f0 = elastic, Mh fx = -Mx, Mh fy = -My
-            Mh, elastic, Mx, My = _load_core(CANON)(*state[2:])
+            _, elastic, Mx, My = _load_core(CANON)(*state[2:])
+            Mh = resistance(CANON, state[2:])
             np.testing.assert_allclose(Mh @ system.f0(x), elastic,
                                        atol=1e-13)
             np.testing.assert_allclose(Mh @ system.fx(x), np.negative(Mx),
@@ -465,9 +466,9 @@ class TestSharedSolve:
         assemble = magswim.dynamics._assemble
 
         def singular(*args):
-            Mh, Mx, My = assemble(*args)
-            Mh[4] = 0.0
-            return Mh, Mx, My
+            drag, Mx, My = assemble(*args)
+            # the last row of Mh zeroed
+            return drag[:20] + (0.0,) * 5, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]),

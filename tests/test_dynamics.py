@@ -10,11 +10,12 @@ its algebra.
 """
 import dataclasses
 import hashlib
+from fractions import Fraction
 from math import cos, sin
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import magswim
@@ -27,9 +28,9 @@ from magswim import (
     control_vector_fields,
     make_rate_function,
 )
-from magswim.dynamics import _assemble, _load_core, _unpack
+from magswim.dynamics import _assemble, _load_core, _resistance, _unpack
 from magswim.simulate import integrate
-from oracles import segment_frames, velocity
+from oracles import resistance, segment_frames, velocity
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -98,7 +99,7 @@ class TestFrozenProbes:
     """Regression values computed by an independent prototype implementation."""
 
     def test_resistance_probe(self):
-        Mh = _load_core(CANON)(0.3, 0.2, -0.1)[0]
+        Mh = resistance(CANON, (0.3, 0.2, -0.1))
         expected = np.array([
             [3.302489111599277, -1.091245171823397, 0.9829355193179109,
              0.7191383079063045, -0.14900199809629588],
@@ -127,7 +128,7 @@ class TestFrozenProbes:
 
 class TestStraightConfig:
     def test_translation_drags(self):
-        Mh = _load_core(CANON)(0.0, 0.0, 0.0)[0]
+        Mh = resistance(CANON, (0.0, 0.0, 0.0))
         assert Mh[0, 0] == pytest.approx(sum(CANON.xi) * CANON.L)
         assert Mh[1, 1] == pytest.approx(sum(CANON.eta) * CANON.L)
         assert Mh[0, 1] == pytest.approx(0.0, abs=1e-14)
@@ -135,7 +136,7 @@ class TestStraightConfig:
     def test_torque_row_under_sideways_translation(self):
         # uniform eta: torque about A1 under unit ydot is 4.5 eta L^2
         p = SwimmerParams.uniform(1.3, 1.0, 2.0, 1.0, 1.0)
-        Mh = _load_core(p)(0.0, 0.0, 0.0)[0]
+        Mh = resistance(p, (0.0, 0.0, 0.0))
         assert Mh[2, 1] == pytest.approx(4.5 * 2.0 * 1.3 ** 2)
 
     def test_coupling_patterns(self):
@@ -153,13 +154,13 @@ class TestQuadratureOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_assembly(self, theta, a2, a3, params):
         c = Configuration(0.0, 0.0, theta, a2, a3)
-        Mh = _load_core(params)(theta, a2, a3)[0]
+        Mh = resistance(params, (theta, a2, a3))
         mh_q = quadrature_resistance(c, params)
         assert np.max(np.abs(Mh - mh_q)) < 1e-7 * np.max(np.abs(Mh))
 
     def test_matches_assembly_off_origin(self):
         c = Configuration(1.7, -2.2, 0.9, -0.4, 1.1)
-        Mh = _load_core(CANON)(c.theta, c.alpha2, c.alpha3)[0]
+        Mh = resistance(CANON, (c.theta, c.alpha2, c.alpha3))
         mh_q = quadrature_resistance(c, CANON)
         assert np.max(np.abs(Mh - mh_q)) < 1e-7 * np.max(np.abs(Mh))
 
@@ -240,7 +241,7 @@ class TestDissipation:
         if abs(vx) + abs(vy) < 1e-3:
             vx = 1.0
         c = Configuration(0.0, 0.0, theta, a2, a3)
-        Mh = _load_core(CANON)(theta, a2, a3)[0]
+        Mh = resistance(CANON, (theta, a2, a3))
         qdot = np.array([vx, vy, 0.0, 0.0, 0.0])
         power = float(np.array([vx, vy]) @ (Mh @ qdot)[:2])
         assert power > 0.0
@@ -256,7 +257,7 @@ class TestDissipation:
         fr = segment_frames(c, CANON)
         arm = fr.centers[1] - fr.endpoints[0]
         qdot = np.array([-omega * arm[1], omega * arm[0], omega, 0.0, 0.0])
-        Mh = _load_core(CANON)(theta, a2, a3)[0]
+        Mh = resistance(CANON, (theta, a2, a3))
         power = float(omega * (Mh @ qdot)[2])
         assert power > 0.0
         assert power == pytest.approx(
@@ -268,7 +269,7 @@ class TestDissipation:
     def test_ah_block_spd(self, theta, a2, a3):
         # the translation block; the staircase torque rows leave the rest
         # of Mh nonsymmetric
-        ah = _load_core(CANON)(theta, a2, a3)[0][:2, :2]
+        ah = resistance(CANON, (theta, a2, a3))[:2, :2]
         assert np.max(np.abs(ah - ah.T)) < 1e-10 * np.max(np.abs(ah))
         assert np.all(np.linalg.eigvalsh(0.5 * (ah + ah.T)) > 0.0)
 
@@ -303,7 +304,8 @@ class TestControlFields:
     def test_solve_consistency(self, theta, a2, a3, params):
         x = np.array([0.0, 0.0, theta, a2, a3])
         system = control_vector_fields(params)
-        Mh, elastic, Mx, My = _load_core(params)(theta, a2, a3)
+        _, elastic, Mx, My = _load_core(params)(theta, a2, a3)
+        Mh = resistance(params, (theta, a2, a3))
         scale = max(1.0, float(np.max(np.abs(Mx))))
         assert np.max(np.abs(Mh @ (-system.fx(x)) - Mx)) < 1e-10 * scale
         assert np.max(np.abs(Mh @ (-system.fy(x)) - My)) < 1e-10 * scale
@@ -405,6 +407,12 @@ def _assembly_hex(out):
     return [v.hex() for a in out for v in np.ravel(a).tolist()]
 
 
+def _assembled(*args):
+    """``(Mh, Mx, My)`` from the drag loads of ``_assemble``."""
+    drag, Mx, My = _assemble(*args)
+    return _resistance(drag)[0], Mx, My
+
+
 UNIFORM = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
 SIGNED_POSES = {
     "straight": (0.0, 0.0, 0.0),
@@ -447,7 +455,7 @@ class TestStraightLineAssembly:
     @pytest.mark.parametrize("swimmer, pose", sorted(FROZEN_ASSEMBLY))
     def test_bits_are_frozen(self, swimmer, pose):
         params = {"CANON": CANON, "UNIFORM": UNIFORM}[swimmer]
-        out = _assemble(*SIGNED_POSES[pose], *_unpack(params), params.M)
+        out = _assembled(*SIGNED_POSES[pose], *_unpack(params), params.M)
         digest = hashlib.sha256(" ".join(_assembly_hex(out)).encode())
         assert digest.hexdigest() == FROZEN_ASSEMBLY[swimmer, pose]
 
@@ -457,7 +465,7 @@ class TestStraightLineAssembly:
     @settings(max_examples=200)
     def test_matches_loop_bit_for_bit(self, theta, a2, a3, L, xi, eta, M):
         args = (theta, a2, a3, L, *xi, *eta, M)
-        assert _assembly_hex(_assemble(*args)) == \
+        assert _assembly_hex(_assembled(*args)) == \
             _assembly_hex(_loop_assemble(*args))
 
     @pytest.mark.parametrize("params", [CANON, UNIFORM,
@@ -471,55 +479,124 @@ class TestStraightLineAssembly:
             for a2 in (0.0, -0.0, -theta, 0.25):
                 for a3 in (0.0, -0.0, -theta, a2, -a2):
                     args = (theta, a2, a3, *_unpack(params), params.M)
-                    assert _assembly_hex(_assemble(*args)) == \
+                    assert _assembly_hex(_assembled(*args)) == \
                         _assembly_hex(_loop_assemble(*args)), (theta, a2, a3)
 
 
-def _public_solve_rate(params, state, hx, hy):
-    """The rate closure's load, solved by ``np.linalg.solve``."""
-    Mh, elastic, mx, my = _load_core(params)(*state[2:])
-    nhx, hy = float(-hx), float(hy)
-    load = [nhx * a - hy * b for a, b in zip(mx, my)]
+def _load(params, state, hx, hy):
+    """``(Mh, load)`` of the rate closure at ``state`` as exact fractions:
+    its ``Mh`` and its load ``elastic - Mx hx - My hy`` as rounded to
+    floats."""
+    drag, elastic, mx, my = _load_core(params)(*state[2:])
+    load = [-(hx * a + hy * b) for a, b in zip(mx, my)]
     load[3] += elastic[3]
     load[4] += elastic[4]
-    return np.linalg.solve(Mh, np.array(load))
+    mh = [[-Fraction(v) for v in drag[5 * i:5 * i + 5]] for i in range(5)]
+    return mh, [Fraction(v) for v in load]
+
+
+def _exact_solve(mh, load):
+    """``Mh^-1 load`` in rational arithmetic, by Gauss-Jordan elimination
+    with a non-zero pivot."""
+    rows = [row + [b] for row, b in zip(mh, load)]
+    for k in range(5):
+        p = next(i for i in range(k, 5) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(5):
+            if i != k and rows[i][k] != 0:
+                m = rows[i][k] / rows[k][k]
+                rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+    return [rows[k][5] / rows[k][k] for k in range(5)]
 
 
 class TestRawSolve:
-    """The rate closure calls the LAPACK gufunc inside ``np.linalg.solve``
-    directly, with the solve's ``errstate`` entered by its callers."""
+    """The rate closure's raw solve: Gaussian elimination of its 5x5 load
+    on Python floats, the force block first, then the 3x3 Schur complement
+    with partial pivoting; no numpy call and no error state."""
 
-    @given(theta=thetas, a2=angles, a3=angles,
+    @given(theta=thetas, a2=angles, a3=angles, params=param_sets(),
            hx=st.sampled_from([0, 0.0, -0.0, 1.0]) | st.floats(-2, 2),
            hy=st.sampled_from([0, 0.0, -0.0]) | st.floats(-2, 2))
-    @settings(max_examples=100)
-    def test_matches_np_linalg_solve_bit_for_bit(self, theta, a2, a3, hx,
-                                                 hy):
-        rate = make_rate_function(CANON)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_solve(self, theta, a2, a3, params, hx, hy):
         state = [0.2, -0.7, theta, a2, a3]
-        assert [v.hex() for v in rate(state, hx, hy).tolist()] == \
-            [v.hex() for v in _public_solve_rate(CANON, state, hx, hy)]
+        mh, load = _load(params, state, hx, hy)
+        # a load near the subnormal range carries too few bits for any
+        # relative bound, LAPACK's included
+        assume(all(x == 0 or abs(x) > 1e-250 for x in load))
+        v = make_rate_function(params)(state, hx, hy)
+        assert all(type(x) is float for x in v)
+        exact = _exact_solve(mh, load)
+        scale = max(abs(x) for x in exact)
+        assert max(abs(Fraction(x) - e) for x, e in zip(v, exact)) \
+            <= 1e-13 * scale
 
     @pytest.mark.parametrize("pose", sorted(SIGNED_POSES))
     @pytest.mark.parametrize("hx, hy", [(0, 0), (0.0, -0.0), (-0.0, 0.0),
                                         (1.0, 0.3)])
     def test_signed_zero_poses_match_np_linalg_solve(self, pose, hx, hy):
-        rate = make_rate_function(UNIFORM)
+        # exact wherever the exact solution is zero; elsewhere within 1e-13
+        # of it and of np.linalg.solve on the same Mh and load
         state = [0.0, -0.0, *SIGNED_POSES[pose]]
-        assert [v.hex() for v in rate(state, hx, hy).tolist()] == \
-            [v.hex() for v in _public_solve_rate(UNIFORM, state, hx, hy)]
+        v = make_rate_function(UNIFORM)(state, hx, hy)
+        mh, load = _load(UNIFORM, state, hx, hy)
+        exact = _exact_solve(mh, load)
+        lapack = np.linalg.solve(np.array(mh, dtype=float),
+                                 np.array(load, dtype=float)).tolist()
+        scale = max(abs(e) for e in exact)
+        for x, e, y in zip(v, exact, lapack):
+            if e == 0:
+                assert x == 0.0, (v, exact)
+            else:
+                assert abs(Fraction(x) - e) <= 1e-13 * scale, (v, exact)
+                assert abs(x - y) <= 1e-13 * scale, (v, lapack)
+
+    @pytest.mark.parametrize("block", [(1, 0, 0, 0, 1, 0, 0, 0, 1),
+                                       (0, 1, 0, 1, 0, 0, 0, 0, 1),
+                                       (0, 1, 0, 0, 0, 1, 1, 0, 0),
+                                       (1, 0, 0, 0, 0, 1, 0, 1, 0)])
+    def test_torque_rows_pivot(self, monkeypatch, block):
+        # torque rows free of the translation rates leave ``block`` as the
+        # Schur complement, whose zero leading pivots take each row swap of
+        # the partial pivoting; the force rows couple to every rate
+        assemble = magswim.dynamics._assemble
+
+        def permuted(*args):
+            _, Mx, My = assemble(*args)
+            drag = (-2.0, 0.5, 0.25, -0.5, 1.0, 0.5, -3.0, 0.75, 0.5, -0.25,
+                    0.0, 0.0, *block[:3], 0.0, 0.0, *block[3:6],
+                    0.0, 0.0, *block[6:])
+            return drag, Mx, My
+        monkeypatch.setattr(magswim.dynamics, "_assemble", permuted)
+        state = [0.0, 0.0, 0.3, 0.4, -0.25]
+        v = make_rate_function(CANON)(state, 1.0, 0.3)
+        exact = _exact_solve(*_load(CANON, state, 1.0, 0.3))
+        assert max(abs(Fraction(x) - e) for x, e in zip(v, exact)) \
+            <= 1e-13 * max(abs(x) for x in exact)
 
     def test_singular_matrix_raises(self, monkeypatch):
         assemble = magswim.dynamics._assemble
 
         def singular(*args):
-            Mh, Mx, My = assemble(*args)
-            Mh = Mh.copy()
-            Mh[4] = 0.0
-            return Mh, Mx, My
+            drag, Mx, My = assemble(*args)
+            # the last row of Mh zeroed
+            return drag[:20] + (0.0,) * 5, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
         with pytest.raises(IntegrationError, match="Singular matrix"):
             integrate(CANON, Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
                       ConstantField(1.0, 0.2), t_final=0.1, dt=0.05)
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             velocity(Configuration.straight(), (1.0, 0.0), CANON)
+
+    def test_runs_without_numpy(self, monkeypatch):
+        rate = make_rate_function(CANON)
+        state = [0.2, -0.7, 0.3, 0.4, -0.25]
+        before = rate(state, 0.8, -0.3)
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy reached: {name}")
+        monkeypatch.setattr(magswim.dynamics, "np", Unreachable())
+        monkeypatch.setattr(magswim.dynamics, "_umath_linalg", Unreachable())
+        assert rate(state, 0.8, -0.3) == before
+        assert make_rate_function(CANON)(state, 0.8, -0.3) == before

@@ -14,7 +14,7 @@ import magswim.dynamics
 import magswim.linear
 from magswim import AnalysisError, Configuration, SwimmerParams
 from magswim.brackets import lie_rank
-from magswim.dynamics import _assemble, _unpack
+from magswim.dynamics import _assemble, _resistance, _unpack
 from magswim.linear import (
     char_poly,
     closed_form_angle_matrix,
@@ -78,16 +78,17 @@ class TestLinearization:
             lin.b, [-14.0 / 11.0, 34.0 / 11.0, 48.0 / 11.0], rtol=1e-9)
 
     def test_outputs_are_frozen(self):
-        # values of the rotation rule and the complex steps; b kept its
-        # bits, A and grad Gx moved from the central differences by at
-        # most 6.3e-13 and 5.5e-13 of their largest entries
+        # values of the rotation rule and the complex steps; since b and
+        # the complex-step rates are solved by the rate closure's
+        # elimination, not LAPACK, b and A moved by at most 1.0e-15 and
+        # 7.7e-16 of their largest entries, and grad Gx kept its bits
         lin = linearize_angles(CANON)
         assert lin.a.tolist() == [
-            [1.272727272727271, 5.81818181818182, 6.909090909090911],
-            [-3.0909090909090877, -13.272727272727279, -9.636363636363642],
-            [-4.36363636363636, -9.090909090909092, -18.545454545454547]]
+            [1.2727272727272725, 5.818181818181816, 6.909090909090906],
+            [-3.09090909090909, -13.272727272727266, -9.636363636363628],
+            [-4.363636363636364, -9.09090909090909, -18.545454545454543]]
         assert lin.b.tolist() == [
-            -1.272727272727271, 3.0909090909090877, 4.36363636363636]
+            -1.2727272727272725, 3.09090909090909, 4.363636363636364]
         assert grad_gx_origin(CANON).tolist() == [
             [-0.25, -0.25, 0.125],
             [-0.6964285714285716, -0.375, -0.08035714285714286],
@@ -318,7 +319,8 @@ class TestGradGx:
         step = 1e-6
 
         def gy_row(q):
-            mh, _, _ = _assemble(q[0], q[1], q[2], *_unpack(CANON), CANON.M)
+            mh = _resistance(
+                _assemble(q[0], q[1], q[2], *_unpack(CANON), CANON.M)[0])[0]
             return -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[1, :]
 
         worst = 0.0
@@ -391,11 +393,12 @@ class TestNetDisplacement:
 
         inverse = magswim.linear._inverse
         monkeypatch.setattr(magswim.linear, "_inverse", counted)
-        # 3.3e-16 (1.0e-14 relative) above the closed form's
-        # 0.03202696038633996; the central-difference model gave
-        # 0.03202696038636466
+        # 9.7e-17 (3.0e-15 relative) below the closed form's
+        # 0.03202696038633996; with b and the complex-step rates solved
+        # by LAPACK it was 3.3e-16 above, and the central-difference model
+        # gave 0.03202696038636466
         assert net_displacement_quadratic(CANON, 0.62) == \
-            0.03202696038634029
+            0.03202696038633986
         frequency_sweep(CANON, 1e-2, 1e2, 64)
         assert calls == []
         resolvents(-np.eye(3), 0.62)
@@ -450,8 +453,8 @@ class TestFrequencySweep:
         # through the resolvents), the peak within 1e-13 relative (closed
         # A, b and grad Gx through this sweep's own peak search)
         sw = frequency_sweep(CANON, 1e-1, 1e1, n_grid=16)
-        assert sw.omega_star == 0.6200600334508409
-        assert sw.dx2_star == 0.0320269605421198
+        assert sw.omega_star == 0.6200600334508405
+        assert sw.dx2_star == 0.03202696054211936
         assert abs(sw.omega_star - 0.6200600334508413) <= \
             1e-13 * 0.6200600334508413
         assert abs(sw.dx2_star - 0.0320269605421194) <= \
@@ -459,14 +462,14 @@ class TestFrequencySweep:
         # the golden section's peak, 1e-6 wide, bounds the new one; its
         # value is the closed form's at omega_star
         assert_peak_within_golden_bound(sw, 0.6200599044339132,
-                                        0.032026960542119544)
+                                        0.0320269605421195)
         assert sw.dx2.tolist() == [
-            0.009981438730756081, 0.013290289383721189, 0.017406715218213277,
-            0.022165065949718978, 0.026970954424789723, 0.030693592656608773,
-            0.03202191433165289, 0.03033051297666575, 0.0262049747087872,
-            0.020932868852134877, 0.01564600119954836, 0.010975319667378122,
-            0.007173727516468415, 0.004315258200718737,
-            0.002370849504632181, 0.001196739008920864]
+            0.009981438730755958, 0.013290289383721022, 0.017406715218213062,
+            0.0221650659497187, 0.02697095442478938, 0.03069359265660837,
+            0.03202191433165247, 0.030330512976665346, 0.02620497470878684,
+            0.020932868852134592, 0.01564600119954815, 0.010975319667377977,
+            0.007173727516468326, 0.004315258200718686, 0.002370849504632158,
+            0.0011967390089208565]
         closed = np.array([
             0.009981438730755994, 0.013290289383721074, 0.017406715218213166,
             0.02216506594971879, 0.026970954424789462, 0.030693592656608513,
@@ -617,42 +620,45 @@ class TestFrozenSweepDigests:
     peak as the Newton refinement places it; every output is pinned,
     ``omega_star`` to 12 digits.  Against the central-difference model's
     outputs the grids moved by at most 8.1e-13 of their maximum,
-    ``omega_star`` by 2.9e-13 and ``dx2_star`` by 7.7e-13 relative."""
+    ``omega_star`` by 2.9e-13 and ``dx2_star`` by 7.7e-13 relative; since
+    ``b`` and the complex-step rates are solved by the rate closure's
+    elimination rather than LAPACK, by at most 7.6e-15, 1.9e-15 and
+    7.4e-15."""
 
     SWEEPS = {
-        (1, 64): "c7ca0068f4cb160ed70d51050ec9895e9591f036c0c5e221d84478ba48b2479f",
-        (1, 128): "3779a4f513de8ea20c134a51e2f542ad6bfe7d9b619f8ac70acbbf60f5bc4ff0",
-        (2, 64): "1628b295e3749c1a8ed88d75fa3293d5056f33e6385eace523fa4da0b5d983a9",
-        (2, 128): "5f468e261f584917ee4be051005fa51a8ffc05087602a5e49aae9dfc363152d1",
-        (3, 64): "330eb7d5c03e7cf4623021fc21b73cd7848a0b1e2a549d2fdb2fed09a7be2da6",
-        (3, 128): "e78b08dbb7f1cd3f908b525be909761d358e011fdde3c81b6a9a954738119ccc",
-        (4, 64): "bae7732deaedd7172fea9d4a3b7e90118621cc197c16c567efc151e8fe148888",
-        (4, 128): "9a680de8742d5938d2200e2b230255d4ceca2c4a17dbc82919b566d16ca3a490",
-        (5, 64): "6de02b03bea8bf1a1fc4fc1cc00625156ada38ebbc53699025c8c05505227f3d",
-        (5, 128): "967fbd4853c04e2fc6b54f02c530ce47e8d9b56e2e0b11a488d08ce6b314fd59",
-        (6, 64): "fb8305621df72574652a2e8b9e76b894dfc07978ea98f7ac24f3c5429e8b7b02",
-        (6, 128): "a4595046726501db8525bc4a0e8e207d5ae5217e459e76d19eca0220b16a7d33",
-        (7, 64): "90694dd586a0e2fb38a9fc47fbeeb6b6e9398f4cd919ef31feb13858998b642c",
-        (7, 128): "5cab04448b821670ff3fc169fea3451c1b5e93eb3caba2c592345386c7c36874",
-        (8, 64): "101711b80434132cff504b89c26056690c1792202dadf6846bcba82febe9e505",
-        (8, 128): "afd9ad1cf2019ee20a547b781c056ef3a629959e7cb94ab1de6b66c2d6c9969b",
+        (1, 64): "620754f9b79406e51f458ce62fa82686095779a368023d4c48098d1dce68553c",
+        (1, 128): "de30ff7b0bc3a44eec5a69ad81dd16a2bc2e2b896db99752e35132c611f01602",
+        (2, 64): "e05ccd18f60339bc398e78e3bd26db126700929a05de6ee373763029fea77e74",
+        (2, 128): "4b4584af43dde188024e94a54c7075d16e8f275006e4a4147ec83f343ce48f2a",
+        (3, 64): "6da0edeb85f2c2eadd2c98e559bbf068e9bfcae574de0024574aaee08d37ea7c",
+        (3, 128): "24054ef17f1bfdba1262e4a6a47374c9dfb25292f43d01fbbe414cd14502b473",
+        (4, 64): "180c8b4abbb893061cb1279d9646683aac0ad191ef49effd36548ceff3c73067",
+        (4, 128): "6a7ef2e13f0ce7b8d8721864f63a3580c652dabe0a5cebf692fab69394498f8a",
+        (5, 64): "ebf7998aa3659fec66c9b024079108bad7b0bacc8e338cd8eac990a876859ed7",
+        (5, 128): "96257fdbead90d4b24f1e0090f091109b1f69571f05914b9642c60e0311d92de",
+        (6, 64): "152495170a1a01e329bf4ed474e96c307ad54633d78149c53cddb72ea4b9e630",
+        (6, 128): "1b0262f5dd4453c137df40461f8ef50a05a3f4559b2a2ed4ef8f87cf0c5edc4b",
+        (7, 64): "0b36a471a442160896bb3510120ffdfd59dd32bb25434cc9fe32f81799b4bf4a",
+        (7, 128): "0e6b316bf9646864a8c66298d9196a9e91645933e2bba33d66a92297825d99d0",
+        (8, 64): "77f3a73828cb2807ec51b0c281d1bdf13bbc0fcb87923e1ed21ee9fe642bab32",
+        (8, 128): "8854a7406c610219e8df4df8f4f47f9c8323b139b881dfc034b427080a9cbfe3",
     }
     # omega_star of the golden section that placed the peak before, to
     # 1e-6 relative, and dx2 of the closed forms at the Newton peak
     GOLDEN = {
-        (1, 64): (0.7832598664189729, 0.04933813080666692),
-        (1, 128): (0.7832597757570863, 0.04933813080666692),
-        (2, 64): (0.6474690130660008, 0.05538414494259371),
+        (1, 64): (0.7832598664189729, 0.04933813080666688),
+        (1, 128): (0.7832597757570863, 0.04933813080666688),
+        (2, 64): (0.6474690130660008, 0.055384144942593666),
         (2, 128): (0.6474691549927747, 0.05538414494259367),
-        (3, 64): (1.060993217924033, 0.04429678927511899),
-        (3, 128): (1.0609930103218363, 0.044296789275119076),
-        (4, 64): (0.8269339716471611, 0.025124749371420382),
-        (4, 128): (0.8269341891293625, 0.025124749371420382),
-        (5, 64): (1.2642809736405658, 0.05035122329747367),
-        (5, 128): (1.2642807062433323, 0.05035122329747363),
-        (6, 64): (0.7874985213932141, 0.04843119693906118),
+        (3, 64): (1.060993217924033, 0.0442967892751189),
+        (3, 128): (1.0609930103218363, 0.0442967892751189),
+        (4, 64): (0.8269339716471611, 0.02512474937142043),
+        (4, 128): (0.8269341891293625, 0.02512474937142043),
+        (5, 64): (1.2642809736405658, 0.050351223297473685),
+        (5, 128): (1.2642807062433323, 0.05035122329747367),
+        (6, 64): (0.7874985213932141, 0.048431196939061165),
         (6, 128): (0.7874985470341831, 0.048431196939061165),
-        (7, 64): (0.7580201150156745, 0.024228866606996757),
+        (7, 64): (0.7580201150156745, 0.024228866606996767),
         (7, 128): (0.7580202554963875, 0.024228866606996757),
         (8, 64): (1.043328551720466, 0.0643993099602734),
         (8, 128): (1.0433285299497086, 0.0643993099602734),
@@ -704,13 +710,13 @@ class TestFrozenSweepDigests:
                              1e-1, 1e1, 16)
         assert sw.near_zero and np.max(np.abs(sw.dx2)) < 1e-12
         assert sweep_digest(sw) == (
-            "39a2a4b5ef4b9f552ebeb934dad73af3ad177e0b00aa764fd860ccad273d3261")
+            "47b74e480bc5d48f0215e0d6236b045aa9c1099d900dfeeccb619ab2bed82bf0")
 
     def test_net_displacement_values(self):
         values = [net_displacement_quadratic(CANON, float(w))
                   for w in np.logspace(-3.0, 3.0, 20)]
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
-            "e329c2377782521d18b20465826b11b3ab443fb232c5de98e9a4d9eec3939c7d")
+            "f130ccf3e1ecd6926fefc2385ec54498748c35f2a2a692792fb2f90dc24a87be")
 
 
 class TestSlopeAndCurvature:
@@ -742,7 +748,10 @@ class TestFrozenOriginDigests:
     steps give them, sign bits included, also with links 2 and 3 unequal.
     ``b`` kept the bits of the central-difference route; ``A`` and
     ``grad Gx`` moved by at most 6.3e-13 and 6.8e-13 of their largest
-    entries."""
+    entries.  With ``b`` and the complex-step rates solved by the rate
+    closure's elimination rather than LAPACK, ``A`` and ``b`` moved by at
+    most 2.6e-15 and 2.2e-15 of their largest entries; ``grad Gx`` kept
+    its bits."""
 
     CASES = {
         "canon": CANON,
@@ -752,13 +761,13 @@ class TestFrozenOriginDigests:
         **{f"seed_{s}": seeded_swimmer(s) for s in (1, 2, 3, 4)},
     }
     DIGESTS = {
-        "canon": "49e97848cfebd5740431c985ea7aa88d538d05192fc154cd4a6ab2261a9a1047",
-        "uniform": "a7adaa8866330092f524e67adef2d050c106671e1073dffafffa9ea4b7ce500d",
-        "unequal_tail": "c2080c60d07ed0e09b4e933fd8ff6c1e9ac9f1b75a9f46b85b0c3d8b71f08df3",
-        "seed_1": "9a43833aedb34e516f42e8fecc3e4f1d230b11457b8c8d37350a52189490b33f",
-        "seed_2": "fe52508ef8b9c6f3877def767256a4112541a2784c43020195ef7da13bc4eef2",
-        "seed_3": "7f9e95feeb22c22ca3f036f8f826951ea6b52a528f49d2c7ab0e1cdfa1564f94",
-        "seed_4": "91438d7f6518c1593ea63ae6b03f283819157c1dd95d79a1f2f766e913cd1e27",
+        "canon": "8e833af958dd4c8c5f7958a8b0e2f463563115655ff54ae6ec3f38587d08a887",
+        "seed_1": "1702ace1fd856edd7f0125dc14c8393ece5fdbcd74f1799eaed6fab085160f78",
+        "seed_2": "b203837d00028f2fd52063fb0b3d5c8e2b1eb549676366e534b7e9963ee8d2ad",
+        "seed_3": "96eae0b205f523ad3268896008ecf14c2e0f5b40addfd487f79f916b19663ea6",
+        "seed_4": "5a7591c21b9e2bcdad0652a1d3c61f258077e23d4a3dd8fb9f6c4e985db3d1d1",
+        "unequal_tail": "f9ea05c3cb9624aabeeffe3c2d4f88517b423c4edf9f00e83d1b827079031cf8",
+        "uniform": "995f00a39091c45b558a88c395ea197b915f2885cfa4a2d7ad5b85ea0f38c22d",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))

@@ -55,14 +55,16 @@ def integer_trajectory():
 
 
 # sha256 of the CSV and JSONL bytes, recorded when the writers indexed
-# numpy rows one sample at a time
+# numpy rows one sample at a time; kept by the one-% CSV table.  "short"
+# is re-recorded for the rate closure's float elimination, which moved its
+# states by at most 3.5e-16 of their largest entry
 FROZEN_FILES = {
     "integer": (
         "0c32221ae132d9a0be6ed8d4084e3de3c420087b2285f694cf8cbc2d1772285d",
         "1ffed12deb3083bbe3f8e1a375d85f4cc9e3bce09171835ff98453c91937c110"),
     "short": (
-        "595c26aa2d8e641d0a261c9523f36d40db6d177a5a7ab65c6a02fa87730c33d3",
-        "520fa5685c6caf35b4c5b3d9495823fd0765f024c8314749b5e994c1bc267331"),
+        "d9c8ebe8cae9f17386ed90197b30ce35284d09b55e15d8454f3d91731b1a59ed",
+        "22e2dd63acfbe297329ce0bec9f9b178567622be1dd084a8f6b9c9687b86da3c"),
     "awkward": (
         "1a214c60d67766eff87fa808acb9aa28acd67fa7ff61f0e11bfb9dd001486da6",
         "2f2dd523e041a6ea7802ced045c50447be10217e1fbd4604fced584e2b34a2e4"),

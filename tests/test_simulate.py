@@ -103,17 +103,18 @@ class TestIntegrate:
         # 80 full steps: the last field sample is taken where the last
         # step ends, at 0.7 + 80 * 0.03 = 3.0999999999999996, and only
         # the time stamp reads t_final
-        (0.03, [0.16467151752162154, -0.3550750048502578,
-                0.12541583074545806, -0.027136495483185363,
-                -0.05264863562915777], -0.15521366541766635),
+        (0.03, [0.16467151752162154, -0.3550750048502577,
+                0.12541583074545817, -0.027136495483185388,
+                -0.05264863562915781], -0.15521366541766635),
         # 34 full steps and a shortened one, stamped and sampled at t_final
-        (0.07, [0.1647177969069149, -0.3550696938112198,
-                0.12541364567029611, -0.027130590791748867,
-                -0.05264112991384497], -0.15521366541766646),
+        (0.07, [0.16471779690691488, -0.3550696938112198,
+                0.12541364567029614, -0.027130590791748885,
+                -0.05264112991384498], -0.15521366541766646),
     ])
     def test_outputs_are_frozen(self, dt, state, hy):
-        # values as integrate produced them before it shared its stepping
-        # loop with the burn-in; they must not move by a single bit
+        # values of the float elimination in the rate closure; against the
+        # LAPACK solve the final states moved by at most 3.2e-16 of their
+        # largest entry, and they must not move by a single bit
         traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
                          SinusoidalField(1.0, 0.2, 1.3), t_final=3.1,
                          dt=dt, t0=0.7)
@@ -122,8 +123,9 @@ class TestIntegrate:
         assert traj.field_samples[-1].tolist() == [1.0, hy]
 
     def test_tabulated_output_is_frozen(self):
-        # 32 full steps from t0 = 0.6 and a shortened one; values as the
-        # loop assembly and the numpy-arithmetic load produced them
+        # 32 full steps from t0 = 0.6 and a shortened one; values of the
+        # float elimination in the rate closure (1.5e-16 of the largest
+        # entry from the LAPACK solve's)
         field = TabulatedField([0.5, 1.0, 2.0, 3.0], [1.0, 0.4, 1.3, 0.8],
                                [0.0, 0.9, -0.6, 0.2])
         traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
@@ -131,8 +133,8 @@ class TestIntegrate:
         assert len(traj) == 34
         assert traj.times[-1] == 2.9
         assert traj.states[-1].tolist() == [
-            0.1641027487680291, -0.3691950988052727, 0.06927921474480574,
-            0.006513724792657479, 0.002054251654653432]
+            0.16410274876802908, -0.36919509880527274, 0.06927921474480578,
+            0.00651372479265747, 0.002054251654653427]
         assert traj.field_samples[-1].tolist() == [0.8500000000000001, 0.12]
 
     @pytest.mark.parametrize("start,field,t_final,dt,rows,sha", [
@@ -142,19 +144,21 @@ class TestIntegrate:
          "dbb1e3519b82426dc84da5dc43ec722d7e8ae1639c48ac15f7fc4f4047f7142b"),
         (Configuration(0.0, 0.0, 0.1, 0.3, -0.2), ConstantField(0, 0), 1.0,
          0.05, 21,
-         "70adc26f06bd6871a3895e04cb23ced9e6e15733b8f8a588c6b16116a4c2e7cf"),
+         "24f79643bb051c20e0bffa9c8fde9beeff510f3548a7088d8da71fd19ae90fad"),
         # signed zeros in the start and the field stay signed zeros
         (Configuration(-0.0, 0.0, -0.0, 0.0, -0.0), ConstantField(-0.0, -0.0),
          1.0, 0.05, 21,
-         "2f4eaf45ba48a578f2dc032d12f513e12b23d98acd7d48ad6b249b0a79f98144"),
+         "2d192871b7f5bf908888b82edd03d35f99969b323ed18cba060f366ce913d5f7"),
         # an integer hx0 is sampled as given and recorded as a float
         (Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
          SinusoidalField(hx0=1, epsilon=0.2, omega=1.3), 2.0, 0.03, 68,
-         "0bcc41664fa54801b189fc2985dac3628bd5013bcc474843721d6c8d7ce71d95"),
+         "2dd967d7203c3a5cddb1cfa254a508f354d2471d242dd6deb56f2b7860f7be38"),
     ])
     def test_zero_and_integer_fields_are_frozen(self, start, field, t_final,
                                                 dt, rows, sha):
-        # digests as the numpy-array RK4 stages produced them
+        # digests of the float elimination in the rate closure; from the
+        # LAPACK solve's, the states moved by at most 1.9e-16 of their
+        # largest entry, and the zero run only in the signs of its zeros
         traj = integrate(CANON, start, field, t_final, dt)
         assert len(traj) == rows
         assert digest(traj) == sha
@@ -212,13 +216,15 @@ class TestDisplacementPerPeriod:
 
     def test_outputs_are_frozen(self):
         # a one-period burn-in at T / 100 doubles twice before the shape
-        # settles; values as the two-pass burn-in loop produced them
+        # settles; values of the float elimination in the rate closure
+        # (delta_x 1.6e-15 relative from the LAPACK solve's, the shape gap
+        # 3.2e-19 absolute)
         rep = displacement_per_period(CANON, Configuration.straight(), 1e-2,
                                       0.62, burn_in_periods=1,
                                       dt=2.0 * math.pi / 0.62 / 100)
-        assert rep.delta_x == 3.202485767576814e-06
+        assert rep.delta_x == 3.2024857675768192e-06
         assert rep.burn_in_periods == 4
-        assert rep.shape_gap == 2.4820484417362912e-11
+        assert rep.shape_gap == 2.4820484098730012e-11
         assert rep.converged
 
     def test_rejects_bad_arguments(self):
@@ -298,16 +304,17 @@ class TestSymmetryExperiment:
                        rep.max_abs_y) < 1e-14
 
     def test_report_is_frozen(self):
-        # one period at the default step; values as the numpy-array RK4
-        # stages produced them
+        # one period at the default step; values of the float elimination
+        # in the rate closure (the three gaps are rounding, and moved by
+        # at most 1.4e-17 absolute from the LAPACK solve's)
         field = SinusoidalField(hx0=1.0, epsilon=0.05, omega=1.3)
         rep = symmetry_experiment(
             UNIFORM, Configuration(0.0, 0.0, 0.2, 0.4, 0.4), field,
             t_final=field.period)
         assert [v.hex() for v in (rep.max_alpha_gap, rep.max_abs_x,
                                   rep.max_abs_y, rep.dt, rep.tolerance)] == [
-            "0x1.4000000000000p-54", "0x1.62e1cd60d6c4bp-58",
-            "0x1.16e8f7489778ep-57", "0x1.3cbff78ba08bcp-9",
+            "0x1.0000000000000p-54", "0x1.80a37d061b736p-58",
+            "0x1.77d1e440eeda6p-57", "0x1.3cbff78ba08bcp-9",
             "0x1.76fed0b5bff22p-32"]
         assert rep.steps == 2000
 
