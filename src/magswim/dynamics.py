@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,9 +45,13 @@ __all__ = ["make_rate_function"]
 
 
 def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
-    """The straight-line assembly of (drag, Mx, My) at a configuration,
-    over the trigonometric functions ``cos`` and ``sin``: tuples of the 25
-    drag loads, ``-Mh`` row-major, and of the five rows of Mx and My.
+    """The straight-line assembly of (drag, elastic, Mx, My) at a
+    configuration, over the trigonometric functions ``cos`` and ``sin``:
+    tuples of the 25 drag loads, ``-Mh`` row-major, and of the five rows of
+    the spring load, Mx and My.  The per-swimmer values lead the arguments
+    (``L``, ``L/2``, the moments ``L^2/2``, ``L^3/3``, ``L^3/12``, then
+    ``xi_i``, ``eta_i``, ``xi_i - eta_i``, ``M`` and ``K``), so
+    :func:`_load_core` binds them once; the angles come last.
 
     Mh is independent of (x, y), so the geometry is built with the middle
     link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
@@ -71,7 +76,8 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     analytic, so at ``q + i h e`` its imaginary parts over ``h`` are the
     derivatives along ``e`` to roundoff (a complex step)."""
 
-    def assemble(theta, a2, a3, L, xi1, xi2, xi3, eta1, eta2, eta3, M):
+    def assemble(L, half, m1, m2, m2c, xi1, xi2, xi3, eta1, eta2, eta3,
+                 d1, d2, d3, M, K, theta, a2, a3):
         th1 = theta + a2
         th3 = theta + a3
         c1, s1 = cos(th1), sin(th1)
@@ -79,18 +85,14 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         c3, s3 = cos(th3), sin(th3)
         # drag tensors [[X, Y], [Y, Z]]
         X1 = xi1 * c1 * c1 + eta1 * s1 * s1
-        Y1 = (xi1 - eta1) * c1 * s1
+        Y1 = d1 * c1 * s1
         Z1 = xi1 * s1 * s1 + eta1 * c1 * c1
         X2 = xi2 * c2 * c2 + eta2 * s2 * s2
-        Y2 = (xi2 - eta2) * c2 * s2
+        Y2 = d2 * c2 * s2
         Z2 = xi2 * s2 * s2 + eta2 * c2 * c2
         X3 = xi3 * c3 * c3 + eta3 * s3 * s3
-        Y3 = (xi3 - eta3) * c3 * s3
+        Y3 = d3 * c3 * s3
         Z3 = xi3 * s3 * s3 + eta3 * c3 * c3
-        half = 0.5 * L
-        m1 = 0.5 * (L * L)
-        m2 = L ** 3 / 3.0
-        m2c = (half ** 3 - (-half) ** 3) / 3.0
         Lc1, Ls1 = L * c1, L * s1
         A3x, A3y = half * c2, half * s2
         A1x, A1y = -A3x - Lc1, -A3y - Ls1
@@ -103,6 +105,8 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         k1x, k1y = c1 * Y1 - s1 * X1, c1 * Z1 - s1 * Y1
         k2x, k2y = c2 * Y2 - s2 * X2, c2 * Z2 - s2 * Y2
         k3x, k3y = c3 * Y3 - s3 * X3, c3 * Z3 - s3 * Y3
+        # k times the first moment, shared by the force and torque rows
+        p1x, p1y, p3x, p3y = k1x * m1, k1y * m1, k3x * m1, k3y * m1
         # e x D n, times the second moment
         w1 = (c1 * k1y - s1 * k1x) * m2
         w2 = (c2 * k2y - s2 * k2x) * m2c
@@ -123,28 +127,28 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         # the unit rates of x, y, theta, alpha2, alpha3
         load = (
             0.0 - X1 * L - X2 * L - X3 * L, fy,
-            0.0 - (u1x * L + k1x * m1) - (u3x * L + k3x * m1),
-            0.0 - (g1x * L + k1x * m1), 0.0 - k3x * m1,
+            0.0 - (u1x * L + p1x) - (u3x * L + p3x),
+            0.0 - (g1x * L + p1x), 0.0 - p3x,
             fy, 0.0 - Z1 * L - Z2 * L - Z3 * L,
-            0.0 - (u1y * L + k1y * m1) - (u3y * L + k3y * m1),
-            0.0 - (g1y * L + k1y * m1), 0.0 - k3y * m1,
-            0.0 - k1x * m1 - (A1y * X2 - A1x * Y2) * L
-            - ((r1x * Y3 - r1y * X3) * L + k3x * m1),
-            0.0 - k1y * m1 - (A1y * Y2 - A1x * Z2) * L
-            - ((r1x * Z3 - r1y * Y3) * L + k3y * m1),
+            0.0 - (u1y * L + p1y) - (u3y * L + p3y),
+            0.0 - (g1y * L + p1y), 0.0 - p3y,
+            0.0 - p1x - (A1y * X2 - A1x * Y2) * L
+            - ((r1x * Y3 - r1y * X3) * L + p3x),
+            0.0 - p1y - (A1y * Y2 - A1x * Z2) * L
+            - ((r1x * Z3 - r1y * Y3) * L + p3y),
             0.0 - (v1 * m1 + w1) - w2
             - ((r1x * u3y - r1y * u3x) * L + (q1 + v3) * m1 + w3),
             0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1),
             0.0 - (q1 * m1 + w3),
             0.0 - (A3x * Y2 - A3y * X2) * L
-            - ((r2x * Y3 - r2y * X3) * L + k3x * m1),
+            - ((r2x * Y3 - r2y * X3) * L + p3x),
             0.0 - (A3x * Z2 - A3y * Y2) * L
-            - ((r2x * Z3 - r2y * Y3) * L + k3y * m1),
+            - ((r2x * Z3 - r2y * Y3) * L + p3y),
             0.0 - w2 - ((r2x * u3y - r2y * u3x) * L + (q2 + v3) * m1 + w3),
             0.0,
             0.0 - (q2 * m1 + w3),
-            0.0 - k3x * m1,
-            0.0 - k3y * m1,
+            0.0 - p3x,
+            0.0 - p3y,
             0.0 - (v3 * m1 + w3),
             0.0,
             0.0 - w3,
@@ -153,7 +157,9 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         # M (e(phi) x H); each staircase row sums the links it holds
         Mx = (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3)
         My = (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3)
-        return load, Mx, My
+        # restoring spring load in the staircase torque rows; signs calibrated
+        # against the joint balance (tests: free springs relax, energy decays)
+        return load, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
 
     return assemble
 
@@ -162,28 +168,20 @@ _assemble = _assembler(math.cos, math.sin)
 _assemble_complex = _assembler(cmath.cos, cmath.sin)
 
 
-def _unpack(params: SwimmerParams) -> tuple:
-    return (params.L, *params.xi, *params.eta)
-
-
 def _load_core(params: SwimmerParams,
                complex_step: bool = False) -> Callable[..., tuple]:
     """Bind the parameters into ``(theta, alpha2, alpha3) -> (drag,
     elastic, Mx, My)``, the tuples of ``-Mh qdot = Mx Hx + My Hy - elastic``
-    that every evaluation of the dynamics assembles through.  With
-    ``complex_step`` the angles may be complex and the assembly is
+    that every evaluation of the dynamics assembles through: a ``partial``
+    of the assembly, so a call enters it with no Python frame between.
+    With ``complex_step`` the angles may be complex and the assembly is
     ``_assemble_complex``; no integrator or bracket path asks for it."""
-    consts = (*_unpack(params), params.M)
-    K = params.K
-    assemble = _assemble_complex if complex_step else _assemble
-
-    def loads(theta, a2, a3):
-        drag, Mx, My = assemble(theta, a2, a3, *consts)
-        # restoring spring load in the staircase torque rows; signs calibrated
-        # against the joint balance (tests: free springs relax, energy decays)
-        return drag, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
-
-    return loads
+    L, xi, eta = params.L, params.xi, params.eta
+    half = 0.5 * L
+    return partial(_assemble_complex if complex_step else _assemble,
+                   L, half, 0.5 * (L * L), L ** 3 / 3.0,
+                   (half ** 3 - (-half) ** 3) / 3.0, *xi, *eta,
+                   *(x - e for x, e in zip(xi, eta)), params.M, params.K)
 
 
 def _resistance(drag: Sequence) -> np.ndarray:

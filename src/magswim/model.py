@@ -213,27 +213,32 @@ class TabulatedField(FieldProgram):
         self.times = t
         self.hx = hx
         self.hy = hy
-        self._nodes = (t.tolist(), hx.tolist(), hy.tolist())
+        times, fx, fy = t.tolist(), hx.tolist(), hy.tolist()
+        spans = [b - a for a, b in zip(times, times[1:])]
+        # each segment's slopes, on Python floats, which overflow silently
+        self._nodes = (times, fx, fy) + tuple(
+            [(b - a) / d for a, b, d in zip(f, f[1:], spans)]
+            for f in (fx, fy))
 
     def sample(self, t: float) -> tuple[float, float]:
         """``np.interp`` of both components at ``t``, bit for bit, for a
         fraction of the cost of two calls: one bisection, then its branches
-        and its formula ``slope*(t - t_j) + f_j`` on Python floats.  Its
-        retry of a NaN result is left out: with finite samples and
-        ``t_j < t < t_j+1`` the formula cannot give NaN."""
+        and its formula ``slope*(t - t_j) + f_j`` on Python floats, with
+        the slopes bound in the constructor.  Its retry of a NaN result is
+        left out: with finite samples and ``t_j < t < t_j+1`` the formula
+        cannot give NaN."""
         t = float(t)
         if t != t:
             return (t, t)
-        times, hx, hy = self._nodes
+        times, hx, hy, sx, sy = self._nodes
         j = bisect_right(times, t) - 1
         if j < 0:
             return (hx[0], hy[0])
         tj = times[j]
         if j == len(times) - 1 or tj == t:
             return (hx[j], hy[j])
-        dt = times[j + 1] - tj
-        return ((hx[j + 1] - hx[j]) / dt * (t - tj) + hx[j],
-                (hy[j + 1] - hy[j]) / dt * (t - tj) + hy[j])
+        t -= tj
+        return (sx[j] * t + hx[j], sy[j] * t + hy[j])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TabulatedField)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -55,12 +56,9 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
                  + row * len(table) % tuple(table.ravel().tolist()))
 
 
-def _trajectory_from_rows(rows: list[list[float]]) -> Trajectory:
-    if not rows:
-        return Trajectory(
-            times=np.empty(0), states=np.empty((0, 5)),
-            field_samples=np.empty((0, 2)))
-    data = np.array(rows, dtype=float)
+def _trajectory_from_rows(rows: list | np.ndarray) -> Trajectory:
+    """The samples of ``rows``, floats nested by row or flat."""
+    data = np.asarray(rows, dtype=float).reshape(-1, len(TRAJECTORY_COLUMNS))
     return Trajectory(
         times=data[:, 0], states=data[:, 1:6], field_samples=data[:, 6:8])
 
@@ -78,17 +76,25 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         if tuple(header) != TRAJECTORY_COLUMNS:
             raise MagswimError(
                 f"{path}: unexpected header {header!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRAJECTORY_COLUMNS):
-                raise MagswimError(
-                    f"{path}:{lineno}: expected "
-                    f"{len(TRAJECTORY_COLUMNS)} fields, got {len(row)}")
+        rows = list(reader)
+    # one float pass over every cell; the row-by-row pass runs only to
+    # name the line at fault
+    width = len(TRAJECTORY_COLUMNS)
+    try:
+        cells = (np.fromiter(map(float, chain.from_iterable(rows)), float)
+                 if set(map(len, rows)) <= {width} else None)
+    except ValueError:
+        cells = None
+    if cells is None:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise MagswimError(f"{path}:{lineno}: expected "
+                                   f"{width} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                list(map(float, row))
             except ValueError as exc:
                 raise MagswimError(f"{path}:{lineno}: {exc}") from exc
-    return _trajectory_from_rows(rows)
+    return _trajectory_from_rows(cells)
 
 
 def write_trajectory_jsonl(traj: Trajectory, path: str | Path,

@@ -371,7 +371,7 @@ class TestSharedSolve:
         assemble = magswim.dynamics._assemble
 
         def counted(*args):
-            calls.append(args[:3])
+            calls.append(args[-3:])
             return assemble(*args)
         monkeypatch.setattr(magswim.dynamics, "_assemble", counted)
         return calls
@@ -466,9 +466,9 @@ class TestSharedSolve:
         assemble = magswim.dynamics._assemble
 
         def singular(*args):
-            drag, Mx, My = assemble(*args)
+            drag, elastic, Mx, My = assemble(*args)
             # the last row of Mh zeroed
-            return drag[:20] + (0.0,) * 5, Mx, My
+            return drag[:20] + (0.0,) * 5, elastic, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]),

@@ -28,7 +28,7 @@ from magswim import (
     control_vector_fields,
     make_rate_function,
 )
-from magswim.dynamics import _assemble, _load_core, _resistance, _unpack
+from magswim.dynamics import _load_core, _resistance
 from magswim.simulate import integrate
 from oracles import resistance, segment_frames, velocity
 
@@ -340,10 +340,12 @@ class TestRateFunction:
                                       velocity(c, (hx, hy), CANON))
 
 
-def _loop_assemble(theta, a2, a3, L, xi1, xi2, xi3, eta1, eta2, eta3, M):
+def _loop_assemble(params, theta, a2, a3):
     """Reference assembly: the generic column x link x row loop over the
     unit-rate velocity table, every term kept.  ``_assemble`` must
     reproduce it bit for bit, signed zeros included."""
+    L, (xi1, xi2, xi3), (eta1, eta2, eta3), M = \
+        params.L, params.xi, params.eta, params.M
 
     def moments(a, b):
         return b - a, 0.5 * (b * b - a * a), (b ** 3 - a ** 3) / 3.0
@@ -407,9 +409,10 @@ def _assembly_hex(out):
     return [v.hex() for a in out for v in np.ravel(a).tolist()]
 
 
-def _assembled(*args):
-    """``(Mh, Mx, My)`` from the drag loads of ``_assemble``."""
-    drag, Mx, My = _assemble(*args)
+def _assembled(params, theta, a2, a3):
+    """``(Mh, Mx, My)`` from the drag loads of ``_assemble``, through
+    ``_load_core``."""
+    drag, _, Mx, My = _load_core(params)(theta, a2, a3)
     return _resistance(drag)[0], Mx, My
 
 
@@ -455,7 +458,7 @@ class TestStraightLineAssembly:
     @pytest.mark.parametrize("swimmer, pose", sorted(FROZEN_ASSEMBLY))
     def test_bits_are_frozen(self, swimmer, pose):
         params = {"CANON": CANON, "UNIFORM": UNIFORM}[swimmer]
-        out = _assembled(*SIGNED_POSES[pose], *_unpack(params), params.M)
+        out = _assembled(params, *SIGNED_POSES[pose])
         digest = hashlib.sha256(" ".join(_assembly_hex(out)).encode())
         assert digest.hexdigest() == FROZEN_ASSEMBLY[swimmer, pose]
 
@@ -463,8 +466,9 @@ class TestStraightLineAssembly:
            xi=st.tuples(drags, drags, drags),
            eta=st.tuples(drags, drags, drags), M=moduli)
     @settings(max_examples=200)
+    @pytest.mark.filterwarnings("ignore:eta_i < xi_i")
     def test_matches_loop_bit_for_bit(self, theta, a2, a3, L, xi, eta, M):
-        args = (theta, a2, a3, L, *xi, *eta, M)
+        args = (SwimmerParams(L, xi, eta, 1.0, M), theta, a2, a3)
         assert _assembly_hex(_assembled(*args)) == \
             _assembly_hex(_loop_assemble(*args))
 
@@ -478,7 +482,7 @@ class TestStraightLineAssembly:
         for theta in values:
             for a2 in (0.0, -0.0, -theta, 0.25):
                 for a3 in (0.0, -0.0, -theta, a2, -a2):
-                    args = (theta, a2, a3, *_unpack(params), params.M)
+                    args = (params, theta, a2, a3)
                     assert _assembly_hex(_assembled(*args)) == \
                         _assembly_hex(_loop_assemble(*args)), (theta, a2, a3)
 
@@ -562,11 +566,11 @@ class TestRawSolve:
         assemble = magswim.dynamics._assemble
 
         def permuted(*args):
-            _, Mx, My = assemble(*args)
+            _, elastic, Mx, My = assemble(*args)
             drag = (-2.0, 0.5, 0.25, -0.5, 1.0, 0.5, -3.0, 0.75, 0.5, -0.25,
                     0.0, 0.0, *block[:3], 0.0, 0.0, *block[3:6],
                     0.0, 0.0, *block[6:])
-            return drag, Mx, My
+            return drag, elastic, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", permuted)
         state = [0.0, 0.0, 0.3, 0.4, -0.25]
         v = make_rate_function(CANON)(state, 1.0, 0.3)
@@ -578,9 +582,9 @@ class TestRawSolve:
         assemble = magswim.dynamics._assemble
 
         def singular(*args):
-            drag, Mx, My = assemble(*args)
+            drag, elastic, Mx, My = assemble(*args)
             # the last row of Mh zeroed
-            return drag[:20] + (0.0,) * 5, Mx, My
+            return drag[:20] + (0.0,) * 5, elastic, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
         with pytest.raises(IntegrationError, match="Singular matrix"):
             integrate(CANON, Configuration(0.0, 0.0, 0.1, 0.3, -0.2),

@@ -14,7 +14,7 @@ import magswim.dynamics
 import magswim.linear
 from magswim import AnalysisError, Configuration, SwimmerParams
 from magswim.brackets import lie_rank
-from magswim.dynamics import _assemble, _resistance, _unpack
+from magswim.dynamics import _load_core, _resistance
 from magswim.linear import (
     char_poly,
     closed_form_angle_matrix,
@@ -186,7 +186,7 @@ class TestRouthHurwitz:
             routh_hurwitz_stable((0.0, 1.0, 1.0, 1.0))
 
     @given(e1=st.floats(-4, 4), e2=st.floats(-4, 4), e3=st.floats(-4, 4))
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     def test_agrees_with_eigenvalues(self, e1, e2, e3):
         assume(min(abs(e1), abs(e2), abs(e3)) > 1e-3)
         rng = np.random.default_rng(42)
@@ -319,8 +319,7 @@ class TestGradGx:
         step = 1e-6
 
         def gy_row(q):
-            mh = _resistance(
-                _assemble(q[0], q[1], q[2], *_unpack(CANON), CANON.M)[0])[0]
+            mh = _resistance(_load_core(CANON)(*q)[0])[0]
             return -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[1, :]
 
         worst = 0.0
@@ -551,6 +550,23 @@ class TestFrequencySweep:
         assert sweep_digest(frequency_sweep(CANON, 1e-1, 1e1,
                                             np.int64(16))) == \
             sweep_digest(frequency_sweep(CANON, 1e-1, 1e1, 16))
+
+    @given(bounds=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2,
+                           unique=True),
+           adjacent=st.booleans(), n_grid=st.integers(16, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_is_np_logspace_bit_for_bit(self, bounds, adjacent,
+                                             n_grid):
+        omega_min, omega_max = sorted(bounds)
+        if adjacent:
+            omega_max = math.nextafter(omega_min, math.inf)
+        with warnings.catch_warnings():
+            # a range this narrow puts the peak on its boundary
+            warnings.simplefilter("ignore", UserWarning)
+            sw = frequency_sweep(CANON, omega_min, omega_max, n_grid)
+        grid = np.logspace(math.log10(omega_min), math.log10(omega_max),
+                           n_grid)
+        assert sw.omegas.tobytes() == grid.tobytes()
 
 
 class TestNewtonPeak:
@@ -787,7 +803,7 @@ class TestFrozenOriginDigests:
             real = getattr(magswim.dynamics, name)
 
             def counted(*args, name=name, real=real):
-                calls.append((name, args[:3]))
+                calls.append((name, args[-3:]))
                 return real(*args)
             monkeypatch.setattr(magswim.dynamics, name, counted)
         displacement_model(CANON)

@@ -145,6 +145,54 @@ class TestCsv:
         with pytest.raises(MagswimError, match="empty"):
             read_trajectory_csv(path)
 
+    def test_lf_line_ends_read_the_same_bits(self, short_trajectory,
+                                             tmp_path):
+        path = tmp_path / "lf.csv"
+        write_trajectory_csv(short_trajectory, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        back = read_trajectory_csv(path)
+        assert _hex(back) == _hex(short_trajectory)
+
+    def test_quoted_numeric_cells_are_numbers(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\r\n"
+                        '"0.5",1e-3,"-0",2,"0.1",3,"1e300",-4\r\n'
+                        '1,"nan",0,0,0,0,"-inf",7\r\n')
+        back = read_trajectory_csv(path)
+        assert _hex(back) == [
+            "0x1.0000000000000p-1", "0x1.0624dd2f1a9fcp-10", "-0x0.0p+0",
+            "0x1.0000000000000p+1", "0x1.999999999999ap-4",
+            "0x1.8000000000000p+1", "0x1.7e43c8800759cp+996",
+            "-0x1.0000000000000p+2",
+            "0x1.0000000000000p+0", "nan", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "-inf", "0x1.c000000000000p+2"]
+
+    @pytest.mark.parametrize("body, message", [
+        # a blank line is a record of no fields
+        ("0,0,0,0,0,0,1,0\n\n0,0,0,0,0,0,1,0\n",
+         "3: expected 8 fields, got 0"),
+        ("0,0,0,0,0,0,1,0\n1,0,0,0,0,0,1,0\n2,0,0,0,0,0,1,0,9\n",
+         "4: expected 8 fields, got 9"),
+        ("0,0,0,0,0,0,1,0\n1,0,0,0,0,0,1,0\n2,0,0,0,0,0,1,0x1\n",
+         "4: could not convert string to float: '0x1'"),
+        # the first line at fault is named, whatever is wrong with it
+        ("0,0,0,fish,0,0,1,0\n1,0,0\n", "2: could not convert string to "
+         "float: 'fish'"),
+        ("1,0,0\n0,0,0,fish,0,0,1,0\n", "2: expected 8 fields, got 3"),
+    ])
+    def test_names_the_first_faulty_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n" + body)
+        with pytest.raises(MagswimError) as info:
+            read_trajectory_csv(path)
+        assert str(info.value) == f"{path}:{message}"
+
+
+def _hex(traj):
+    """The float.hex of every sample, row by row in column order."""
+    table = np.column_stack((traj.times, traj.states, traj.field_samples))
+    return [v.hex() for v in table.ravel().tolist()]
+
 
 class TestJsonl:
     def test_round_trip_with_metadata(self, short_trajectory, tmp_path):
