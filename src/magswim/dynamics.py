@@ -37,7 +37,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
 from .model import SwimmerParams
 
@@ -195,8 +195,8 @@ def _solve_poses(loads: Callable[..., tuple],
     :func:`_load_core`: ``Mh[i]`` is the matrix of ``poses[i]``, and
     ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.  Each pose
     is assembled as often as it recurs, and all are solved for the columns
-    ``elastic, -Mx, -My`` by one bare LAPACK call in :func:`_solve_errstate`,
-    so an exactly singular ``Mh`` raises ``LinAlgError('Singular matrix')``.
+    ``elastic, -Mx, -My`` by one ``np.linalg.solve``, so an exactly
+    singular ``Mh`` raises ``LinAlgError('Singular matrix')``.
     """
     drag, rows = [], []
     for pose in poses:
@@ -207,24 +207,8 @@ def _solve_poses(loads: Callable[..., tuple],
     # rows elastic, -Mx, -My: the transposed right-hand side of the solve
     rhs = np.array(rows).reshape(len(mh), 3, 5)
     np.negative(rhs[:, 1:], out=rhs[:, 1:])
-    with _solve_errstate():
-        cols = _umath_linalg.solve(mh, rhs.transpose(0, 2, 1),
-                                   signature="dd->d")
+    cols = np.linalg.solve(mh, rhs.transpose(0, 2, 1))
     return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-
-def _raise_singular(err: str, flag: int) -> None:
-    raise LinAlgError("Singular matrix")
-
-
-def _solve_errstate() -> np.errstate:
-    """The floating-point state ``np.linalg.solve`` enters around each of its
-    calls: the invalid flag that the LAPACK gufunc raises on a zero pivot
-    becomes ``LinAlgError('Singular matrix')``, while overflow, division
-    and underflow are ignored.  The batched solves call the gufunc bare in
-    it, where no other numpy operation may set the invalid flag."""
-    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
 
 
 def _solve_drag(g: Sequence, r2, r3, r4) -> tuple:

@@ -32,10 +32,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .dynamics import (_load_core, _resistance, _solve_drag,
-                       _solve_errstate, make_rate_function)
+from .dynamics import _load_core, _resistance, _solve_drag, make_rate_function
 from .errors import AnalysisError
 from .model import SwimmerParams
 
@@ -87,10 +85,7 @@ def _complex_steps(params: SwimmerParams, poses: list
     rates = [_solve_drag(g, m[2], m[3] - e[3], m[4] - e[4])[2:]
              for g, e, m in zip(drag, elastic, mx)]
     mh = _resistance(drag)
-    with _solve_errstate():
-        coupling = _umath_linalg.solve(mh[:, :2, :2], mh[:, :2, 2:],
-                                       signature="DD->D")
-    return np.array(rates), coupling
+    return np.array(rates), np.linalg.solve(mh[:, :2, :2], mh[:, :2, 2:])
 
 
 def _origin_derivatives(params: SwimmerParams
@@ -210,20 +205,6 @@ def closed_form_char_coeffs(params: SwimmerParams
     return (-1.0, a2, a1, a0)
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """The inverse of each complex 3x3 matrix of ``m``, bit for bit what
-    ``np.linalg.inv`` returns.
-
-    The inverse is the LAPACK gufunc behind ``np.linalg.inv``, called
-    bare inside the error state that function enters, so an exactly
-    singular matrix still raises ``LinAlgError('Singular matrix')``.  That
-    state covers the gufunc alone: the invalid flag of any other operation
-    would read as a singular matrix.
-    """
-    with _solve_errstate():
-        return _umath_linalg.inv(m, signature="D->D")
-
-
 def resolvents(a: np.ndarray, omega: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """``(-a + i omega I)^-1`` and ``(-a - i omega I)^-1`` for a real 3x3
@@ -235,7 +216,7 @@ def resolvents(a: np.ndarray, omega: float
         raise ValueError("omega must be finite")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    a_plus = _inverse(-a + omega * (1j * np.eye(3)))
+    a_plus = np.linalg.inv(-a + omega * (1j * np.eye(3)))
     # a is real, so the second resolvent is the conjugate of the first
     return a_plus, a_plus.conj()
 

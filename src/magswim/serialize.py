@@ -71,12 +71,16 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if tuple(header) != TRAJECTORY_COLUMNS:
+                raise MagswimError(f"{path}: unexpected header {header!r}")
+            rows = list(reader)
         except StopIteration:
             raise MagswimError(f"{path}: empty file, expected a header")
-        if tuple(header) != TRAJECTORY_COLUMNS:
-            raise MagswimError(
-                f"{path}: unexpected header {header!r}")
-        rows = list(reader)
+        except csv.Error as exc:
+            # a cell over the csv module's field size limit
+            raise MagswimError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise MagswimError(f"{path}: {exc}") from exc
     # one float pass over every cell; the row-by-row pass runs only to
     # name the line at fault
     width = len(TRAJECTORY_COLUMNS)

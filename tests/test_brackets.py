@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,22 +384,22 @@ class TestSharedSolve:
 
     def test_one_batched_solve_per_call(self, monkeypatch):
         # every stencil pose is assembled once and all of them are solved
-        # by one call of the batched LAPACK gufunc: 25 poses at depth 3,
-        # the point and its four BASE_STEP neighbours in the identities
+        # by one batched np.linalg.solve: 25 poses at depth 3, the point
+        # and its four BASE_STEP neighbours in the identities, which then
+        # solve once more for the corrected formula
         solves = []
-        solve = magswim.dynamics._umath_linalg.solve
+        solve = np.linalg.solve
 
-        def counted(*args, **kwargs):
-            solves.append(args[0].shape)
-            return solve(*args, **kwargs)
-        monkeypatch.setattr(magswim.dynamics, "_umath_linalg",
-                            SimpleNamespace(solve=counted))
+        def counted(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         assemblies = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=3)
         assert (len(assemblies), solves) == (25, [(25, 5, 5)])
         del assemblies[:], solves[:]
         equilibrium_identities(CANON, 0.3)
-        assert (len(assemblies), solves) == (5, [(5, 5, 5)])
+        assert (len(assemblies), solves) == (5, [(5, 5, 5), (5, 5)])
 
     @pytest.mark.parametrize("depth, poses", [(1, 1), (2, 5), (3, 25)])
     def test_rank_evaluates_each_generator_once_on_the_stencil(

@@ -601,6 +601,5 @@ class TestRawSolve:
             def __getattr__(self, name):
                 raise AssertionError(f"numpy reached: {name}")
         monkeypatch.setattr(magswim.dynamics, "np", Unreachable())
-        monkeypatch.setattr(magswim.dynamics, "_umath_linalg", Unreachable())
         assert rate(state, 0.8, -0.3) == before
         assert make_rate_function(CANON)(state, 0.8, -0.3) == before

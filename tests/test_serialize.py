@@ -139,6 +139,27 @@ class TestCsv:
         with pytest.raises(MagswimError, match="bad.csv:2"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        # a last cell of 200,000 digits, over the csv module's field limit
+        (",".join(TRAJECTORY_COLUMNS) + "\r\n" + "0," * 7 + "1" * 200_000
+         + "\r\n", 2),
+        (",".join(TRAJECTORY_COLUMNS[:-1]) + "," + "H" * 200_000 + "\r\n"
+         + "0," * 7 + "0\r\n", 1),
+    ], ids=["row", "header"])
+    def test_rejects_oversized_cell(self, tmp_path, text, line):
+        path = tmp_path / "huge.csv"
+        path.write_text(text)
+        with pytest.raises(MagswimError, match=f"huge.csv:{line}: field"):
+            read_trajectory_csv(path)
+
+    def test_rejects_undecodable_bytes(self, tmp_path):
+        # 0xff starts no character of UTF-8
+        path = tmp_path / "bytes.csv"
+        path.write_bytes((",".join(TRAJECTORY_COLUMNS) + "\r\n").encode()
+                         + b"0," * 7 + b"\xff\r\n")
+        with pytest.raises(MagswimError, match="bytes.csv"):
+            read_trajectory_csv(path)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("")
