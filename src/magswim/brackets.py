@@ -64,10 +64,9 @@ STATE_DIM = 5
 
 @dataclass(frozen=True)
 class VectorField:
-    """A labelled state-space vector field ``x -> R^5``."""
+    """A state-space vector field ``x -> R^5``."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float))
@@ -135,9 +134,8 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
     ``ValueError``; the fields ignore the position.
     """
     solve = _SharedSolve(params)
-    return ControlSystem(f0=VectorField(solve.f0, "f0"),
-                         fx=VectorField(solve.fx, "fx"),
-                         fy=VectorField(solve.fy, "fy"))
+    return ControlSystem(f0=VectorField(solve.f0), fx=VectorField(solve.fx),
+                         fy=VectorField(solve.fy))
 
 
 # The rank and the identities difference the blocks C(x) = [f0 fx fy] at
@@ -297,7 +295,7 @@ class RankReport:
 
     ``rank`` counts singular values above 1e-8 times the largest one, a
     fixed cut.  ``gap_4_5`` is the ratio of the fourth to the fifth
-    singular value; a large value certifies a clean rank-4 span.  At
+    singular value; a large value indicates a clean rank-4 span.  At
     straight states (``is_straight``) the y-translation is obstructed and
     the rank stays at 4 for every bracket depth; bent states reach 5.
     """

@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import string
 import sys
-import warnings
 from pathlib import Path
 from typing import Any, Callable
 
@@ -303,8 +302,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
             code = int(gap > 1e-6)
         _say(LINEARIZE + (relgap,), results)
         if code:
-            print("closed form and finite differences disagree",
-                  file=sys.stderr)
+            print("closed form and numeric A disagree", file=sys.stderr)
         return results, code
 
     return _run_reported(args, "linearize", config, body)
@@ -327,11 +325,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if name.partition(".")[2] not in flags))
 
     def body() -> tuple[dict[str, Any], int]:
-        with warnings.catch_warnings():
-            # stdout and the report already say "boundary True"
-            warnings.filterwarnings("ignore", "displacement peak", UserWarning)
-            curve = frequency_sweep(config.params, config.omega_min,
-                                    config.omega_max, n_grid=config.n_grid)
+        curve = frequency_sweep(config.params, config.omega_min,
+                                config.omega_max, n_grid=config.n_grid)
         results = _plain(curve)
         results["omega"] = results.pop("omegas")
         path = _out_dir(args, config) / "sweep.csv"

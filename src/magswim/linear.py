@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "routh_hurwitz_stable",
     "closed_form_char_coeffs",
     "resolvents",
-    "grad_gx_origin",
     "closed_form_grad_gx",
     "closed_form_skew_kernel",
     "net_displacement_quadratic",
@@ -92,6 +90,9 @@ def _origin_derivatives(params: SwimmerParams
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(A, b, grad Gx)`` at the straight state from three assemblies.
 
+    Entry ``[j, k]`` of ``grad Gx`` is the derivative of ``Gx_k`` along
+    shape coordinate ``j``, where ``xdot = Gx(q) . qdot``; ``Gx(0) = 0``
+    by symmetry, so it carries the whole quadratic displacement.
     ``b`` is one rate-closure call at the origin under ``(Hx, Hy) = (0,
     1)``.  The theta column and row follow from the rotation rule:
     turning the swimmer by theta is turning the field by -theta, so
@@ -219,18 +220,6 @@ def resolvents(a: np.ndarray, omega: float
     a_plus = np.linalg.inv(-a + omega * (1j * np.eye(3)))
     # a is real, so the second resolvent is the conjugate of the first
     return a_plus, a_plus.conj()
-
-
-def grad_gx_origin(params: SwimmerParams) -> np.ndarray:
-    """Gradient of the x-row of the position coupling at the origin.
-
-    Entry ``[j, k]`` is the derivative of ``Gx_k`` along shape coordinate
-    ``j``, where ``xdot = Gx(q) . qdot``.  ``Gx(0) = 0`` by symmetry, so
-    this gradient carries the entire quadratic displacement.  The theta
-    row is ``-Gy(0)`` by the rotation rule, the others complex steps
-    (``_origin_derivatives``), exact to roundoff.
-    """
-    return _origin_derivatives(params)[2]
 
 
 def closed_form_grad_gx(params: SwimmerParams) -> np.ndarray:
@@ -506,13 +495,9 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     peak = int(magnitude.argmax())
     near_zero = bool(magnitude[peak] <= 1e-12)
     boundary = peak in (0, n_grid - 1)
-    if near_zero:
-        # a curve that is zero to roundoff has no meaningful peak
-        omega_star = float(omegas[peak])
-    elif boundary:
-        warnings.warn(
-            "displacement peak sits on the sweep boundary; widen the "
-            "frequency range", stacklevel=2)
+    if near_zero or boundary:
+        # a curve zero to roundoff has no meaningful peak, and a grid peak
+        # on the boundary no bracket to refine in
         omega_star = float(omegas[peak])
     else:
         omega_star = _newton_peak(evaluate, omegas, peak,

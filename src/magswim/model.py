@@ -22,7 +22,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -129,14 +129,14 @@ class Configuration:
         return cls(*(float(v) for v in q))
 
     @classmethod
-    def straight(cls, theta: float = 0.0) -> "Configuration":
-        return cls(0.0, 0.0, float(theta), 0.0, 0.0)
+    def straight(cls) -> "Configuration":
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class FieldProgram:
     """Time program of the external field ``H(t) = (Hx(t), Hy(t))``."""
 
-    kind: str = "abstract"
+    kind: ClassVar[str] = "abstract"
 
     def sample(self, t: float) -> tuple[float, float]:
         """``(Hx, Hy)`` at time ``t``.  The programs here compute on Python
@@ -148,7 +148,7 @@ class FieldProgram:
 class ConstantField(FieldProgram):
     hx: float = 0.0
     hy: float = 0.0
-    kind: str = "constant"
+    kind: ClassVar[str] = "constant"
 
     def sample(self, t: float) -> tuple[float, float]:
         return (self.hx, self.hy)
@@ -166,7 +166,7 @@ class SinusoidalField(FieldProgram):
     hx0: float = 1.0
     epsilon: float = 0.0
     omega: float = 1.0
-    kind: str = "sinusoidal"
+    kind: ClassVar[str] = "sinusoidal"
 
     def __post_init__(self) -> None:
         if not (self.omega > 0.0):
@@ -190,7 +190,7 @@ class TabulatedField(FieldProgram):
     should stay inside the table.
     """
 
-    kind = "tabulated"
+    kind: ClassVar[str] = "tabulated"
 
     def __init__(self, times: Sequence[float], hx: Sequence[float],
                  hy: Sequence[float]) -> None:
@@ -239,12 +239,6 @@ class TabulatedField(FieldProgram):
             return (hx[j], hy[j])
         t -= tj
         return (sx[j] * t + hx[j], sy[j] * t + hy[j])
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TabulatedField)
-                and np.array_equal(self.times, other.times)
-                and np.array_equal(self.hx, other.hx)
-                and np.array_equal(self.hy, other.hy))
 
 
 def apply_R_transform(config: Configuration,

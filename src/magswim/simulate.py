@@ -88,7 +88,10 @@ def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     every stepping loop plans here, so this is where ``dt`` is checked."""
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
-    n_full = int(math.floor(span / dt + 1e-9))
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt = {dt!r} is too small: span / dt is not finite")
+    n_full = int(math.floor(steps + 1e-9))
     rem = span - n_full * dt
     if rem <= 1e-9 * dt:
         rem = 0.0

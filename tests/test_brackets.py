@@ -412,8 +412,8 @@ class TestSharedSolve:
         def recorded(params):
             system = fields(params)
             return ControlSystem(*(
-                VectorField(lambda x, f=f: shapes.append(x.shape) or f(x),
-                            f.label) for f in system.generators()))
+                VectorField(lambda x, f=f: shapes.append(x.shape) or f(x))
+                for f in system.generators()))
         monkeypatch.setattr(magswim.brackets, "control_vector_fields",
                             recorded)
         lie_rank(CANON, np.array([0.1, -0.2, 0.3, 0.2, -0.1]), depth=depth)

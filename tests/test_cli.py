@@ -566,6 +566,18 @@ class TestUsageErrors:
         assert main(["simulate", "--config", cfg]) == 2
         assert "t_final" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "displacement",
+                                         "symmetry"])
+    def test_step_too_small_to_plan_is_an_invalid_request(
+            self, tmp_path, capsys, command):
+        # span / dt overflows to inf, which no step count can hold
+        cfg = write_config(tmp_path, UNIFORM_SYMMETRIC.replace(
+            "dt = 0.02", "dt = 1e-320"))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid request: ")
+        assert err.count("\n") == 1 and "span / dt" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.ini")]) == 2

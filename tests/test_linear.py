@@ -23,7 +23,6 @@ from magswim.linear import (
     closed_form_skew_kernel,
     displacement_model,
     frequency_sweep,
-    grad_gx_origin,
     linearize_angles,
     net_displacement_quadratic,
     resolvents,
@@ -32,6 +31,7 @@ from magswim.linear import (
     _dx2_quadrature,
     _dx2_terms,
     _newton_peak,
+    _origin_derivatives,
     _rational_coeffs,
 )
 from magswim.model import SinusoidalField
@@ -89,7 +89,7 @@ class TestLinearization:
             [-4.363636363636364, -9.09090909090909, -18.545454545454543]]
         assert lin.b.tolist() == [
             -1.2727272727272725, 3.09090909090909, 4.363636363636364]
-        assert grad_gx_origin(CANON).tolist() == [
+        assert _origin_derivatives(CANON)[2].tolist() == [
             [-0.25, -0.25, 0.125],
             [-0.6964285714285716, -0.375, -0.08035714285714286],
             [0.4553571428571429, 0.0625, 0.23660714285714285]]
@@ -124,7 +124,7 @@ class TestLinearization:
         a, grad = central_difference_origin(params, 1e-6)
         lin = linearize_angles(params)
         assert np.max(np.abs(lin.a - a)) <= 1e-9 * np.max(np.abs(a))
-        assert np.max(np.abs(grad_gx_origin(params) - grad)) <= \
+        assert np.max(np.abs(_origin_derivatives(params)[2] - grad)) <= \
             1e-9 * np.max(np.abs(grad))
 
     def test_tangential_drag_does_not_enter(self):
@@ -303,7 +303,7 @@ class TestGradGx:
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_numeric(self, params):
         # to roundoff, as for A and b
-        num = grad_gx_origin(params)
+        num = _origin_derivatives(params)[2]
         closed = closed_form_grad_gx(params)
         assert np.max(np.abs(num - closed)) < 1e-13 * np.max(np.abs(closed))
 
@@ -335,7 +335,7 @@ class TestSkewKernel:
     @given(params=ha_params)
     @settings(max_examples=25, deadline=None)
     def test_closed_kernel_annihilates_numeric_skew(self, params):
-        n = grad_gx_origin(params)
+        n = _origin_derivatives(params)[2]
         w = n - n.T
         assume(np.max(np.abs(w)) > 1e-8)
         u = closed_form_skew_kernel(params)
@@ -433,10 +433,11 @@ class TestFrequencySweep:
         assert sw.omega_star == pytest.approx(0.62006001, rel=1e-4)
         assert sw.dx2_star == pytest.approx(0.0320269605, rel=1e-6)
 
-    def test_boundary_peak_warns(self):
-        with pytest.warns(UserWarning):
+    def test_boundary_peak_is_reported_by_the_flag_only(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sw = frequency_sweep(CANON, 5.0, 50.0, n_grid=16)
-        assert sw.boundary
+        assert sw.boundary is True
         assert sw.omega_star == pytest.approx(5.0)
 
     def test_equal_coefficient_curve_flagged(self):
@@ -559,10 +560,7 @@ class TestFrequencySweep:
         omega_min, omega_max = sorted(bounds)
         if adjacent:
             omega_max = math.nextafter(omega_min, math.inf)
-        with warnings.catch_warnings():
-            # a range this narrow puts the peak on its boundary
-            warnings.simplefilter("ignore", UserWarning)
-            sw = frequency_sweep(CANON, omega_min, omega_max, n_grid)
+        sw = frequency_sweep(CANON, omega_min, omega_max, n_grid)
         grid = np.logspace(math.log10(omega_min), math.log10(omega_max),
                            n_grid)
         assert sw.omegas.tobytes() == grid.tobytes()
@@ -790,7 +788,7 @@ class TestFrozenOriginDigests:
         params = self.CASES[case]
         lin = linearize_angles(params)
         h = hashlib.sha256()
-        for arr in (lin.a, lin.b, grad_gx_origin(params)):
+        for arr in (lin.a, lin.b, _origin_derivatives(params)[2]):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == self.DIGESTS[case]
 

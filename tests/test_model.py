@@ -88,6 +88,16 @@ class TestFieldPrograms:
         with pytest.raises(ValueError):
             SinusoidalField(omega=-1.0)
 
+    def test_kind_is_not_settable(self):
+        # the kind belongs to the class: a value after the parameters is
+        # rejected, so a sinusoid cannot be labelled "tabulated"
+        with pytest.raises(TypeError):
+            SinusoidalField(1.0, 0.3, 1.0, "tabulated")
+        with pytest.raises(TypeError):
+            ConstantField(0.0, 0.0, "sinusoidal")
+        assert SinusoidalField().kind == "sinusoidal"
+        assert ConstantField().kind == "constant"
+
     def test_tabulated_interpolates(self):
         f = TabulatedField([0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [1.0, 1.0, 3.0])
         assert f.sample(0.5) == (1.0, 1.0)

@@ -93,6 +93,8 @@ class TestIntegrate:
         (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
         (0.0, math.nan, 0.1), (0.0, math.inf, 0.1),
         (math.nan, 1.0, 0.1), (-math.inf, 1.0, 0.1),
+        # finite inputs whose step count span / dt overflows
+        (0.0, 1.0, 1e-320),
     ])
     def test_rejects_non_finite_times(self, t0, t_final, dt):
         with pytest.raises(ValueError, match="finite"):
