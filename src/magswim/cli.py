@@ -38,7 +38,7 @@ from .linear import (
     routh_hurwitz_stable,
 )
 from .model import FieldProgram, SinusoidalField
-from .runconfig import RunConfig, load_config, parse_config, resolved_dt
+from .runconfig import RunConfig, load_config, parse_config
 from .serialize import (
     write_json_report,
     write_trajectory_csv,
@@ -50,15 +50,17 @@ __all__ = ["main"]
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
+    """The run: the ``--config`` file, if any, with each value flag given
+    set as the "section.key" its ``dest`` names."""
+    flags = {name: value for name, value in vars(args).items()
+             if "." in name and value is not None}
     if args.config is None:
-        return parse_config("")
-    return load_config(args.config)
+        return parse_config("", flags)
+    return load_config(args.config, flags)
 
 
-def _out_dir(args: argparse.Namespace, config: RunConfig) -> Path:
-    raw = args.output_dir if getattr(args, "output_dir", None) else \
-        config.output_dir
-    path = Path(raw)
+def _out_dir(config: RunConfig) -> Path:
+    path = Path(config.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -113,7 +115,7 @@ ECHO_KEYS = {
     "linearize": ((), ("field.kind", "field.hx0")),
     "sweep": ((), ("field.kind", "field.hx0", "analysis.omega_min",
                    "analysis.omega_max", "analysis.n_grid")),
-    "controllability": ((), ("analysis.bracket_depth",)),
+    "controllability": ((), ()),
 }
 
 
@@ -182,10 +184,9 @@ SIMULATE = ("steps {steps} dt {dt!r}", "final x={final[x]!r} "
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
-    dt = resolved_dt(config)
     traj = integrate(config.params, config.initial, config.field,
-                     t_final=config.t_final, dt=dt)
-    out = _out_dir(args, config)
+                     t_final=config.t_final, dt=config.dt)
+    out = _out_dir(config)
     written = []
     if "csv" in config.formats:
         path = out / "trajectory.csv"
@@ -195,10 +196,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         path = out / "trajectory.jsonl"
         metadata = _echo(config, "simulate")
         metadata["artifact_version"] = __version__
-        metadata["solver"]["dt_resolved"] = dt
         write_trajectory_jsonl(traj, path, metadata=metadata)
         written.append(path)
-    _say(SIMULATE, {"steps": len(traj) - 1, "dt": dt,
+    _say(SIMULATE, {"steps": len(traj) - 1, "dt": config.dt,
                     "final": _plain(traj.final())})
     for path in written:
         print(f"wrote {path}")
@@ -216,33 +216,18 @@ DISPLACEMENT = ("epsilon {epsilon!r} omega {omega!r}", "delta_x {delta_x!r}",
 def cmd_displacement(args: argparse.Namespace) -> int:
     config = _load(args)
     _require_unit_hx(config)
-    sine = config.field if isinstance(config.field, SinusoidalField) \
-        else None
-    if sine is None and args.epsilon is None:
-        raise ConfigError(
-            "displacement needs a sinusoidal drive; set [field] kind or "
-            "pass --epsilon/--omega")
-    if sine is None and args.omega is None:
-        raise ConfigError("displacement needs --omega without a "
-                          "sinusoidal [field]")
-    epsilon = sine.epsilon if args.epsilon is None else args.epsilon
-    omega = sine.omega if args.omega is None else args.omega
-    # the report echoes the drive that is run, not the one it replaced: a
-    # flag's value is no default, nor is a key the drive does not have
-    replaced = {"hx", "hy", *(key for key in ("epsilon", "omega")
-                              if getattr(args, key) is not None)}
-    config = dataclasses.replace(
-        config, field=SinusoidalField(hx0=1.0, epsilon=epsilon, omega=omega),
-        applied_defaults=tuple(name for name in config.applied_defaults
-                               if name.partition(".")[2] not in replaced))
+    field = config.field
+    if not isinstance(field, SinusoidalField):
+        raise ConfigError("displacement needs a sinusoidal drive; set "
+                          "[field] kind = sinusoidal")
 
     def body() -> tuple[dict[str, Any], int]:
         report = displacement_per_period(
-            config.params, config.initial, epsilon=epsilon, omega=omega,
-            burn_in_periods=config.burn_in_periods,
-            measure_periods=config.measure_periods,
-            dt=config.dt)
-        results = {"epsilon": epsilon, "omega": omega, **_plain(report)}
+            config.params, config.initial, epsilon=field.epsilon,
+            omega=field.omega, burn_in_periods=config.burn_in_periods,
+            measure_periods=config.measure_periods, dt=config.dt)
+        results = {"epsilon": field.epsilon, "omega": field.omega,
+                   **_plain(report)}
         _say(DISPLACEMENT, {
             **results, "per_period": report.delta_x / report.periods_used})
         return results, 0 if report.converged else 1
@@ -316,20 +301,13 @@ SWEEP = ("omega_star {omega_star!r}", "dx2_star {dx2_star!r}",
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
     _require_unit_hx(config)
-    # the report echoes the grid that is run, not the one it replaced
-    flags = {key: getattr(args, key) for key in
-             ("omega_min", "omega_max", "n_grid")
-             if getattr(args, key) is not None}
-    config = dataclasses.replace(config, **flags, applied_defaults=tuple(
-        name for name in config.applied_defaults
-        if name.partition(".")[2] not in flags))
 
     def body() -> tuple[dict[str, Any], int]:
         curve = frequency_sweep(config.params, config.omega_min,
                                 config.omega_max, n_grid=config.n_grid)
         results = _plain(curve)
         results["omega"] = results.pop("omegas")
-        path = _out_dir(args, config) / "sweep.csv"
+        path = _out_dir(config) / "sweep.csv"
         with open(path, "w") as fh:
             fh.write("omega,dx2\n")
             for w, v in zip(results["omega"], results["dx2"]):
@@ -363,8 +341,7 @@ def cmd_controllability(args: argparse.Namespace) -> int:
         for theta in thetas:
             report = equilibrium_identities(config.params, theta)
             rank = lie_rank(config.params,
-                            np.array([0.0, 0.0, theta, 0.0, 0.0]),
-                            depth=config.bracket_depth)
+                            np.array([0.0, 0.0, theta, 0.0, 0.0]))
             stencil_rel = report.corrected_gap / report.bracket_norm
             row = _plain({
                 "theta": theta,
@@ -426,14 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    # a value flag sets the config key its dest names (_load)
     p = add("simulate", cmd_simulate,
             "integrate a trajectory and write it out", report=False)
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--output-dir", dest="output.directory")
 
     p = add("displacement", cmd_displacement,
             "net displacement per forcing period")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--epsilon", type=float, dest="field.epsilon")
+    p.add_argument("--omega", type=float, dest="field.omega")
 
     add("symmetry", cmd_symmetry,
         "check that the symmetric invariant set is preserved")
@@ -443,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep,
             "frequency sweep of the quadratic displacement")
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--n-grid", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--omega-min", type=float, dest="analysis.omega_min")
+    p.add_argument("--omega-max", type=float, dest="analysis.omega_max")
+    p.add_argument("--n-grid", type=int, dest="analysis.n_grid")
+    p.add_argument("--output-dir", dest="output.directory")
 
     p = add("controllability", cmd_controllability,
             "bracket identities and accessibility rank at straight states")

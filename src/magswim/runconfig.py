@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .model import (
 )
 from .simulate import _default_dt
 
-__all__ = ["RunConfig", "load_config", "parse_config", "resolved_dt"]
+__all__ = ["RunConfig", "load_config", "parse_config"]
 
 _OUTPUT_FORMATS = ("csv", "jsonl")
 
@@ -41,23 +42,21 @@ _OUTPUT_FORMATS = ("csv", "jsonl")
 class RunConfig:
     """Fully resolved run description.
 
-    ``dt`` stays None when the file leaves it out; ``resolved_dt`` maps
-    that to a period-based default at the point of use.
-    ``applied_defaults`` lists "section.key" for every value the loader
-    filled in.
+    ``dt = auto`` resolves here to the period-based default the run steps
+    with.  ``applied_defaults`` lists "section.key" for every value the
+    loader filled in.
     """
 
     params: SwimmerParams
     field: FieldProgram
     initial: Configuration
-    dt: float | None
+    dt: float
     t_final: float
     burn_in_periods: int
     measure_periods: int
     omega_min: float
     omega_max: float
     n_grid: int
-    bracket_depth: int
     output_dir: str
     formats: tuple[str, ...]
     applied_defaults: tuple[str, ...]
@@ -143,7 +142,7 @@ def _formats(section: str, key: str, raw: str) -> tuple[str, ...]:
 
 # section -> key -> (parser, default), the whole vocabulary.  A default of
 # None makes a key required where it is read; parse_config supplies the
-# default of t_final, which depends on the field.
+# default of t_final and resolves dt = auto, which depend on the field.
 _TABLE = {
     "params": {"L": (_number, "1.0"), "xi": (_triple, "0.8, 0.5, 0.5"),
                "eta": (_triple, "2.0, 1.0, 1.0"), "K": (_number, "1.0"),
@@ -159,7 +158,7 @@ _TABLE = {
                "measure_periods": (_count, "1")},
     "analysis": {"omega_min": (_number, "1e-2"),
                  "omega_max": (_number, "1e2"),
-                 "n_grid": (_count, "64"), "bracket_depth": (_count, "3")},
+                 "n_grid": (_count, "64")},
     "output": {"directory": (lambda s, k, raw: raw, "."),
                "formats": (_formats, "csv")},
 }
@@ -179,10 +178,13 @@ def _construct(section: str, build, values: list):
         raise ConfigError(f"[{section}]: {exc}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """The ``RunConfig`` of INI ``text``.  Malformed INI, an unknown
-    section or key, a value its parser or section rejects, a field key the
-    kind does not take, or a missing required key raises ``ConfigError``."""
+def parse_config(text: str,
+                 overrides: Mapping[str, object] | None = None) -> RunConfig:
+    """The ``RunConfig`` of INI ``text``, each ``"section.key"`` of
+    ``overrides`` set to its value as if the text said so.  Malformed INI,
+    an unknown section or key, a value its parser or section rejects, a
+    field key the kind does not take, or a missing required key raises
+    ``ConfigError``."""
     cp = configparser.ConfigParser(interpolation=None)
     # keep keys case-sensitive so "L" stays "L" and a stray "l" is caught
     cp.optionxform = str
@@ -190,6 +192,11 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    for name, value in (overrides or {}).items():
+        section, _, key = name.partition(".")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, str(value))
     for section in cp.sections():
         if section not in _TABLE:
             raise ConfigError(f"unknown section [{section}]")
@@ -241,43 +248,31 @@ def parse_config(text: str) -> RunConfig:
     else:
         default_t_final = "10.0"
     dt, t_final, burn_in, measure = read("solver", t_final=default_t_final)
+    if dt is None:
+        dt = _default_dt(field, t_final)
 
-    omega_min, omega_max = read("analysis", "omega_min", "omega_max")
+    omega_min, omega_max, n_grid = read("analysis")
     if not 0.0 < omega_min < omega_max:
         raise ConfigError("[analysis] needs 0 < omega_min < omega_max")
-    n_grid, depth = read("analysis", "n_grid", "bracket_depth")
-    if depth not in (1, 2, 3):
-        raise ConfigError("[analysis] bracket_depth must be 1, 2, or 3")
 
     out_dir, formats = read("output")
     return RunConfig(
         params=params, field=field, initial=initial,
         dt=dt, t_final=t_final,
         burn_in_periods=burn_in, measure_periods=measure,
-        omega_min=omega_min, omega_max=omega_max,
-        n_grid=n_grid, bracket_depth=depth,
+        omega_min=omega_min, omega_max=omega_max, n_grid=n_grid,
         output_dir=out_dir, formats=formats,
         applied_defaults=tuple(sorted(defaults)),
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """``parse_config`` of the file at ``path``; an unreadable file raises
-    ``ConfigError``."""
+def load_config(path: str | Path,
+                overrides: Mapping[str, object] | None = None) -> RunConfig:
+    """``parse_config`` of the file at ``path`` with ``overrides``; an
+    unreadable file raises ``ConfigError``."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_config(text)
-
-
-def resolved_dt(config: RunConfig) -> float:
-    """The step to integrate with: explicit, else a period-derived default.
-
-    Periodic drives resolve one cycle with 2000 steps; aperiodic runs
-    split the horizon into 1e4 steps.
-    """
-    if config.dt is not None:
-        return config.dt
-    return _default_dt(config.field, config.t_final)
+    return parse_config(text, overrides)

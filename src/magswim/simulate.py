@@ -168,7 +168,8 @@ def integrate(params: SwimmerParams, initial: Configuration,
     The final step is shortened when ``dt`` does not divide the span, so
     ``times[-1] == t_final`` up to roundoff.  Aborts with
     :class:`IntegrationError` if the state leaves the finite range or a
-    resistance solve fails.
+    resistance solve fails; a ``dt`` too small to plan, or whose rows do
+    not fit in memory, raises ``ValueError``.
     """
     if not (math.isfinite(t0) and math.isfinite(t_final)):
         raise ValueError("t0 and t_final must be finite")
@@ -177,9 +178,13 @@ def integrate(params: SwimmerParams, initial: Configuration,
         raise ValueError("t_final must not precede t0")
     n_full, rem = _plan_steps(span, dt)
     n_rows = n_full + 1 + (1 if rem > 0.0 else 0)
-    times = np.empty(n_rows)
-    states = np.empty((n_rows, 5))
-    fields = np.empty((n_rows, 2))
+    try:
+        times = np.empty(n_rows)
+        states = np.empty((n_rows, 5))
+        fields = np.empty((n_rows, 2))
+    except MemoryError:
+        raise ValueError(f"dt = {dt!r} is too small: the {n_rows} rows of "
+                         f"the trajectory do not fit in memory") from None
 
     def record(k: int, t: float, y: list) -> None:
         if k > n_full:

@@ -1,4 +1,5 @@
 """Exit codes and outputs of the command-line front end."""
+import math
 import subprocess
 import sys
 import warnings
@@ -58,7 +59,7 @@ formats = csv, jsonl
         traj = read_trajectory_csv(tmp_path / "trajectory.csv")
         assert len(traj) == 101
         back, header = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
-        assert header["solver"]["dt_resolved"] == 0.01
+        assert header["solver"] == {"dt": 0.01, "t_final": 1.0}
         assert header["params"]["L"] == 1.0
         assert header["field"]["epsilon"] == 0.05
         assert "artifact_version" in header
@@ -93,8 +94,22 @@ burn_in_periods = 6
         assert main(["displacement", "--config", cfg]) == 2
         assert "sinusoidal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["kind = constant\nhy = 0.3",
+                                       "kind = tabulated\nsamples = 0 1 0"])
+    def test_flags_over_another_kind_are_stray_keys(self, tmp_path, capsys,
+                                                    field):
+        # a flag sets its [field] key, which this kind does not take
+        kind = field.split()[2]
+        cfg = write_config(tmp_path, f"[field]\n{field}\n")
+        report = tmp_path / "displacement.json"
+        assert main(["displacement", "--config", cfg, "--epsilon", "0.1",
+                     "--omega", "3.0", "--json", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [field] keys ['epsilon', 'omega'] do not apply "
+            f"to kind = {kind}; remove them or change the kind\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("field", [
-        "kind = constant\nhy = 0.3",
         "kind = sinusoidal\nepsilon = 0.05\nomega = 2.0"])
     def test_report_echoes_the_drive_run(self, tmp_path, capsys, field):
         import json
@@ -146,7 +161,7 @@ class TestSolverEcho:
     """
 
     @pytest.mark.parametrize("command, sections, echoed, analysis", [
-        ("controllability", set(), {}, {"bracket_depth": 3}),
+        ("controllability", set(), {}, None),
         ("linearize", {"field"}, {}, None),
         ("sweep", {"field"}, {},
          {"omega_min": 0.01, "omega_max": 100.0, "n_grid": 64}),
@@ -212,14 +227,13 @@ directory = {tmp_path}
                 if name.startswith("field.")] == defaults
 
     @pytest.mark.parametrize("field, flags, defaults", [
-        ("kind = constant", ["--epsilon", "0.1", "--omega", "3.0"], []),
         ("kind = sinusoidal", ["--epsilon", "0.1"],
          ["field.hx0", "field.omega"]),
         ("epsilon = 0.1", ["--omega", "3.0"], ["field.hx0", "field.kind"])],
-        ids=["constant", "sinusoidal_epsilon", "default_kind_omega"])
+        ids=["sinusoidal_epsilon", "default_kind_omega"])
     def test_displacement_lists_only_the_defaults_of_the_drive_run(
             self, tmp_path, capsys, field, flags, defaults):
-        # a flag's value is no default, nor is a key of a replaced field
+        # a flag's value is no default
         import json
         cfg = write_config(tmp_path, f"""
 [field]
@@ -243,8 +257,7 @@ measure_periods = 1
         assert main(["simulate", "--config", cfg]) == 0
         _, header = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
         assert header.keys() & {"initial", "field"} == {"initial", "field"}
-        assert header["solver"] == {"dt": 0.02, "t_final": 1.0,
-                                    "dt_resolved": 0.02}
+        assert header["solver"] == {"dt": 0.02, "t_final": 1.0}
 
     @pytest.mark.parametrize("command", sorted(cli.ECHO_KEYS))
     def test_applied_defaults_name_echoed_keys(self, tmp_path, capsys,
@@ -281,6 +294,105 @@ formats = jsonl
         assert listed and set(listed) <= echoed
         assert listed == [name for name in parse_config(text).applied_defaults
                           if name in echoed]
+
+
+class TestFlagsAreKeys:
+    """A value flag sets the config key it stands for, so a run with the
+    flag and a run with the key write the same bytes."""
+
+    SOLVER = "[solver]\ndt = 0.05\nt_final = 0.5\nburn_in_periods = 1\n"
+
+    @staticmethod
+    def run(root, monkeypatch, capsys, config, argv):
+        """Exit code, stdout, stderr and every written file but the
+        config, of ``argv`` run in the fresh directory ``root``."""
+        root.mkdir()
+        monkeypatch.chdir(root)
+        (root / "run.ini").write_text(config)
+        code = main([*argv, "--config", "run.ini"])
+        captured = capsys.readouterr()
+        files = {str(path.relative_to(root)): path.read_bytes()
+                 for path in sorted(root.rglob("*"))
+                 if path.is_file() and path.name != "run.ini"}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("command, flag, value, section, key", [
+        ("displacement", "--epsilon", "0.1", "field", "epsilon"),
+        ("displacement", "--omega", "3.0", "field", "omega"),
+        ("sweep", "--omega-min", "0.1", "analysis", "omega_min"),
+        ("sweep", "--omega-max", "50", "analysis", "omega_max"),
+        ("sweep", "--n-grid", "32", "analysis", "n_grid"),
+        ("sweep", "--output-dir", "out", "output", "directory"),
+        ("simulate", "--output-dir", "out", "output", "directory")])
+    def test_flag_and_key_write_the_same_bytes(
+            self, tmp_path, monkeypatch, capsys, command, flag, value,
+            section, key):
+        report = [] if command == "simulate" else ["--json", "report.json"]
+        by_flag = self.run(tmp_path / "flag", monkeypatch, capsys,
+                           self.SOLVER, [command, flag, value, *report])
+        by_key = self.run(tmp_path / "key", monkeypatch, capsys,
+                          self.SOLVER + f"[{section}]\n{key} = {value}\n",
+                          [command, *report])
+        assert by_flag == by_key
+        written = "out/trajectory.csv" if command == "simulate" \
+            else "report.json"
+        assert written in by_flag[3]
+
+    @pytest.mark.parametrize("argv, message", [
+        # a non-finite bound: TestSweep.test_non_finite_bound_is_a_usage_error
+        (["sweep", "--omega-min", "-1"],
+         "[analysis] needs 0 < omega_min < omega_max"),
+        (["sweep", "--n-grid", "0"], "[analysis] n_grid must be positive"),
+        (["displacement", "--epsilon", "nan"],
+         "[field] epsilon = 'nan' is not a finite number"),
+        (["displacement", "--omega", "-2"],
+         "[field]: omega must be positive")])
+    def test_invalid_flag_gets_its_keys_message(self, tmp_path, capsys,
+                                                argv, message):
+        report = tmp_path / "report.json"
+        assert main([*argv, "--json", str(report)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not report.exists()
+
+
+class TestAutoStep:
+    """``dt = auto`` is echoed as the step it resolves to."""
+
+    CONFIG = """
+[params]
+xi = 0.8, 0.8, 0.8
+eta = 1.5, 1.5, 1.5
+
+[field]
+omega = 2.0
+
+[solver]
+dt = auto
+t_final = 0.5
+burn_in_periods = 1
+
+[output]
+directory = {out}
+formats = jsonl
+"""
+
+    @pytest.mark.parametrize("command", ["simulate", "symmetry",
+                                         "displacement"])
+    def test_report_echoes_the_step_run(self, tmp_path, capsys, command):
+        import json
+        cfg = write_config(tmp_path, self.CONFIG.format(out=tmp_path))
+        if command == "simulate":
+            assert main(["simulate", "--config", cfg]) == 0
+            _, payload = read_trajectory_jsonl(tmp_path / "trajectory.jsonl")
+        else:
+            report = tmp_path / "report.json"
+            main([command, "--config", cfg, "--json", str(report)])
+            payload = json.loads(report.read_text())
+        dt = payload["solver"]["dt"]
+        assert dt == math.pi / 2000.0
+        if command != "displacement":
+            # the step the run took, as its stdout states it
+            assert f"dt {dt!r}\n" in capsys.readouterr().out
 
 
 class TestSymmetry:
@@ -453,11 +565,14 @@ directory = {tmp_path}
                                             ("--omega-min", "nan")])
     def test_non_finite_bound_is_a_usage_error(self, tmp_path, capsys, flag,
                                                value):
+        # the flag's key rejects it, as it would in a config
         report = tmp_path / "sweep.json"
         assert main(["sweep", flag, value, "--output-dir", str(tmp_path),
                      "--json", str(report)]) == 2
-        err = capsys.readouterr().err
-        assert "invalid request" in err and "must be finite" in err
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"config error: [analysis] {key} = '{value}' is not a finite "
+            f"number\n")
         assert not (tmp_path / "sweep.csv").exists()
         assert not report.exists()
 
@@ -578,6 +693,23 @@ class TestUsageErrors:
         assert err.startswith("invalid request: ")
         assert err.count("\n") == 1 and "span / dt" in err
 
+    def test_rows_that_do_not_fit_are_an_invalid_request(
+            self, tmp_path, capsys, monkeypatch):
+        # a finite dt whose trajectory exceeds memory; the allocation fails
+        # by fiat, whatever the host would grant
+        import numpy as np
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        cfg = write_config(tmp_path, "[solver]\ndt = 1e-12\nt_final = 1.0\n"
+                                     f"[output]\ndirectory = {tmp_path}\n")
+        monkeypatch.setattr(np, "empty", no_memory)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "invalid request: dt = 1e-12 is too small: the 1000000000001 "
+            "rows of the trajectory do not fit in memory\n")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.ini")]) == 2
@@ -643,10 +775,7 @@ burn_in_periods = 2
 measure_periods = 2
 """
 
-SHORT_CONSTANT = """
-[field]
-kind = constant
-
+SHORT_SOLVER = """
 [solver]
 dt = 0.05
 burn_in_periods = 1
@@ -667,8 +796,8 @@ TRANSCRIPT = {
     "simulate_tabulated": (TABULATED, ["simulate"], False),
     "simulate_constant_jsonl": (CONSTANT_JSONL, ["simulate"], False),
     "displacement_config": (SHORT_DISPLACEMENT, ["displacement"], True),
-    "displacement_flags": (SHORT_CONSTANT, ["displacement", "--epsilon",
-                                            "0.1", "--omega", "3.0"], True),
+    "displacement_flags": (SHORT_SOLVER, ["displacement", "--epsilon",
+                                          "0.1", "--omega", "3.0"], True),
     "symmetry": (SHORT_SYMMETRY, ["symmetry"], True),
     "linearize_pattern": (None, ["linearize"], True),
     "linearize_no_pattern": ("[params]\nxi = 1.2, 0.8, 0.9\n",
@@ -722,16 +851,23 @@ TRANSCRIPT = {
 # steps share (values by at most 5.3e-15 relative, trajectories by 4.9e-16
 # of each column's largest entry; quantities that are zero but for
 # rounding, such as symmetry's gaps, by at most 1.2e-16 absolute; validate's
-# Richardson order estimate, a ratio of differences, by 7.6e-11)
+# Richardson order estimate, a ratio of differences, by 7.6e-11);
+# controllability_default and controllability_thetas by dropping the
+# [analysis] echo and its applied default, bracket_depth, a deleted key;
+# simulate_constant_jsonl and simulate_tabulated by dropping dt_resolved
+# from the trajectory header, whose solver dt now holds the step run;
+# displacement_flags by its config, now the default sinusoidal [field]
+# (the constant one it had makes the flags stray keys), recorded alike
+# before flags became config keys
 FROZEN_TRANSCRIPT = {
-    "controllability_default": (0, 'c1e9b3bd3343fe5d24c6f4752c8e24786d362fd3663c92445b42e350d9c7e593'),
-    "controllability_thetas": (0, 'd076a0d37eaa4d43f8b28b4a8835f81003bd0d242c81145d5358160ff066243a'),
+    "controllability_default": (0, '94edc3f3571072cf23f45d6df8a4f7e6f488cb01087fa5abd79dfa3505135505'),
+    "controllability_thetas": (0, '6237f7dd63b7a9c35ac336c098429a1c5940f42821bef3eee2faf92837027388'),
     "displacement_config": (0, '46290cf0c7dd6236ebce5ffa79d680263f61f479b659ed604bdae4a59a11da3f'),
-    "displacement_flags": (0, '108357d799493e7ff979fb413809d9e4a4f1805ad2c9186dbe3bd6170be94843'),
+    "displacement_flags": (0, 'bfa311ac25310dd9930df29a1b9660f30213d8627d99754a77a3ff878f751f34'),
     "linearize_no_pattern": (0, 'd513b9e3c241c8e7da2f143abb8415c4e406d21d81ee8717f3409a4cfae2beaf'),
     "linearize_pattern": (0, '835d572ff4296b2e33528b65586b6742526e5232cd8ed60a717e4cfaabba1496'),
-    "simulate_constant_jsonl": (0, '17fe16a12408add6f8ed5c90a226808d73317e32119269b27ee1c8a5b7ab194d'),
-    "simulate_tabulated": (0, '22d1166c42ebf6243e2ca02704fb5df8481967b06105a923304c9cd0d62772ea'),
+    "simulate_constant_jsonl": (0, '5ace5105b351f25d57d716cbce5e05e48fd090ef72d94583e31f056f7c293639'),
+    "simulate_tabulated": (0, 'a244d1733c42a5eefdbfaab2b2bf985ac3c02c36b65d34827538743aa6624e39'),
     "sweep_boundary": (0, 'ed292cb72f50e2c1eaf0f1bc82af37587ea8c6dda3f472f3faa97e7d2b23fd0c'),
     "sweep_default": (0, 'f0d90bc8e8e923e07fdb23350831ce8410316f683f5f0b39811cb995734cb4c2'),
     "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),

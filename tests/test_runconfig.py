@@ -6,7 +6,7 @@ import pytest
 
 from magswim.errors import ConfigError
 from magswim.model import ConstantField, SinusoidalField, TabulatedField
-from magswim.runconfig import load_config, parse_config, resolved_dt
+from magswim.runconfig import load_config, parse_config
 
 FULL = """
 [params]
@@ -39,7 +39,6 @@ measure_periods = 2
 omega_min = 0.01
 omega_max = 10.0
 n_grid = 32
-bracket_depth = 2
 
 [output]
 directory = out
@@ -60,7 +59,6 @@ class TestFullConfig:
         assert cfg.burn_in_periods == 10
         assert cfg.measure_periods == 2
         assert cfg.n_grid == 32
-        assert cfg.bracket_depth == 2
         assert cfg.output_dir == "out"
         assert cfg.formats == ("csv", "jsonl")
 
@@ -73,7 +71,8 @@ class TestFullConfig:
         assert cfg.params.eta[1] == 1.0
         assert cfg.field == SinusoidalField(1.0, 1e-2, 1.0)
         assert cfg.initial.x == 0.0 and cfg.initial.alpha3 == 0.0
-        assert cfg.dt is None
+        # dt = auto: 2000 steps per period of the default drive
+        assert cfg.dt == cfg.field.period / 2000.0
         assert cfg.t_final == pytest.approx(10 * 2 * math.pi)
         assert "params.L" in cfg.applied_defaults
         assert "solver.dt" in cfg.applied_defaults
@@ -82,13 +81,13 @@ class TestFullConfig:
         cfg = parse_config("")
         assert list(cfg.applied_defaults) == sorted(cfg.applied_defaults)
         # every schema key except the kind-specific extras shows up
-        assert "analysis.bracket_depth" in cfg.applied_defaults
+        assert "analysis.n_grid" in cfg.applied_defaults
         assert "output.formats" in cfg.applied_defaults
 
     def test_applied_defaults_are_frozen(self):
         # the list as the per-key loader recorded it for an empty file
         assert parse_config("").applied_defaults == (
-            "analysis.bracket_depth", "analysis.n_grid", "analysis.omega_max",
+            "analysis.n_grid", "analysis.omega_max",
             "analysis.omega_min", "field.epsilon", "field.hx0", "field.kind",
             "field.omega", "initial.alpha2", "initial.alpha3",
             "initial.theta", "initial.x", "initial.y", "output.directory",
@@ -147,6 +146,8 @@ class TestRejections:
         ("[solver]\nburn_in_periods = 0\n", "positive"),
         ("[solver]\nburn_in_periods = 2.5\n", "integer"),
         ("[analysis]\nomega_min = 2.0\nomega_max = 1.0\n", "omega_min"),
+        # no such key: controllability ranks at depth 3, the least that
+        # reaches rank 4 at a straight pose
         ("[analysis]\nbracket_depth = 7\n", "bracket_depth"),
         ("[output]\nformats = csv, parquet\n", "unknown format"),
         ("[output]\nformats = csv, csv\n", "twice"),
@@ -184,22 +185,40 @@ class TestRejections:
 
 
 class TestResolvedDt:
+    """``dt = auto`` resolves in the parse to the step the run takes."""
+
     def test_explicit_wins(self):
         cfg = parse_config("[solver]\ndt = 0.02\n")
-        assert resolved_dt(cfg) == 0.02
+        assert cfg.dt == 0.02
 
     def test_auto_keyword_defers(self):
+        # to the same default as leaving dt out
         cfg = parse_config("[solver]\ndt = auto\n")
-        assert cfg.dt is None
+        assert cfg.dt == parse_config("").dt
+        assert "solver.dt" not in cfg.applied_defaults
 
     def test_periodic_default_resolves_a_cycle(self):
         cfg = parse_config("[field]\nkind = sinusoidal\nomega = 2.0\n")
-        assert resolved_dt(cfg) == pytest.approx(math.pi / 2000.0)
+        assert cfg.dt == pytest.approx(math.pi / 2000.0)
 
     def test_aperiodic_default_splits_horizon(self):
         cfg = parse_config(
             "[field]\nkind = constant\n[solver]\nt_final = 5.0\n")
-        assert resolved_dt(cfg) == pytest.approx(5.0e-4)
+        assert cfg.dt == pytest.approx(5.0e-4)
+
+
+class TestOverrides:
+    """A "section.key" override is that key, set after the text is read."""
+
+    def test_override_is_the_key(self):
+        text = "[solver]\ndt = 0.05\n"
+        assert parse_config(text, {"field.omega": 3.0}) == \
+            parse_config(text + "[field]\nomega = 3.0\n")
+
+    def test_override_replaces_the_text(self):
+        cfg = parse_config("[analysis]\nn_grid = 16\n",
+                           {"analysis.n_grid": 32})
+        assert cfg.n_grid == 32
 
 
 class TestLoadConfig:
@@ -208,6 +227,11 @@ class TestLoadConfig:
         path.write_text(FULL)
         cfg = load_config(path)
         assert cfg.params.M == 1.1
+
+    def test_reads_file_with_overrides(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(FULL)
+        assert load_config(path, {"params.M": 0.9}).params.M == 0.9
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -101,6 +101,17 @@ class TestIntegrate:
             integrate(CANON, bent_start(), ConstantField(), t_final, dt,
                       t0=t0)
 
+    def test_rows_that_do_not_fit_name_dt(self, monkeypatch):
+        # a finite dt whose planned rows exceed memory; the allocation
+        # fails by fiat, whatever the host would grant
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(ValueError, match=r"^dt = 1e-12 is too small: "
+                           r"the 1000000000001 rows "):
+            integrate(CANON, bent_start(), ConstantField(), 1.0, 1e-12)
+
     @pytest.mark.parametrize("dt,state,hy", [
         # 80 full steps: the last field sample is taken where the last
         # step ends, at 0.7 + 80 * 0.03 = 3.0999999999999996, and only
