@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from itertools import chain
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
@@ -57,16 +57,44 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def _trajectory_from_rows(rows: list | np.ndarray) -> Trajectory:
-    """The samples of ``rows``, floats nested by row or flat."""
+    """The samples of ``rows``, floats nested by row."""
     data = np.asarray(rows, dtype=float).reshape(-1, len(TRAJECTORY_COLUMNS))
     return Trajectory(
         times=data[:, 0], states=data[:, 1:6], field_samples=data[:, 6:8])
+
+
+# the text of a CSV cell or comma as written: printable ASCII but for the
+# space, '"' and '_', which ``float`` and ``np.loadtxt`` do not read alike
+_CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'"_')
+_CSV_HEAD = (",".join(TRAJECTORY_COLUMNS) + "\r\n").encode()
+
+
+def _read_own_csv(path: str | Path) -> np.ndarray | None:
+    """The table of text in exactly the writer's dialect (its header, then
+    rows of ``_CELL_BYTES`` ended by CRLF, within the csv field size limit)
+    by one ``np.loadtxt``; ``None`` for any other text."""
+    data = Path(path).read_bytes()
+    body = data[len(_CSV_HEAD):]
+    lines = body.decode("latin-1").split("\r\n")[:-1]
+    if not (data.startswith(_CSV_HEAD) and body.endswith(b"\r\n") and
+            lines and all(lines) and body.translate(None, _CELL_BYTES)
+            == b"\r\n" * len(lines)
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
+    with suppress(ValueError):
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if table.shape == (len(lines), len(TRAJECTORY_COLUMNS)):
+            return table
+    return None
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """The samples of a ``write_trajectory_csv`` file.  The header must be
     ``TRAJECTORY_COLUMNS`` and every row as many numbers; anything else
     raises ``MagswimError`` naming the file and, for a row, its line."""
+    table = _read_own_csv(path)
+    if table is not None:
+        return _trajectory_from_rows(table)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -81,24 +109,16 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             raise MagswimError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise MagswimError(f"{path}: {exc}") from exc
-    # one float pass over every cell; the row-by-row pass runs only to
-    # name the line at fault
     width = len(TRAJECTORY_COLUMNS)
-    try:
-        cells = (np.fromiter(map(float, chain.from_iterable(rows)), float)
-                 if set(map(len, rows)) <= {width} else None)
-    except ValueError:
-        cells = None
-    if cells is None:
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != width:
-                raise MagswimError(f"{path}:{lineno}: expected "
-                                   f"{width} fields, got {len(row)}")
-            try:
-                list(map(float, row))
-            except ValueError as exc:
-                raise MagswimError(f"{path}:{lineno}: {exc}") from exc
-    return _trajectory_from_rows(cells)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise MagswimError(f"{path}:{lineno}: expected "
+                               f"{width} fields, got {len(row)}")
+        try:
+            row[:] = map(float, row)
+        except ValueError as exc:
+            raise MagswimError(f"{path}:{lineno}: {exc}") from exc
+    return _trajectory_from_rows(rows)
 
 
 def write_trajectory_jsonl(traj: Trajectory, path: str | Path,

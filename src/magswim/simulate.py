@@ -98,28 +98,27 @@ def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _step(rate, field: FieldProgram, t: float, y: list, dt: float) -> list:
-    """One RK4 step of the state ``y``, a list of five floats.
+def _step(rate, field: FieldProgram, t: float, field_t: tuple, y: list,
+          dt: float) -> list:
+    """One RK4 step of the state ``y``, a list of five floats, from the
+    field ``field_t`` sampled at ``t``.
 
     The stages are combined elementwise on Python floats in the order the
     array form ``y + h*k`` and ``y + (dt/6)*(k1 + 2*(k2 + k3) + k4)``
     evaluates them; IEEE ``+`` and ``*`` give the same bits either way, and
-    five floats cost less than five-element arrays."""
+    five floats cost less than five-element arrays.  The stage states keep
+    the step's ``x, y``: the rate reads only the angles."""
     h = 0.5 * dt
     y0, y1, y2, y3, y4 = y
-    hx1, hy1 = field.sample(t)
-    a0, a1, a2, a3, a4 = rate(y, hx1, hy1)
+    a0, a1, a2, a3, a4 = rate(y, *field_t)
     hx2, hy2 = field.sample(t + h)
     b0, b1, b2, b3, b4 = rate(
-        [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4],
-        hx2, hy2)
+        [y0, y1, y2 + h * a2, y3 + h * a3, y4 + h * a4], hx2, hy2)
     c0, c1, c2, c3, c4 = rate(
-        [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4],
-        hx2, hy2)
+        [y0, y1, y2 + h * b2, y3 + h * b3, y4 + h * b4], hx2, hy2)
     hx4, hy4 = field.sample(t + dt)
     d0, d1, d2, d3, d4 = rate(
-        [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-         y4 + dt * c4], hx4, hy4)
+        [y0, y1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4], hx4, hy4)
     s = dt / 6.0
     return [y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0),
             y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1),
@@ -131,8 +130,8 @@ def _step(rate, field: FieldProgram, t: float, y: list, dt: float) -> list:
 def _advance(rate, field: FieldProgram, y, t0: float,
              span: float, dt: float, record=None) -> np.ndarray:
     """RK4 of the five-float state ``y`` from ``t0`` over ``span``, the last
-    step shortened to land on it; ``record(k, t, y)``, when given, sees the
-    state after ``k`` steps, at time ``t``, as a list of five floats.
+    step shortened to land on it; each step appends to the three lists
+    ``record``, when given, its start field, its end time and end state.
 
     The rate, the stages and the field programs compute on Python floats,
     under no numpy error state; an exactly singular ``Mh`` ends the run by
@@ -140,20 +139,25 @@ def _advance(rate, field: FieldProgram, y, t0: float,
     """
     n_full, rem = _plan_steps(span, dt)
     y = np.asarray(y, dtype=float).tolist()
+    if record is not None:
+        put_field, put_t, put_y = (rows.append for rows in record)
     t = t0
     try:
         for k in range(n_full + (rem > 0.0)):
+            field_t = field.sample(t)
             if k < n_full:
-                y = _step(rate, field, t, y, dt)
+                y = _step(rate, field, t, field_t, y, dt)
                 t = t0 + (k + 1) * dt
             else:
-                y = _step(rate, field, t, y, rem)
+                y = _step(rate, field, t, field_t, y, rem)
                 t = t0 + span
             if not all(map(math.isfinite, y)):
                 raise IntegrationError(
                     f"state became non-finite at t = {t:.6g}")
             if record is not None:
-                record(k + 1, t, y)
+                put_field(field_t)
+                put_t(t)
+                put_y(y)
     except ValueError as exc:  # LinAlgError is a ValueError
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
@@ -185,18 +189,14 @@ def integrate(params: SwimmerParams, initial: Configuration,
     except MemoryError:
         raise ValueError(f"dt = {dt!r} is too small: the {n_rows} rows of "
                          f"the trajectory do not fit in memory") from None
-
-    def record(k: int, t: float, y: list) -> None:
-        if k > n_full:
-            # the shortened last step is stamped at t_final itself
-            t = t_final
-        times[k] = t
-        states[k] = y
-        fields[k] = field.sample(t)
-
     y = initial.as_array().tolist()
-    record(0, t0, y)
-    _advance(make_rate_function(params), field, y, t0, span, dt, record)
+    fs, ts, ys = [], [t0], [y]
+    _advance(make_rate_function(params), field, y, t0, span, dt,
+             (fs, ts, ys))
+    # row k is stamped t0 + k*dt and the last row t_final; that row's field
+    # is sampled at t_final after a shortened step, else at t0 + n_full*dt
+    fs.append(field.sample(t_final if rem > 0.0 else ts[-1]))
+    times[:], states[:], fields[:] = ts, ys, fs
     times[-1] = t_final
     return Trajectory(times=times, states=states, field_samples=fields)
 

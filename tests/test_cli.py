@@ -1,8 +1,10 @@
 """Exit codes and outputs of the command-line front end."""
 import math
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,19 @@ formats = csv, jsonl
         assert main(["simulate", "--config", cfg,
                      "--output-dir", str(target)]) == 0
         assert (target / "trajectory.csv").exists()
+
+    def test_readme_example_config_runs(self, tmp_path, capsys):
+        # the ```ini block of README.md, as printed
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        text = re.search(r"```ini\n(.*?)```", readme.read_text(),
+                         re.DOTALL).group(1)
+        config = parse_config(text)
+        assert config.field.epsilon == 1e-2
+        assert main(["simulate", "--config", write_config(tmp_path, text),
+                     "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert traj.times[-1] == 62.83
+        assert traj.times[1] == config.dt
 
 
 class TestDisplacement:

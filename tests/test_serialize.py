@@ -1,12 +1,16 @@
 """Round-trip fidelity of the trajectory and report writers."""
+import csv
 import hashlib
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magswim import SwimmerParams
+from magswim import SwimmerParams, serialize
 from magswim.errors import MagswimError
 from magswim.model import Configuration, SinusoidalField
 from magswim.serialize import (
@@ -207,6 +211,89 @@ class TestCsv:
         with pytest.raises(MagswimError) as info:
             read_trajectory_csv(path)
         assert str(info.value) == f"{path}:{message}"
+
+
+HEAD = ",".join(TRAJECTORY_COLUMNS) + "\r\n"
+OVERLONG = "1" * (csv.field_size_limit() + 1)
+
+# numbers in the writer's dialect, which float and np.loadtxt read alike ...
+_cells = st.one_of(
+    st.floats().map(lambda v: "%.17g" % v),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-Infinity", "1e400",
+                     "-1e-400", "-0", ".5", "5.", "+1", "1E5"]))
+# ... and what is no number, or off the dialect: a quote, a space, an
+# underscore, a control character, a lone CR or LF, an empty or over-long
+# cell, commas inside a cell
+_odd_cells = st.one_of(
+    st.text(alphabet="0123456789,.eE+-", max_size=6),
+    st.sampled_from(["e", "1e", "--1", "1.2.3", "0x1", "#", '"1"', '"',
+                     " 1", "1 ", "1_0", "_", "1.0\x1c", "\x1c", "1\r",
+                     "\n1", "1\r2", "", OVERLONG]))
+_rows = st.lists(st.one_of(
+    *[st.lists(_cells, min_size=8, max_size=8)] * 4,
+    st.lists(st.one_of(_cells, _odd_cells), max_size=9)), min_size=1,
+    max_size=4)
+# mostly CRLF; a blank line, a lone CR or LF, or no line end at all
+_ends = st.sampled_from(["\r\n"] * 12 + ["\r\n\r\n", "\n", "\r", ""])
+_heads = st.sampled_from([HEAD] * 8 + [HEAD[:-2] + "\n", '"t"' + HEAD[1:],
+                          HEAD[:-2], "t,x,y\r\n"])
+
+
+@st.composite
+def csv_texts(draw):
+    return draw(_heads) + "".join(",".join(row) + draw(_ends)
+                                  for row in draw(_rows))
+
+
+def _outcome(path):
+    """The bits and shapes of what ``path`` reads back as, or the text of
+    the ``MagswimError`` it raises."""
+    try:
+        traj = read_trajectory_csv(path)
+    except MagswimError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes())
+            for a in (traj.times, traj.states, traj.field_samples)]
+
+
+class TestCsvFastPath:
+    """The writer's own text is read by one ``np.loadtxt``; anything else,
+    and whatever that pass fails on, by the ``csv`` module."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv_texts")
+
+    @given(text=csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_as_the_csv_module_does(self, workdir, text):
+        path = workdir / "t.csv"
+        path.write_bytes(text.encode())
+        fast = _outcome(path)
+        with mock.patch.object(serialize, "_read_own_csv", lambda path: None):
+            assert _outcome(path) == fast
+
+    @pytest.mark.parametrize("traj", [
+        awkward_trajectory(), non_finite_trajectory(), integer_trajectory()],
+        ids=["awkward", "non_finite", "integer"])
+    def test_written_files_take_one_loadtxt(self, traj, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        table = serialize._read_own_csv(path)
+        assert table.tobytes() == serialize._table(traj).tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "", "\r\n", "\r\n0,0,0,0,0,0,1,0\r\n", "0,0,0,0,0,0,1,0",
+        "0,0,0,0,0,0,1,0\n", "0,0,0,0,0,0,1,0\r",
+        "0,0,0,0,0,0,1,0\r\n\r\n", "0,0,0,0,0,0,1,0\r\r\n",
+        "0,0,0,0,0,0,1, 0\r\n", '0,0,0,0,0,0,1,"0"\r\n',
+        "0,0,0,0,0,0,1,0_0\r\n", "0,0,0,0,0,0,1,1.0\x1c\r\n",
+        "0,0,0,0,0,0,1\r\n", "0,0,0,0,0,0,1,0,0\r\n", "0,0,0,0,0,0,1,\xe9\r\n",
+        "0,0,0,0,0,0,1," + OVERLONG + "\r\n"])
+    def test_other_text_goes_to_the_csv_module(self, body, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes((HEAD + body).encode())
+        assert serialize._read_own_csv(path) is None
 
 
 def _hex(traj):

@@ -9,6 +9,7 @@ import pytest
 from magswim import (
     Configuration,
     ConstantField,
+    FieldProgram,
     IntegrationError,
     SinusoidalField,
     SwimmerParams,
@@ -28,6 +29,18 @@ PALINDROME = SwimmerParams(1.1, (1.2, 0.8, 1.2), (3.0, 1.5, 3.0), 0.9, 1.1)
 
 def bent_start():
     return Configuration(0.0, 0.0, 0.1, 0.3, -0.2)
+
+
+class CountingField(FieldProgram):
+    """A field program that counts the samples taken of it."""
+
+    def __init__(self, inner: FieldProgram) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def sample(self, t):
+        self.calls += 1
+        return self.inner.sample(t)
 
 
 def digest(traj):
@@ -59,6 +72,31 @@ class TestIntegrate:
         np.testing.assert_allclose(
             traj.field_samples[:, 1],
             0.5 * np.sin(2.0 * traj.times), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("field", [
+        SinusoidalField(hx0=1.0, epsilon=0.5, omega=2.0),
+        TabulatedField([0.0, 0.45, 1.0], [1.0, 0.7, 1.3], [0.0, 0.6, -0.4])],
+        ids=["sinusoidal", "tabulated"])
+    @pytest.mark.parametrize("t0, t_final, dt, n_full, shortened", [
+        # dt divides the span, but 0.1 + 6 * 0.1 = 0.7000000000000001
+        (0.1, 0.7, 0.1, 6, False),
+        (0.3, 0.7, 0.07, 5, True)], ids=["divides", "remainder"])
+    def test_rows_are_stamped_and_sampled(self, field, t0, t_final, dt,
+                                          n_full, shortened):
+        # row k is stamped t0 + k*dt and the last row t_final; each row's
+        # field is sampled at its stamp, except that the last row of a span
+        # dt divides is sampled where its step ends, at t0 + n_full*dt
+        counting = CountingField(field)
+        traj = integrate(CANON, bent_start(), counting, t_final, dt, t0=t0)
+        at = [t0 + k * dt for k in range(n_full + 1)] + [t_final] * shortened
+        assert shortened or at[-1] != t_final
+        assert [t.hex() for t in traj.times.tolist()] == \
+            [t.hex() for t in at[:-1] + [t_final]]
+        assert [h.hex() for h in traj.field_samples.ravel().tolist()] == \
+            [float(h).hex() for t in at for h in field.sample(t)]
+        # three samples a step, the first shared with the row before it,
+        # and one for the last row
+        assert counting.calls == 3 * (n_full + shortened) + 1
 
     def test_time_translation_with_constant_field(self):
         f = ConstantField(0.9, 0.2)
