@@ -14,7 +14,8 @@ generated by any field program.
 The fields ignore the position, and the heading enters only through a
 rotation of the plane and of the field, so a bracket's derivatives along
 x, y and theta are exact; only the joint angles alpha2 and alpha3 are
-differenced, centrally.  The same rotation leaves the singular values of
+differenced, centrally, on a stencil of poses built as Python floats and
+solved in one batch.  The same rotation leaves the singular values of
 the bracket span unchanged, so the rank is read in the body frame,
 theta = 0, and depends on (alpha2, alpha3) alone.
 
@@ -32,6 +33,7 @@ X = (x, y, theta, 0, 0):
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -140,85 +142,86 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
 
 # The rank and the identities difference the blocks C(x) = [f0 fx fy] at
 # every pose of a stencil at once; the frozen rank and identities digests
-# pin the bits of its poses, differences and products.
+# pin the bits of its poses, differences and products.  The poses are
+# Python floats; the differences and products stay on numpy and BLAS.
 #
 # The heading enters only through a rotation: with T(phi) turning (x, y)
 # and R(phi) the field, f0 and [fx, fy] at theta + phi are T f0 and
 # T [fx, fy], and the pair (fx, fy) is T [fx fy] R(phi)^T.  So every
 # theta-derivative is exact, and only the joint angles are differenced.
 
-# the unit steps e_3, e_4 of the two joint angles on the full state
-_ANGLE_UNITS = np.eye(STATE_DIM)[3:]
 
+def _stencil(centres: list, step: float) -> list:
+    """The (theta, alpha2, alpha3) ``centres``, then the poses ``c +- step
+    e_j`` around each c, in the order +e_3, -e_3, +e_4, -e_4.
 
-def _shifted(states: np.ndarray, step: float) -> np.ndarray:
-    """The states ``x +- step e_j`` of a central difference over the
-    joint angles alpha2 and alpha3, for each x of the (..., 5)
-    ``states``: (..., 4, 5) in the order +e_3, -e_3, +e_4, -e_4.
-
-    Each is ``x + dx`` or ``x - dx`` with dx the full 5-vector step: the
-    other entries move by +-0.0, and -0.0 + 0.0 is +0.0, so a -0.0 of x
-    becomes +0.0 on the + side of another angle's difference.  The
-    heading is never shifted; its derivative is exact (``_turned``).
+    Each entry moves as under a full 5-vector step, by +-step or +-0.0;
+    -0.0 + 0.0 is +0.0, so a -0.0 of c becomes +0.0 on the + side of the
+    other angle's difference.  The heading is never shifted.
     """
-    dx = step * _ANGLE_UNITS
-    out = np.empty(states.shape[:-1] + (4, STATE_DIM))
-    out[..., 0::2, :] = states[..., None, :] + dx
-    out[..., 1::2, :] = states[..., None, :] - dx
-    return out
-
-
-def _with_neighbours(centres: np.ndarray) -> np.ndarray:
-    """The (n, 5) ``centres``, then the ``BASE_STEP`` neighbours of each."""
-    return np.concatenate([
-        centres, _shifted(centres, BASE_STEP).reshape(-1, STATE_DIM)])
-
-
-def _turned(rows: np.ndarray, u: int, w: int) -> np.ndarray:
-    """The exact theta-derivative of the (..., 3, 5) field ``rows``.
-
-    With ``J v = (-v_y, v_x, 0, 0, 0)``, a row that rotates with the
-    plane (f0, [fx, fy]) has derivative ``J v``; the pair (u, w) that
-    also turns with the field ((fx, fy), or ([f0,fx], [f0,fy])) has
-    ``J u - w`` and ``J w + u``.
-    """
-    out = np.zeros_like(rows)
-    out[..., 0] = -rows[..., 1]
-    out[..., 1] = rows[..., 0]
-    out[..., u, :] -= rows[..., w, :]
-    out[..., w, :] += rows[..., u, :]
-    return out
+    return centres + [
+        pose for t, a2, a3 in centres for pose in (
+            (t + 0.0, a2 + step, a3 + 0.0), (t - 0.0, a2 - step, a3 - 0.0),
+            (t + 0.0, a2 + 0.0, a3 + step), (t - 0.0, a2 - 0.0, a3 - step))]
 
 
 def _jacobians(rows: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-               step: float, u: int, w: int) -> np.ndarray:
-    """Jacobians of three fields that depend on the angles only.
+               step: float, u, w) -> np.ndarray:
+    """The (..., k, 5, 5) Jacobians of the k fields ``rows`` (..., k, 5),
+    which depend on the angles only, from ``plus[..., j, m, :]`` and
+    ``minus``, field m at ``centre +- step e_{3+j}`` (``_stencil``).
 
-    ``rows`` (..., 3, 5) holds the fields at the centres, whose pair
-    (u, w) turns with the field (``_turned``), and ``plus[..., j, m, :]``
-    and ``minus`` hold field m at ``centre +- step e_{3+j}`` (the pairs
-    of ``_shifted``).  Returns the (..., 3, 5, 5) Jacobians: x and y
-    columns +0.0, those derivatives being exact zeros, the theta column
-    exact and the joint-angle columns central differences.  Each is
-    C-contiguous, the layout the frozen digests were recorded with: a
-    product with it runs that BLAS kernel and rounds the same way.
+    The x and y columns are +0.0, those derivatives being exact zeros, and
+    the joint-angle columns central differences.  The theta column is
+    exact, written in place: with ``J v = (-v_y, v_x, 0, 0, 0)``, a row
+    that rotates with the plane (f0, [fx, fy]) has derivative ``J v``; the
+    rows u and w (indices or slices) of a pair that also turns with the
+    field ((fx, fy), ([f0,fx], [f0,fy])) have ``J u - w`` and ``J w + u``.
+    Each Jacobian is C-contiguous, the layout the frozen digests were
+    recorded with: a product with it runs that BLAS kernel.
     """
     jac = np.zeros(rows.shape + (STATE_DIM,))
-    jac[..., 2] = _turned(rows, u, w)
-    jac[..., 3:] = np.moveaxis((plus - minus) / (2.0 * step), -3, -1)
+    turned = jac[..., 2]
+    np.negative(rows[..., 1], out=turned[..., 0])
+    turned[..., 1] = rows[..., 0]
+    turned[..., u, :] -= rows[..., w, :]
+    turned[..., w, :] += rows[..., u, :]
+    # column 3 + j of field m, seen in the (..., j, m, :) order of plus
+    np.divide(plus - minus, 2.0 * step,
+              out=jac[..., 3:].swapaxes(-1, -2).swapaxes(-2, -3))
     return jac
+
+
+def _pairs(f: list, g: list) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian and field rows of the products Dg f, then Df g, that
+    make the brackets [f_i, g_i] = Dg f - Df g of the rows f and g."""
+    return np.array(g + f), np.array(f + g)
+
+
+# [f0,fx], [f0,fy], [fx,fy]; the nine [s, w] = Dw s - Ds w of the
+# generators s and the depth-2 words w, rows 0-2 and 3-5 of one stack
+_SECOND = _pairs([0, 0, 1], [1, 2, 2])
+_NESTED = _pairs([0, 0, 0, 1, 1, 1, 2, 2, 2], [3, 4, 5] * 3)
+
+
+def _words(jac: np.ndarray, rows: np.ndarray, pairs: tuple) -> np.ndarray:
+    """The brackets ``pairs`` of the (..., k, 5) fields ``rows`` with the
+    Jacobians ``jac``: one ``@`` over the stacked products, each a BLAS
+    gemv of a C-contiguous 5x5 block by a contiguous vector."""
+    left, right = pairs
+    both = (jac.take(left, axis=-3)
+            @ rows.take(right, axis=-2)[..., None])[..., 0]
+    half = len(left) // 2
+    return both[..., :half, :] - both[..., half:, :]
 
 
 def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
     """The words [f0,fx], [f0,fy], [fx,fy] at n centres from the
-    generators on the ``_with_neighbours`` stencil of those centres."""
+    generators on the ``BASE_STEP`` ``_stencil`` of those centres."""
     around = fields[n:].reshape(n, 2, 2, 3, STATE_DIM)
     jac = _jacobians(fields[:n], around[:, :, 0], around[:, :, 1],
                      BASE_STEP, 1, 2)
-    # [f, g] = Dg f - Df g for (f, g) = (f0, fx), (f0, fy), (fx, fy)
-    f, g = [0, 0, 1], [1, 2, 2]
-    return (jac[:, g] @ fields[:n, f, :, None]
-            - jac[:, f] @ fields[:n, g, :, None])[..., 0]
+    return _words(jac, fields[:n], _SECOND)
 
 
 @dataclass(frozen=True)
@@ -239,48 +242,41 @@ class EquilibriumReport:
     bracket_norm: float
 
 
-def _angle_stencil(v: np.ndarray) -> np.ndarray:
-    """Constant stencil appearing in the bracket identity.
-
-    Differentiating the coupling columns along the angle directions
-    produces fixed integer combinations of the angle components of v.
-    """
-    out = np.zeros(STATE_DIM)
-    out[2] = 3.0 * v[2] + v[3] + v[4]
-    out[3] = 2.0 * v[2] + v[4]
-    out[4] = v[2] + v[4]
-    return out
-
-
 def equilibrium_identities(params: SwimmerParams,
                            theta: float) -> EquilibriumReport:
     """Residuals of the alignment and bracket identities at the straight
     state ``(0, 0, theta, 0, 0)``.
 
-    The generators are solved at that state and at its four ``BASE_STEP``
-    neighbours in alpha2 and alpha3, a stencil of 5 poses assembled and
-    solved in one batch; ``[fx, fy]`` is the depth-2 word of ``lie_rank``
-    on it.  Both identities carry ``tan theta`` or ``1 / cos theta``, so
-    a heading with ``|cos theta| < 0.05``, or one that is not finite,
-    raises ``ValueError``.
+    The generators are solved on the ``BASE_STEP`` ``_stencil`` of
+    ``(theta, 0, 0)``, 5 poses assembled and solved in one batch, and only
+    fx and fy are differenced there: ``[fx, fy]`` has the bits of that
+    depth-2 word of ``lie_rank``.  Both identities carry ``tan theta`` or
+    ``1 / cos theta``, so a heading with ``|cos theta| < 0.05``, or one
+    that is not finite, raises ``ValueError``.
     """
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    theta = float(theta)
     if abs(np.cos(theta)) < 0.05:
         raise ValueError(
             "theta too close to a transverse pose; tan(theta) blows up")
-    states = _with_neighbours(np.array([[0.0, 0.0, theta, 0.0, 0.0]]))
-    mh, fields = _solve_poses(_load_core(params), states[:, 2:].tolist())
+    mh, fields = _solve_poses(_load_core(params),
+                              _stencil([(theta, 0.0, 0.0)], BASE_STEP))
     _, fx_val, fy_val = fields[0]
     fy_norm = float(np.linalg.norm(fy_val))
     alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
-    # [fx, fy] at the straight state, the word of lie_rank
-    bracket = _second_words(fields, 1)[0, 2]
+    # [fx, fy] from the Jacobians of fx and fy alone
+    pair = fields[:, 1:]
+    jac = _jacobians(pair[0], pair[1::2], pair[2::2], BASE_STEP, 0, 1)
+    bracket = _words(jac, pair[0], _pairs([0], [1]))[0]
     claimed = fy_val[2] * fy_val
+    # the constant stencil S fy of the module docstring
+    _, _, v3, v4, v5 = fy_val.tolist()
     corrected = (params.M / np.cos(theta)) * np.linalg.solve(
-        mh[0], _angle_stencil(fy_val))
+        mh[0], np.array([0.0, 0.0, 3.0 * v3 + v4 + v5, 2.0 * v3 + v5,
+                         v3 + v5]))
     return EquilibriumReport(
-        theta=float(theta),
+        theta=theta,
         alignment_residual=float(alignment / fy_norm),
         claimed_gap=float(np.linalg.norm(bracket - claimed)),
         corrected_gap=float(np.linalg.norm(bracket - corrected)),
@@ -330,13 +326,13 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     once per generator and per depth-2 word.  Each Jacobian has zero x
     and y columns, as the fields ignore the position, the exact theta
     column of the rotation rule, and central differences over alpha2 and
-    alpha3.  The poses of the difference stencil are listed first: the
+    alpha3; the words of a depth are one ``@`` over their stacked
+    products.  The stencil poses are Python floats from ``_stencil``: the
     point, at depth 3 the four ``point +- NESTED_STEP e_j``, and the four
     ``+- BASE_STEP e_k`` around each of those.  The fields of
-    ``control_vector_fields`` are evaluated on the stack of these poses,
-    which assembles each pose once (1, 5 and 25 at depths 1, 2 and 3) and
-    solves all of them in one batched call; each Jacobian is one array
-    difference of the solved fields.
+    ``control_vector_fields`` are evaluated on one (n, 5) array of these
+    poses, which assembles each pose once (1, 5 and 25 at depths 1, 2 and
+    3) and solves all of them in one batched call.
 
     A point whose words overflow (a joint angle near 1e300 loads the
     spring with as much) raises ``ValueError``.
@@ -348,14 +344,17 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     point = np.asarray(point, dtype=float)
     if point.shape != (STATE_DIM,):
         raise ValueError("point must be a 5-vector state")
-    if not np.all(np.isfinite(point)):
+    values = point.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("point must be finite")
     # the stencil, in the body frame: at depth 3, centres 1-4 are
     # point +- NESTED_STEP e_j, where the depth-2 words are differenced
-    centres = np.array([[0.0, 0.0, 0.0, point[3], point[4]]])
+    centres = [(0.0, values[3], values[4])]
     if depth == 3:
-        centres = np.concatenate([centres, _shifted(centres[0], NESTED_STEP)])
-    states = _with_neighbours(centres) if depth >= 2 else centres
+        centres = _stencil(centres, NESTED_STEP)
+    poses = _stencil(centres, BASE_STEP) if depth >= 2 else centres
+    states = np.zeros((len(poses), STATE_DIM))
+    states[:, 2:] = poses
     # the generators at every stencil state, each a stack of one solve
     fields = np.stack([f(states) for f in
                        control_vector_fields(params).generators()], axis=1)
@@ -368,32 +367,31 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
             rows.append(second[0])
             labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
         if depth == 3:
-            d_gen = _jacobians(fields[0], fields[1:n:2], fields[2:n:2],
-                               NESTED_STEP, 1, 2)
-            d_second = _jacobians(second[0], second[1::2], second[2::2],
-                                  NESTED_STEP, 0, 1)
-            # [s, w] = Dw s - Ds w, s the outer and w the inner index
-            third = (d_second @ fields[0, :, None, :, None]
-                     - d_gen[:, None] @ second[0, :, :, None])[..., 0]
-            rows.append(third.reshape(9, STATE_DIM))
+            # the generators and the depth-2 words side by side, the
+            # pairs (fx, fy) and ([f0,fx], [f0,fy]) turning with the field
+            nested = np.concatenate([fields[:n], second], axis=1)
+            jac = _jacobians(nested[0], nested[1::2], nested[2::2],
+                             NESTED_STEP, slice(1, 4, 2), slice(2, 5, 2))
+            rows.append(_words(jac, nested[0], _NESTED))
             labels += [f"[{s},{w}]" for s in labels[:3]
                        for w in labels[3:6]]
     matrix = np.concatenate(rows).T
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValueError("the bracket words overflow at this point")
     raw = np.linalg.svd(matrix, compute_uv=False)
     # fewer columns than states yields fewer singular values; the missing
     # ones are exact zeros of the padded problem
     singular = np.zeros(STATE_DIM)
     singular[:raw.size] = raw
-    rank = int(np.sum(singular > 1e-8 * singular[0]))
-    if singular[4] > 0.0:
-        gap = float(singular[3] / singular[4])
-    elif singular[3] > 0.0:
-        gap = np.inf
+    sigma = singular.tolist()
+    rank = sum(v > 1e-8 * sigma[0] for v in sigma)
+    if sigma[4] > 0.0:
+        gap = sigma[3] / sigma[4]
+    elif sigma[3] > 0.0:
+        gap = math.inf
     else:
-        gap = np.nan
-    is_straight = bool(max(abs(point[3]), abs(point[4])) < 1e-12)
+        gap = math.nan
+    is_straight = max(abs(values[3]), abs(values[4])) < 1e-12
     return RankReport(
         point=point, depth=depth, rank=rank,
         singular_values=singular, gap_4_5=gap,

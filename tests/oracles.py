@@ -10,13 +10,43 @@ at one pose as a 5x5 array.  ``complex_step_theta_column`` and
 ``central_difference_origin`` measure the derivatives at the straight state
 pose by pose through ``np.linalg.solve``, the first by a complex step along
 theta, the second by central differences along every angle.
+``shifted`` and ``with_neighbours`` build the difference stencil of the
+bracket layer as (n, 5) arrays of full states, each pose ``x +- dx`` with
+dx the whole 5-vector step, against which the Python-float poses of
+``brackets._stencil`` are checked bit for bit.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from magswim import Configuration, SwimmerParams, make_rate_function
+from magswim.brackets import BASE_STEP
 from magswim.dynamics import _load_core, _resistance
+
+# the unit steps e_3, e_4 of the two joint angles on the full state
+ANGLE_UNITS = np.eye(5)[3:]
+
+
+def shifted(states: np.ndarray, step: float) -> np.ndarray:
+    """The states ``x +- step e_j`` of a central difference over the
+    joint angles alpha2 and alpha3, for each x of the (..., 5)
+    ``states``: (..., 4, 5) in the order +e_3, -e_3, +e_4, -e_4.
+
+    Each is ``x + dx`` or ``x - dx`` with dx the full 5-vector step: the
+    other entries move by +-0.0, and -0.0 + 0.0 is +0.0, so a -0.0 of x
+    becomes +0.0 on the + side of another angle's difference.
+    """
+    dx = step * ANGLE_UNITS
+    out = np.empty(states.shape[:-1] + (4, 5))
+    out[..., 0::2, :] = states[..., None, :] + dx
+    out[..., 1::2, :] = states[..., None, :] - dx
+    return out
+
+
+def with_neighbours(centres: np.ndarray) -> np.ndarray:
+    """The (n, 5) ``centres``, then the ``BASE_STEP`` neighbours of each."""
+    return np.concatenate([
+        centres, shifted(centres, BASE_STEP).reshape(-1, 5)])
 
 
 def velocity(config: Configuration, h: tuple[float, float],

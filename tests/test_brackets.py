@@ -10,17 +10,17 @@ import pytest
 import magswim.dynamics
 from magswim import Configuration, SwimmerParams
 from magswim.brackets import (
+    NESTED_STEP,
     ControlSystem,
     VectorField,
+    _jacobians,
     _second_words,
-    _turned,
-    _with_neighbours,
     control_vector_fields,
     equilibrium_identities,
     lie_rank,
 )
 from magswim.dynamics import _load_core
-from oracles import resistance, velocity
+from oracles import resistance, shifted, velocity, with_neighbours
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -618,8 +618,15 @@ def generators_at(system, x):
 def second_words_at(system, x):
     """[f0,fx], [f0,fy], [fx,fy] at the state ``x`` (3, 5), differenced
     over the joint angles as ``lie_rank`` does."""
-    return _second_words(generators_at(system, _with_neighbours(x[None])),
+    return _second_words(generators_at(system, with_neighbours(x[None])),
                          1)[0]
+
+
+def theta_column(rows, u, w):
+    """The exact theta-derivative of the (3, 5) fields ``rows``, whose pair
+    (u, w) turns with the field: the theta column ``_jacobians`` writes."""
+    same = np.stack([rows, rows])
+    return _jacobians(rows, same, same, 1.0, u, w)[..., 2]
 
 
 class TestExactHeading:
@@ -640,7 +647,7 @@ class TestExactHeading:
             rows = generators_at(system, x)
             central = (generators_at(system, x + step)
                        - generators_at(system, x - step)) / (2 * self.H)
-            assert np.max(np.abs(_turned(rows, 1, 2) - central)) <= (
+            assert np.max(np.abs(theta_column(rows, 1, 2) - central)) <= (
                 2e-9 * np.max(np.abs(rows)))
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -652,7 +659,7 @@ class TestExactHeading:
             words = second_words_at(system, x)
             central = (second_words_at(system, x + step)
                        - second_words_at(system, x - step)) / (2 * self.H)
-            assert np.max(np.abs(_turned(words, 0, 1) - central)) <= (
+            assert np.max(np.abs(theta_column(words, 0, 1) - central)) <= (
                 3e-4 * np.max(np.abs(words)))
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -677,3 +684,70 @@ class TestExactHeading:
                               rng.uniform(-1.2, 1.2), 0.0, 0.0])
             report = lie_rank(seeded_swimmer(seed), point, depth=3)
             assert (report.rank, report.gap_4_5 >= 1e4) == (4, True), seed
+
+
+def hexes(poses):
+    """Each pose, or each row of fields, as the hex strings of its floats."""
+    return [tuple(float(v).hex() for v in pose) for pose in poses]
+
+
+class TestStencil:
+    """The Python-float stencil against the numpy construction of
+    ``oracles.with_neighbours``: the same poses in the same order, signed
+    zeros included, and the one word of the identities against the
+    depth-2 words of the rank."""
+
+    POINTS = ([pose for seed in (1, 2, 3) for pose in seeded_poses(seed)]
+              + SIGNED_ZERO_POSES
+              + [[0.0, 0.0, theta, a2, a3] for theta in (-0.0, 0.0, 1e300)
+                 for a2, a3 in ((0.0, -0.0), (-0.0, 0.2), (0.3, -0.1))])
+    THETAS = [-0.0, 0.0, 1e300, 0.3, -0.3] + [
+        pose[2] for seed in (1, 2, 3, 4, 5) for pose in seeded_poses(seed)]
+
+    @staticmethod
+    def rank_poses(point, depth):
+        centres = np.array([[0.0, 0.0, 0.0, point[3], point[4]]])
+        if depth == 3:
+            centres = np.concatenate([centres,
+                                      shifted(centres[0], NESTED_STEP)])
+        states = with_neighbours(centres) if depth >= 2 else centres
+        return hexes(states[:, 2:].tolist())
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_rank_assembles_the_oracle_poses(self, monkeypatch, depth):
+        calls = TestSharedSolve._count_assemblies(monkeypatch)
+        for point in self.POINTS:
+            del calls[:]
+            lie_rank(CANON, np.array(point), depth=depth)
+            assert hexes(calls) == self.rank_poses(point, depth), point
+
+    def test_identities_assemble_the_oracle_poses(self, monkeypatch):
+        calls = TestSharedSolve._count_assemblies(monkeypatch)
+        for theta in self.THETAS:
+            del calls[:]
+            equilibrium_identities(CANON, theta)
+            states = with_neighbours(np.array([[0.0, 0.0, theta, 0.0, 0.0]]))
+            assert hexes(calls) == hexes(states[:, 2:].tolist()), theta
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_identity_word_is_the_rank_word(self, monkeypatch, seed):
+        # the frozen identity thetas: those of the signed-zero digest on
+        # CANON, and every other seeded pose's on its seeded swimmer
+        if seed is None:
+            params, thetas = CANON, [-0.0, 0.0, 0.3, -0.3]
+        else:
+            params = seeded_swimmer(seed)
+            thetas = [pose[2] for pose in seeded_poses(seed)[::2]]
+        words = []
+        brackets = magswim.brackets._words
+        monkeypatch.setattr(magswim.brackets, "_words",
+                            lambda *args: words.append(brackets(*args))
+                            or words[-1])
+        system = control_vector_fields(params)
+        for theta in thetas:
+            rank_word = second_words_at(
+                system, np.array([0.0, 0.0, theta, 0.0, 0.0]))[2]
+            del words[:]
+            equilibrium_identities(params, theta)
+            [word] = words
+            assert hexes(word) == hexes([rank_word]), theta
