@@ -107,7 +107,7 @@ class _SharedSolve:
         angles = x[..., 2:5]
         key = (x.shape, angles.tobytes())
         if key != self._key:
-            if not np.all(np.isfinite(angles)):
+            if not np.isfinite(angles).all():
                 raise ValueError("state angles must be finite")
             self._fields = _solve_poses(
                 self._loads, angles.reshape(-1, 3).tolist())[1].reshape(
@@ -224,6 +224,11 @@ def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
     return _words(jac, fields[:n], _SECOND)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real vector, by its formula: the same bits."""
+    return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Identity residuals at the straight state (0, 0, theta, 0, 0).
@@ -263,8 +268,9 @@ def equilibrium_identities(params: SwimmerParams,
     mh, fields = _solve_poses(_load_core(params),
                               _stencil([(theta, 0.0, 0.0)], BASE_STEP))
     _, fx_val, fy_val = fields[0]
-    fy_norm = float(np.linalg.norm(fy_val))
-    alignment = np.linalg.norm(fx_val + np.tan(theta) * fy_val)
+    fy_norm = _norm(fy_val)
+    # a numpy scalar: at fy = 0 (M = 0) the residual is numpy's nan, warned
+    alignment = np.float64(_norm(fx_val + np.tan(theta) * fy_val))
     # [fx, fy] from the Jacobians of fx and fy alone
     pair = fields[:, 1:]
     jac = _jacobians(pair[0], pair[1::2], pair[2::2], BASE_STEP, 0, 1)
@@ -278,10 +284,10 @@ def equilibrium_identities(params: SwimmerParams,
     return EquilibriumReport(
         theta=theta,
         alignment_residual=float(alignment / fy_norm),
-        claimed_gap=float(np.linalg.norm(bracket - claimed)),
-        corrected_gap=float(np.linalg.norm(bracket - corrected)),
+        claimed_gap=_norm(bracket - claimed),
+        corrected_gap=_norm(bracket - corrected),
         fy_norm=fy_norm,
-        bracket_norm=float(np.linalg.norm(bracket)),
+        bracket_norm=_norm(bracket),
     )
 
 
@@ -356,8 +362,9 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     states = np.zeros((len(poses), STATE_DIM))
     states[:, 2:] = poses
     # the generators at every stencil state, each a stack of one solve
-    fields = np.stack([f(states) for f in
-                       control_vector_fields(params).generators()], axis=1)
+    fields = np.empty((len(poses), 3, STATE_DIM))
+    for k, f in enumerate(control_vector_fields(params).generators()):
+        fields[:, k] = f(states)
     n = len(centres)
     rows = [fields[0]]
     labels = ["f0", "fx", "fy"]

@@ -337,11 +337,12 @@ def cmd_controllability(args: argparse.Namespace) -> int:
     thetas = args.theta if args.theta else [0.0, 0.3, -0.3, 0.7, -0.7]
 
     def body() -> tuple[dict[str, Any], int]:
-        rows = []
+        rows, rank = [], None
         for theta in thetas:
             report = equilibrium_identities(config.params, theta)
-            rank = lie_rank(config.params,
-                            np.array([0.0, 0.0, theta, 0.0, 0.0]))
+            # the rank is read in the body frame, the same at every theta
+            if rank is None:
+                rank = lie_rank(config.params, np.zeros(5))
             stencil_rel = report.corrected_gap / report.bracket_norm
             row = _plain({
                 "theta": theta,

@@ -27,12 +27,13 @@ the drift-affine control system
 
 Every evaluation assembles through ``_load_core``; the RK4 rate solves
 one load per call on Python floats, and ``_solve_poses`` solves f0, fx
-and fy at a batch of poses for the bracket layer through numpy.
+and fy for the bracket layer: one table, one conversion, one solve.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from functools import partial
 from typing import Callable, Sequence
 
@@ -194,18 +195,21 @@ def _solve_poses(loads: Callable[..., tuple],
     """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
     :func:`_load_core`: ``Mh[i]`` is the matrix of ``poses[i]``, and
     ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.  Each pose
-    is assembled as often as it recurs, and all are solved for the columns
+    is assembled as often as it recurs, its 40 loads (drag, elastic, Mx,
+    My) appended to one table of Python floats that ``struct`` copies
+    into numpy once, byte for byte, and all are solved for the columns
     ``elastic, -Mx, -My`` by one ``np.linalg.solve``, so an exactly
     singular ``Mh`` raises ``LinAlgError('Singular matrix')``.
     """
-    drag, rows = [], []
+    table = []
     for pose in poses:
-        g, elastic, Mx, My = loads(*pose)
-        drag += g
-        rows += (*elastic, *Mx, *My)
-    mh = _resistance(drag)
+        for part in loads(*pose):
+            table += part
+    rows = np.empty((len(poses), 40))
+    struct.pack_into(f"{rows.size}d", rows, 0, *table)
+    mh = np.negative(rows[:, :25]).reshape(-1, 5, 5)
     # rows elastic, -Mx, -My: the transposed right-hand side of the solve
-    rhs = np.array(rows).reshape(len(mh), 3, 5)
+    rhs = rows[:, 25:].reshape(-1, 3, 5)
     np.negative(rhs[:, 1:], out=rhs[:, 1:])
     cols = np.linalg.solve(mh, rhs.transpose(0, 2, 1))
     return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))

@@ -13,7 +13,9 @@ theta, the second by central differences along every angle.
 ``shifted`` and ``with_neighbours`` build the difference stencil of the
 bracket layer as (n, 5) arrays of full states, each pose ``x +- dx`` with
 dx the whole 5-vector step, against which the Python-float poses of
-``brackets._stencil`` are checked bit for bit.
+``brackets._stencil`` are checked bit for bit.  ``solve_poses`` is the
+batched pose solve built from two ``np.array`` conversions, against which
+the one-table ``dynamics._solve_poses`` is checked byte for byte.
 """
 from dataclasses import dataclass
 
@@ -62,6 +64,22 @@ def resistance(params: SwimmerParams, pose) -> np.ndarray:
     """``Mh`` at the angle triple ``pose``, from the drag loads of
     ``_load_core``."""
     return _resistance(_load_core(params)(*pose)[0])[0]
+
+
+def solve_poses(loads, poses) -> tuple[np.ndarray, np.ndarray]:
+    """``(Mh, F)`` of ``dynamics._solve_poses`` built by two conversions:
+    ``np.array`` of the drag list for ``Mh``, and ``np.array`` of the rows
+    ``elastic, Mx, My``, negated in place, for the right-hand side."""
+    drag, rows = [], []
+    for pose in poses:
+        g, elastic, Mx, My = loads(*pose)
+        drag += g
+        rows += (*elastic, *Mx, *My)
+    mh = np.negative(np.array(drag)).reshape(-1, 5, 5)
+    rhs = np.array(rows).reshape(len(mh), 3, 5)
+    np.negative(rhs[:, 1:], out=rhs[:, 1:])
+    cols = np.linalg.solve(mh, rhs.transpose(0, 2, 1))
+    return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 def _shape_rates_and_gx(loads, pose):

@@ -10,17 +10,20 @@ import pytest
 import magswim.dynamics
 from magswim import Configuration, SwimmerParams
 from magswim.brackets import (
+    BASE_STEP,
     NESTED_STEP,
     ControlSystem,
     VectorField,
     _jacobians,
     _second_words,
+    _stencil,
     control_vector_fields,
     equilibrium_identities,
     lie_rank,
 )
-from magswim.dynamics import _load_core
-from oracles import resistance, shifted, velocity, with_neighbours
+from magswim.dynamics import _load_core, _solve_poses
+from oracles import (resistance, shifted, solve_poses, velocity,
+                     with_neighbours)
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -187,6 +190,30 @@ class TestLastStack:
             with pytest.raises(ValueError, match="angles must be finite"):
                 field(state)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("angle", [2, 3, 4])
+    def test_rejects_non_finite_angles_at_the_last_pose(self, value, angle):
+        states = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2, 5))
+        states[1, 1, angle] = value
+        for field in control_vector_fields(CANON).generators():
+            with pytest.raises(ValueError, match="angles must be finite"):
+                field(states)
+
+    def test_fields_handed_out_outlive_the_next_stack(self):
+        # each field returns a copy, not a view of the held solve: what it
+        # returned for one stack is unchanged after a call on another
+        system = control_vector_fields(CANON)
+        solve = system.f0.fn.__self__
+        a = np.array([self.A, self.B])
+        b = np.array([self.B, self.A, self.B])
+        outs = [field(a) for field in system.generators()]
+        kept = [self.bits(out) for out in outs]
+        for field in system.generators():
+            assert not np.shares_memory(field(b), solve._fields)
+        assert [self.bits(out) for out in outs] == kept == self.fresh(a)
+        assert not any(np.shares_memory(out, solve._fields) for out in outs)
+
     @pytest.mark.parametrize("state", [
         [0.0, 0.0, 0.3, 0.1], [0.0] * 6, np.zeros((3, 4)), 0.3],
         ids=["4-vector", "6-vector", "stack-of-4", "scalar"])
@@ -223,6 +250,16 @@ class TestEquilibriumIdentities:
     def test_rejects_transverse_pose(self):
         with pytest.raises(ValueError):
             equilibrium_identities(CANON, 1.55)
+
+    def test_zero_moment_reads_a_nan_alignment(self):
+        # with M = 0, fx and fy vanish and 0 / 0 is numpy's: nan, warned
+        params = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5),
+                               M=0.0, K=1.0)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            report = equilibrium_identities(params, 0.3)
+        assert report.fy_norm == 0.0
+        assert math.isnan(report.alignment_residual)
+        assert type(report.alignment_residual) is float
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_theta(self, theta):
@@ -530,6 +567,57 @@ SIGNED_ZERO_POSES = [
     [-0.2, 0.5, -0.7, 0.1, -0.0],
     [0.0, 0.0, 0.0, -0.0, -0.0],
 ]
+
+
+class TestSolvePoses:
+    """The one-table ``_solve_poses`` against the two ``np.array``
+    conversions of ``oracles.solve_poses``: ``Mh`` and ``F`` byte for byte,
+    with the same shapes and strides, on 1, 5 and 25 poses around seeded
+    and signed-zero points and a heading of 1e300."""
+
+    POINTS = ([pose for seed in (1, 2, 3) for pose in seeded_poses(seed)]
+              + SIGNED_ZERO_POSES
+              + [[0.0, 0.0, 1e300, a2, a3]
+                 for a2, a3 in ((0.0, -0.0), (-0.0, 0.2), (0.3, -0.1))])
+
+    @staticmethod
+    def poses(point, n):
+        centres = [tuple(point[2:])]
+        if n == 25:
+            centres = _stencil(centres, NESTED_STEP)
+        return _stencil(centres, BASE_STEP) if n > 1 else centres
+
+    @staticmethod
+    def layout(a):
+        return a.tobytes(), a.shape, a.strides, a.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 5, 25])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_matches_the_np_array_construction(self, n, seed):
+        params = CANON if seed is None else seeded_swimmer(seed)
+        loads = _load_core(params)
+        for point in self.POINTS:
+            poses = self.poses(point, n)
+            assert len(poses) == n
+            got, want = _solve_poses(loads, poses), solve_poses(loads, poses)
+            assert [self.layout(a) for a in got] == [
+                self.layout(a) for a in want], point
+
+    @pytest.mark.parametrize("n", [1, 5, 25])
+    def test_zeroed_row_is_singular(self, n):
+        loads = _load_core(CANON)
+
+        def singular(*pose):
+            drag, elastic, Mx, My = loads(*pose)
+            # the last row of Mh zeroed at the last pose only
+            if pose == poses[-1]:
+                drag = drag[:20] + (0.0,) * 5
+            return drag, elastic, Mx, My
+        poses = self.poses([0.1, -0.2, 0.3, 0.2, -0.1], n)
+        for solve in (_solve_poses, solve_poses):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^Singular matrix$"):
+                solve(singular, poses)
 
 
 def rank_digest(params, poses, depth):

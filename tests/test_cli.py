@@ -632,6 +632,27 @@ class TestControllability:
         assert main(["controllability", "--theta", theta]) == 2
         assert "theta must be finite" in capsys.readouterr().err
 
+    def test_rank_is_read_once_for_every_theta(self, monkeypatch, capsys):
+        # the rank is the same at every heading, so the five default
+        # thetas share one body-frame lie_rank; the identities run per theta
+        calls = {"rank": [], "identities": []}
+        rank, identities = cli.lie_rank, cli.equilibrium_identities
+
+        def counted_rank(params, point, *args, **kwargs):
+            calls["rank"].append(point.tolist())
+            return rank(params, point, *args, **kwargs)
+
+        def counted_identities(params, theta):
+            calls["identities"].append(theta)
+            return identities(params, theta)
+        monkeypatch.setattr(cli, "lie_rank", counted_rank)
+        monkeypatch.setattr(cli, "equilibrium_identities",
+                            counted_identities)
+        assert main(["controllability"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 5
+        assert calls == {"rank": [[0.0] * 5],
+                         "identities": [0.0, 0.3, -0.3, 0.7, -0.7]}
+
 
 class TestValidate:
     def test_deterministic_and_green(self, tmp_path, capsys):
