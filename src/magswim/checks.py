@@ -20,6 +20,7 @@ from .linear import (
     _QuadraticModel,
     _complex_steps,
     _dx2_quadrature,
+    _dx2_terms,
     char_poly,
     closed_form_angle_matrix,
     closed_form_char_coeffs,
@@ -123,7 +124,7 @@ def _check_skew_kernel(model: _QuadraticModel) -> CheckResult:
 
 
 def _check_displacement_two_path(model: _QuadraticModel) -> CheckResult:
-    value = net_displacement_quadratic(CANON, 0.62)
+    value = _dx2_terms(model, 0.62)[0]
     a_plus = resolvents(model.a, 0.62)[0][None]
     quad = float(_dx2_quadrature(model, np.array([0.62]), a_plus)[0])
     # the rational value against the resolvent's time-domain formula, and

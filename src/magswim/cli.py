@@ -17,12 +17,12 @@ filled from it (``_say``), so the two cannot drift apart.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import string
 import sys
+from argparse import ArgumentParser, Namespace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .simulate import displacement_per_period, integrate, symmetry_experiment
 __all__ = ["main"]
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
+def _load(args: Namespace) -> RunConfig:
     """The run: the ``--config`` file, if any, with each value flag given
     set as the "section.key" its ``dest`` names."""
     flags = {name: value for name, value in vars(args).items()
@@ -151,30 +151,34 @@ def _require_unit_hx(config: RunConfig) -> None:
             f"epsilon / hx0 give the same dynamics)")
 
 
-def _run_reported(args: argparse.Namespace, command: str, config: RunConfig,
-                  body: Callable[[], tuple[dict[str, Any], int]]) -> int:
-    """Run ``body`` and mirror its outcome into the optional JSON report."""
-    json_path = getattr(args, "json", None)
-    base: dict[str, Any] = {
+# a command's results (what a --json report holds) and its exit code
+Outcome = tuple[dict[str, Any], int]
+
+
+def _run_reported(args: Namespace) -> int:
+    """Load the run, run the command ``args.func`` on it, and mirror its
+    outcome, results or analysis error, into the optional JSON report."""
+    config = _load(args)
+    report: dict[str, Any] = {
         "format": "magswim.report",
         "version": __version__,
-        "command": command,
+        "command": args.command,
+        **_echo(config, args.command),
     }
-    base.update(_echo(config, command))
     try:
-        results, code = body()
+        report["results"], code = args.func(config, args)
     except AnalysisError as exc:
-        if json_path is not None:
-            base["error"] = {"type": type(exc).__name__,
-                             "message": str(exc)}
-            write_json_report(json_path, base)
-            print(f"wrote {json_path}")
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        _write_report(args, report)
         raise
-    if json_path is not None:
-        base["results"] = results
-        write_json_report(json_path, base)
-        print(f"wrote {json_path}")
+    _write_report(args, report)
     return code
+
+
+def _write_report(args: Namespace, report: dict[str, Any]) -> None:
+    if getattr(args, "json", None) is not None:
+        write_json_report(args.json, report)
+        print(f"wrote {args.json}")
 
 
 SIMULATE = ("steps {steps} dt {dt!r}", "final x={final[x]!r} "
@@ -182,8 +186,7 @@ SIMULATE = ("steps {steps} dt {dt!r}", "final x={final[x]!r} "
             "alpha2={final[alpha2]!r} alpha3={final[alpha3]!r}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load(args)
+def cmd_simulate(config: RunConfig, args: Namespace) -> Outcome:
     traj = integrate(config.params, config.initial, config.field,
                      t_final=config.t_final, dt=config.dt)
     out = _out_dir(config)
@@ -202,7 +205,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "final": _plain(traj.final())})
     for path in written:
         print(f"wrote {path}")
-    return 0
+    return {}, 0
 
 
 # per_period is text-only: the report holds delta_x and periods_used
@@ -213,26 +216,21 @@ DISPLACEMENT = ("epsilon {epsilon!r} omega {omega!r}", "delta_x {delta_x!r}",
                 "converged {converged}")
 
 
-def cmd_displacement(args: argparse.Namespace) -> int:
-    config = _load(args)
+def cmd_displacement(config: RunConfig, args: Namespace) -> Outcome:
     _require_unit_hx(config)
     field = config.field
     if not isinstance(field, SinusoidalField):
         raise ConfigError("displacement needs a sinusoidal drive; set "
                           "[field] kind = sinusoidal")
-
-    def body() -> tuple[dict[str, Any], int]:
-        report = displacement_per_period(
-            config.params, config.initial, epsilon=field.epsilon,
-            omega=field.omega, burn_in_periods=config.burn_in_periods,
-            measure_periods=config.measure_periods, dt=config.dt)
-        results = {"epsilon": field.epsilon, "omega": field.omega,
-                   **_plain(report)}
-        _say(DISPLACEMENT, {
-            **results, "per_period": report.delta_x / report.periods_used})
-        return results, 0 if report.converged else 1
-
-    return _run_reported(args, "displacement", config, body)
+    report = displacement_per_period(
+        config.params, config.initial, epsilon=field.epsilon,
+        omega=field.omega, burn_in_periods=config.burn_in_periods,
+        measure_periods=config.measure_periods, dt=config.dt)
+    results = {"epsilon": field.epsilon, "omega": field.omega,
+               **_plain(report)}
+    _say(DISPLACEMENT, {
+        **results, "per_period": report.delta_x / report.periods_used})
+    return results, 0 if report.converged else 1
 
 
 SYMMETRY = ("steps {steps} dt {dt!r}", "max_alpha_gap {max_alpha_gap!r}",
@@ -240,20 +238,12 @@ SYMMETRY = ("steps {steps} dt {dt!r}", "max_alpha_gap {max_alpha_gap!r}",
             "tolerance {tolerance!r}", "symmetry {within_tolerance!v}")
 
 
-def cmd_symmetry(args: argparse.Namespace) -> int:
-    config = _load(args)
-
-    def body() -> tuple[dict[str, Any], int]:
-        report = symmetry_experiment(config.params, config.initial,
-                                     config.field,
-                                     t_final=config.t_final,
-                                     dt=config.dt)
-        results = {**_plain(report),
-                   "within_tolerance": report.within_tolerance}
-        _say(SYMMETRY, results)
-        return results, 0 if report.within_tolerance else 1
-
-    return _run_reported(args, "symmetry", config, body)
+def cmd_symmetry(config: RunConfig, args: Namespace) -> Outcome:
+    report = symmetry_experiment(config.params, config.initial, config.field,
+                                 t_final=config.t_final, dt=config.dt)
+    results = {**_plain(report), "within_tolerance": report.within_tolerance}
+    _say(SYMMETRY, results)
+    return results, 0 if report.within_tolerance else 1
 
 
 LINEARIZE = ("A[0] {a[0]!j}", "A[1] {a[1]!j}", "A[2] {a[2]!j}", "b {b!j}",
@@ -261,36 +251,31 @@ LINEARIZE = ("A[0] {a[0]!j}", "A[1] {a[1]!j}", "A[2] {a[2]!j}", "b {b!j}",
              "stable {stable}")
 
 
-def cmd_linearize(args: argparse.Namespace) -> int:
-    config = _load(args)
+def cmd_linearize(config: RunConfig, args: Namespace) -> Outcome:
     _require_unit_hx(config)
-
-    def body() -> tuple[dict[str, Any], int]:
-        numeric = linearize_angles(config.params)
-        coeffs = char_poly(numeric.a)
-        results = _plain({
-            "a": numeric.a, "b": numeric.b, "char_coeffs": coeffs,
-            "eig_real": np.sort(np.linalg.eigvals(numeric.a).real),
-            "stable": routh_hurwitz_stable(coeffs),
-            "closed_form_relgap": None})
-        relgap = "closed_form_relgap n/a (links 2 and 3 differ)"
-        code = 0
-        try:
-            closed = closed_form_angle_matrix(config.params)
-        except ValueError:
-            pass    # links 2 and 3 differ in drag: no closed form
-        else:
-            gap = float(np.max(np.abs(numeric.a - closed.a))
-                        / np.max(np.abs(closed.a)))
-            results["closed_form_relgap"] = gap
-            relgap = "closed_form_relgap {closed_form_relgap!r}"
-            code = int(gap > 1e-6)
-        _say(LINEARIZE + (relgap,), results)
-        if code:
-            print("closed form and numeric A disagree", file=sys.stderr)
-        return results, code
-
-    return _run_reported(args, "linearize", config, body)
+    numeric = linearize_angles(config.params)
+    coeffs = char_poly(numeric.a)
+    results = _plain({
+        "a": numeric.a, "b": numeric.b, "char_coeffs": coeffs,
+        "eig_real": np.sort(np.linalg.eigvals(numeric.a).real),
+        "stable": routh_hurwitz_stable(coeffs),
+        "closed_form_relgap": None})
+    relgap = "closed_form_relgap n/a (links 2 and 3 differ)"
+    code = 0
+    try:
+        closed = closed_form_angle_matrix(config.params)
+    except ValueError:
+        pass    # links 2 and 3 differ in drag: no closed form
+    else:
+        gap = float(np.max(np.abs(numeric.a - closed.a))
+                    / np.max(np.abs(closed.a)))
+        results["closed_form_relgap"] = gap
+        relgap = "closed_form_relgap {closed_form_relgap!r}"
+        code = int(gap > 1e-6)
+    _say(LINEARIZE + (relgap,), results)
+    if code:
+        print("closed form and numeric A disagree", file=sys.stderr)
+    return results, code
 
 
 SWEEP = ("omega_star {omega_star!r}", "dx2_star {dx2_star!r}",
@@ -298,28 +283,23 @@ SWEEP = ("omega_star {omega_star!r}", "dx2_star {dx2_star!r}",
          "evaluations {evaluations}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load(args)
+def cmd_sweep(config: RunConfig, args: Namespace) -> Outcome:
     _require_unit_hx(config)
-
-    def body() -> tuple[dict[str, Any], int]:
-        curve = frequency_sweep(config.params, config.omega_min,
-                                config.omega_max, n_grid=config.n_grid)
-        results = _plain(curve)
-        results["omega"] = results.pop("omegas")
-        path = _out_dir(config) / "sweep.csv"
-        with open(path, "w") as fh:
-            fh.write("omega,dx2\n")
-            for w, v in zip(results["omega"], results["dx2"]):
-                fh.write(f"{w:.17g},{v:.17g}\n")
-        _say(SWEEP, results)
-        if curve.near_zero:
-            print("curve is zero to roundoff: this drag pattern cannot "
-                  "translate at quadratic order")
-        print(f"wrote {path}")
-        return results, 0
-
-    return _run_reported(args, "sweep", config, body)
+    curve = frequency_sweep(config.params, config.omega_min,
+                            config.omega_max, n_grid=config.n_grid)
+    results = _plain(curve)
+    results["omega"] = results.pop("omegas")
+    path = _out_dir(config) / "sweep.csv"
+    with open(path, "w") as fh:
+        fh.write("omega,dx2\n")
+        for w, v in zip(results["omega"], results["dx2"]):
+            fh.write(f"{w:.17g},{v:.17g}\n")
+    _say(SWEEP, results)
+    if curve.near_zero:
+        print("curve is zero to roundoff: this drag pattern cannot "
+              "translate at quadratic order")
+    print(f"wrote {path}")
+    return results, 0
 
 
 # the scalar shortcut is reported, not asserted: it is off by an
@@ -332,67 +312,62 @@ POSE = ("theta {theta!r} {passed!v}",
         "(|fy| {fy_norm!r}, informational)")
 
 
-def cmd_controllability(args: argparse.Namespace) -> int:
-    config = _load(args)
-    thetas = args.theta if args.theta else [0.0, 0.3, -0.3, 0.7, -0.7]
-
-    def body() -> tuple[dict[str, Any], int]:
-        rows, rank = [], None
-        for theta in thetas:
-            report = equilibrium_identities(config.params, theta)
-            # the rank is read in the body frame, the same at every theta
-            if rank is None:
-                rank = lie_rank(config.params, np.zeros(5))
-            stencil_rel = report.corrected_gap / report.bracket_norm
-            row = _plain({
-                "theta": theta,
-                "passed": (report.alignment_residual <= 1e-8
-                           and stencil_rel <= 1e-5
-                           and rank.rank == 4
-                           and rank.gap_4_5 >= 1e4),
-                "alignment_residual": report.alignment_residual,
-                "stencil_relgap": stencil_rel,
-                "scalar_shortcut_gap": report.claimed_gap,
-                "fy_norm": report.fy_norm,
-                "rank": rank.rank,
-                "gap_4_5": rank.gap_4_5,
-                "depth": rank.depth,
-                "singular_values": rank.singular_values,
-            })
-            _say(POSE, row)
-            rows.append(row)
-        return {"poses": rows}, int(not all(r["passed"] for r in rows))
-
-    return _run_reported(args, "controllability", config, body)
+def cmd_controllability(config: RunConfig, args: Namespace) -> Outcome:
+    # the rank is read in the body frame, the same at every theta
+    rank = lie_rank(config.params, np.zeros(5))
+    rows = []
+    for theta in args.theta or [0.0, 0.3, -0.3, 0.7, -0.7]:
+        report = equilibrium_identities(config.params, theta)
+        if report.bracket_norm == 0.0:
+            raise ValueError(
+                f"[fx, fy] has zero norm at theta = {theta!r} (M = "
+                f"{config.params.M!r}): the field cannot steer this swimmer")
+        stencil_rel = report.corrected_gap / report.bracket_norm
+        row = _plain({
+            "theta": theta,
+            "passed": (report.alignment_residual <= 1e-8
+                       and stencil_rel <= 1e-5
+                       and rank.rank == 4
+                       and rank.gap_4_5 >= 1e4),
+            "alignment_residual": report.alignment_residual,
+            "stencil_relgap": stencil_rel,
+            "scalar_shortcut_gap": report.claimed_gap,
+            "fy_norm": report.fy_norm,
+            "rank": rank.rank,
+            "gap_4_5": rank.gap_4_5,
+            "depth": rank.depth,
+            "singular_values": rank.singular_values,
+        })
+        _say(POSE, row)
+        rows.append(row)
+    return {"poses": rows}, int(not all(r["passed"] for r in rows))
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: Namespace) -> int:
     report = run_validation()
     text = report.text()
     sys.stdout.write(text)
     if args.output is not None:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")
-    if args.json is not None:
-        write_json_report(args.json, {
-            "format": "magswim.validation",
-            "version": __version__,
-            "passed": report.passed,
-            "checks": _plain(report.results),
-        })
-        print(f"wrote {args.json}")
+    _write_report(args, {
+        "format": "magswim.validation",
+        "version": __version__,
+        "passed": report.passed,
+        "checks": _plain(report.results),
+    })
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="magswim",
         description="Simulation and analysis of a three-link "
                     "magneto-elastic swimmer in a viscous fluid.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_: str,
-            report: bool = True) -> argparse.ArgumentParser:
+            report: bool = True) -> ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None,
                        help="INI run configuration (defaults apply "
@@ -434,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     # validate runs fixed inputs and reads no configuration
     p = sub.add_parser("validate",
                        help="run the deterministic self-validation suite")
-    p.set_defaults(func=cmd_validate)
     p.add_argument("--output", default=None,
                    help="also write the text report here")
     p.add_argument("--json", default=None,
@@ -446,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = cmd_validate if args.command == "validate" else _run_reported
     try:
-        return args.func(args)
+        return run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
 """Fixed-step time integration and period-level experiments.
 
-The dynamics are stiff only mildly (the slowest and fastest angle modes sit
-within two decades for reasonable parameters), so a fixed-step classical RK4
-with the field sampled at stage times is accurate and, more importantly,
-bitwise reproducible.  All the period-matched experiments (displacement per
-cycle, symmetry preservation) rely on landing exactly on period boundaries,
-which the integrator guarantees by shortening the final step.
+The integrator is fixed-step classical RK4 with the field sampled at stage
+times, which is bitwise reproducible.  RK4 is stable on the negative real
+axis only for ``|lambda| dt <= 2.785``, with lambda the stiffest eigenvalue
+of the angle dynamics at the straight state, and nothing checks that bound
+yet: ``dt = auto`` (``T/2000`` for a sinusoidal drive) is unstable below
+omega ~ 0.0267 on ``checks.CANON`` (lambda = -23.70) and below omega ~
+0.0401 on the default swimmer (lambda = -35.55).  All the period-matched
+experiments (displacement per cycle, symmetry preservation) rely on
+landing exactly on period boundaries, which the integrator guarantees by
+shortening the final step.
 """
 from __future__ import annotations
 
@@ -77,7 +81,9 @@ class SymmetryReport:
 
 
 def _default_dt(field: FieldProgram, t_final: float) -> float:
-    """2000 steps per period of a periodic drive, else 1e4 over the run."""
+    """2000 steps per period of a periodic drive, else 1e4 over the run;
+    neither looks at the swimmer, so a slow drive or a long run can give a
+    step beyond RK4's stability bound (see the module docstring)."""
     if isinstance(field, SinusoidalField):
         return field.period / 2000.0
     return t_final / 1e4

@@ -632,6 +632,35 @@ class TestControllability:
         assert main(["controllability", "--theta", theta]) == 2
         assert "theta must be finite" in capsys.readouterr().err
 
+    def test_rows_before_a_bad_theta_print_and_no_report_is_written(
+            self, tmp_path, capsys):
+        assert main(["controllability", "--theta", "0.3"]) == 0
+        row = capsys.readouterr().out
+        report = tmp_path / "r.json"
+        assert main(["controllability", "--theta", "0.3", "nan",
+                     "--json", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == row
+        assert captured.err == "invalid request: theta must be finite\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("moment", ["0.0", "5e-324"])
+    def test_swimmer_without_bracket_is_an_invalid_request(
+            self, tmp_path, capsys, moment):
+        # fy vanishes (5e-324 underflows), so [fx, fy] has zero norm
+        path = write_config(tmp_path, f"[params]\nM = {moment}\n")
+        report = tmp_path / "r.json"
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code = main(["controllability", "--config", path,
+                         "--json", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid request: [fx, fy] has zero norm at theta = 0.0 (M = "
+            f"{float(moment)!r}): the field cannot steer this swimmer\n")
+        assert not report.exists()
+
     def test_rank_is_read_once_for_every_theta(self, monkeypatch, capsys):
         # the rank is the same at every heading, so the five default
         # thetas share one body-frame lie_rank; the identities run per theta
@@ -680,8 +709,7 @@ class TestValidate:
     def test_derives_each_canonical_quantity_once(self, monkeypatch,
                                                   capsys):
         # CANON's origin model serves every check that reads it, and its
-        # identities both bracket checks; net_displacement_quadratic and
-        # UNIFORM's check derive their own
+        # identities both bracket checks; UNIFORM's check derives its own
         import magswim.checks
         import magswim.linear
         calls = []
@@ -697,7 +725,7 @@ class TestValidate:
         monkeypatch.setattr(magswim.checks, "equilibrium_identities", counted(
             magswim.checks.equilibrium_identities, "identities"))
         assert main(["validate"]) == 0
-        assert calls.count("origin") <= 3
+        assert calls.count("origin") == 2
         assert calls.count("identities") == 1
 
 
