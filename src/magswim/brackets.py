@@ -225,8 +225,13 @@ def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a real vector, by its formula: the same bits."""
-    return math.sqrt(v.dot(v))
+    """``np.linalg.norm`` of a real vector, by its formula: the same bits;
+    ``math.hypot`` where ``v . v`` overflows, or underflows below a normal
+    entry (subnormal entries carry too few bits to measure)."""
+    square = v.dot(v)
+    if square == math.inf or square < 2.0 ** -1022 <= abs(v).max():
+        return math.hypot(*v.tolist())
+    return math.sqrt(square)
 
 
 @dataclass(frozen=True)

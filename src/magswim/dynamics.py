@@ -25,9 +25,10 @@ the drift-affine control system
     Mh qdot = elastic(q) - Mx(q) Hx - My(q) Hy
     qdot = f0(q) + fx(q) Hx + fy(q) Hy.
 
-Every evaluation assembles through ``_load_core``; the RK4 rate solves
-one load per call on Python floats, and ``_solve_poses`` solves f0, fx
-and fy for the bracket layer: one table, one conversion, one solve.
+Every evaluation assembles through ``_load_core``.  Called with the field,
+that is the RK4 rate, solved by ``_solve_drag`` on Python floats; without
+it, ``_solve_poses`` solves f0, fx and fy from its load tuples for the
+bracket layer: one table, one conversion, one solve.
 """
 from __future__ import annotations
 
@@ -52,7 +53,9 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     the spring load, Mx and My.  The per-swimmer values lead the arguments
     (``L``, ``L/2``, the moments ``L^2/2``, ``L^3/3``, ``L^3/12``, then
     ``xi_i``, ``eta_i``, ``xi_i - eta_i``, ``M`` and ``K``), so
-    :func:`_load_core` binds them once; the angles come last.
+    :func:`_load_core` binds them once; the angles come next.  Given the
+    field ``hx, hy`` last, it returns ``qdot``: :func:`_solve_drag` of its
+    loads and of the torque rows of ``Mx hx + My hy - elastic``.
 
     Mh is independent of (x, y), so the geometry is built with the middle
     link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
@@ -78,7 +81,7 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     derivatives along ``e`` to roundoff (a complex step)."""
 
     def assemble(L, half, m1, m2, m2c, xi1, xi2, xi3, eta1, eta2, eta3,
-                 d1, d2, d3, M, K, theta, a2, a3):
+                 d1, d2, d3, M, K, theta, a2, a3, hx=None, hy=None):
         th1 = theta + a2
         th3 = theta + a3
         c1, s1 = cos(th1), sin(th1)
@@ -123,44 +126,50 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         v3 = c3 * u3y - s3 * u3x
         # unit alpha2 rate: link 1 alone, V0 = -L n1
         g1x, g1y = X1 * Ls1 - Y1 * Lc1, Y1 * Ls1 - Z1 * Lc1
-        fy = 0.0 - Y1 * L - Y2 * L - Y3 * L
-        # row-major: rows force x, force y, torques about A1, A2, A3; columns
-        # the unit rates of x, y, theta, alpha2, alpha3
-        load = (
-            0.0 - X1 * L - X2 * L - X3 * L, fy,
-            0.0 - (u1x * L + p1x) - (u3x * L + p3x),
-            0.0 - (g1x * L + p1x), 0.0 - p3x,
-            fy, 0.0 - Z1 * L - Z2 * L - Z3 * L,
-            0.0 - (u1y * L + p1y) - (u3y * L + p3y),
-            0.0 - (g1y * L + p1y), 0.0 - p3y,
-            0.0 - p1x - (A1y * X2 - A1x * Y2) * L
-            - ((r1x * Y3 - r1y * X3) * L + p3x),
-            0.0 - p1y - (A1y * Y2 - A1x * Z2) * L
-            - ((r1x * Z3 - r1y * Y3) * L + p3y),
-            0.0 - (v1 * m1 + w1) - w2
-            - ((r1x * u3y - r1y * u3x) * L + (q1 + v3) * m1 + w3),
-            0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1),
-            0.0 - (q1 * m1 + w3),
-            0.0 - (A3x * Y2 - A3y * X2) * L
-            - ((r2x * Y3 - r2y * X3) * L + p3x),
-            0.0 - (A3x * Z2 - A3y * Y2) * L
-            - ((r2x * Z3 - r2y * Y3) * L + p3y),
-            0.0 - w2 - ((r2x * u3y - r2y * u3x) * L + (q2 + v3) * m1 + w3),
-            0.0,
-            0.0 - (q2 * m1 + w3),
-            0.0 - p3x,
-            0.0 - p3y,
-            0.0 - (v3 * m1 + w3),
-            0.0,
-            0.0 - w3,
-        )
+        # the 25 loads of -Mh, gRC for row R and column C; rows force x,
+        # force y, torques about A1, A2, A3; columns the unit rates of x, y,
+        # theta, alpha2, alpha3
+        g00 = 0.0 - X1 * L - X2 * L - X3 * L
+        g01 = g10 = 0.0 - Y1 * L - Y2 * L - Y3 * L
+        g02 = 0.0 - (u1x * L + p1x) - (u3x * L + p3x)
+        g03, g13 = 0.0 - (g1x * L + p1x), 0.0 - (g1y * L + p1y)
+        g04 = g40 = 0.0 - p3x
+        g11 = 0.0 - Z1 * L - Z2 * L - Z3 * L
+        g12 = 0.0 - (u1y * L + p1y) - (u3y * L + p3y)
+        g14 = g41 = 0.0 - p3y
+        g20 = (0.0 - p1x - (A1y * X2 - A1x * Y2) * L
+               - ((r1x * Y3 - r1y * X3) * L + p3x))
+        g21 = (0.0 - p1y - (A1y * Y2 - A1x * Z2) * L
+               - ((r1x * Z3 - r1y * Y3) * L + p3y))
+        g22 = (0.0 - (v1 * m1 + w1) - w2
+               - ((r1x * u3y - r1y * u3x) * L + (q1 + v3) * m1 + w3))
+        g23 = 0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1)
+        g24, g34 = 0.0 - (q1 * m1 + w3), 0.0 - (q2 * m1 + w3)
+        g30 = (0.0 - (A3x * Y2 - A3y * X2) * L
+               - ((r2x * Y3 - r2y * X3) * L + p3x))
+        g31 = (0.0 - (A3x * Z2 - A3y * Y2) * L
+               - ((r2x * Z3 - r2y * Y3) * L + p3y))
+        g32 = 0.0 - w2 - ((r2x * u3y - r2y * u3x) * L + (q2 + v3) * m1 + w3)
+        g42, g44 = 0.0 - (v3 * m1 + w3), 0.0 - w3
         # a link at angle phi with moment M along its tangent feels the torque
-        # M (e(phi) x H); each staircase row sums the links it holds
-        Mx = (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3)
-        My = (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3)
-        # restoring spring load in the staircase torque rows; signs calibrated
-        # against the joint balance (tests: free springs relax, energy decays)
-        return load, (0.0, 0.0, 0.0, K * a2, -K * a3), Mx, My
+        # M (e(phi) x H); each staircase row sums the links it holds.  Spring
+        # signs calibrated against the joint balance (tests: free springs
+        # relax, energy decays)
+        if hx is None:
+            return ((g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
+                     g20, g21, g22, g23, g24, g30, g31, g32, 0.0, g34,
+                     g40, g41, g42, 0.0, g44),
+                    (0.0, 0.0, 0.0, K * a2, -K * a3),
+                    (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3),
+                    (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3))
+        # the torque rows of Mx Hx + My Hy - elastic, as the tuples give them
+        return _solve_drag(
+            g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
+            g20, g21, g22, g23, g24, g30, g31, g32, 0.0, g34,
+            g40, g41, g42, 0.0, g44,
+            hx * (M * (s1 + s2 + s3)) + hy * (-M * (c1 + c2 + c3)),
+            hx * (M * (s2 + s3)) + hy * (-M * (c2 + c3)) - K * a2,
+            hx * (M * s3) + hy * (-M * c3) - (-K * a3))
 
     return assemble
 
@@ -175,6 +184,7 @@ def _load_core(params: SwimmerParams,
     elastic, Mx, My)``, the tuples of ``-Mh qdot = Mx Hx + My Hy - elastic``
     that every evaluation of the dynamics assembles through: a ``partial``
     of the assembly, so a call enters it with no Python frame between.
+    Called with ``hx, hy`` after the angles, it is the RK4 rate.
     With ``complex_step`` the angles may be complex and the assembly is
     ``_assemble_complex``; no integrator or bracket path asks for it."""
     L, xi, eta = params.L, params.xi, params.eta
@@ -215,17 +225,16 @@ def _solve_poses(loads: Callable[..., tuple],
     return mh, np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
-def _solve_drag(g: Sequence, r2, r3, r4) -> tuple:
-    """``qdot`` with ``-Mh qdot = (0, 0, r2, r3, r4)``, ``g`` the drag loads
-    of :func:`_load_core`, by Gaussian elimination on Python floats (or
-    complex numbers, for the origin model's complex steps).  The x and y
-    columns go first, without a pivot, as the force block ``L sum D_i`` is
-    symmetric definite for positive xi and eta; then the 3x3 Schur
+def _solve_drag(g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
+                g20, g21, g22, g23, g24, g30, g31, g32, g33, g34,
+                g40, g41, g42, g43, g44, r2, r3, r4) -> tuple:
+    """``qdot`` with ``-Mh qdot = (0, 0, r2, r3, r4)``, ``g00 .. g44`` the
+    drag loads (``-Mh`` row-major), by Gaussian elimination on Python
+    floats (or complex numbers, for the origin model's complex steps).  The
+    x and y columns go first, without a pivot, as the force block ``L sum
+    D_i`` is symmetric definite for positive xi and eta; then the 3x3 Schur
     complement in the torque rows, by partial pivoting.  A zero pivot
     raises ``LinAlgError('Singular matrix')``."""
-    (g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
-     g20, g21, g22, g23, g24, g30, g31, g32, g33, g34,
-     g40, g41, g42, g43, g44) = g
     try:
         # x and y columns unpivoted: zero force loads leave r2-r4 as they are
         m = g10 / g00
@@ -269,17 +278,9 @@ def _solve_drag(g: Sequence, r2, r3, r4) -> tuple:
 
 
 def make_rate_function(params: SwimmerParams) -> Callable[..., tuple]:
-    """Bind the parameters into a fast ``(state, hx, hy) -> qdot`` closure,
-    the integrator hot path: one assembly and one :func:`_solve_drag` per
-    call on Python floats, under no numpy error state.  ``qdot`` is a tuple
-    of five floats; the state any sequence of five floats, a list fastest."""
-    loads = _load_core(params)
-
-    def rate(state: Sequence[float], hx: float, hy: float) -> tuple:
-        _, _, theta, a2, a3 = state
-        g, elastic, mx, my = loads(theta, a2, a3)
-        return _solve_drag(g, hx * mx[2] + hy * my[2],
-                           hx * mx[3] + hy * my[3] - elastic[3],
-                           hx * mx[4] + hy * my[4] - elastic[4])
-
-    return rate
+    """The integrator hot path ``(theta, alpha2, alpha3, hx, hy) -> qdot``,
+    ``qdot`` a tuple of five floats: the bound assembly of
+    :func:`_load_core` itself, one frame for the assembly and one for
+    :func:`_solve_drag` per call, on Python floats, under no numpy error
+    state.  The rates do not depend on ``x`` and ``y``, so it takes none."""
+    return _load_core(params)

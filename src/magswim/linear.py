@@ -80,7 +80,7 @@ def _complex_steps(params: SwimmerParams, poses: list
     angle rates to ``-(xdot, ydot)`` under zero net force."""
     loads = _load_core(params, complex_step=True)
     drag, elastic, mx, _ = zip(*(loads(*q) for q in poses))
-    rates = [_solve_drag(g, m[2], m[3] - e[3], m[4] - e[4])[2:]
+    rates = [_solve_drag(*g, m[2], m[3] - e[3], m[4] - e[4])[2:]
              for g, e, m in zip(drag, elastic, mx)]
     mh = _resistance(drag)
     return np.array(rates), np.linalg.solve(mh[:, :2, :2], mh[:, :2, 2:])
@@ -93,7 +93,7 @@ def _origin_derivatives(params: SwimmerParams
     Entry ``[j, k]`` of ``grad Gx`` is the derivative of ``Gx_k`` along
     shape coordinate ``j``, where ``xdot = Gx(q) . qdot``; ``Gx(0) = 0``
     by symmetry, so it carries the whole quadratic displacement.
-    ``b`` is one rate-closure call at the origin under ``(Hx, Hy) = (0,
+    ``b`` is one call of the rate at the origin under ``(Hx, Hy) = (0,
     1)``.  The theta column and row follow from the rotation rule:
     turning the swimmer by theta is turning the field by -theta, so
     ``A e1 = -b``, and ``(xdot, ydot)`` turn with the swimmer, so
@@ -102,7 +102,7 @@ def _origin_derivatives(params: SwimmerParams
     poses ``i h e_2`` and ``i h e_3`` (``_complex_steps``); the real part
     of the first gives ``Ah^-1 Bh`` at the origin to roundoff.
     """
-    b = np.array(make_rate_function(params)([0.0] * 5, 0.0, 1.0)[2:])
+    b = np.array(make_rate_function(params)(0.0, 0.0, 0.0, 0.0, 1.0)[2:])
     step = 1j * _COMPLEX_STEP
     rates, coupling = _complex_steps(params, [(0.0, step, 0.0),
                                               (0.0, 0.0, step)])
@@ -119,7 +119,7 @@ def _origin_derivatives(params: SwimmerParams
 def linearize_angles(params: SwimmerParams) -> LinearizedModel:
     """Exact ``A`` and ``b`` at the straight equilibrium, to roundoff.
 
-    ``b`` is one rate-closure call at the origin, ``A e1 = -b`` the
+    ``b`` is one call of the rate at the origin, ``A e1 = -b`` the
     rotation rule and the other two columns complex steps through the
     same assembly (``_origin_derivatives``, which ``displacement_model``
     reads); no step size enters.

@@ -140,7 +140,7 @@ class FieldProgram:
 
     def sample(self, t: float) -> tuple[float, float]:
         """``(Hx, Hy)`` at time ``t``.  The programs here compute on Python
-        floats, as the RK4 stages and the rate closure do."""
+        floats, as the RK4 stages and the rate do."""
         raise NotImplementedError
 
 

@@ -112,19 +112,17 @@ def _step(rate, field: FieldProgram, t: float, field_t: tuple, y: list,
     The stages are combined elementwise on Python floats in the order the
     array form ``y + h*k`` and ``y + (dt/6)*(k1 + 2*(k2 + k3) + k4)``
     evaluates them; IEEE ``+`` and ``*`` give the same bits either way, and
-    five floats cost less than five-element arrays.  The stage states keep
-    the step's ``x, y``: the rate reads only the angles."""
+    five floats cost less than five-element arrays.  Each stage passes the
+    rate its three angles and its field, five floats."""
     h = 0.5 * dt
     y0, y1, y2, y3, y4 = y
-    a0, a1, a2, a3, a4 = rate(y, *field_t)
+    a0, a1, a2, a3, a4 = rate(y2, y3, y4, *field_t)
     hx2, hy2 = field.sample(t + h)
-    b0, b1, b2, b3, b4 = rate(
-        [y0, y1, y2 + h * a2, y3 + h * a3, y4 + h * a4], hx2, hy2)
-    c0, c1, c2, c3, c4 = rate(
-        [y0, y1, y2 + h * b2, y3 + h * b3, y4 + h * b4], hx2, hy2)
+    b0, b1, b2, b3, b4 = rate(y2 + h * a2, y3 + h * a3, y4 + h * a4, hx2, hy2)
+    c0, c1, c2, c3, c4 = rate(y2 + h * b2, y3 + h * b3, y4 + h * b4, hx2, hy2)
     hx4, hy4 = field.sample(t + dt)
-    d0, d1, d2, d3, d4 = rate(
-        [y0, y1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4], hx4, hy4)
+    d0, d1, d2, d3, d4 = rate(y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
+                              hx4, hy4)
     s = dt / 6.0
     return [y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0),
             y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1),
@@ -139,9 +137,11 @@ def _advance(rate, field: FieldProgram, y, t0: float,
     step shortened to land on it; each step appends to the three lists
     ``record``, when given, its start field, its end time and end state.
 
-    The rate, the stages and the field programs compute on Python floats,
-    under no numpy error state; an exactly singular ``Mh`` ends the run by
-    the rate's ``LinAlgError('Singular matrix')``.
+    ``rate``, from :func:`make_rate_function`, is called four times a step
+    as ``rate(theta, alpha2, alpha3, hx, hy)``.  It, the stages and the
+    field programs compute on Python floats, under no numpy error state; an
+    exactly singular ``Mh`` ends the run by ``LinAlgError('Singular
+    matrix')``.
     """
     n_full, rem = _plan_steps(span, dt)
     y = np.asarray(y, dtype=float).tolist()

@@ -4,8 +4,10 @@
 from its angles: the independent oracle from which the quadrature check
 of ``test_dynamics`` takes its material points, knowing nothing of the
 moment integrals of the assembly.  ``velocity`` is the configuration
-velocity as one call of the rate closure, as an array; the closure solves
-on Python floats and needs no numpy error state.  ``resistance`` is ``Mh``
+velocity as one call of the rate, as an array; the rate solves on Python
+floats and needs no numpy error state.  ``two_call_rate`` is that rate as
+two calls, load tuples then elimination, which the one-call rate must
+match bit for bit.  ``resistance`` is ``Mh``
 at one pose as a 5x5 array.  ``complex_step_theta_column`` and
 ``central_difference_origin`` measure the derivatives at the straight state
 pose by pose through ``np.linalg.solve``, the first by a complex step along
@@ -23,7 +25,7 @@ import numpy as np
 
 from magswim import Configuration, SwimmerParams, make_rate_function
 from magswim.brackets import BASE_STEP
-from magswim.dynamics import _load_core, _resistance
+from magswim.dynamics import _load_core, _resistance, _solve_drag
 
 # the unit steps e_3, e_4 of the two joint angles on the full state
 ANGLE_UNITS = np.eye(5)[3:]
@@ -54,10 +56,25 @@ def with_neighbours(centres: np.ndarray) -> np.ndarray:
 def velocity(config: Configuration, h: tuple[float, float],
              params: SwimmerParams) -> np.ndarray:
     """Configuration velocity under the field ``h = (Hx, Hy)``: one call of
-    the rate closure, which solves on Python floats, so no numpy error
-    state is entered around it."""
-    return np.array(make_rate_function(params)(config.as_array().tolist(),
-                                               h[0], h[1]))
+    the rate on the configuration's angles, which solves on Python floats,
+    so no numpy error state is entered around it."""
+    return np.array(make_rate_function(params)(
+        *config.as_array().tolist()[2:], h[0], h[1]))
+
+
+def two_call_rate(params: SwimmerParams):
+    """The rate as two calls, the reference for the one-call rate of
+    ``make_rate_function``: the load tuples of ``_load_core``, then
+    ``_solve_drag`` of the drag loads and the torque rows of
+    ``Mx hx + My hy - elastic`` formed from the tuples."""
+    loads = _load_core(params)
+
+    def rate(theta, a2, a3, hx, hy):
+        g, elastic, mx, my = loads(theta, a2, a3)
+        return _solve_drag(*g, hx * mx[2] + hy * my[2],
+                           hx * mx[3] + hy * my[3] - elastic[3],
+                           hx * mx[4] + hy * my[4] - elastic[4])
+    return rate
 
 
 def resistance(params: SwimmerParams, pose) -> np.ndarray:

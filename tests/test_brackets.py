@@ -1,4 +1,5 @@
 """Control fields, Lie bracket words, and accessibility rank."""
+import dataclasses
 import hashlib
 import math
 import random
@@ -260,6 +261,14 @@ class TestEquilibriumIdentities:
         assert report.fy_norm == 0.0
         assert math.isnan(report.alignment_residual)
         assert type(report.alignment_residual) is float
+
+    def test_tiny_bracket_keeps_its_norm(self):
+        # [fx, fy] scales with M^2 by powers of two, exactly; at 2^-664
+        # its squares underflow, yet its norm is measured, not zero
+        tiny = dataclasses.replace(CANON, M=2.0 ** -332)
+        norm = equilibrium_identities(tiny, 0.3).bracket_norm
+        one = equilibrium_identities(CANON, 0.3).bracket_norm
+        assert norm == pytest.approx(2.0 ** -664 * one, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_theta(self, theta):

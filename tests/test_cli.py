@@ -661,6 +661,14 @@ class TestControllability:
             f"{float(moment)!r}): the field cannot steer this swimmer\n")
         assert not report.exists()
 
+    def test_tiny_moment_is_measured(self, tmp_path, capsys):
+        # [fx, fy] is of order 1e-200: its squares underflow, its norm
+        # does not, so each row is measured (rank 3, FAIL), not refused
+        path = write_config(tmp_path, "[params]\nM = 1e-100\n")
+        assert main(["controllability", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert out.count(" FAIL\n") == 5 and out.count("  rank 3 ") == 5
+
     def test_rank_is_read_once_for_every_theta(self, monkeypatch, capsys):
         # the rank is the same at every heading, so the five default
         # thetas share one body-frame lie_rank; the identities run per theta

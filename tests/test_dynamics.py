@@ -30,7 +30,7 @@ from magswim import (
 )
 from magswim.dynamics import _load_core, _resistance
 from magswim.simulate import integrate
-from oracles import resistance, segment_frames, velocity
+from oracles import resistance, segment_frames, two_call_rate, velocity
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -339,7 +339,7 @@ class TestRateFunction:
     def test_matches_public_rhs(self, theta, a2, a3, hx, hy):
         rate = make_rate_function(CANON)
         c = Configuration(0.2, -0.7, theta, a2, a3)
-        np.testing.assert_array_equal(rate(c.as_array(), hx, hy),
+        np.testing.assert_array_equal(rate(*c.as_array()[2:], hx, hy),
                                       velocity(c, (hx, hy), CANON))
 
 
@@ -532,7 +532,7 @@ class TestRawSolve:
         # a load near the subnormal range carries too few bits for any
         # relative bound, LAPACK's included
         assume(all(x == 0 or abs(x) > 1e-250 for x in load))
-        v = make_rate_function(params)(state, hx, hy)
+        v = make_rate_function(params)(*state[2:], hx, hy)
         assert all(type(x) is float for x in v)
         exact = _exact_solve(mh, load)
         scale = max(abs(x) for x in exact)
@@ -546,7 +546,7 @@ class TestRawSolve:
         # exact wherever the exact solution is zero; elsewhere within 1e-13
         # of it and of np.linalg.solve on the same Mh and load
         state = [0.0, -0.0, *SIGNED_POSES[pose]]
-        v = make_rate_function(UNIFORM)(state, hx, hy)
+        v = make_rate_function(UNIFORM)(*state[2:], hx, hy)
         mh, load = _load(UNIFORM, state, hx, hy)
         exact = _exact_solve(mh, load)
         lapack = np.linalg.solve(np.array(mh, dtype=float),
@@ -577,19 +577,18 @@ class TestRawSolve:
             return drag, elastic, Mx, My
         monkeypatch.setattr(magswim.dynamics, "_assemble", permuted)
         state = [0.0, 0.0, 0.3, 0.4, -0.25]
-        v = make_rate_function(CANON)(state, 1.0, 0.3)
+        v = two_call_rate(CANON)(*state[2:], 1.0, 0.3)
         exact = _exact_solve(*_load(CANON, state, 1.0, 0.3))
         assert max(abs(Fraction(x) - e) for x, e in zip(v, exact)) \
             <= 1e-13 * max(abs(x) for x in exact)
 
     def test_singular_matrix_raises(self, monkeypatch):
-        assemble = magswim.dynamics._assemble
+        solve = magswim.dynamics._solve_drag
 
         def singular(*args):
-            drag, elastic, Mx, My = assemble(*args)
             # the last row of Mh zeroed
-            return drag[:20] + (0.0,) * 5, elastic, Mx, My
-        monkeypatch.setattr(magswim.dynamics, "_assemble", singular)
+            return solve(*args[:20], *(0.0,) * 5, *args[25:])
+        monkeypatch.setattr(magswim.dynamics, "_solve_drag", singular)
         with pytest.raises(IntegrationError, match="Singular matrix"):
             integrate(CANON, Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
                       ConstantField(1.0, 0.2), t_final=0.1, dt=0.05)
@@ -599,11 +598,66 @@ class TestRawSolve:
     def test_runs_without_numpy(self, monkeypatch):
         rate = make_rate_function(CANON)
         state = [0.2, -0.7, 0.3, 0.4, -0.25]
-        before = rate(state, 0.8, -0.3)
+        before = rate(*state[2:], 0.8, -0.3)
 
         class Unreachable:
             def __getattr__(self, name):
                 raise AssertionError(f"numpy reached: {name}")
         monkeypatch.setattr(magswim.dynamics, "np", Unreachable())
-        assert rate(state, 0.8, -0.3) == before
-        assert make_rate_function(CANON)(state, 0.8, -0.3) == before
+        assert rate(*state[2:], 0.8, -0.3) == before
+        assert make_rate_function(CANON)(*state[2:], 0.8, -0.3) == before
+
+
+def _seeded_params(seed):
+    """A swimmer drawn from ``seed``, every link its own drag."""
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.3, 3.0, size=3)
+    return SwimmerParams(float(rng.uniform(0.3, 3.0)), tuple(xi.tolist()),
+                         tuple((xi * rng.uniform(1.0, 3.0, size=3)).tolist()),
+                         float(rng.uniform(0.0, 3.0)),
+                         float(rng.uniform(0.0, 3.0)))
+
+
+def _rate_hex(rate, *args):
+    """The bits of ``rate(*args)``, or the text of what it raised."""
+    try:
+        return [x.hex() for x in rate(*args)]
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+class TestOneCallRate:
+    """The rate of ``make_rate_function``, one assembly call that passes
+    its loads to the elimination, against the two-call reference (load
+    tuples, then ``_solve_drag``): bit for bit, signed zeros included."""
+
+    SWIMMERS = [CANON, UNIFORM,
+                dataclasses.replace(CANON, M=0.0),
+                dataclasses.replace(CANON, K=0.0),
+                dataclasses.replace(UNIFORM, M=0.0, K=0.0),
+                *(_seeded_params(seed) for seed in range(12))]
+    FIELDS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+              (1.0, 0.0), (0.0, -1.0), (1.0, 0.3), (-0.7, 1.9)]
+
+    @pytest.mark.parametrize("k", range(len(SWIMMERS)))
+    def test_matches_two_call_rate(self, k):
+        params = self.SWIMMERS[k]
+        rate, reference = make_rate_function(params), two_call_rate(params)
+        rng = np.random.default_rng(100 + k)
+        poses = [*SIGNED_POSES.values(),
+                 *(tuple(rng.uniform(-2.5, 2.5, size=3).tolist())
+                   for _ in range(8))]
+        for pose in poses:
+            for field in self.FIELDS:
+                got = _rate_hex(rate, *pose, *field)
+                assert isinstance(got, list)
+                assert got == _rate_hex(reference, *pose, *field), \
+                    (pose, field)
+
+    def test_singular_matrix_raises_the_same(self):
+        # subnormal drags leave a zero pivot in the elimination
+        params = SwimmerParams(1.0, (5e-324,) * 3, (5e-324,) * 3, 1.0, 1.0)
+        for pose in ((0.0, 0.0, 0.0), (0.3, 0.4, -0.25)):
+            got = _rate_hex(make_rate_function(params), *pose, 1.0, 0.3)
+            assert got == "LinAlgError('Singular matrix')"
+            assert got == _rate_hex(two_call_rate(params), *pose, 1.0, 0.3)

@@ -793,14 +793,15 @@ class TestFrozenOriginDigests:
         assert h.hexdigest() == self.DIGESTS[case]
 
     def test_three_assemblies_per_model(self, monkeypatch):
-        # one float assembly at the origin (the rate-closure call for b)
-        # and one complex assembly per joint angle
+        # one float assembly at the origin (the rate call for b) and one
+        # complex assembly per joint angle; the pose follows the 16 bound
+        # swimmer values, and the rate call adds the field after it
         calls = []
         for name in ("_assemble", "_assemble_complex"):
             real = getattr(magswim.dynamics, name)
 
             def counted(*args, name=name, real=real):
-                calls.append((name, args[-3:]))
+                calls.append((name, args[16:19]))
                 return real(*args)
             monkeypatch.setattr(magswim.dynamics, name, counted)
         displacement_model(CANON)

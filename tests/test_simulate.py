@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import magswim.simulate
 from magswim import (
     Configuration,
     ConstantField,
@@ -52,6 +53,27 @@ def digest(traj):
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("field", [
+        SinusoidalField(hx0=1.0, epsilon=0.3, omega=2.0),
+        TabulatedField([0.0, 1.0], [1.0, 0.5], [0.0, -0.4])])
+    def test_four_rate_calls_of_five_floats_per_step(self, monkeypatch,
+                                                     field):
+        # the benchmark counts the calls of what make_rate_function
+        # returns; every RK4 stage must go through it
+        make_rate = magswim.simulate.make_rate_function
+        calls = []
+
+        def counted(params):
+            rate = make_rate(params)
+
+            def traced(*args):
+                calls.append(tuple(type(x) for x in args))
+                return rate(*args)
+            return traced
+        monkeypatch.setattr(magswim.simulate, "make_rate_function", counted)
+        integrate(CANON, bent_start(), field, t_final=0.7, dt=0.1)
+        assert calls == [(float,) * 5] * (4 * 7)
+
     def test_lands_exactly_on_final_time(self):
         field = ConstantField(1.0, 0.0)
         traj = integrate(CANON, bent_start(), field, t_final=1.0, dt=0.3)
