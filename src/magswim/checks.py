@@ -38,8 +38,7 @@ from .model import (
     TabulatedField,
     apply_R_transform,
 )
-from .serialize import TRAJECTORY_COLUMNS
-from .simulate import integrate, symmetry_experiment
+from .simulate import TRAJECTORY_COLUMNS, integrate, symmetry_experiment
 
 __all__ = ["CheckResult", "ValidationReport", "run_validation"]
 

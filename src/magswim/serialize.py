@@ -18,10 +18,9 @@ from typing import Any
 import numpy as np
 
 from .errors import MagswimError
-from .simulate import Trajectory
+from .simulate import TRAJECTORY_COLUMNS, Trajectory
 
 __all__ = [
-    "TRAJECTORY_COLUMNS",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_trajectory_jsonl",
@@ -29,38 +28,31 @@ __all__ = [
     "write_json_report",
 ]
 
-TRAJECTORY_COLUMNS = ("t", "x", "y", "theta", "alpha2", "alpha3", "Hx", "Hy")
-
 JSONL_FORMAT = "magswim.trajectory"
 JSONL_VERSION = 1
 
-
-def _table(traj: Trajectory) -> np.ndarray:
-    """The samples as one float array, a row per sample in
-    ``TRAJECTORY_COLUMNS`` order: indexing numpy rows per sample is what
-    costs, so every writer converts the whole table at once."""
-    table = np.column_stack((traj.times, traj.states, traj.field_samples))
-    return table.astype(float, copy=False)
+# rows formatted per write: a block's floats and text are all a writer
+# holds beside the table, however long the run
+BLOCK_ROWS = 4096
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """The bytes ``csv.writer`` gives for cells of 17 significant digits,
-    CRLF line ends included, formatted by one ``%`` over the whole table
-    (``%.17g`` spells every float, ``-0``, ``nan`` and ``inf`` included, as
-    ``format(v, ".17g")`` does) and written as one block: no cell needs
-    quoting."""
-    table = _table(traj)
+    CRLF line ends included, formatted by one ``%`` over each block of the
+    table (``%.17g`` spells every float, ``-0``, ``nan`` and ``inf``
+    included, as ``format(v, ".17g")`` does): no cell needs quoting."""
     row = "%.17g," * (len(TRAJECTORY_COLUMNS) - 1) + "%.17g\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n"
-                 + row * len(table) % tuple(table.ravel().tolist()))
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        for start in range(0, len(traj), BLOCK_ROWS):
+            block = traj.table[start:start + BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _trajectory_from_rows(rows: list | np.ndarray) -> Trajectory:
-    """The samples of ``rows``, floats nested by row."""
-    data = np.asarray(rows, dtype=float).reshape(-1, len(TRAJECTORY_COLUMNS))
+def _trajectory_from_rows(rows: list) -> Trajectory:
+    """The samples of ``rows``, floats nested by row (no rows: 0 samples)."""
     return Trajectory(
-        times=data[:, 0], states=data[:, 1:6], field_samples=data[:, 6:8])
+        np.asarray(rows, dtype=float).reshape(-1, len(TRAJECTORY_COLUMNS)))
 
 
 # the text of a CSV cell or comma as written: printable ASCII but for the
@@ -94,7 +86,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     raises ``MagswimError`` naming the file and, for a row, its line."""
     table = _read_own_csv(path)
     if table is not None:
-        return _trajectory_from_rows(table)
+        return Trajectory(table)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,13 +128,13 @@ def write_trajectory_jsonl(traj: Trajectory, path: str | Path,
             raise MagswimError(
                 f"metadata keys collide with header: {sorted(overlap)}")
         header.update(metadata)
-    # one dumps call over every row: rows hold numbers only, so "], ["
-    # is exactly where one row ends and the next begins
-    body = json.dumps(_table(traj).tolist())[1:-1].replace("], [", "]\n[")
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        if body:
-            fh.write(body + "\n")
+        # one dumps call per block: rows hold numbers only, so "], [" is
+        # exactly where one row ends and the next begins
+        for start in range(0, len(traj), BLOCK_ROWS):
+            rows = traj.table[start:start + BLOCK_ROWS].tolist()
+            fh.write(json.dumps(rows)[1:-1].replace("], [", "]\n[") + "\n")
 
 
 def _row_error(row: Any) -> str | None:

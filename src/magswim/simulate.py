@@ -24,6 +24,7 @@ from .errors import IntegrationError
 from .model import Configuration, FieldProgram, SinusoidalField, SwimmerParams
 
 __all__ = [
+    "TRAJECTORY_COLUMNS",
     "Trajectory",
     "DisplacementReport",
     "SymmetryReport",
@@ -34,17 +35,31 @@ __all__ = [
 
 SHAPE_PERIODICITY_TOL = 1e-8
 
+TRAJECTORY_COLUMNS = ("t", "x", "y", "theta", "alpha2", "alpha3", "Hx", "Hy")
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: row k of ``states`` is the state at ``times[k]``."""
+    """Sampled solution as one float64 table, a row per sample in
+    ``TRAJECTORY_COLUMNS`` order: row k holds the time ``times[k]``, the
+    state ``states[k]`` and the field ``field_samples[k]``."""
 
-    times: np.ndarray
-    states: np.ndarray
-    field_samples: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        table = np.asarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(TRAJECTORY_COLUMNS):
+            raise ValueError(f"a trajectory table has shape (n, "
+                             f"{len(TRAJECTORY_COLUMNS)}), not {table.shape}")
+        object.__setattr__(self, "table", table)
+
+    # the columns, as views of the table
+    times = property(lambda self: self.table[:, 0])
+    states = property(lambda self: self.table[:, 1:6])
+    field_samples = property(lambda self: self.table[:, 6:])
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.table)
 
     def final(self) -> Configuration:
         return Configuration.from_array(self.states[-1])
@@ -132,10 +147,10 @@ def _step(rate, field: FieldProgram, t: float, field_t: tuple, y: list,
 
 
 def _advance(rate, field: FieldProgram, y, t0: float,
-             span: float, dt: float, record=None) -> np.ndarray:
+             span: float, dt: float, table=None) -> np.ndarray:
     """RK4 of the five-float state ``y`` from ``t0`` over ``span``, the last
-    step shortened to land on it; each step appends to the three lists
-    ``record``, when given, its start field, its end time and end state.
+    step shortened to land on it; step k writes its start ``(t, *y, hx,
+    hy)``, field included, into row k of ``table`` when given.
 
     ``rate``, from :func:`make_rate_function`, is called four times a step
     as ``rate(theta, alpha2, alpha3, hx, hy)``.  It, the stages and the
@@ -145,12 +160,12 @@ def _advance(rate, field: FieldProgram, y, t0: float,
     """
     n_full, rem = _plan_steps(span, dt)
     y = np.asarray(y, dtype=float).tolist()
-    if record is not None:
-        put_field, put_t, put_y = (rows.append for rows in record)
     t = t0
     try:
         for k in range(n_full + (rem > 0.0)):
             field_t = field.sample(t)
+            if table is not None:
+                table[k] = (t, *y, *field_t)
             if k < n_full:
                 y = _step(rate, field, t, field_t, y, dt)
                 t = t0 + (k + 1) * dt
@@ -160,10 +175,6 @@ def _advance(rate, field: FieldProgram, y, t0: float,
             if not all(map(math.isfinite, y)):
                 raise IntegrationError(
                     f"state became non-finite at t = {t:.6g}")
-            if record is not None:
-                put_field(field_t)
-                put_t(t)
-                put_y(y)
     except ValueError as exc:  # LinAlgError is a ValueError
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
@@ -189,22 +200,18 @@ def integrate(params: SwimmerParams, initial: Configuration,
     n_full, rem = _plan_steps(span, dt)
     n_rows = n_full + 1 + (1 if rem > 0.0 else 0)
     try:
-        times = np.empty(n_rows)
-        states = np.empty((n_rows, 5))
-        fields = np.empty((n_rows, 2))
+        table = np.empty((n_rows, len(TRAJECTORY_COLUMNS)))
     except MemoryError:
         raise ValueError(f"dt = {dt!r} is too small: the {n_rows} rows of "
                          f"the trajectory do not fit in memory") from None
-    y = initial.as_array().tolist()
-    fs, ts, ys = [], [t0], [y]
-    _advance(make_rate_function(params), field, y, t0, span, dt,
-             (fs, ts, ys))
+    y = _advance(make_rate_function(params), field, initial.as_array(), t0,
+                 span, dt, table)
     # row k is stamped t0 + k*dt and the last row t_final; that row's field
-    # is sampled at t_final after a shortened step, else at t0 + n_full*dt
-    fs.append(field.sample(t_final if rem > 0.0 else ts[-1]))
-    times[:], states[:], fields[:] = ts, ys, fs
-    times[-1] = t_final
-    return Trajectory(times=times, states=states, field_samples=fields)
+    # is sampled at t_final after a shortened step, else where the last
+    # full step ended (t0 when none was taken)
+    t_end = t_final if rem > 0.0 else t0 + n_full * dt if n_full else t0
+    table[-1] = (t_final, *y, *field.sample(t_end))
+    return Trajectory(table)
 
 
 def displacement_per_period(params: SwimmerParams, initial: Configuration,

@@ -919,9 +919,9 @@ TRANSCRIPT = {
 # dx2_star and sweep.csv by 9.1e-13; in validate every closed-form gap,
 # and the frozen CANON value, now the closed forms');
 # the displacement, linearize, simulate, sweep, symmetry and validate cases
-# by the rate closure's float elimination, which the origin model's complex
-# steps share (values by at most 5.3e-15 relative, trajectories by 4.9e-16
-# of each column's largest entry; quantities that are zero but for
+# by the rate's float elimination, `_solve_drag`, which the origin model's
+# complex steps share (values by at most 5.3e-15 relative, trajectories by
+# 4.9e-16 of each column's largest entry; quantities that are zero but for
 # rounding, such as symmetry's gaps, by at most 1.2e-16 absolute; validate's
 # Richardson order estimate, a ratio of differences, by 7.6e-11);
 # controllability_default and controllability_thetas by dropping the

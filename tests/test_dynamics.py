@@ -491,7 +491,7 @@ class TestStraightLineAssembly:
 
 
 def _load(params, state, hx, hy):
-    """``(Mh, load)`` of the rate closure at ``state`` as exact fractions:
+    """``(Mh, load)`` of the RK4 rate at ``state`` as exact fractions:
     its ``Mh`` and its load ``elastic - Mx hx - My hy`` as rounded to
     floats."""
     drag, elastic, mx, my = _load_core(params)(*state[2:])
@@ -517,9 +517,9 @@ def _exact_solve(mh, load):
 
 
 class TestRawSolve:
-    """The rate closure's raw solve: Gaussian elimination of its 5x5 load
-    on Python floats, the force block first, then the 3x3 Schur complement
-    with partial pivoting; no numpy call and no error state."""
+    """The rate's raw solve, ``_solve_drag``: Gaussian elimination of its
+    5x5 load on Python floats, the force block first, then the 3x3 Schur
+    complement with partial pivoting; no numpy call and no error state."""
 
     @given(theta=thetas, a2=angles, a3=angles, params=param_sets(),
            hx=st.sampled_from([0, 0.0, -0.0, 1.0]) | st.floats(-2, 2),

@@ -79,7 +79,7 @@ class TestLinearization:
 
     def test_outputs_are_frozen(self):
         # values of the rotation rule and the complex steps; since b and
-        # the complex-step rates are solved by the rate closure's
+        # the complex-step rates are solved by the rate's float
         # elimination, not LAPACK, b and A moved by at most 1.0e-15 and
         # 7.7e-16 of their largest entries, and grad Gx kept its bits
         lin = linearize_angles(CANON)
@@ -634,7 +634,7 @@ class TestFrozenSweepDigests:
     ``omega_star`` to 12 digits.  Against the central-difference model's
     outputs the grids moved by at most 8.1e-13 of their maximum,
     ``omega_star`` by 2.9e-13 and ``dx2_star`` by 7.7e-13 relative; since
-    ``b`` and the complex-step rates are solved by the rate closure's
+    ``b`` and the complex-step rates are solved by the rate's float
     elimination rather than LAPACK, by at most 7.6e-15, 1.9e-15 and
     7.4e-15."""
 
@@ -761,8 +761,8 @@ class TestFrozenOriginDigests:
     steps give them, sign bits included, also with links 2 and 3 unequal.
     ``b`` kept the bits of the central-difference route; ``A`` and
     ``grad Gx`` moved by at most 6.3e-13 and 6.8e-13 of their largest
-    entries.  With ``b`` and the complex-step rates solved by the rate
-    closure's elimination rather than LAPACK, ``A`` and ``b`` moved by at
+    entries.  With ``b`` and the complex-step rates solved by the rate's
+    float elimination rather than LAPACK, ``A`` and ``b`` moved by at
     most 2.6e-15 and 2.2e-15 of their largest entries; ``grad Gx`` kept
     its bits."""
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,26 +42,27 @@ def awkward_trajectory():
     states[1, 1] = -1e-310  # subnormal
     states[2, 2] = 2.0 / 3.0
     field = np.array([[1.0, 0.0]] * 4)
-    return Trajectory(times=times, states=states, field_samples=field)
+    return Trajectory(np.column_stack((times, states, field)))
 
 
 def non_finite_trajectory():
     # NaN and the infinities take json's NaN / Infinity spelling
-    return Trajectory(
-        times=np.array([0.0, -0.0, 1.5]),
-        states=np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320]] * 3),
-        field_samples=np.array([[np.inf, -0.0]] * 3))
+    return Trajectory(np.column_stack((
+        np.array([0.0, -0.0, 1.5]),
+        np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320]] * 3),
+        np.array([[np.inf, -0.0]] * 3))))
 
 
 def integer_trajectory():
     # integer arrays still write as floats: 1.0, never 1
-    return Trajectory(times=np.arange(3), states=np.arange(15).reshape(3, 5),
-                      field_samples=np.ones((3, 2), dtype=int))
+    return Trajectory(np.column_stack((
+        np.arange(3), np.arange(15).reshape(3, 5),
+        np.ones((3, 2), dtype=int))))
 
 
 # sha256 of the CSV and JSONL bytes, recorded when the writers indexed
 # numpy rows one sample at a time; kept by the one-% CSV table.  "short"
-# is re-recorded for the rate closure's float elimination, which moved its
+# is re-recorded for the rate's float elimination, which moved its
 # states by at most 3.5e-16 of their largest entry
 FROZEN_FILES = {
     "integer": (
@@ -91,6 +93,46 @@ def test_written_bytes_are_frozen(name, short_trajectory, tmp_path):
     assert digests == FROZEN_FILES[name]
 
 
+def long_trajectory(rows: int, seed: int = 7) -> Trajectory:
+    # 17-digit floats, the widest cells either writer spells
+    return Trajectory(np.random.default_rng(seed).standard_normal((rows, 8)))
+
+
+@pytest.mark.parametrize("rows", [serialize.BLOCK_ROWS - 1,
+                                  serialize.BLOCK_ROWS,
+                                  2 * serialize.BLOCK_ROWS + 3])
+def test_blocks_write_the_bytes_of_one_pass(rows, tmp_path):
+    # the writers format block by block; their bytes are those of one "%"
+    # and one json.dumps over the whole table
+    traj = long_trajectory(rows)
+    csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "t.jsonl"
+    write_trajectory_csv(traj, csv_path)
+    write_trajectory_jsonl(traj, jsonl_path)
+    row = "%.17g," * 7 + "%.17g\r\n"
+    assert csv_path.read_bytes() == (
+        ",".join(TRAJECTORY_COLUMNS) + "\r\n"
+        + row * rows % tuple(traj.table.ravel().tolist())).encode()
+    body = json.dumps(traj.table.tolist())[1:-1].replace("], [", "]\n[")
+    assert jsonl_path.read_text().split("\n", 1)[1] == body + "\n"
+
+
+@pytest.mark.parametrize("write", [write_trajectory_csv,
+                                   write_trajectory_jsonl])
+def test_writer_memory_does_not_grow_with_rows(write, tmp_path):
+    # a writer holds one block's floats and text beside the table, so its
+    # traced peak is the same for 5,001 rows and for 20,001
+    peaks = []
+    for rows in (5_001, 20_001):
+        traj = long_trajectory(rows)
+        tracemalloc.start()
+        try:
+            write(traj, tmp_path / "t")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 class TestCsv:
     def test_round_trip_is_bit_exact(self, short_trajectory, tmp_path):
         path = tmp_path / "traj.csv"
@@ -116,8 +158,7 @@ class TestCsv:
         assert first == ",".join(TRAJECTORY_COLUMNS)
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
-        empty = Trajectory(times=np.empty(0), states=np.empty((0, 5)),
-                           field_samples=np.empty((0, 2)))
+        empty = Trajectory(np.empty((0, 8)))
         path = tmp_path / "empty.csv"
         write_trajectory_csv(empty, path)
         assert path.read_text().splitlines() == [
@@ -280,7 +321,7 @@ class TestCsvFastPath:
         path = tmp_path / "t.csv"
         write_trajectory_csv(traj, path)
         table = serialize._read_own_csv(path)
-        assert table.tobytes() == serialize._table(traj).tobytes()
+        assert table.tobytes() == traj.table.tobytes()
 
     @pytest.mark.parametrize("body", [
         "", "\r\n", "\r\n0,0,0,0,0,0,1,0\r\n", "0,0,0,0,0,0,1,0",

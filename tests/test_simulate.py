@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from magswim import (
     TabulatedField,
 )
 from magswim.simulate import (
+    Trajectory,
     displacement_per_period,
     integrate,
     symmetry_experiment,
@@ -52,6 +54,24 @@ def digest(traj):
     return h.hexdigest()
 
 
+class TestTrajectory:
+    def test_table_is_float64_with_column_views(self):
+        # an integer table is recorded as floats, so it writes as 1.0
+        traj = Trajectory(np.arange(24).reshape(3, 8))
+        assert traj.table.dtype == np.float64
+        assert len(traj) == 3
+        assert traj.times.tolist() == [0.0, 8.0, 16.0]
+        assert traj.states.tolist()[1] == [9.0, 10.0, 11.0, 12.0, 13.0]
+        assert traj.field_samples.tolist()[2] == [22.0, 23.0]
+        for view in (traj.times, traj.states, traj.field_samples):
+            assert view.base is traj.table
+
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 9), (8,), (2, 8, 1)])
+    def test_rejects_a_table_not_of_eight_columns(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(n, 8\)"):
+            Trajectory(np.zeros(shape))
+
+
 class TestIntegrate:
     @pytest.mark.parametrize("field", [
         SinusoidalField(hx0=1.0, epsilon=0.3, omega=2.0),
@@ -73,6 +93,19 @@ class TestIntegrate:
         monkeypatch.setattr(magswim.simulate, "make_rate_function", counted)
         integrate(CANON, bent_start(), field, t_final=0.7, dt=0.1)
         assert calls == [(float,) * 5] * (4 * 7)
+
+    def test_memory_is_the_table(self):
+        # each step writes its row into the one preallocated table, so the
+        # traced peak is the table's 64 bytes a row and little else
+        tracemalloc.start()
+        try:
+            traj = integrate(CANON, bent_start(),
+                             SinusoidalField(1.0, 0.3, 2.0), 1.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 1_001
+        assert peak <= 1.25 * 64 * len(traj)
 
     def test_lands_exactly_on_final_time(self):
         field = ConstantField(1.0, 0.0)
@@ -119,6 +152,16 @@ class TestIntegrate:
         # three samples a step, the first shared with the row before it,
         # and one for the last row
         assert counting.calls == 3 * (n_full + shortened) + 1
+
+    @pytest.mark.parametrize("t_final", [-0.0, 0.0, 1e-12])
+    def test_no_step_samples_at_t0(self, t_final):
+        # a span too short for a step is one row, stamped t_final, whose
+        # field is sampled at t0 itself, signed zero included
+        field = SinusoidalField(hx0=1.0, epsilon=0.5, omega=2.0)
+        traj = integrate(CANON, bent_start(), field, t_final, 0.1, t0=-0.0)
+        assert traj.times.tolist() == [t_final]
+        assert [h.hex() for h in traj.field_samples[0].tolist()] == \
+            ["0x1.0000000000000p+0", "-0x0.0p+0"]
 
     def test_time_translation_with_constant_field(self):
         f = ConstantField(0.9, 0.2)
@@ -185,7 +228,7 @@ class TestIntegrate:
                 -0.05264112991384498], -0.15521366541766646),
     ])
     def test_outputs_are_frozen(self, dt, state, hy):
-        # values of the float elimination in the rate closure; against the
+        # values of the rate's float elimination; against the
         # LAPACK solve the final states moved by at most 3.2e-16 of their
         # largest entry, and they must not move by a single bit
         traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
@@ -197,7 +240,7 @@ class TestIntegrate:
 
     def test_tabulated_output_is_frozen(self):
         # 32 full steps from t0 = 0.6 and a shortened one; values of the
-        # float elimination in the rate closure (1.5e-16 of the largest
+        # rate's float elimination (1.5e-16 of the largest
         # entry from the LAPACK solve's)
         field = TabulatedField([0.5, 1.0, 2.0, 3.0], [1.0, 0.4, 1.3, 0.8],
                                [0.0, 0.9, -0.6, 0.2])
@@ -229,7 +272,7 @@ class TestIntegrate:
     ])
     def test_zero_and_integer_fields_are_frozen(self, start, field, t_final,
                                                 dt, rows, sha):
-        # digests of the float elimination in the rate closure; from the
+        # digests of the rate's float elimination; from the
         # LAPACK solve's, the states moved by at most 1.9e-16 of their
         # largest entry, and the zero run only in the signs of its zeros
         traj = integrate(CANON, start, field, t_final, dt)
@@ -289,7 +332,7 @@ class TestDisplacementPerPeriod:
 
     def test_outputs_are_frozen(self):
         # a one-period burn-in at T / 100 doubles twice before the shape
-        # settles; values of the float elimination in the rate closure
+        # settles; values of the rate's float elimination
         # (delta_x 1.6e-15 relative from the LAPACK solve's, the shape gap
         # 3.2e-19 absolute)
         rep = displacement_per_period(CANON, Configuration.straight(), 1e-2,
@@ -377,8 +420,8 @@ class TestSymmetryExperiment:
                        rep.max_abs_y) < 1e-14
 
     def test_report_is_frozen(self):
-        # one period at the default step; values of the float elimination
-        # in the rate closure (the three gaps are rounding, and moved by
+        # one period at the default step; values of the rate's float
+        # elimination (the three gaps are rounding, and moved by
         # at most 1.4e-17 absolute from the LAPACK solve's)
         field = SinusoidalField(hx0=1.0, epsilon=0.05, omega=1.3)
         rep = symmetry_experiment(
