@@ -11,20 +11,18 @@ brackets, and measures the rank of the span at a point.  That rank bounds
 the locally reachable set: directions outside the span cannot be
 generated by any field program.
 
-The fields ignore the position, and the heading enters only through a
-rotation of the plane and of the field, so a bracket's derivatives along
-x, y and theta are exact; only the joint angles alpha2 and alpha3 are
-differenced, centrally, on a stencil of poses built as Python floats and
-solved in one batch.  The same rotation leaves the singular values of
-the bracket span unchanged, so the rank is read in the body frame,
-theta = 0, and depends on (alpha2, alpha3) alone.
+The fields ignore the position and are solved in the body frame, theta =
+0, then turned to the heading (``_turned``): their derivatives along x,
+y and theta are exact, only alpha2 and alpha3 are differenced, on a
+stencil of Python-float poses solved in one batch, and the rank, which
+the turn leaves as it is, is read in the body frame.
 
 Two algebraic identities hold at the straight, bent-free states
 X = (x, y, theta, 0, 0):
 
-* alignment: fx + tan(theta) fy = 0, because the two coupling columns
-  are proportional there.  As a consequence the controls contribute a
-  single direction and motion needs brackets.
+* alignment: fx + tan(theta) fy = 0, the rotation of fx = 0 at theta =
+  0, where the straight links feel no torque from Hx.  So the controls
+  contribute a single direction and motion needs brackets.
 * the first bracket satisfies
   [fx, fy](X) = (M / cos theta) Mh^-1 S fy(X) with the constant stencil
   S v = (0, 0, 3 v3 + v4 + v5, 2 v3 + v5, v3 + v5) acting on the angle
@@ -36,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -86,14 +85,27 @@ class ControlSystem:
         return (self.f0, self.fx, self.fy)
 
 
+def _turn(c, s, a, b) -> tuple:
+    """The pair ``(a, b)`` turned by the angle of cosine c and sine s."""
+    return c * a - s * b, s * a + c * b
+
+
+def _turned(f: np.ndarray, theta) -> np.ndarray:
+    """The body-frame generators ``f`` (..., 3, 5) turned in place to the
+    headings ``theta`` (...) by the rule of ``dynamics``: ``f0 -> T f0``,
+    ``fx -> T (c fx - s fy)``, ``fy -> T (s fx + c fy)``."""
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    f[..., 1, :], f[..., 2, :] = _turn(c, s, f[..., 1, :], f[..., 2, :])
+    f[..., 0], f[..., 1] = _turn(c, s, f[..., 0], f[..., 1])
+    return f
+
+
 class _SharedSolve:
     """The ``_solve_poses`` solve of one system at the last state or stack
-    of states, so f0, fx and fy on one stack solve once.
-
-    The fields depend on the angles only, so the solve is keyed on the
-    shape and the bytes of ``x[..., 2:5]``: a float key would merge -0.0
-    with 0.0, whose outputs may differ in signed zeros.  Each field returns
-    a copy of its rows, so a caller cannot change what is held.
+    of states, so f0, fx and fy on one stack solve once.  It is keyed on
+    the shape and the bytes of ``x[..., 2:5]``, as a float key would merge
+    -0.0 with 0.0, whose outputs may differ in signed zeros.  Each field
+    returns a copy of its rows, so a caller cannot change what is held.
     """
 
     def __init__(self, params: SwimmerParams) -> None:
@@ -109,20 +121,19 @@ class _SharedSolve:
         if key != self._key:
             if not np.isfinite(angles).all():
                 raise ValueError("state angles must be finite")
-            self._fields = _solve_poses(
-                self._loads, angles.reshape(-1, 3).tolist())[1].reshape(
-                    x.shape[:-1] + (3, STATE_DIM))
+            poses = x[..., 3:5].reshape(-1, 2).tolist()
+            self._fields = _solve_poses(self._loads, poses)[1].reshape(
+                x.shape[:-1] + (3, STATE_DIM))
+            # a state at heading +0.0 (all of lie_rank's) keeps its bits
+            t = x[..., 2]
+            turn = (t != 0.0) | np.signbit(t)
+            if turn.any():
+                self._fields[turn] = _turned(self._fields[turn], t[turn])
             self._key = key
         return self._fields
 
-    def f0(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[..., 0, :].copy()
-
-    def fx(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[..., 1, :].copy()
-
-    def fy(self, x: np.ndarray) -> np.ndarray:
-        return self(x)[..., 2, :].copy()
+    def row(self, k: int, x: np.ndarray) -> np.ndarray:
+        return self(x)[..., k, :].copy()
 
 
 def control_vector_fields(params: SwimmerParams) -> ControlSystem:
@@ -136,33 +147,28 @@ def control_vector_fields(params: SwimmerParams) -> ControlSystem:
     ``ValueError``; the fields ignore the position.
     """
     solve = _SharedSolve(params)
-    return ControlSystem(f0=VectorField(solve.f0), fx=VectorField(solve.fx),
-                         fy=VectorField(solve.fy))
+    return ControlSystem(*(VectorField(partial(solve.row, k))
+                           for k in range(3)))
 
 
 # The rank and the identities difference the blocks C(x) = [f0 fx fy] at
 # every pose of a stencil at once; the frozen rank and identities digests
 # pin the bits of its poses, differences and products.  The poses are
 # Python floats; the differences and products stay on numpy and BLAS.
-#
-# The heading enters only through a rotation: with T(phi) turning (x, y)
-# and R(phi) the field, f0 and [fx, fy] at theta + phi are T f0 and
-# T [fx, fy], and the pair (fx, fy) is T [fx fy] R(phi)^T.  So every
-# theta-derivative is exact, and only the joint angles are differenced.
 
 
 def _stencil(centres: list, step: float) -> list:
-    """The (theta, alpha2, alpha3) ``centres``, then the poses ``c +- step
-    e_j`` around each c, in the order +e_3, -e_3, +e_4, -e_4.
+    """The (alpha2, alpha3) ``centres``, then the poses ``c +- step e_j``
+    around each c, in the order +e_3, -e_3, +e_4, -e_4.
 
     Each entry moves as under a full 5-vector step, by +-step or +-0.0;
     -0.0 + 0.0 is +0.0, so a -0.0 of c becomes +0.0 on the + side of the
-    other angle's difference.  The heading is never shifted.
+    other angle's difference.
     """
     return centres + [
-        pose for t, a2, a3 in centres for pose in (
-            (t + 0.0, a2 + step, a3 + 0.0), (t - 0.0, a2 - step, a3 - 0.0),
-            (t + 0.0, a2 + 0.0, a3 + step), (t - 0.0, a2 - 0.0, a3 - step))]
+        pose for a2, a3 in centres for pose in (
+            (a2 + step, a3 + 0.0), (a2 - step, a3 - 0.0),
+            (a2 + 0.0, a3 + step), (a2 - 0.0, a3 - step))]
 
 
 def _jacobians(rows: np.ndarray, plus: np.ndarray, minus: np.ndarray,
@@ -257,22 +263,26 @@ def equilibrium_identities(params: SwimmerParams,
     """Residuals of the alignment and bracket identities at the straight
     state ``(0, 0, theta, 0, 0)``.
 
-    The generators are solved on the ``BASE_STEP`` ``_stencil`` of
-    ``(theta, 0, 0)``, 5 poses assembled and solved in one batch, and only
-    fx and fy are differenced there: ``[fx, fy]`` has the bits of that
-    depth-2 word of ``lie_rank``.  Both identities carry ``tan theta`` or
-    ``1 / cos theta``, so a heading with ``|cos theta| < 0.05``, or one
-    that is not finite, raises ``ValueError``.
+    The generators are solved on the ``BASE_STEP`` ``_stencil`` of the
+    straight body pose ``(0, 0)``, 5 poses in one batch, so ``[fx, fy]``
+    is that depth-2 word of ``lie_rank``, bit for bit.  The norms are read
+    in the body frame, which ``T(theta)`` leaves as they are: there
+    ``[fx, fy]`` does not turn, fx and fy at ``theta`` are their pair
+    turned by ``_turn``, and the alignment reduces to ``fx = 0`` at
+    heading 0.  Both identities carry ``tan theta`` or ``1 / cos theta``,
+    so a heading with ``|cos theta| < 0.05``, or one that is not finite,
+    raises ``ValueError``.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     theta = float(theta)
-    if abs(np.cos(theta)) < 0.05:
+    c, s = np.cos(theta), np.sin(theta)
+    if abs(c) < 0.05:
         raise ValueError(
             "theta too close to a transverse pose; tan(theta) blows up")
     mh, fields = _solve_poses(_load_core(params),
-                              _stencil([(theta, 0.0, 0.0)], BASE_STEP))
-    _, fx_val, fy_val = fields[0]
+                              _stencil([(0.0, 0.0)], BASE_STEP))
+    fx_val, fy_val = _turn(c, s, fields[0, 1], fields[0, 2])
     fy_norm = _norm(fy_val)
     # a numpy scalar: at fy = 0 (M = 0) the residual is numpy's nan, warned
     alignment = np.float64(_norm(fx_val + np.tan(theta) * fy_val))
@@ -283,7 +293,7 @@ def equilibrium_identities(params: SwimmerParams,
     claimed = fy_val[2] * fy_val
     # the constant stencil S fy of the module docstring
     _, _, v3, v4, v5 = fy_val.tolist()
-    corrected = (params.M / np.cos(theta)) * np.linalg.solve(
+    corrected = (params.M / c) * np.linalg.solve(
         mh[0], np.array([0.0, 0.0, 3.0 * v3 + v4 + v5, 2.0 * v3 + v5,
                          v3 + v5]))
     return EquilibriumReport(
@@ -324,26 +334,19 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     depth 3 adds the nine once-nested words [s, w] with s a generator and
     w a depth-2 bracket, evaluated with the coarser nested step.
 
-    The rank is read in the body frame, at (0, 0, 0, alpha2, alpha3).  A
-    turn of the heading multiplies the matrix of words by the orthogonal
-    ``T(theta)`` on the left and mixes its columns orthogonally on the
-    right (fx with fy and [f0,fx] with [f0,fy] as pairs, the nine nested
-    words by the Kronecker product of those two), so its singular values
-    do not depend on theta, and the report is the same, bit for bit, at
-    every theta.  ``point`` is echoed as given.
+    The rank is read in the body frame, at (0, 0, 0, alpha2, alpha3): a
+    turn of the heading multiplies the matrix of words by ``T(theta)`` on
+    the left and by the field's turn on the right, both orthogonal, so the
+    report is the same, bit for bit, at every theta.  ``point`` is echoed
+    as given.
 
-    A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians; a
-    nested word is ``Dw s - Ds w`` with ``NESTED_STEP`` Jacobians, taken
-    once per generator and per depth-2 word.  Each Jacobian has zero x
-    and y columns, as the fields ignore the position, the exact theta
-    column of the rotation rule, and central differences over alpha2 and
-    alpha3; the words of a depth are one ``@`` over their stacked
-    products.  The stencil poses are Python floats from ``_stencil``: the
-    point, at depth 3 the four ``point +- NESTED_STEP e_j``, and the four
-    ``+- BASE_STEP e_k`` around each of those.  The fields of
-    ``control_vector_fields`` are evaluated on one (n, 5) array of these
-    poses, which assembles each pose once (1, 5 and 25 at depths 1, 2 and
-    3) and solves all of them in one batched call.
+    A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians, a
+    nested word ``Dw s - Ds w`` with ``NESTED_STEP`` ones, taken once per
+    generator and per depth-2 word (``_jacobians``); the words of a depth
+    are one ``@`` over their stacked products.  The stencil (``_stencil``)
+    holds the point, at depth 3 the four ``point +- NESTED_STEP e_j``, and
+    the four ``+- BASE_STEP e_k`` around each of those: 1, 5 or 25 poses,
+    each assembled once, all solved in one batch.
 
     A point whose words overflow (a joint angle near 1e300 loads the
     spring with as much) raises ``ValueError``.
@@ -360,12 +363,12 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
         raise ValueError("point must be finite")
     # the stencil, in the body frame: at depth 3, centres 1-4 are
     # point +- NESTED_STEP e_j, where the depth-2 words are differenced
-    centres = [(0.0, values[3], values[4])]
+    centres = [(values[3], values[4])]
     if depth == 3:
         centres = _stencil(centres, NESTED_STEP)
     poses = _stencil(centres, BASE_STEP) if depth >= 2 else centres
     states = np.zeros((len(poses), STATE_DIM))
-    states[:, 2:] = poses
+    states[:, 3:] = poses
     # the generators at every stencil state, each a stack of one solve
     fields = np.empty((len(poses), 3, STATE_DIM))
     for k, f in enumerate(control_vector_fields(params).generators()):

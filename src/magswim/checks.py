@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import EquilibriumReport, equilibrium_identities, lie_rank
+from .dynamics import _load_core
 from .linear import (
     _COMPLEX_STEP,
     _QuadraticModel,
-    _complex_steps,
     _dx2_quadrature,
     _dx2_terms,
     char_poly,
@@ -90,9 +90,10 @@ def _check_angle_matrix(model: _QuadraticModel) -> CheckResult:
 
 def _check_drive_column(model: _QuadraticModel) -> CheckResult:
     # the model sets A e1 = -b by the rotation rule; a complex step along
-    # theta measures the column itself
-    rates, _ = _complex_steps(CANON, [(1j * _COMPLEX_STEP, 0.0, 0.0)])
-    gap = float(np.max(np.abs(model.b + rates[0].imag / _COMPLEX_STEP)))
+    # theta through the rate's own rotation measures the column itself
+    rates = _load_core(CANON, complex_step=True, rate=True)(
+        1j * _COMPLEX_STEP, 0.0, 0.0, 1.0, 0.0)
+    gap = float(np.max(np.abs(model.b + np.imag(rates[2:]) / _COMPLEX_STEP)))
     return CheckResult("drive_column_is_minus_first_column", gap < 1e-7,
                        f"gap={gap!r} tol=1e-07")
 

@@ -140,15 +140,20 @@ def _echo(config: RunConfig, command: str) -> dict[str, Any]:
                        if {name, name.partition(".")[0]} & echoed]})
 
 
-def _require_unit_hx(config: RunConfig) -> None:
-    """The quadratic theory and ``displacement_per_period`` take ``Hx = 1``;
-    refuse a sinusoidal field that says otherwise rather than ignore it."""
+def _require_unit_hx(config: RunConfig) -> SinusoidalField:
+    """The run's sinusoidal field, which the quadratic theory and
+    ``displacement_per_period`` take with ``Hx = 1``; refuse any other."""
     field = config.field
-    if isinstance(field, SinusoidalField) and field.hx0 != 1.0:
+    if not isinstance(field, SinusoidalField):
+        raise ConfigError(
+            f"[field] kind = {field.kind}, but this command runs the "
+            f"sinusoidal drive; set [field] kind = sinusoidal")
+    if field.hx0 != 1.0:
         raise ConfigError(
             f"[field] hx0 = {field.hx0!r}, but this command assumes "
             f"hx0 = 1; fold it into the parameters instead (M * hx0 and "
             f"epsilon / hx0 give the same dynamics)")
+    return field
 
 
 # a command's results (what a --json report holds) and its exit code
@@ -217,11 +222,7 @@ DISPLACEMENT = ("epsilon {epsilon!r} omega {omega!r}", "delta_x {delta_x!r}",
 
 
 def cmd_displacement(config: RunConfig, args: Namespace) -> Outcome:
-    _require_unit_hx(config)
-    field = config.field
-    if not isinstance(field, SinusoidalField):
-        raise ConfigError("displacement needs a sinusoidal drive; set "
-                          "[field] kind = sinusoidal")
+    field = _require_unit_hx(config)
     report = displacement_per_period(
         config.params, config.initial, epsilon=field.epsilon,
         omega=field.omega, burn_in_periods=config.burn_in_periods,
@@ -404,7 +405,7 @@ def build_parser() -> ArgumentParser:
 
     p = add("controllability", cmd_controllability,
             "bracket identities and accessibility rank at straight states")
-    p.add_argument("--theta", type=float, nargs="*", default=None)
+    p.add_argument("--theta", type=float, nargs="+", default=None)
 
     # validate runs fixed inputs and reads no configuration
     p = sub.add_parser("validate",

@@ -25,10 +25,13 @@ the drift-affine control system
     Mh qdot = elastic(q) - Mx(q) Hx - My(q) Hy
     qdot = f0(q) + fx(q) Hx + fy(q) Hy.
 
-Every evaluation assembles through ``_load_core``.  Called with the field,
-that is the RK4 rate, solved by ``_solve_drag`` on Python floats; without
-it, ``_solve_poses`` solves f0, fx and fy from its load tuples for the
-bracket layer: one table, one conversion, one solve.
+Turning the swimmer and the field together turns its motion,
+``qdot(theta, alpha, H) = T(theta) qdot(0, alpha, R(-theta) H)`` with ``T``
+turning ``(x, y)`` and ``R`` the field, so ``_load_core`` assembles in the
+body frame, heading 0, from the joint angles alone.  Its rate form turns
+the field in and ``(xdot, ydot)`` back out around one ``_solve_drag`` on
+Python floats; its load form feeds ``_solve_poses``, which solves f0, fx
+and fy at heading 0 for the bracket layer in one batch.
 """
 from __future__ import annotations
 
@@ -47,81 +50,71 @@ __all__ = ["make_rate_function"]
 
 
 def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
-    """The straight-line assembly of (drag, elastic, Mx, My) at a
-    configuration, over the trigonometric functions ``cos`` and ``sin``:
-    tuples of the 25 drag loads, ``-Mh`` row-major, and of the five rows of
-    the spring load, Mx and My.  The per-swimmer values lead the arguments
-    (``L``, ``L/2``, the moments ``L^2/2``, ``L^3/3``, ``L^3/12``, then
-    ``xi_i``, ``eta_i``, ``xi_i - eta_i``, ``M`` and ``K``), so
-    :func:`_load_core` binds them once; the angles come next.  Given the
-    field ``hx, hy`` last, it returns ``qdot``: :func:`_solve_drag` of its
-    loads and of the torque rows of ``Mx hx + My hy - elastic``.
+    """The straight-line assembly of (drag, elastic, Mx, My) in the body
+    frame over ``cos`` and ``sin``: tuples of the 25 drag loads, ``-Mh``
+    row-major, and of the five rows of the spring load, Mx and My.  The
+    per-swimmer values lead the arguments (``L``, ``L/2``, ``L^2/2``,
+    ``L^3/3``, the middle link's ``eta_2 L^3/12``, ``xi_i``, ``eta_i``, the
+    outer links' ``xi_i - eta_i``, ``M``, ``K``) and :func:`_load_core`
+    binds them; then come the heading, read by the field branch alone, and
+    the joint angles.  Given the field ``hx, hy`` last, it turns the field
+    into the body frame, solves the torque rows of ``Mx hx + My hy -
+    elastic`` by :func:`_solve_drag`, and turns ``(xdot, ydot)`` back.
 
-    Mh is independent of (x, y), so the geometry is built with the middle
-    link centered at the origin: ``A3 = -A2 = (L/2) e2`` and
-    ``A1 = A2 - L e1``.  Link i runs from its start point along ``e_i``
-    over a parameter interval with moments ``m0, m1, m2`` (``L, L^2/2,
-    L^3/3`` for the outer links on ``[0, L]``; ``L, 0, L^3/12`` for the
-    middle one on ``[-L/2, L/2]``).  Under a unit rate its velocity is
-    ``v(p) = V0 + W p``, and with the drag tensor
-    ``D = xi e e^T + eta n n^T`` it loads the force rows with
-    ``-D (V0 m0 + W m1)`` and the torque row about a chain point with
+    The middle link lies along the x axis, centred at the origin: ``A3 =
+    -A2 = (L/2, 0)`` and ``A1 = A2 - L e1``.  Link i runs from its start
+    along ``e_i`` over a parameter interval with moments ``m0, m1, m2``
+    (``L, L^2/2, L^3/3`` on ``[0, L]``; ``L, 0, L^3/12`` for the middle
+    link on ``[-L/2, L/2]``).  Under a unit rate its velocity is ``V0 + W
+    p``, and its drag ``D = xi e e^T + eta n n^T`` loads the force rows
+    with ``-D (V0 m0 + W m1)`` and the torque row about a chain point with
     ``-[(r x D V0) m0 + (r x D W + e x D V0) m1 + (e x D W) m2]``, ``r``
     running from that point to the link's start.
 
-    Each drag tensor, lever arm and cross product is computed once, and
-    only the terms that the unit rates leave non-zero are kept; dropping
-    an exact zero from a sum moves no bit of a non-zero result.  Each
-    load is summed link by link from +0.0, so a load that cancels to zero
-    is +0.0 whatever the signs of its terms' zeros, and the entry of
-    ``Mh``, its negation, is -0.0.  The float instance ``_assemble`` sits
-    inside the RK4 hot loop, hence plain arithmetic and no array.  The
-    same source over ``cmath`` is ``_assemble_complex``: every step is
-    analytic, so at ``q + i h e`` its imaginary parts over ``h`` are the
-    derivatives along ``e`` to roundoff (a complex step)."""
+    Each term is computed once, and only those the unit rates leave
+    non-zero are kept; dropping an exact zero moves no bit of a non-zero
+    sum.  Each load is summed from +0.0, so one that cancels is +0.0 and
+    its ``Mh`` entry -0.0.  ``_assemble``, the float instance, sits in the
+    RK4 hot loop, hence plain arithmetic; the same source over ``cmath``,
+    ``_assemble_complex``, is analytic, so at ``q + i h e`` its imaginary
+    parts over ``h`` are the derivatives along ``e`` (a complex step)."""
 
-    def assemble(L, half, m1, m2, m2c, xi1, xi2, xi3, eta1, eta2, eta3,
-                 d1, d2, d3, M, K, theta, a2, a3, hx=None, hy=None):
-        th1 = theta + a2
-        th3 = theta + a3
+    def assemble(L, half, m1, m2, w2, xi1, xi2, xi3, eta1, eta2, eta3,
+                 d1, d3, M, K, theta, a2, a3, hx=None, hy=None):
+        # the link angles at heading +0.0: a -0.0 joint angle reads +0.0
+        th1 = 0.0 + a2
+        th3 = 0.0 + a3
         c1, s1 = cos(th1), sin(th1)
-        c2, s2 = cos(theta), sin(theta)
         c3, s3 = cos(th3), sin(th3)
-        # drag tensors [[X, Y], [Y, Z]]
+        # drag tensors [[X, Y], [Y, Z]]; the middle link's is (xi2, 0, eta2)
         X1 = xi1 * c1 * c1 + eta1 * s1 * s1
         Y1 = d1 * c1 * s1
         Z1 = xi1 * s1 * s1 + eta1 * c1 * c1
-        X2 = xi2 * c2 * c2 + eta2 * s2 * s2
-        Y2 = d2 * c2 * s2
-        Z2 = xi2 * s2 * s2 + eta2 * c2 * c2
         X3 = xi3 * c3 * c3 + eta3 * s3 * s3
         Y3 = d3 * c3 * s3
         Z3 = xi3 * s3 * s3 + eta3 * c3 * c3
         Lc1, Ls1 = L * c1, L * s1
-        A3x, A3y = half * c2, half * s2
-        A1x, A1y = -A3x - Lc1, -A3y - Ls1
-        # lever arms to link 3's start A3 from A1 and from A2
-        r1x, r1y = A3x - A1x, A3y - A1y
-        r2x, r2y = A3x + A3x, A3y + A3y
+        # A3 = (half, 0) and A1 = -A3 - L e1
+        A1x, A1y = -half - Lc1, -Ls1
+        # lever arms to link 3's start A3 from A1, and (L, 0) from A2
+        r1x, r1y = half - A1x, 0.0 - A1y
         # k = D n, the drag of a unit normal velocity; its components are
         # also e x D (1, 0) and e x D (0, 1), the torque arms of the unit
         # translations
         k1x, k1y = c1 * Y1 - s1 * X1, c1 * Z1 - s1 * Y1
-        k2x, k2y = c2 * Y2 - s2 * X2, c2 * Z2 - s2 * Y2
         k3x, k3y = c3 * Y3 - s3 * X3, c3 * Z3 - s3 * Y3
         # k times the first moment, shared by the force and torque rows
         p1x, p1y, p3x, p3y = k1x * m1, k1y * m1, k3x * m1, k3y * m1
-        # e x D n, times the second moment
+        # e x D n, times the second moment (w2 = eta2 L^3 / 12)
         w1 = (c1 * k1y - s1 * k1x) * m2
-        w2 = (c2 * k2y - s2 * k2x) * m2c
         w3 = (c3 * k3y - s3 * k3x) * m2
         # r x D n of link 3 about A1 and about A2
         q1 = r1x * k3y - r1y * k3x
-        q2 = r2x * k3y - r2y * k3x
+        q2 = L * k3y
         # unit theta rate: links 1 and 3 start at A1 and A3, moving with
-        # V0 = (-A1y, A1x) and (-A3y, A3x); W = n for every link
+        # V0 = (-A1y, A1x) and (0, half); W = n for every link
         u1x, u1y = Y1 * A1x - X1 * A1y, Z1 * A1x - Y1 * A1y
-        u3x, u3y = Y3 * A3x - X3 * A3y, Z3 * A3x - Y3 * A3y
+        u3x, u3y = Y3 * half, Z3 * half
         v1 = c1 * u1y - s1 * u1x
         v3 = c3 * u3y - s3 * u3x
         # unit alpha2 rate: link 1 alone, V0 = -L n1
@@ -129,47 +122,52 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         # the 25 loads of -Mh, gRC for row R and column C; rows force x,
         # force y, torques about A1, A2, A3; columns the unit rates of x, y,
         # theta, alpha2, alpha3
-        g00 = 0.0 - X1 * L - X2 * L - X3 * L
-        g01 = g10 = 0.0 - Y1 * L - Y2 * L - Y3 * L
+        g00 = 0.0 - X1 * L - xi2 * L - X3 * L
+        g01 = g10 = 0.0 - Y1 * L - Y3 * L
         g02 = 0.0 - (u1x * L + p1x) - (u3x * L + p3x)
         g03, g13 = 0.0 - (g1x * L + p1x), 0.0 - (g1y * L + p1y)
         g04 = g40 = 0.0 - p3x
-        g11 = 0.0 - Z1 * L - Z2 * L - Z3 * L
+        g11 = 0.0 - Z1 * L - eta2 * L - Z3 * L
         g12 = 0.0 - (u1y * L + p1y) - (u3y * L + p3y)
         g14 = g41 = 0.0 - p3y
-        g20 = (0.0 - p1x - (A1y * X2 - A1x * Y2) * L
+        g20 = (0.0 - p1x - A1y * xi2 * L
                - ((r1x * Y3 - r1y * X3) * L + p3x))
-        g21 = (0.0 - p1y - (A1y * Y2 - A1x * Z2) * L
+        g21 = (0.0 - p1y + A1x * eta2 * L
                - ((r1x * Z3 - r1y * Y3) * L + p3y))
         g22 = (0.0 - (v1 * m1 + w1) - w2
                - ((r1x * u3y - r1y * u3x) * L + (q1 + v3) * m1 + w3))
         g23 = 0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1)
         g24, g34 = 0.0 - (q1 * m1 + w3), 0.0 - (q2 * m1 + w3)
-        g30 = (0.0 - (A3x * Y2 - A3y * X2) * L
-               - ((r2x * Y3 - r2y * X3) * L + p3x))
-        g31 = (0.0 - (A3x * Z2 - A3y * Y2) * L
-               - ((r2x * Z3 - r2y * Y3) * L + p3y))
-        g32 = 0.0 - w2 - ((r2x * u3y - r2y * u3x) * L + (q2 + v3) * m1 + w3)
+        g30 = 0.0 - (L * Y3 * L + p3x)
+        g31 = 0.0 - half * eta2 * L - (L * Z3 * L + p3y)
+        g32 = 0.0 - w2 - (L * u3y * L + (q2 + v3) * m1 + w3)
         g42, g44 = 0.0 - (v3 * m1 + w3), 0.0 - w3
         # a link at angle phi with moment M along its tangent feels the torque
-        # M (e(phi) x H); each staircase row sums the links it holds.  Spring
-        # signs calibrated against the joint balance (tests: free springs
-        # relax, energy decays)
+        # M (e(phi) x H); each staircase row sums the links it holds, the
+        # middle one with sin 0 = +0.0 and cos 0 = 1.0.  Spring signs
+        # calibrated against the joint balance (tests: free springs relax,
+        # energy decays)
         if hx is None:
             return ((g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
                      g20, g21, g22, g23, g24, g30, g31, g32, 0.0, g34,
                      g40, g41, g42, 0.0, g44),
                     (0.0, 0.0, 0.0, K * a2, -K * a3),
-                    (0.0, 0.0, M * (s1 + s2 + s3), M * (s2 + s3), M * s3),
-                    (0.0, 0.0, -M * (c1 + c2 + c3), -M * (c2 + c3), -M * c3))
-        # the torque rows of Mx Hx + My Hy - elastic, as the tuples give them
-        return _solve_drag(
+                    (0.0, 0.0, M * (s1 + 0.0 + s3), M * (0.0 + s3), M * s3),
+                    (0.0, 0.0, -M * (c1 + 1.0 + c3), -M * (1.0 + c3),
+                     -M * c3))
+        # the field in the body frame, R(-theta) H; the torque rows of
+        # Mx Hx + My Hy - elastic there, as the tuples give them; and the
+        # translation rates turned back by theta
+        c, s = cos(theta), sin(theta)
+        hx, hy = c * hx + s * hy, c * hy - s * hx
+        dx, dy, dth, da2, da3 = _solve_drag(
             g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
             g20, g21, g22, g23, g24, g30, g31, g32, 0.0, g34,
             g40, g41, g42, 0.0, g44,
-            hx * (M * (s1 + s2 + s3)) + hy * (-M * (c1 + c2 + c3)),
-            hx * (M * (s2 + s3)) + hy * (-M * (c2 + c3)) - K * a2,
+            hx * (M * (s1 + 0.0 + s3)) + hy * (-M * (c1 + 1.0 + c3)),
+            hx * (M * (0.0 + s3)) + hy * (-M * (1.0 + c3)) - K * a2,
             hx * (M * s3) + hy * (-M * c3) - (-K * a3))
+        return c * dx - s * dy, s * dx + c * dy, dth, da2, da3
 
     return assemble
 
@@ -178,21 +176,21 @@ _assemble = _assembler(math.cos, math.sin)
 _assemble_complex = _assembler(cmath.cos, cmath.sin)
 
 
-def _load_core(params: SwimmerParams,
-               complex_step: bool = False) -> Callable[..., tuple]:
-    """Bind the parameters into ``(theta, alpha2, alpha3) -> (drag,
-    elastic, Mx, My)``, the tuples of ``-Mh qdot = Mx Hx + My Hy - elastic``
-    that every evaluation of the dynamics assembles through: a ``partial``
-    of the assembly, so a call enters it with no Python frame between.
-    Called with ``hx, hy`` after the angles, it is the RK4 rate.
-    With ``complex_step`` the angles may be complex and the assembly is
-    ``_assemble_complex``; no integrator or bracket path asks for it."""
+def _load_core(params: SwimmerParams, complex_step: bool = False,
+               rate: bool = False) -> Callable[..., tuple]:
+    """Bind the parameters into ``(alpha2, alpha3) -> (drag, elastic, Mx,
+    My)``, the body-frame tuples of ``-Mh qdot = Mx Hx + My Hy - elastic``:
+    a ``partial`` of the assembly, so a call enters it with no frame
+    between.  With ``rate`` it takes ``(theta, alpha2, alpha3, hx, hy)``,
+    the RK4 rate; with ``complex_step`` the arguments may be complex
+    (``_assemble_complex``), which no integrator or bracket path asks."""
     L, xi, eta = params.L, params.xi, params.eta
     half = 0.5 * L
-    return partial(_assemble_complex if complex_step else _assemble,
-                   L, half, 0.5 * (L * L), L ** 3 / 3.0,
-                   (half ** 3 - (-half) ** 3) / 3.0, *xi, *eta,
-                   *(x - e for x, e in zip(xi, eta)), params.M, params.K)
+    bound = partial(_assemble_complex if complex_step else _assemble,
+                    L, half, 0.5 * (L * L), L ** 3 / 3.0,
+                    eta[1] * ((half ** 3 - (-half) ** 3) / 3.0), *xi, *eta,
+                    xi[0] - eta[0], xi[2] - eta[2], params.M, params.K)
+    return bound if rate else partial(bound, None)
 
 
 def _resistance(drag: Sequence) -> np.ndarray:
@@ -202,7 +200,7 @@ def _resistance(drag: Sequence) -> np.ndarray:
 
 def _solve_poses(loads: Callable[..., tuple],
                  poses: list) -> tuple[np.ndarray, np.ndarray]:
-    """``(Mh, F)`` for ``poses``, n angle triples, and ``loads`` from
+    """``(Mh, F)`` for ``poses``, n joint-angle pairs, and ``loads`` from
     :func:`_load_core`: ``Mh[i]`` is the matrix of ``poses[i]``, and
     ``F[i]`` (3, 5) holds f0, fx, fy there as contiguous rows.  Each pose
     is assembled as often as it recurs, its 40 loads (drag, elastic, Mx,
@@ -280,7 +278,8 @@ def _solve_drag(g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
 def make_rate_function(params: SwimmerParams) -> Callable[..., tuple]:
     """The integrator hot path ``(theta, alpha2, alpha3, hx, hy) -> qdot``,
     ``qdot`` a tuple of five floats: the bound assembly of
-    :func:`_load_core` itself, one frame for the assembly and one for
-    :func:`_solve_drag` per call, on Python floats, under no numpy error
-    state.  The rates do not depend on ``x`` and ``y``, so it takes none."""
-    return _load_core(params)
+    :func:`_load_core` itself, which turns the field in and the rates out,
+    one frame for the assembly and one for :func:`_solve_drag` per call, on
+    Python floats, under no numpy error state.  The rates do not depend on
+    ``x`` and ``y``, so it takes none."""
+    return _load_core(params, rate=True)

@@ -73,11 +73,11 @@ def _require_head_asymmetric(params: SwimmerParams) -> None:
 
 def _complex_steps(params: SwimmerParams, poses: list
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The complex poses ``poses`` (angle triples), assembled once each by
-    ``_assemble_complex``: shape rates under ``(Hx, Hy) = (1, 0)`` (n, 3)
-    by ``b``'s solve, ``_solve_drag``, whose rounding ``A`` must share with
-    ``-b``, and ``Ah^-1 Bh`` (n, 2, 3) in one batch, whose rows map the
-    angle rates to ``-(xdot, ydot)`` under zero net force."""
+    """The complex joint-angle pairs ``poses``, assembled once each in the
+    body frame by ``_assemble_complex``: shape rates under ``(Hx, Hy) = (1,
+    0)`` (n, 3) by ``b``'s solve, ``_solve_drag``, whose rounding ``A``
+    must share with ``-b``, and ``Ah^-1 Bh`` (n, 2, 3) in one batch, whose
+    rows map the angle rates to ``-(xdot, ydot)`` under zero net force."""
     loads = _load_core(params, complex_step=True)
     drag, elastic, mx, _ = zip(*(loads(*q) for q in poses))
     rates = [_solve_drag(*g, m[2], m[3] - e[3], m[4] - e[4])[2:]
@@ -92,20 +92,17 @@ def _origin_derivatives(params: SwimmerParams
 
     Entry ``[j, k]`` of ``grad Gx`` is the derivative of ``Gx_k`` along
     shape coordinate ``j``, where ``xdot = Gx(q) . qdot``; ``Gx(0) = 0``
-    by symmetry, so it carries the whole quadratic displacement.
-    ``b`` is one call of the rate at the origin under ``(Hx, Hy) = (0,
-    1)``.  The theta column and row follow from the rotation rule:
-    turning the swimmer by theta is turning the field by -theta, so
-    ``A e1 = -b``, and ``(xdot, ydot)`` turn with the swimmer, so
-    ``d Gx / d theta = -Gy``, the y-row of ``Ah^-1 Bh`` at the origin.
-    The alpha2 and alpha3 columns are ``Im(.) / h`` of the complex-step
-    poses ``i h e_2`` and ``i h e_3`` (``_complex_steps``); the real part
-    of the first gives ``Ah^-1 Bh`` at the origin to roundoff.
+    by symmetry, so it carries the whole quadratic displacement.  ``b`` is
+    one rate call at the origin under ``(Hx, Hy) = (0, 1)``.  The rate's
+    rotation rule (``dynamics``) gives the theta column and row: ``A e1 =
+    -b`` and ``d Gx / d theta = -Gy``, the y-row of ``Ah^-1 Bh``.  The
+    alpha2 and alpha3 ones are ``Im(.) / h`` at the joint angles ``(i h,
+    0)`` and ``(0, i h)`` (``_complex_steps``), whose first real part is
+    ``Ah^-1 Bh`` at the origin to roundoff.
     """
     b = np.array(make_rate_function(params)(0.0, 0.0, 0.0, 0.0, 1.0)[2:])
     step = 1j * _COMPLEX_STEP
-    rates, coupling = _complex_steps(params, [(0.0, step, 0.0),
-                                              (0.0, 0.0, step)])
+    rates, coupling = _complex_steps(params, [(step, 0.0), (0.0, step)])
     a = np.empty((3, 3))
     a[:, 0] = -b
     a[:, 1:] = rates.imag.T / _COMPLEX_STEP
@@ -119,10 +116,8 @@ def _origin_derivatives(params: SwimmerParams
 def linearize_angles(params: SwimmerParams) -> LinearizedModel:
     """Exact ``A`` and ``b`` at the straight equilibrium, to roundoff.
 
-    ``b`` is one call of the rate at the origin, ``A e1 = -b`` the
-    rotation rule and the other two columns complex steps through the
-    same assembly (``_origin_derivatives``, which ``displacement_model``
-    reads); no step size enters.
+    ``b`` is one rate call at the origin, ``A e1 = -b`` the rotation rule
+    and the other two columns complex steps (``_origin_derivatives``).
     """
     a, b, _ = _origin_derivatives(params)
     return LinearizedModel(a=a, b=b)

@@ -27,7 +27,6 @@ import pytest
 from magswim import Configuration, SwimmerParams, TabulatedField
 from magswim.brackets import equilibrium_identities, lie_rank
 from magswim.checks import run_validation
-from magswim.dynamics import _load_core, _resistance
 from magswim.linear import (
     _dx2_quadrature,
     _dx2_terms,
@@ -49,6 +48,7 @@ from magswim.simulate import (
     integrate,
     symmetry_experiment,
 )
+from oracles import resistance
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -116,10 +116,8 @@ def test_criterion_03_coupling_gradients(param_sets):
         worst_x = max(worst_x,
                       float(np.max(np.abs(numeric - closed)) / scale))
 
-        loads = _load_core(params)
-
         def gy_row(q):
-            mh = _resistance(loads(*q)[0])[0]
+            mh = resistance(params, q)
             return -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[1, :]
 
         for j in range(3):

@@ -23,7 +23,7 @@ from magswim.brackets import (
     lie_rank,
 )
 from magswim.dynamics import _load_core, _solve_poses
-from oracles import (resistance, shifted, solve_poses, velocity,
+from oracles import (loop_assemble, shifted, solve_poses, velocity,
                      with_neighbours)
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
@@ -36,9 +36,10 @@ class TestControlVectorFields:
                       [0.0, 0.0, -1.1, 0.6, 0.4],
                       [2.0, 1.0, 0.0, -0.5, 0.9]):
             x = np.array(state)
-            # Mh f0 = elastic, Mh fx = -Mx, Mh fy = -My
-            _, elastic, Mx, My = _load_core(CANON)(*state[2:])
-            Mh = resistance(CANON, state[2:])
+            # Mh f0 = elastic, Mh fx = -Mx, Mh fy = -My, with Mh, Mx, My
+            # of the loop form at the state's heading
+            elastic = _load_core(CANON)(*state[3:])[1]
+            Mh, Mx, My = loop_assemble(CANON, *state[2:])
             np.testing.assert_allclose(Mh @ system.f0(x), elastic,
                                        atol=1e-13)
             np.testing.assert_allclose(Mh @ system.fx(x), np.negative(Mx),
@@ -62,18 +63,20 @@ class TestControlVectorFields:
 
     def test_outputs_are_frozen(self):
         # values as the fields produced them before the elastic load and
-        # the solve moved into the shared load core
+        # the solve moved into the shared load core; re-recorded for the
+        # body-frame solve turned to theta, which moved them by at most
+        # 9.3e-16 of each field's largest entry
         system = control_vector_fields(CANON)
         x = np.array([0.1, -0.2, 0.3, 0.4, -0.5])
         assert system.f0(x).tolist() == [
-            0.055650881791887576, -0.47344608014859224, -0.5550658171056579,
-            -0.05844130475830731, 2.5998317126304227]
+            0.05565088179188772, -0.47344608014859224, -0.5550658171056578,
+            -0.058441304758307805, 2.5998317126304222]
         assert system.fx(x).tolist() == [
-            0.19995740597905345, -0.375282623483358, -0.08885546458184482,
+            0.19995740597905357, -0.37528262348335795, -0.08885546458184493,
             -1.1177533660892092, 1.0367924595871028]
         assert system.fy(x).tolist() == [
-            -0.424205840204711, -0.26871801339754925, -0.7219105166185491,
-            2.087076465655916, 3.6786530840548037]
+            -0.42420584020471075, -0.26871801339754897, -0.7219105166185484,
+            2.0870764656559144, 3.678653084054801]
 
     def test_in_place_change_does_not_reach_the_next_call(self):
         system = control_vector_fields(CANON)
@@ -86,7 +89,7 @@ class TestControlVectorFields:
     def test_memo_stays_bounded(self):
         # the shared solve holds the last state only, however many it saw
         system = control_vector_fields(CANON)
-        solve = system.f0.fn.__self__
+        solve = system.f0.fn.func.__self__
         for theta in np.linspace(-1.0, 1.0, 1000):
             x = np.array([0.0, 0.0, theta, 0.1, -0.2])
             system.fy(x)
@@ -96,7 +99,7 @@ class TestControlVectorFields:
     def test_memo_of_stacks_stays_bounded(self):
         # the bound is one stack, so stacks cannot outgrow it either
         system = control_vector_fields(CANON)
-        solve = system.f0.fn.__self__
+        solve = system.f0.fn.func.__self__
         states = np.zeros((49, 5))
         for theta in np.linspace(-1.0, 1.0, 40):
             states[:, 2] = theta + np.arange(49) * 1e-3
@@ -105,21 +108,23 @@ class TestControlVectorFields:
         assert solve._key == ((49, 5), states[:, 2:].tobytes())
 
     def test_stack_matches_each_state(self, monkeypatch):
-        # a stack of states gives each state's field bit for bit, and the
-        # three fields on one stack assemble each of its 12 poses once,
-        # the one that recurs included
+        # a stack of states gives each state's field bit for bit, signed
+        # zeros included, and the three fields on one stack assemble each
+        # of its 12 poses once, the one that recurs included; the straight
+        # poses at heading +0.0 and -0.0 sit among turned headings
         calls = TestSharedSolve._count_assemblies(monkeypatch)
         rng = np.random.default_rng(8)
         states = rng.uniform(-1.0, 1.0, size=(4, 3, 5))
         states[0, 0, 2:] = states[1, 2, 2:]
         states[2, 1, 2:] = [-0.0, 0.0, -0.0]
+        states[3, 2, 2:] = [0.0, 0.0, 0.0]
         system = control_vector_fields(CANON)
         stacked = [field(states) for field in system.generators()]
         assert len(calls) == 12
         for field, out in zip(system.generators(), stacked):
             assert out.shape == (4, 3, 5)
             for index in np.ndindex(4, 3):
-                assert out[index].tolist() == field(states[index]).tolist()
+                assert out[index].tobytes() == field(states[index]).tobytes()
                 # a stack of one state has the bytes of that state
                 assert field(states[index][None]).shape == (1, 5)
 
@@ -205,7 +210,7 @@ class TestLastStack:
         # each field returns a copy, not a view of the held solve: what it
         # returned for one stack is unchanged after a call on another
         system = control_vector_fields(CANON)
-        solve = system.f0.fn.__self__
+        solve = system.f0.fn.func.__self__
         a = np.array([self.A, self.B])
         b = np.array([self.B, self.A, self.B])
         outs = [field(a) for field in system.generators()]
@@ -276,15 +281,20 @@ class TestEquilibriumIdentities:
             equilibrium_identities(CANON, theta)
 
     def test_report_is_frozen(self):
-        # exact bits, recorded with the exact theta derivative
+        # exact bits, recorded with the exact theta derivative and
+        # re-recorded for the norms read in the body frame: the bracket
+        # norms moved by 1.2e-10 relative (the difference error of
+        # BASE_STEP), fy_norm by one ulp, and the two rounding residuals
+        # fell, the alignment from 1.4e-16 to 2.4e-17 and the corrected gap
+        # from 5.1e-9 to 3.7e-11
         report = equilibrium_identities(CANON, 0.3)
         assert {k: float(v).hex() for k, v in vars(report).items()} == {
             "theta": "0x1.3333333333333p-2",
-            "alignment_residual": "0x1.41251357a6ae7p-53",
-            "claimed_gap": "0x1.769d1bed1c864p+5",
-            "corrected_gap": "0x1.5e4ca75a07dc8p-28",
-            "fy_norm": "0x1.50210dd42d428p+2",
-            "bracket_norm": "0x1.43bab1734199ap+5",
+            "alignment_residual": "0x1.b42478dad1486p-56",
+            "claimed_gap": "0x1.769d1bedc1947p+5",
+            "corrected_gap": "0x1.46f9efca903b8p-35",
+            "fy_norm": "0x1.50210dd42d429p+2",
+            "bracket_norm": "0x1.43bab173e6a3dp+5",
         }
 
 
@@ -416,7 +426,7 @@ class TestSharedSolve:
         assemble = magswim.dynamics._assemble
 
         def counted(*args):
-            calls.append(args[-3:])
+            calls.append(args[-2:])
             return assemble(*args)
         monkeypatch.setattr(magswim.dynamics, "_assemble", counted)
         return calls
@@ -469,24 +479,22 @@ class TestSharedSolve:
         # -0.0 + 0.0 is 0.0, so at alpha2 = -0.0 the stencil poses that move
         # alpha3 carry alpha2 = +0.0 on their + side and -0.0 on their -
         # side; each of the 25 stencil poses keeps its own signed zeros, and
-        # every one of them has the body-frame heading +0.0
+        # none of them carries the heading
         calls = self._count_assemblies(monkeypatch)
         lie_rank(CANON, np.array([0.0, 0.0, 0.4, -0.0, 0.2]), depth=3)
         assert len(calls) == 25
-        assert {math.copysign(1.0, t) for t, _, _ in calls} == {1.0}
-        signs = [math.copysign(1.0, a2) for _, a2, _ in calls if a2 == 0.0]
+        signs = [math.copysign(1.0, a2) for a2, _ in calls if a2 == 0.0]
         assert (signs.count(1.0), signs.count(-1.0)) == (5, 4)
 
     def test_collapsed_steps_assemble_each_pose_once(self, monkeypatch):
         # at theta = 1e300 a theta step would round away and leave the
         # bent pose at rank 3; the stencil takes no theta step, so its 25
-        # poses are those at theta = +0.0, each assembled once, and the
+        # poses are those of the body frame, each assembled once, and the
         # pose reads rank 5 like every bent pose
         calls = self._count_assemblies(monkeypatch)
         report = lie_rank(CANON, np.array([0.0, 0.0, 1e300, -0.0, 0.2]),
                           depth=3)
         assert len(calls) == 25
-        assert {math.copysign(1.0, t) for t, _, _ in calls} == {1.0}
         assert [v.hex() for v in report.singular_values.tolist()] == [
             "0x1.d7189a3a73512p+10", "0x1.2c97203ad8944p+5",
             "0x1.46043d3a31aafp+3", "0x1.8aa81b2c16b45p+0",
@@ -496,15 +504,14 @@ class TestSharedSolve:
 
     def test_field_memo_keeps_signed_zeros_apart(self, monkeypatch):
         # the solve of control_vector_fields is keyed on bytes: theta =
-        # -0.0 and theta = 0.0 are two poses, and as only the last one is
-        # held, each turn assembles once for the three fields
+        # -0.0 and theta = 0.0 are two states, and as only the last one is
+        # held, each turn assembles the body pose once for the three fields
         calls = self._count_assemblies(monkeypatch)
         system = control_vector_fields(CANON)
         for theta in (-0.0, 0.0, -0.0, 0.0):
             for field in system.generators():
                 field(np.array([0.0, 0.0, theta, 0.25, -0.15]))
-        assert [math.copysign(1.0, t) for t, _, _ in calls] == [
-            -1.0, 1.0, -1.0, 1.0]
+        assert calls == [(0.25, -0.15)] * 4
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_exactly_singular_matrix_raises(self, monkeypatch, depth):
@@ -591,7 +598,7 @@ class TestSolvePoses:
 
     @staticmethod
     def poses(point, n):
-        centres = [tuple(point[2:])]
+        centres = [tuple(point[3:])]
         if n == 25:
             centres = _stencil(centres, NESTED_STEP)
         return _stencil(centres, BASE_STEP) if n > 1 else centres
@@ -678,12 +685,17 @@ class TestFrozenRankDigests:
         2: "4df2ae058eb2885622f64ab6eb4e0b2dcd40943ee266ea7c12d2021f069c3fba",
         3: "0a61be10f2f3b375a7500a1a07dea04c811a3e178a553e2ebba40e4d55f311f2",
     }
+    # the identities re-recorded for the norms read in the body frame:
+    # claimed_gap and bracket_norm moved by at most 2.8e-10 relative
+    # (BASE_STEP's difference error), fy_norm by 2.8e-15; the rounding
+    # residuals fell (alignment from at most 5.5e-16 to 1.5e-16, the
+    # corrected gap over the bracket from 2.9e-10 to 8.9e-13)
     IDENTITIES = {
-        1: "7e03e403cfb102437341414f7fedda5d039a9d0f03839df3140dfa1a1ab5bd32",
-        2: "5cf3bb9008933295cd9006a585680e9322fe45db8d72beea4be5d0ac4d504435",
-        3: "0db700b2b22d78fa35abf04f5c0fafa8455de4602f45066e866b864469671f1b",
-        4: "fc19479183aec5e50bee3e2f4160f28d72f3e752d34a3189416ef6e02dcc4a55",
-        5: "77eb898a9ff2f9717bf5804c95f7b39e03f58c27044172c6ca432f3775d6965c",
+        1: "defc620214fc181c8a4d0b430ce2f8f350b964ecea29a018d53fb99323ac9899",
+        2: "bb7dab6e600986fc5a72a86910e89ff68337b1175a8d674cd2eb33b3186c3bac",
+        3: "ab0e4b165a26e7a0d68a6b2d1e34f24ee584315d412e3a595af0e5cca051a50f",
+        4: "a3f99032a7779d55227e77bba7b2a26c3caa14771d385ce6040824e7a9d49850",
+        5: "e8ed50f6eba6d83e4d2868f3063c4ec8878c5ceab352b417f8196851495a265e",
     }
 
     @pytest.mark.parametrize("seed, depth", sorted(RANKS))
@@ -703,8 +715,10 @@ class TestFrozenRankDigests:
             self.IDENTITIES[seed])
 
     def test_signed_zero_identities(self):
+        # headings -0.0 and 0.0 kept their bits in the body frame; 0.3 and
+        # -0.3 were re-recorded as the seeded identities were
         assert identities_digest(CANON, [-0.0, 0.0, 0.3, -0.3]) == (
-            "6d103e90fb98d60da7e814c81dc1f4aba68337bb05f47289cad7c144a343279f")
+            "5e0443a09efa9b660d2549ddd077ac7aa22cece594b475040dad528159c16e00")
 
 
 def generators_at(system, x):
@@ -808,7 +822,7 @@ class TestStencil:
             centres = np.concatenate([centres,
                                       shifted(centres[0], NESTED_STEP)])
         states = with_neighbours(centres) if depth >= 2 else centres
-        return hexes(states[:, 2:].tolist())
+        return hexes(states[:, 3:].tolist())
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_rank_assembles_the_oracle_poses(self, monkeypatch, depth):
@@ -819,12 +833,13 @@ class TestStencil:
             assert hexes(calls) == self.rank_poses(point, depth), point
 
     def test_identities_assemble_the_oracle_poses(self, monkeypatch):
+        # the straight body pose and its neighbours, at every heading
         calls = TestSharedSolve._count_assemblies(monkeypatch)
+        states = with_neighbours(np.zeros((1, 5)))
         for theta in self.THETAS:
             del calls[:]
             equilibrium_identities(CANON, theta)
-            states = with_neighbours(np.array([[0.0, 0.0, theta, 0.0, 0.0]]))
-            assert hexes(calls) == hexes(states[:, 2:].tolist()), theta
+            assert hexes(calls) == hexes(states[:, 3:].tolist()), theta
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
     def test_identity_word_is_the_rank_word(self, monkeypatch, seed):
@@ -840,10 +855,11 @@ class TestStencil:
         monkeypatch.setattr(magswim.brackets, "_words",
                             lambda *args: words.append(brackets(*args))
                             or words[-1])
-        system = control_vector_fields(params)
+        # the identities read [fx, fy] in the body frame at every heading:
+        # the word of the straight body pose that lie_rank reads
+        rank_word = second_words_at(control_vector_fields(params),
+                                    np.zeros(5))[2]
         for theta in thetas:
-            rank_word = second_words_at(
-                system, np.array([0.0, 0.0, theta, 0.0, 0.0]))[2]
             del words[:]
             equilibrium_identities(params, theta)
             [word] = words

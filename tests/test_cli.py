@@ -225,9 +225,8 @@ directory = {tmp_path}
         ("", {"kind": "sinusoidal", "hx0": 1.0},
          ["field.hx0", "field.kind"]),
         ("[field]\nepsilon = 0.3\n", {"kind": "sinusoidal", "hx0": 1.0},
-         ["field.hx0", "field.kind"]),
-        ("[field]\nkind = constant\n", {"kind": "constant"}, [])],
-        ids=["default", "sinusoidal", "constant"])
+         ["field.hx0", "field.kind"])],
+        ids=["default", "sinusoidal"])
     def test_theory_echoes_only_the_field_keys_it_reads(
             self, tmp_path, capsys, command, field, echo, defaults):
         # the field's kind, and hx0 of a sinusoid (_require_unit_hx)
@@ -618,6 +617,26 @@ directory = {out}
         assert "config error" in err and "hx0 = 3.0" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["displacement", "linearize",
+                                         "sweep"])
+    @pytest.mark.parametrize("kind, field", [
+        ("constant", "hx = 2.0\nhy = 0.5"),
+        ("tabulated", "samples =\n    0.0 2.0 0.0\n    1.0 2.0 0.5")],
+        ids=["constant", "tabulated"])
+    def test_other_kinds_are_rejected(self, tmp_path, capsys, command,
+                                      kind, field):
+        # the theory runs (1, epsilon sin(omega t)) whatever the field says,
+        # so a field of another kind is refused, not silently replaced
+        cfg = write_config(tmp_path, f"[field]\nkind = {kind}\n{field}\n"
+                                     f"[output]\ndirectory = {tmp_path}\n")
+        report = tmp_path / "report.json"
+        assert main([command, "--config", cfg, "--json", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [field] kind = {kind}, but this command runs "
+            f"the sinusoidal drive; set [field] kind = sinusoidal\n")
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not report.exists()
+
 
 class TestControllability:
     def test_straight_poses_pass(self, capsys):
@@ -626,6 +645,16 @@ class TestControllability:
         assert out.count("PASS") == 2
         assert "rank 4" in out
         assert "informational" in out
+
+    def test_empty_theta_is_a_usage_error(self, capsys):
+        # --theta names at least one heading; without one it is not a
+        # request for the default headings
+        with pytest.raises(SystemExit) as exit_:
+            main(["controllability", "--theta"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta: expected at least one argument" in captured.err
 
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_non_finite_theta_is_a_usage_error(self, theta, capsys):
@@ -930,21 +959,25 @@ TRANSCRIPT = {
 # from the trajectory header, whose solver dt now holds the step run;
 # displacement_flags by its config, now the default sinusoidal [field]
 # (the constant one it had makes the flags stray keys), recorded alike
-# before flags became config keys
+# before flags became config keys; the controllability, displacement,
+# simulate, symmetry and validate cases by the body-frame rate and
+# fields, turned to the heading (trajectory values at theta != 0 by at
+# most 2.4e-13 relative, entry by entry; identities as in test_brackets;
+# validate's alignment, stencil, Richardson, symmetry and reversal lines)
 FROZEN_TRANSCRIPT = {
-    "controllability_default": (0, '94edc3f3571072cf23f45d6df8a4f7e6f488cb01087fa5abd79dfa3505135505'),
-    "controllability_thetas": (0, '6237f7dd63b7a9c35ac336c098429a1c5940f42821bef3eee2faf92837027388'),
-    "displacement_config": (0, '46290cf0c7dd6236ebce5ffa79d680263f61f479b659ed604bdae4a59a11da3f'),
-    "displacement_flags": (0, 'bfa311ac25310dd9930df29a1b9660f30213d8627d99754a77a3ff878f751f34'),
+    "controllability_default": (0, '4dd4f8418c16468e696b0ea846a59d339ce5f07140619d790d7233798884e5d9'),
+    "controllability_thetas": (0, 'c5e7fa3bad79fc39bad4836857cd1d7e2a96dc768abc71628984fd47562d2115'),
+    "displacement_config": (0, '872642bb0fe944eedb0455595289aff6066783f7ff4681fdd33084da4d17fa7c'),
+    "displacement_flags": (0, '66c5a0944aac5118e4f92310435851c5d230e01ac1e33daeafeb656044c785fa'),
     "linearize_no_pattern": (0, 'd513b9e3c241c8e7da2f143abb8415c4e406d21d81ee8717f3409a4cfae2beaf'),
     "linearize_pattern": (0, '835d572ff4296b2e33528b65586b6742526e5232cd8ed60a717e4cfaabba1496'),
-    "simulate_constant_jsonl": (0, '5ace5105b351f25d57d716cbce5e05e48fd090ef72d94583e31f056f7c293639'),
-    "simulate_tabulated": (0, 'a244d1733c42a5eefdbfaab2b2bf985ac3c02c36b65d34827538743aa6624e39'),
+    "simulate_constant_jsonl": (0, '347e309b64a78babac0860ddb0362251705f6830c2eb860c1929e2627c2ee252'),
+    "simulate_tabulated": (0, '17e096bd7f1232fdb8543a2e33f297d1ba44351c3598717260bc3e18bfe843f6'),
     "sweep_boundary": (0, 'ed292cb72f50e2c1eaf0f1bc82af37587ea8c6dda3f472f3faa97e7d2b23fd0c'),
     "sweep_default": (0, 'f0d90bc8e8e923e07fdb23350831ce8410316f683f5f0b39811cb995734cb4c2'),
     "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),
-    "symmetry": (0, 'ac2b8e8a551785cf4cf8dc761aa277f7e7720b3f0eb59ca5fd2046d4fe6e5d36'),
-    "validate": (0, 'a1651f3c2e8bf8214ac0c9799edad2945da554f2bcef9e120e47c77066a830fa'),
+    "symmetry": (0, 'b6b32bac93d433bc2d566eaeaa913770121ca5755e1bbd527fc79c040cad3e17'),
+    "validate": (0, 'c310cb4c3d39d07966ad9a9180fe8b4621a9cb5a625b5990d6238020e6388f76'),
 }
 
 

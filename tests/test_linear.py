@@ -14,7 +14,6 @@ import magswim.dynamics
 import magswim.linear
 from magswim import AnalysisError, Configuration, SwimmerParams
 from magswim.brackets import lie_rank
-from magswim.dynamics import _load_core, _resistance
 from magswim.linear import (
     char_poly,
     closed_form_angle_matrix,
@@ -36,7 +35,8 @@ from magswim.linear import (
 )
 from magswim.model import SinusoidalField
 from magswim.simulate import integrate
-from oracles import central_difference_origin, complex_step_theta_column
+from oracles import (central_difference_origin, complex_step_theta_column,
+                     resistance)
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 
@@ -319,7 +319,7 @@ class TestGradGx:
         step = 1e-6
 
         def gy_row(q):
-            mh = _resistance(_load_core(CANON)(*q)[0])[0]
+            mh = resistance(CANON, q)
             return -np.linalg.solve(mh[:2, :2], mh[:2, 2:])[1, :]
 
         worst = 0.0
@@ -794,21 +794,22 @@ class TestFrozenOriginDigests:
 
     def test_three_assemblies_per_model(self, monkeypatch):
         # one float assembly at the origin (the rate call for b) and one
-        # complex assembly per joint angle; the pose follows the 16 bound
-        # swimmer values, and the rate call adds the field after it
+        # complex assembly per joint angle; the heading and the joint
+        # angles follow the 15 bound swimmer values, the load form binding
+        # no heading, and the rate call adds the field after them
         calls = []
         for name in ("_assemble", "_assemble_complex"):
             real = getattr(magswim.dynamics, name)
 
             def counted(*args, name=name, real=real):
-                calls.append((name, args[16:19]))
+                calls.append((name, args[15:18]))
                 return real(*args)
             monkeypatch.setattr(magswim.dynamics, name, counted)
         displacement_model(CANON)
         h = 1j * 2.0 ** -100
         assert calls == [("_assemble", (0.0, 0.0, 0.0)),
-                         ("_assemble_complex", (0.0, h, 0.0)),
-                         ("_assemble_complex", (0.0, 0.0, h))]
+                         ("_assemble_complex", (None, h, 0.0)),
+                         ("_assemble_complex", (None, 0.0, h))]
 
     def test_no_complex_argument_reaches_the_float_assembly(
             self, monkeypatch):
@@ -818,7 +819,8 @@ class TestFrozenOriginDigests:
         seen = []
 
         def checked(*args):
-            seen.append(all(type(x) is float for x in args))
+            # the load form binds no heading
+            seen.append(all(type(x) is float for x in args if x is not None))
             return real(*args)
 
         def refused(*args):

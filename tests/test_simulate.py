@@ -219,18 +219,19 @@ class TestIntegrate:
         # 80 full steps: the last field sample is taken where the last
         # step ends, at 0.7 + 80 * 0.03 = 3.0999999999999996, and only
         # the time stamp reads t_final
-        (0.03, [0.16467151752162154, -0.3550750048502577,
-                0.12541583074545817, -0.027136495483185388,
-                -0.05264863562915781], -0.15521366541766635),
+        (0.03, [0.16467151752162157, -0.35507500485025784,
+                0.12541583074545815, -0.027136495483185363,
+                -0.05264863562915779], -0.15521366541766635),
         # 34 full steps and a shortened one, stamped and sampled at t_final
         (0.07, [0.16471779690691488, -0.3550696938112198,
-                0.12541364567029614, -0.027130590791748885,
-                -0.05264112991384498], -0.15521366541766646),
+                0.1254136456702961, -0.027130590791748854,
+                -0.05264112991384496], -0.15521366541766646),
     ])
     def test_outputs_are_frozen(self, dt, state, hy):
         # values of the rate's float elimination; against the
         # LAPACK solve the final states moved by at most 3.2e-16 of their
-        # largest entry, and they must not move by a single bit
+        # largest entry, and by the body-frame rate by 4.2e-16 of each
+        # column's; they must not move by a single bit
         traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
                          SinusoidalField(1.0, 0.2, 1.3), t_final=3.1,
                          dt=dt, t0=0.7)
@@ -241,7 +242,8 @@ class TestIntegrate:
     def test_tabulated_output_is_frozen(self):
         # 32 full steps from t0 = 0.6 and a shortened one; values of the
         # rate's float elimination (1.5e-16 of the largest
-        # entry from the LAPACK solve's)
+        # entry from the LAPACK solve's, and 6.9e-16 of each column's from
+        # the rate before the body frame)
         field = TabulatedField([0.5, 1.0, 2.0, 3.0], [1.0, 0.4, 1.3, 0.8],
                                [0.0, 0.9, -0.6, 0.2])
         traj = integrate(CANON, Configuration(0.1, -0.2, 0.3, 0.4, -0.2),
@@ -249,8 +251,8 @@ class TestIntegrate:
         assert len(traj) == 34
         assert traj.times[-1] == 2.9
         assert traj.states[-1].tolist() == [
-            0.16410274876802908, -0.36919509880527274, 0.06927921474480578,
-            0.00651372479265747, 0.002054251654653427]
+            0.16410274876802908, -0.3691950988052728, 0.06927921474480582,
+            0.006513724792657473, 0.0020542516546534044]
         assert traj.field_samples[-1].tolist() == [0.8500000000000001, 0.12]
 
     @pytest.mark.parametrize("start,field,t_final,dt,rows,sha", [
@@ -260,7 +262,7 @@ class TestIntegrate:
          "dbb1e3519b82426dc84da5dc43ec722d7e8ae1639c48ac15f7fc4f4047f7142b"),
         (Configuration(0.0, 0.0, 0.1, 0.3, -0.2), ConstantField(0, 0), 1.0,
          0.05, 21,
-         "24f79643bb051c20e0bffa9c8fde9beeff510f3548a7088d8da71fd19ae90fad"),
+         "68756c7b852f6f25e8781aea71c3c2cb9f62f3aa505d4428c792958f5ea5c232"),
         # signed zeros in the start and the field stay signed zeros
         (Configuration(-0.0, 0.0, -0.0, 0.0, -0.0), ConstantField(-0.0, -0.0),
          1.0, 0.05, 21,
@@ -268,16 +270,44 @@ class TestIntegrate:
         # an integer hx0 is sampled as given and recorded as a float
         (Configuration(0.0, 0.0, 0.1, 0.3, -0.2),
          SinusoidalField(hx0=1, epsilon=0.2, omega=1.3), 2.0, 0.03, 68,
-         "2dd967d7203c3a5cddb1cfa254a508f354d2471d242dd6deb56f2b7860f7be38"),
+         "c85ca49b85c696db940e08f1d9568578123d107da633210565b1a068d25d87ce"),
     ])
     def test_zero_and_integer_fields_are_frozen(self, start, field, t_final,
                                                 dt, rows, sha):
         # digests of the rate's float elimination; from the
         # LAPACK solve's, the states moved by at most 1.9e-16 of their
-        # largest entry, and the zero run only in the signs of its zeros
+        # largest entry, and the zero run only in the signs of its zeros;
+        # the two runs at theta != 0 re-recorded for the body-frame rate,
+        # by at most 7.6e-16 of each column's largest entry
         traj = integrate(CANON, start, field, t_final, dt)
         assert len(traj) == rows
         assert digest(traj) == sha
+
+    @pytest.mark.parametrize("params", [CANON, PALINDROME],
+                             ids=["canon", "palindrome"])
+    @pytest.mark.parametrize("phi", [0.3, -1.1, math.pi / 2, 2.5, 10.0])
+    def test_turned_start_and_field_turn_the_run(self, params, phi):
+        # turning the start and every field sample by phi turns the run:
+        # it ends at the turned position with the heading moved by phi and
+        # the same shape.  Measured: at most 1.8e-15 absolute on these
+        # runs, whose columns are O(1); the bound is 1e-13 of each
+        # column's scale
+        rng = np.random.default_rng(7)
+        times = np.linspace(0.0, 4.0, 17)
+        hx = 1.0 + 0.3 * rng.standard_normal(17)
+        hy = 0.4 * rng.standard_normal(17)
+        c, s = math.cos(phi), math.sin(phi)
+        run = integrate(params, Configuration(0.3, -0.2, 0.4, 0.5, -0.3),
+                        TabulatedField(times, hx, hy), 4.0, 0.01)
+        turned = integrate(
+            params, Configuration(c * 0.3 + s * 0.2, s * 0.3 - c * 0.2,
+                                  0.4 + phi, 0.5, -0.3),
+            TabulatedField(times, c * hx - s * hy, s * hx + c * hy), 4.0,
+            0.01)
+        x, y, theta, a2, a3 = run.states[-1].tolist()
+        want = np.array([c * x - s * y, s * x + c * y, theta + phi, a2, a3])
+        scale = np.maximum(1.0, np.max(np.abs(turned.states), axis=0))
+        assert np.all(np.abs(turned.states[-1] - want) <= 1e-13 * scale)
 
     def test_aborts_on_blowup(self):
         # absurd stiffness with a coarse step makes RK4 diverge; the
@@ -334,13 +364,14 @@ class TestDisplacementPerPeriod:
         # a one-period burn-in at T / 100 doubles twice before the shape
         # settles; values of the rate's float elimination
         # (delta_x 1.6e-15 relative from the LAPACK solve's, the shape gap
-        # 3.2e-19 absolute)
+        # 3.2e-19 absolute; from the rate before the body frame, 5.3e-16
+        # relative and 1.8e-18 absolute)
         rep = displacement_per_period(CANON, Configuration.straight(), 1e-2,
                                       0.62, burn_in_periods=1,
                                       dt=2.0 * math.pi / 0.62 / 100)
-        assert rep.delta_x == 3.2024857675768192e-06
+        assert rep.delta_x == 3.2024857675768176e-06
         assert rep.burn_in_periods == 4
-        assert rep.shape_gap == 2.4820484098730012e-11
+        assert rep.shape_gap == 2.4820482249794924e-11
         assert rep.converged
 
     def test_rejects_bad_arguments(self):
@@ -422,15 +453,16 @@ class TestSymmetryExperiment:
     def test_report_is_frozen(self):
         # one period at the default step; values of the rate's float
         # elimination (the three gaps are rounding, and moved by
-        # at most 1.4e-17 absolute from the LAPACK solve's)
+        # at most 1.4e-17 absolute from the LAPACK solve's, and by 5.6e-17
+        # for the body-frame rate)
         field = SinusoidalField(hx0=1.0, epsilon=0.05, omega=1.3)
         rep = symmetry_experiment(
             UNIFORM, Configuration(0.0, 0.0, 0.2, 0.4, 0.4), field,
             t_final=field.period)
         assert [v.hex() for v in (rep.max_alpha_gap, rep.max_abs_x,
                                   rep.max_abs_y, rep.dt, rep.tolerance)] == [
-            "0x1.0000000000000p-54", "0x1.80a37d061b736p-58",
-            "0x1.77d1e440eeda6p-57", "0x1.3cbff78ba08bcp-9",
+            "0x1.0000000000000p-53", "0x1.9e0ac78b7ac51p-57",
+            "0x1.41ce8a09c886ep-56", "0x1.3cbff78ba08bcp-9",
             "0x1.76fed0b5bff22p-32"]
         assert rep.steps == 2000
 
