@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import EquilibriumReport, equilibrium_identities, lie_rank
-from .dynamics import _load_core
+from .brackets import equilibrium_identities, lie_rank
 from .linear import (
-    _COMPLEX_STEP,
     _QuadraticModel,
     _dx2_quadrature,
     _dx2_terms,
@@ -88,16 +86,6 @@ def _check_angle_matrix(model: _QuadraticModel) -> CheckResult:
                        f"relgap={gap!r} tol=1e-08")
 
 
-def _check_drive_column(model: _QuadraticModel) -> CheckResult:
-    # the model sets A e1 = -b by the rotation rule; a complex step along
-    # theta through the rate's own rotation measures the column itself
-    rates = _load_core(CANON, complex_step=True, rate=True)(
-        1j * _COMPLEX_STEP, 0.0, 0.0, 1.0, 0.0)
-    gap = float(np.max(np.abs(model.b + np.imag(rates[2:]) / _COMPLEX_STEP)))
-    return CheckResult("drive_column_is_minus_first_column", gap < 1e-7,
-                       f"gap={gap!r} tol=1e-07")
-
-
 def _check_char_coeffs() -> CheckResult:
     closed = np.array(closed_form_char_coeffs(CANON))
     direct = np.array(char_poly(closed_form_angle_matrix(CANON).a))
@@ -143,13 +131,8 @@ def _check_uniform_no_transport() -> CheckResult:
                        abs(value) < 1e-12, f"value={value!r} tol=1e-12")
 
 
-def _check_alignment(report: EquilibriumReport) -> CheckResult:
-    return CheckResult("control_column_alignment",
-                       report.alignment_residual < 1e-12,
-                       f"residual={report.alignment_residual!r} tol=1e-12")
-
-
-def _check_bracket_stencil(report: EquilibriumReport) -> CheckResult:
+def _check_bracket_stencil() -> CheckResult:
+    report = equilibrium_identities(CANON, 0.3)
     rel = report.corrected_gap / report.bracket_norm
     return CheckResult("bracket_stencil_identity", rel < 1e-6,
                        f"relgap={rel!r} tol=1e-06")
@@ -217,20 +200,16 @@ def _check_csv_columns() -> CheckResult:
 def run_validation() -> ValidationReport:
     """Run every check, in a fixed order, on its fixed inputs; the report's
     ``text()`` is the same bytes on every run.  CANON's derivatives at the
-    origin and its identities at theta = 0.3 are derived once, for every
-    check that reads them."""
+    origin are derived once, for every check that reads them."""
     model = displacement_model(CANON)
-    identities = equilibrium_identities(CANON, 0.3)
     return ValidationReport(results=(
         _check_angle_matrix(model),
-        _check_drive_column(model),
         _check_char_coeffs(),
         _check_grad_gx(model),
         _check_skew_kernel(model),
         _check_displacement_two_path(model),
         _check_uniform_no_transport(),
-        _check_alignment(identities),
-        _check_bracket_stencil(identities),
+        _check_bracket_stencil(),
         _check_rank(),
         _check_rk4_order(),
         _check_symmetry_invariant(),

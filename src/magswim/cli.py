@@ -2,7 +2,8 @@
 
 Exit codes follow the usual triage: 0 on success, 1 when an analysis
 assertion fails (an instability, a residual above tolerance, a failed
-validation check), 2 for usage and configuration problems.
+validation check), 2 for usage and configuration problems, an output
+path that cannot be written among them.
 
 Every ``--json`` report embeds the exact parameter echo, the initial
 state, field, solver and analysis settings its command reads
@@ -419,8 +420,11 @@ def build_parser() -> ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
     run = cmd_validate if args.command == "validate" else _run_reported
     try:
         return run(args)
@@ -429,6 +433,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # every file a command reads goes through load_config, which
+        # raises ConfigError, so this is an output it could not write
+        print(f"invalid request: cannot write output: {exc}",
+              file=sys.stderr)
         return 2
     except AnalysisError as exc:
         print(f"analysis failure: {exc}", file=sys.stderr)
