@@ -1,20 +1,23 @@
 """Fixed-step time integration and period-level experiments.
 
 The integrator is fixed-step classical RK4 with the field sampled at stage
-times, which is bitwise reproducible.  RK4 is stable on the negative real
-axis only for ``|lambda| dt <= 2.785``, with lambda the stiffest eigenvalue
-of the angle dynamics at the straight state, and nothing checks that bound
-yet: ``dt = auto`` (``T/2000`` for a sinusoidal drive) is unstable below
-omega ~ 0.0267 on ``checks.CANON`` (lambda = -23.70) and below omega ~
-0.0401 on the default swimmer (lambda = -35.55).  All the period-matched
-experiments (displacement per cycle, symmetry preservation) rely on
-landing exactly on period boundaries, which the integrator guarantees by
-shortening the final step.
+times, which is bitwise reproducible; its one loop, ``_advance``, steps
+five float locals by inline stages and packs each recorded row into the
+trajectory table.  RK4 is stable on the negative real axis only for
+``|lambda| dt <= 2.785``, with lambda the stiffest eigenvalue of the angle
+dynamics at the straight state, and nothing checks that bound yet: ``dt =
+auto`` (``T/2000`` for a sinusoidal drive) is unstable below omega ~
+0.0267 on ``checks.CANON`` (lambda = -23.70) and below omega ~ 0.0401 on
+the default swimmer (lambda = -35.55).  All the period-matched experiments
+(displacement per cycle, symmetry preservation) rely on landing exactly on
+period boundaries, which the integrator guarantees by shortening the final
+step.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
 SHAPE_PERIODICITY_TOL = 1e-8
 
 TRAJECTORY_COLUMNS = ("t", "x", "y", "theta", "alpha2", "alpha3", "Hx", "Hy")
+_ROW = struct.Struct("8d")  # a table row of those columns, 64 bytes
 
 
 @dataclass(frozen=True)
@@ -119,66 +123,57 @@ def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _step(rate, field: FieldProgram, t: float, field_t: tuple, y: list,
-          dt: float) -> list:
-    """One RK4 step of the state ``y``, a list of five floats, from the
-    field ``field_t`` sampled at ``t``.
-
-    The stages are combined elementwise on Python floats in the order the
-    array form ``y + h*k`` and ``y + (dt/6)*(k1 + 2*(k2 + k3) + k4)``
-    evaluates them; IEEE ``+`` and ``*`` give the same bits either way, and
-    five floats cost less than five-element arrays.  Each stage passes the
-    rate its three angles and its field, five floats."""
-    h = 0.5 * dt
-    y0, y1, y2, y3, y4 = y
-    a0, a1, a2, a3, a4 = rate(y2, y3, y4, *field_t)
-    hx2, hy2 = field.sample(t + h)
-    b0, b1, b2, b3, b4 = rate(y2 + h * a2, y3 + h * a3, y4 + h * a4, hx2, hy2)
-    c0, c1, c2, c3, c4 = rate(y2 + h * b2, y3 + h * b3, y4 + h * b4, hx2, hy2)
-    hx4, hy4 = field.sample(t + dt)
-    d0, d1, d2, d3, d4 = rate(y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
-                              hx4, hy4)
-    s = dt / 6.0
-    return [y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0),
-            y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1),
-            y2 + s * ((a2 + 2.0 * (b2 + c2)) + d2),
-            y3 + s * ((a3 + 2.0 * (b3 + c3)) + d3),
-            y4 + s * ((a4 + 2.0 * (b4 + c4)) + d4)]
-
-
 def _advance(rate, field: FieldProgram, y, t0: float,
              span: float, dt: float, table=None) -> np.ndarray:
     """RK4 of the five-float state ``y`` from ``t0`` over ``span``, the last
-    step shortened to land on it; step k writes its start ``(t, *y, hx,
-    hy)``, field included, into row k of ``table`` when given.
+    step shortened to land on it; step k packs its start ``(t, *y, hx,
+    hy)`` into row k of ``table``, a C-contiguous float64 array, when given.
 
-    ``rate``, from :func:`make_rate_function`, is called four times a step
-    as ``rate(theta, alpha2, alpha3, hx, hy)``.  It, the stages and the
-    field programs compute on Python floats, under no numpy error state; an
-    exactly singular ``Mh`` ends the run by ``LinAlgError('Singular
+    The state is five float locals.  A step calls ``rate``, from
+    :func:`make_rate_function`, four times as ``rate(theta, alpha2, alpha3,
+    hx, hy)`` and samples the field at ``t``, ``t + h`` and ``t + step``;
+    its stages combine in the order of the array form ``y + h*k`` and ``y +
+    (dt/6)*((k1 + 2*(k2 + k3)) + k4)``, as IEEE ``+`` and ``*`` give the
+    same bits either way.  All of it is Python floats, under no numpy error
+    state; an exactly singular ``Mh`` ends the run by ``LinAlgError('Singular
     matrix')``.
     """
     n_full, rem = _plan_steps(span, dt)
-    y = np.asarray(y, dtype=float).tolist()
-    t = t0
+    y0, y1, y2, y3, y4 = np.asarray(y, dtype=float).tolist()
+    sample, isfinite, pack = field.sample, math.isfinite, _ROW.pack_into
+    t, step = t0, dt
     try:
         for k in range(n_full + (rem > 0.0)):
-            field_t = field.sample(t)
+            hx, hy = sample(t)
             if table is not None:
-                table[k] = (t, *y, *field_t)
-            if k < n_full:
-                y = _step(rate, field, t, field_t, y, dt)
-                t = t0 + (k + 1) * dt
-            else:
-                y = _step(rate, field, t, field_t, y, rem)
-                t = t0 + span
-            if not all(map(math.isfinite, y)):
+                pack(table, 64 * k, t, y0, y1, y2, y3, y4, hx, hy)
+            if k == n_full:
+                step = rem
+            h = 0.5 * step
+            a0, a1, a2, a3, a4 = rate(y2, y3, y4, hx, hy)
+            hx, hy = sample(t + h)
+            b0, b1, b2, b3, b4 = rate(y2 + h * a2, y3 + h * a3, y4 + h * a4,
+                                      hx, hy)
+            c0, c1, c2, c3, c4 = rate(y2 + h * b2, y3 + h * b3, y4 + h * b4,
+                                      hx, hy)
+            hx, hy = sample(t + step)
+            d0, d1, d2, d3, d4 = rate(y2 + step * c2, y3 + step * c3,
+                                      y4 + step * c4, hx, hy)
+            s = step / 6.0
+            y0 = y0 + s * ((a0 + 2.0 * (b0 + c0)) + d0)
+            y1 = y1 + s * ((a1 + 2.0 * (b1 + c1)) + d1)
+            y2 = y2 + s * ((a2 + 2.0 * (b2 + c2)) + d2)
+            y3 = y3 + s * ((a3 + 2.0 * (b3 + c3)) + d3)
+            y4 = y4 + s * ((a4 + 2.0 * (b4 + c4)) + d4)
+            t = t0 + (k + 1) * dt if k < n_full else t0 + span
+            if not (isfinite(y0) and isfinite(y1) and isfinite(y2)
+                    and isfinite(y3) and isfinite(y4)):
                 raise IntegrationError(
                     f"state became non-finite at t = {t:.6g}")
     except ValueError as exc:  # LinAlgError is a ValueError
         raise IntegrationError(
             f"integration step failed near t = {t:.6g}: {exc}") from exc
-    return np.array(y)
+    return np.array([y0, y1, y2, y3, y4])
 
 
 def integrate(params: SwimmerParams, initial: Configuration,

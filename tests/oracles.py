@@ -21,6 +21,8 @@ dx the whole 5-vector step, against which the Python-float poses of
 ``brackets._stencil`` are checked bit for bit.  ``solve_poses`` is the
 batched pose solve built from two ``np.array`` conversions, against which
 the one-table ``dynamics._solve_poses`` is checked byte for byte.
+``rk4_table`` is RK4 on five-element arrays over ``two_call_rate``, the
+reference for the float-local loop of ``simulate._advance``.
 """
 import cmath
 import math
@@ -31,6 +33,7 @@ import numpy as np
 from magswim import Configuration, SwimmerParams, make_rate_function
 from magswim.brackets import BASE_STEP
 from magswim.dynamics import _load_core, _solve_drag
+from magswim.simulate import _plan_steps
 
 # the unit steps e_3, e_4 of the two joint angles on the full state
 ANGLE_UNITS = np.eye(5)[3:]
@@ -84,6 +87,35 @@ def two_call_rate(params: SwimmerParams):
                                      hx * mx[4] + hy * my[4] - elastic[4])
         return (c * dx - s * dy, s * dx + c * dy, *turns)
     return rate
+
+
+def rk4_table(params: SwimmerParams, initial: Configuration, field,
+              t_final: float, dt: float, t0: float = 0.0) -> np.ndarray:
+    """The ``(n, 8)`` table of ``integrate``, stepped on five-element
+    arrays in the documented stage order, ``y + h*k`` and ``y +
+    (dt/6)*((k1 + 2*(k2 + k3)) + k4)``, each stage sampling the field at
+    its own time (``t``, ``t + h``, ``t + h``, ``t + step``).  Row k is
+    stamped ``t0 + k*dt``, the last row ``t_final`` with the field where
+    the last step ended, as ``integrate`` stamps them."""
+    rate = two_call_rate(params)
+
+    def stage(y, t):
+        return np.array(rate(*y[2:].tolist(), *field.sample(t)))
+    n_full, rem = _plan_steps(t_final - t0, dt)
+    y, rows, t = initial.as_array(), [], t0
+    for k in range(n_full + (rem > 0.0)):
+        step = dt if k < n_full else rem
+        h = 0.5 * step
+        rows.append([t, *y, *field.sample(t)])
+        k1 = stage(y, t)
+        k2 = stage(y + h * k1, t + h)
+        k3 = stage(y + h * k2, t + h)
+        k4 = stage(y + step * k3, t + step)
+        y = y + (step / 6.0) * ((k1 + 2.0 * (k2 + k3)) + k4)
+        t = t0 + (k + 1) * dt
+    t_end = t_final if rem > 0.0 else t0 + n_full * dt if n_full else t0
+    rows.append([t_final, *y, *field.sample(t_end)])
+    return np.array(rows)
 
 
 def loop_assemble(params: SwimmerParams, theta, a2, a3):

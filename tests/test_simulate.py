@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magswim.simulate
 from magswim import (
@@ -23,6 +25,7 @@ from magswim.simulate import (
     integrate,
     symmetry_experiment,
 )
+from oracles import rk4_table
 
 CANON = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5), 1.0, 1.0)
 UNIFORM = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
@@ -44,6 +47,37 @@ class CountingField(FieldProgram):
     def sample(self, t):
         self.calls += 1
         return self.inner.sample(t)
+
+
+@st.composite
+def shortened_runs(draw):
+    """A head-asymmetric swimmer, a bent start at any heading, a sinusoidal
+    or tabulated field, and ``(t0, t_final, dt, n_full)`` with ``n_full``
+    full steps and a shortened last one."""
+    params = SwimmerParams(
+        draw(st.floats(0.8, 1.5)),
+        (draw(st.floats(0.3, 0.9)),) + (draw(st.floats(0.3, 0.9)),) * 2,
+        (draw(st.floats(1.0, 3.0)),) + (draw(st.floats(1.0, 3.0)),) * 2,
+        draw(st.floats(0.2, 1.5)), draw(st.floats(0.2, 1.5)))
+    start = Configuration(draw(st.floats(-2.0, 2.0)),
+                          draw(st.floats(-2.0, 2.0)),
+                          draw(st.floats(-10.0, 10.0)),
+                          draw(st.floats(-1.2, 1.2)),
+                          draw(st.floats(-1.2, 1.2)))
+    if draw(st.booleans()):
+        field = SinusoidalField(draw(st.floats(-1.5, 1.5)),
+                                draw(st.floats(-1.0, 1.0)),
+                                draw(st.floats(0.1, 10.0)))
+    else:
+        times = sorted(draw(st.lists(st.floats(-1.5, 2.5), min_size=2,
+                                     max_size=8, unique=True)))
+        values = st.lists(st.floats(-1.5, 1.5), min_size=len(times),
+                          max_size=len(times))
+        field = TabulatedField(times, draw(values), draw(values))
+    t0, dt = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.005, 0.05))
+    n_full = draw(st.integers(0, 12))
+    t_final = t0 + (n_full + draw(st.floats(0.05, 0.95))) * dt
+    return params, start, field, t0, t_final, dt, n_full
 
 
 def digest(traj):
@@ -93,6 +127,16 @@ class TestIntegrate:
         monkeypatch.setattr(magswim.simulate, "make_rate_function", counted)
         integrate(CANON, bent_start(), field, t_final=0.7, dt=0.1)
         assert calls == [(float,) * 5] * (4 * 7)
+
+    @given(run=shortened_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_the_array_form(self, run):
+        # the float-local loop gives the bits of RK4 on arrays, row for row
+        params, start, field, t0, t_final, dt, n_full = run
+        traj = integrate(params, start, field, t_final, dt, t0)
+        assert len(traj) == n_full + 2
+        assert traj.table.tobytes() == rk4_table(
+            params, start, field, t_final, dt, t0).tobytes()
 
     def test_memory_is_the_table(self):
         # each step writes its row into the one preallocated table, so the
