@@ -317,7 +317,6 @@ class RankReport:
     the rank stays at 4 for every bracket depth; bent states reach 5.
     """
 
-    point: np.ndarray
     depth: int
     rank: int
     singular_values: np.ndarray
@@ -337,8 +336,7 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     The rank is read in the body frame, at (0, 0, 0, alpha2, alpha3): a
     turn of the heading multiplies the matrix of words by ``T(theta)`` on
     the left and by the field's turn on the right, both orthogonal, so the
-    report is the same, bit for bit, at every theta.  ``point`` is echoed
-    as given.
+    report is the same, bit for bit, at every x, y and theta.
 
     A depth-2 word is ``Dg f - Df g`` with ``BASE_STEP`` Jacobians, a
     nested word ``Dw s - Ds w`` with ``NESTED_STEP`` ones, taken once per
@@ -408,6 +406,5 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
         gap = math.nan
     is_straight = max(abs(values[3]), abs(values[4])) < 1e-12
     return RankReport(
-        point=point, depth=depth, rank=rank,
-        singular_values=singular, gap_4_5=gap,
+        depth=depth, rank=rank, singular_values=singular, gap_4_5=gap,
         labels=tuple(labels), is_straight=is_straight)

@@ -363,11 +363,10 @@ def _dx2_grid(model: _QuadraticModel, omegas: np.ndarray) -> np.ndarray:
     return dx2
 
 
-def _dx2_quadrature(model: _QuadraticModel, omegas: np.ndarray,
-                    a_plus: np.ndarray) -> np.ndarray:
-    """Time-domain value of ``dx2`` at each of ``omegas``: the integral
-    over one period of ``q . grad Gx . qdot`` along the steady orbit, from
-    the stacked resolvents ``a_plus = (-A + i omega I)^-1``.
+def _dx2_quadrature(model: _QuadraticModel, omega: float) -> float:
+    """Time-domain value of ``dx2`` at ``omega``: the integral over one
+    period of ``q . grad Gx . qdot`` along the steady orbit, from the
+    resolvent ``a_plus = (-A + i omega I)^-1`` (``resolvents``).
 
     With ``c = a_plus b`` and the phase row ``p = [cos, sin]`` of
     ``omega t``, ``q = p S`` with ``S = [Im c; Re c]`` and ``qdot = p R``
@@ -380,11 +379,11 @@ def _dx2_quadrature(model: _QuadraticModel, omegas: np.ndarray,
     ``dx2``, by an LU inverse where the sweep takes the adjugate:
     ``validate`` and acceptance criterion 04 compare the two.
     """
-    c = a_plus @ model.b
-    shape_coef = np.stack([c.imag, c.real], axis=1)
-    rate_coef = omegas[:, None, None] * np.stack([c.real, -c.imag], axis=1)
-    form = shape_coef @ model.grad_gx @ rate_coef.transpose(0, 2, 1)
-    return (math.pi / omegas) * np.trace(form, axis1=1, axis2=2)
+    c = resolvents(model.a, omega)[0] @ model.b
+    shape_coef = np.stack([c.imag, c.real])
+    rate_coef = omega * np.stack([c.real, -c.imag])
+    form = shape_coef @ model.grad_gx @ rate_coef.T
+    return math.pi / omega * float(np.trace(form))
 
 
 def net_displacement_quadratic(params: SwimmerParams, omega: float) -> float:

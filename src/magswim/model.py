@@ -241,13 +241,11 @@ class TabulatedField(FieldProgram):
         return (sx[j] * t + hx[j], sy[j] * t + hy[j])
 
 
-def apply_R_transform(config: Configuration,
-                      h: tuple[float, float]) -> tuple[Configuration, tuple[float, float]]:
-    """The discrete symmetry: rotate the swimmer by pi and negate the field.
-
-    On coordinates this reads ``(x, y, theta, a2, a3) -> (-x, -y, theta,
-    a3, a2)`` together with ``H -> -H``.  Applying it twice is the identity.
-    """
-    cfg = Configuration(-config.x, -config.y, config.theta,
-                        config.alpha3, config.alpha2)
-    return cfg, (-h[0], -h[1])
+def apply_R_transform(config: Configuration) -> Configuration:
+    """The discrete symmetry ``(x, y, theta, a2, a3) -> (-x, -y, theta,
+    a3, a2)``: a half-turn, which negates the field, and an end-to-end
+    relabel, which negates the link moments.  If links 1 and 3 share their
+    coefficients, the image moves under the same field as the image of the
+    original's velocity.  Applying it twice is the identity."""
+    return Configuration(-config.x, -config.y, config.theta,
+                         config.alpha3, config.alpha2)

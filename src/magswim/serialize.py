@@ -156,9 +156,10 @@ def _row_error(row: Any) -> str | None:
 def read_trajectory_jsonl(path: str | Path
                           ) -> tuple[Trajectory, dict[str, Any]]:
     """The samples and the metadata record of a ``write_trajectory_jsonl``
-    file.  Each non-blank line after the metadata must be one array of
-    ``len(TRAJECTORY_COLUMNS)`` JSON numbers; anything else raises
-    ``MagswimError("path:lineno: ...")`` for the first line at fault."""
+    file, whose ``version``, ``columns`` and ``rows`` must be JSON as the
+    writer spells them (``true`` is not ``1``); every non-blank line after
+    it, one array of ``len(TRAJECTORY_COLUMNS)`` JSON numbers.  Anything
+    else raises ``MagswimError`` naming the key or the first line at fault."""
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -170,6 +171,11 @@ def read_trajectory_jsonl(path: str | Path
         if not isinstance(header, dict) or header.get("format") != \
                 JSONL_FORMAT:
             raise MagswimError(f"{path}: not a {JSONL_FORMAT} file")
+        for key, want in (("version", JSONL_VERSION),
+                          ("columns", list(TRAJECTORY_COLUMNS))):
+            got, spelled = json.dumps(header.get(key)), json.dumps(want)
+            if got != spelled:
+                raise MagswimError(f"{path}: {key} {got}, expected {spelled}")
         lines = [(lineno, line) for lineno, line in enumerate(fh, start=2)
                  if not line.isspace()]
     # one loads call over every line; the line-by-line pass runs only to
@@ -190,10 +196,10 @@ def read_trajectory_jsonl(path: str | Path
                 error = str(exc)
             if error:
                 raise MagswimError(f"{path}:{lineno}: {error}")
-    if len(rows) != header.get("rows"):
-        raise MagswimError(
-            f"{path}: header promises {header.get('rows')} rows, "
-            f"found {len(rows)}")
+    promised = json.dumps(header.get("rows"))
+    if promised != str(len(rows)):
+        raise MagswimError(f"{path}: header promises rows {promised}, "
+                           f"found {len(rows)}")
     return _trajectory_from_rows(rows), header
 
 

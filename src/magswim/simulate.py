@@ -221,8 +221,6 @@ def displacement_per_period(params: SwimmerParams, initial: Configuration,
     since it drifts by design.  If the check fails, the burn-in doubles (at
     most four times) before the report flags non-convergence.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
     if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
            for n in (burn_in_periods, measure_periods)):
         raise ValueError("period counts must be integers")

@@ -724,7 +724,7 @@ class TestValidate:
         assert main(["validate", "--output", str(p1)]) == 0
         assert main(["validate", "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
-        assert "summary 12 checks 12 passed 0 failed" in p1.read_text()
+        assert "summary 11 checks 11 passed 0 failed" in p1.read_text()
 
     def test_json_companion(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -732,7 +732,7 @@ class TestValidate:
         import json
         payload = json.loads(path.read_text())
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 12
+        assert len(payload["checks"]) == 11
 
     def test_config_is_a_usage_error(self, capsys):
         # validate runs fixed inputs; a config it would ignore is refused
@@ -995,7 +995,10 @@ TRANSCRIPT = {
 # validate's alignment, stencil, Richardson, symmetry and reversal lines);
 # validate by dropping its checks drive_column_is_minus_first_column and
 # control_column_alignment, which the body frame fixes by construction
-# (the other twelve lines, and their JSON records, keep their bytes)
+# (the other twelve lines, and their JSON records, keep their bytes);
+# validate (was 7daea866...) by dropping trajectory_column_contract, which
+# compared TRAJECTORY_COLUMNS with a copy of itself: its check line and the
+# summary line, now 11 checks, are the two that changed
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, '4dd4f8418c16468e696b0ea846a59d339ce5f07140619d790d7233798884e5d9'),
     "controllability_thetas": (0, 'c5e7fa3bad79fc39bad4836857cd1d7e2a96dc768abc71628984fd47562d2115'),
@@ -1009,7 +1012,7 @@ FROZEN_TRANSCRIPT = {
     "sweep_default": (0, 'f0d90bc8e8e923e07fdb23350831ce8410316f683f5f0b39811cb995734cb4c2'),
     "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),
     "symmetry": (0, 'b6b32bac93d433bc2d566eaeaa913770121ca5755e1bbd527fc79c040cad3e17'),
-    "validate": (0, '7daea8663e827799dbc5c1f7230fdf3a46f782ab59b3454e2e694a9d282f32ff'),
+    "validate": (0, '0a5320c410020376d34900938ba849fd807f4681314d56e25b94600dc13f339b'),
 }
 
 

@@ -204,7 +204,7 @@ class TestInvariances:
         """
         p = SwimmerParams(1.1, (1.2, 0.8, 1.2), (3.0, 1.5, 3.0), 0.9, 1.1)
         c = Configuration(x, y, theta, a2, a3)
-        rc, _ = apply_R_transform(c, (hx, hy))
+        rc = apply_R_transform(c)
         v = velocity(c, (hx, hy), p)
         mirrored = np.array([-v[0], -v[1], v[2], v[4], v[3]])
         assert np.max(np.abs(velocity(rc, (hx, hy), p) - mirrored)) \

@@ -369,8 +369,7 @@ class TestNetDisplacement:
             weight = 2.0 * math.pi / omega / samples
             loop = math.fsum(terms) * weight
             scale = math.fsum(abs(t) for t in terms) * weight
-            got = _dx2_quadrature(model, np.array([omega]),
-                                  resolvents(model.a, omega)[0][None])[0]
+            got = _dx2_quadrature(model, omega)
             assert abs(got - loop) <= 1e-15 * scale
 
     def test_equal_coefficients_cannot_translate(self):
@@ -416,8 +415,7 @@ class TestNetDisplacement:
         for omega, value in zip(omegas.tolist(), grid.tolist()):
             terms = _dx2_terms(model, omega)
             assert all(map(math.isfinite, terms)) and terms[0] == value
-            quad = _dx2_quadrature(model, np.array([omega]),
-                                   resolvents(model.a, omega)[0][None])[0]
+            quad = _dx2_quadrature(model, omega)
             if abs(quad) > 1e-300:
                 assert abs(value - quad) <= 1e-12 * abs(quad)
 

@@ -153,10 +153,14 @@ class TestCsv:
         np.testing.assert_array_equal(back.states, traj.states)
 
     def test_header_spelled_out(self, short_trajectory, tmp_path):
+        # the column contract, spelled out rather than read back from the
+        # constant the writer uses
+        assert TRAJECTORY_COLUMNS == ("t", "x", "y", "theta", "alpha2",
+                                      "alpha3", "Hx", "Hy")
         path = tmp_path / "traj.csv"
         write_trajectory_csv(short_trajectory, path)
         first = path.read_text().splitlines()[0]
-        assert first == ",".join(TRAJECTORY_COLUMNS)
+        assert first == "t,x,y,theta,alpha2,alpha3,Hx,Hy"
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
         empty = Trajectory(np.empty((0, 8)))
@@ -382,6 +386,27 @@ class TestJsonl:
         path = tmp_path / "other.jsonl"
         path.write_text(json.dumps({"format": "something.else"}) + "\n")
         with pytest.raises(MagswimError, match="not a"):
+            read_trajectory_jsonl(path)
+
+    @pytest.mark.parametrize("key,value,reason", [
+        ("version", 99, "version 99, expected 1"),
+        ("columns", ["a", "b"], 'columns ["a", "b"], expected ["t", "x", '
+                                '"y", "theta", "alpha2", "alpha3", "Hx", '
+                                '"Hy"]'),
+        ("rows", True, "header promises rows true, found 1"),
+        ("rows", "1", 'header promises rows "1", found 1'),
+    ], ids=["version", "columns", "rows_bool", "rows_string"])
+    def test_rejects_a_header_the_writer_did_not_spell(self, tmp_path, key,
+                                                       value, reason):
+        # the first two were read as a magswim trajectory, true passed as
+        # one row, and "1" failed as a count that did not match 1
+        path = tmp_path / "traj.jsonl"
+        write_trajectory_jsonl(Trajectory(np.zeros((1, 8))), path)
+        first, row = path.read_text().splitlines()
+        header = {**json.loads(first), key: value}
+        path.write_text(json.dumps(header) + "\n" + row + "\n")
+        with pytest.raises(MagswimError,
+                           match=f"^{re.escape(f'{path}: {reason}')}$"):
             read_trajectory_jsonl(path)
 
     def test_rejects_empty_file(self, tmp_path):
