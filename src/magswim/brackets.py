@@ -221,13 +221,14 @@ def _words(jac: np.ndarray, rows: np.ndarray, pairs: tuple) -> np.ndarray:
     return both[..., :half, :] - both[..., half:, :]
 
 
-def _second_words(fields: np.ndarray, n: int) -> np.ndarray:
-    """The words [f0,fx], [f0,fy], [fx,fy] at n centres from the
-    generators on the ``BASE_STEP`` ``_stencil`` of those centres."""
-    around = fields[n:].reshape(n, 2, 2, 3, STATE_DIM)
-    jac = _jacobians(fields[:n], around[:, :, 0], around[:, :, 1],
-                     BASE_STEP, 1, 2)
-    return _words(jac, fields[:n], _SECOND)
+def _stencil_words(values: np.ndarray, n: int, step: float, u, w,
+                   pairs: tuple) -> np.ndarray:
+    """The words ``pairs`` at n centres from the (N, k, 5) fields
+    ``values`` on the ``step`` ``_stencil`` of those centres, the rows u
+    and w the pair that turns with the field (``_jacobians``)."""
+    ring = values[n:].reshape((n, 2, 2) + values.shape[1:])
+    jac = _jacobians(values[:n], ring[:, :, 0], ring[:, :, 1], step, u, w)
+    return _words(jac, values[:n], pairs)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -271,7 +272,8 @@ def equilibrium_identities(params: SwimmerParams,
     turned by ``_turn``, and the alignment reduces to ``fx = 0`` at
     heading 0.  Both identities carry ``tan theta`` or ``1 / cos theta``,
     so a heading with ``|cos theta| < 0.05``, or one that is not finite,
-    raises ``ValueError``.
+    raises ``ValueError``, as does a zero fy or ``[fx, fy]`` (M = 0, or
+    a moment so small that they underflow), which the residuals divide by.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -284,12 +286,13 @@ def equilibrium_identities(params: SwimmerParams,
                               _stencil([(0.0, 0.0)], BASE_STEP))
     fx_val, fy_val = _turn(c, s, fields[0, 1], fields[0, 2])
     fy_norm = _norm(fy_val)
-    # a numpy scalar: at fy = 0 (M = 0) the residual is numpy's nan, warned
-    alignment = np.float64(_norm(fx_val + np.tan(theta) * fy_val))
     # [fx, fy] from the Jacobians of fx and fy alone
-    pair = fields[:, 1:]
-    jac = _jacobians(pair[0], pair[1::2], pair[2::2], BASE_STEP, 0, 1)
-    bracket = _words(jac, pair[0], _pairs([0], [1]))[0]
+    bracket = _stencil_words(fields[:, 1:], 1, BASE_STEP, 0, 1,
+                             _pairs([0], [1]))[0, 0]
+    bracket_norm = _norm(bracket)
+    if fy_norm == 0.0 or bracket_norm == 0.0:
+        raise ValueError(f"[fx, fy] has zero norm at theta = {theta!r} (M = "
+                         f"{params.M!r}): the field cannot steer this swimmer")
     claimed = fy_val[2] * fy_val
     # the constant stencil S fy of the module docstring
     _, _, v3, v4, v5 = fy_val.tolist()
@@ -298,11 +301,11 @@ def equilibrium_identities(params: SwimmerParams,
                          v3 + v5]))
     return EquilibriumReport(
         theta=theta,
-        alignment_residual=float(alignment / fy_norm),
+        alignment_residual=_norm(fx_val + np.tan(theta) * fy_val) / fy_norm,
         claimed_gap=_norm(bracket - claimed),
         corrected_gap=_norm(bracket - corrected),
         fy_norm=fy_norm,
-        bracket_norm=_norm(bracket),
+        bracket_norm=bracket_norm,
     )
 
 
@@ -376,16 +379,15 @@ def lie_rank(params: SwimmerParams, point: np.ndarray,
     labels = ["f0", "fx", "fy"]
     with np.errstate(over="ignore", invalid="ignore"):
         if depth >= 2:
-            second = _second_words(fields, n)
+            second = _stencil_words(fields, n, BASE_STEP, 1, 2, _SECOND)
             rows.append(second[0])
             labels += ["[f0,fx]", "[f0,fy]", "[fx,fy]"]
         if depth == 3:
             # the generators and the depth-2 words side by side, the
             # pairs (fx, fy) and ([f0,fx], [f0,fy]) turning with the field
             nested = np.concatenate([fields[:n], second], axis=1)
-            jac = _jacobians(nested[0], nested[1::2], nested[2::2],
-                             NESTED_STEP, slice(1, 4, 2), slice(2, 5, 2))
-            rows.append(_words(jac, nested[0], _NESTED))
+            rows.append(_stencil_words(nested, 1, NESTED_STEP, slice(1, 4, 2),
+                                       slice(2, 5, 2), _NESTED)[0])
             labels += [f"[{s},{w}]" for s in labels[:3]
                        for w in labels[3:6]]
     matrix = np.concatenate(rows).T

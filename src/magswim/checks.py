@@ -19,14 +19,11 @@ from .linear import (
     _QuadraticModel,
     _dx2_quadrature,
     _dx2_terms,
-    char_poly,
     closed_form_angle_matrix,
-    closed_form_char_coeffs,
     closed_form_grad_gx,
     closed_form_skew_kernel,
     displacement_model,
     net_displacement_quadratic,
-    routh_hurwitz_stable,
 )
 from .model import (
     Configuration,
@@ -83,16 +80,6 @@ def _check_angle_matrix(model: _QuadraticModel) -> CheckResult:
     gap = float(np.max(np.abs(model.a - closed.a)) / scale)
     return CheckResult("angle_matrix_closed_vs_numeric", gap < 1e-8,
                        f"relgap={gap!r} tol=1e-08")
-
-
-def _check_char_coeffs() -> CheckResult:
-    closed = np.array(closed_form_char_coeffs(CANON))
-    direct = np.array(char_poly(closed_form_angle_matrix(CANON).a))
-    gap = float(np.max(np.abs(closed - direct)) / np.max(np.abs(direct)))
-    stable = routh_hurwitz_stable(tuple(closed))
-    return CheckResult("char_coeffs_closed_vs_matrix",
-                       gap < 1e-10 and stable,
-                       f"relgap={gap!r} stable={stable} tol=1e-10")
 
 
 def _check_grad_gx(model: _QuadraticModel) -> CheckResult:
@@ -195,7 +182,6 @@ def run_validation() -> ValidationReport:
     model = displacement_model(CANON)
     return ValidationReport(results=(
         _check_angle_matrix(model),
-        _check_char_coeffs(),
         _check_grad_gx(model),
         _check_skew_kernel(model),
         _check_displacement_two_path(model),

@@ -320,10 +320,6 @@ def cmd_controllability(config: RunConfig, args: Namespace) -> Outcome:
     rows = []
     for theta in args.theta or [0.0, 0.3, -0.3, 0.7, -0.7]:
         report = equilibrium_identities(config.params, theta)
-        if report.bracket_norm == 0.0:
-            raise ValueError(
-                f"[fx, fy] has zero norm at theta = {theta!r} (M = "
-                f"{config.params.M!r}): the field cannot steer this swimmer")
         stencil_rel = report.corrected_gap / report.bracket_norm
         row = _plain({
             "theta": theta,

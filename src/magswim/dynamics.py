@@ -55,13 +55,11 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     row-major, and of the five rows of the spring load, Mx and My.  The
     per-swimmer values lead the arguments (``L``, ``L/2``, ``L^2/2``,
     ``L^3/3``, the middle link's ``eta_2 L^3/12``, ``xi_i``, ``eta_i``, the
-    outer links' ``xi_i - eta_i``, ``M``, ``K``, and the products ``-L/2``,
-    ``xi_2 L``, ``eta_2 L``, ``(L/2) eta_2 L`` and ``-M``, bit for bit what
-    the loads formed on each call) and :func:`_load_core` binds them; then
-    come the heading, read by the field branch alone, and the joint angles.
-    Given the field ``hx, hy`` last, it turns the field into the body
-    frame, solves the torque rows of ``Mx hx + My hy - elastic`` by
-    :func:`_solve_drag`, and turns ``(xdot, ydot)`` back.
+    outer links' ``xi_i - eta_i``, ``M``, ``K``) and :func:`_load_core`
+    binds them; then come the heading, read by the field branch alone, and
+    the joint angles.  Given the field ``hx, hy`` last, it turns the field
+    into the body frame, solves the torque rows of ``Mx hx + My hy -
+    elastic`` by :func:`_solve_drag`, and turns ``(xdot, ydot)`` back.
 
     The middle link lies along the x axis, centred at the origin: ``A3 =
     -A2 = (L/2, 0)`` and ``A1 = A2 - L e1``.  Link i runs from its start
@@ -82,8 +80,7 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
     parts over ``h`` are the derivatives along ``e`` (a complex step)."""
 
     def assemble(L, half, m1, m2, w2, xi1, xi2, xi3, eta1, eta2, eta3,
-                 d1, d3, M, K, A2x, xi2L, eta2L, half_eta2L, negM,
-                 theta, a2, a3, hx=None, hy=None):
+                 d1, d3, M, K, theta, a2, a3, hx=None, hy=None):
         # the link angles at heading +0.0: a -0.0 joint angle reads +0.0
         th1 = 0.0 + a2
         th3 = 0.0 + a3
@@ -97,8 +94,8 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         Y3 = d3 * c3 * s3
         Z3 = xi3 * s3 * s3 + eta3 * c3 * c3
         Lc1, Ls1 = L * c1, L * s1
-        # A3 = -A2 = (half, 0) and A1 = A2 - L e1
-        A1x, A1y = A2x - Lc1, -Ls1
+        # A3 = (half, 0) and A1 = -A3 - L e1
+        A1x, A1y = -half - Lc1, -Ls1
         # lever arms to link 3's start A3 from A1, and (L, 0) from A2
         r1x, r1y = half - A1x, 0.0 - A1y
         # k = D n, the drag of a unit normal velocity; its components are
@@ -125,12 +122,12 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         # the 25 loads of -Mh, gRC for row R and column C; rows force x,
         # force y, torques about A1, A2, A3; columns the unit rates of x, y,
         # theta, alpha2, alpha3
-        g00 = 0.0 - X1 * L - xi2L - X3 * L
+        g00 = 0.0 - X1 * L - xi2 * L - X3 * L
         g01 = g10 = 0.0 - Y1 * L - Y3 * L
         g02 = 0.0 - (u1x * L + p1x) - (u3x * L + p3x)
         g03, g13 = 0.0 - (g1x * L + p1x), 0.0 - (g1y * L + p1y)
         g04 = g40 = 0.0 - p3x
-        g11 = 0.0 - Z1 * L - eta2L - Z3 * L
+        g11 = 0.0 - Z1 * L - eta2 * L - Z3 * L
         g12 = 0.0 - (u1y * L + p1y) - (u3y * L + p3y)
         g14 = g41 = 0.0 - p3y
         g20 = (0.0 - p1x - A1y * xi2 * L
@@ -142,7 +139,7 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
         g23 = 0.0 - ((c1 * g1y - s1 * g1x) * m1 + w1)
         g24, g34 = 0.0 - (q1 * m1 + w3), 0.0 - (q2 * m1 + w3)
         g30 = 0.0 - (L * Y3 * L + p3x)
-        g31 = 0.0 - half_eta2L - (L * Z3 * L + p3y)
+        g31 = 0.0 - half * eta2 * L - (L * Z3 * L + p3y)
         g32 = 0.0 - w2 - (L * u3y * L + (q2 + v3) * m1 + w3)
         g42, g44 = 0.0 - (v3 * m1 + w3), 0.0 - w3
         # a link at angle phi with moment M along its tangent feels the torque
@@ -156,8 +153,8 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
                      g40, g41, g42, 0.0, g44),
                     (0.0, 0.0, 0.0, K * a2, -K * a3),
                     (0.0, 0.0, M * (s1 + 0.0 + s3), M * (0.0 + s3), M * s3),
-                    (0.0, 0.0, negM * (c1 + 1.0 + c3), negM * (1.0 + c3),
-                     negM * c3))
+                    (0.0, 0.0, -M * (c1 + 1.0 + c3), -M * (1.0 + c3),
+                     -M * c3))
         # the field in the body frame, R(-theta) H; the torque rows of
         # Mx Hx + My Hy - elastic there, as the tuples give them; and the
         # translation rates turned back by theta
@@ -167,9 +164,9 @@ def _assembler(cos: Callable, sin: Callable) -> Callable[..., tuple]:
             g00, g01, g02, g03, g04, g10, g11, g12, g13, g14,
             g20, g21, g22, g23, g24, g30, g31, g32, 0.0, g34,
             g40, g41, g42, 0.0, g44,
-            hx * (M * (s1 + 0.0 + s3)) + hy * (negM * (c1 + 1.0 + c3)),
-            hx * (M * (0.0 + s3)) + hy * (negM * (1.0 + c3)) - K * a2,
-            hx * (M * s3) + hy * (negM * c3) + K * a3)
+            hx * (M * (s1 + 0.0 + s3)) + hy * (-M * (c1 + 1.0 + c3)),
+            hx * (M * (0.0 + s3)) + hy * (-M * (1.0 + c3)) - K * a2,
+            hx * (M * s3) + hy * (-M * c3) + K * a3)
         return c * dx - s * dy, s * dx + c * dy, dth, da2, da3
 
     return assemble
@@ -187,19 +184,18 @@ def _load_core(params: SwimmerParams, complex_step: bool = False,
     between.  With ``rate`` it takes ``(theta, alpha2, alpha3, hx, hy)``,
     the RK4 rate; with ``complex_step`` the arguments may be complex
     (``_assemble_complex``), which no integrator or bracket path asks."""
-    L, xi, eta, M = params.L, params.xi, params.eta, params.M
+    L, xi, eta = params.L, params.xi, params.eta
     half = 0.5 * L
     bound = partial(_assemble_complex if complex_step else _assemble,
                     L, half, 0.5 * (L * L), L ** 3 / 3.0,
                     eta[1] * ((half ** 3 - (-half) ** 3) / 3.0), *xi, *eta,
-                    xi[0] - eta[0], xi[2] - eta[2], M, params.K,
-                    -half, xi[1] * L, eta[1] * L, half * eta[1] * L, -M)
+                    xi[0] - eta[0], xi[2] - eta[2], params.M, params.K)
     return bound if rate else partial(bound, None)
 
 
 def _resistance(drag: Sequence) -> np.ndarray:
-    """The (n, 5, 5) stack of ``Mh`` from the drag loads of n poses."""
-    return np.negative(np.array(drag)).reshape(-1, 5, 5)
+    """The (n, 5, 5) stack of ``Mh`` from n poses' rows of 25 drag loads."""
+    return np.negative(np.asarray(drag)).reshape(-1, 5, 5)
 
 
 def _solve_poses(loads: Callable[..., tuple],
@@ -219,7 +215,7 @@ def _solve_poses(loads: Callable[..., tuple],
             table += part
     rows = np.empty((len(poses), 40))
     struct.pack_into(f"{rows.size}d", rows, 0, *table)
-    mh = np.negative(rows[:, :25]).reshape(-1, 5, 5)
+    mh = _resistance(rows[:, :25])
     # rows elastic, -Mx, -My: the transposed right-hand side of the solve
     rhs = rows[:, 25:].reshape(-1, 3, 5)
     np.negative(rhs[:, 1:], out=rhs[:, 1:])

@@ -472,12 +472,16 @@ def frequency_sweep(params: SwimmerParams, omega_min: float,
     model = displacement_model(params)
     # np.logspace's bits by linspace's own arithmetic, without its overhead
     lo, hi = math.log10(omega_min), math.log10(omega_max)
-    y = np.arange(n_grid, dtype=float)
-    y *= (hi - lo) / (n_grid - 1)
-    y += lo
-    y[-1] = hi
-    omegas = np.power(10.0, y)
-    dx2 = _dx2_grid(model, omegas)
+    try:
+        y = np.arange(n_grid, dtype=float)
+        y *= (hi - lo) / (n_grid - 1)
+        y += lo
+        y[-1] = hi
+        omegas = np.power(10.0, y)
+        dx2 = _dx2_grid(model, omegas)
+    except MemoryError:
+        raise ValueError(f"n_grid = {n_grid} is too large: the grid does "
+                         f"not fit in memory") from None
     evaluations = n_grid
 
     def evaluate(w: float) -> tuple[float, float, float]:

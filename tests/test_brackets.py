@@ -15,9 +15,10 @@ from magswim.brackets import (
     NESTED_STEP,
     ControlSystem,
     VectorField,
+    _SECOND,
     _jacobians,
-    _second_words,
     _stencil,
+    _stencil_words,
     control_vector_fields,
     equilibrium_identities,
     lie_rank,
@@ -257,15 +258,16 @@ class TestEquilibriumIdentities:
         with pytest.raises(ValueError):
             equilibrium_identities(CANON, 1.55)
 
-    def test_zero_moment_reads_a_nan_alignment(self):
-        # with M = 0, fx and fy vanish and 0 / 0 is numpy's: nan, warned
-        params = SwimmerParams(1.0, (1.2, 0.8, 0.8), (3.0, 1.5, 1.5),
-                               M=0.0, K=1.0)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            report = equilibrium_identities(params, 0.3)
-        assert report.fy_norm == 0.0
-        assert math.isnan(report.alignment_residual)
-        assert type(report.alignment_residual) is float
+    @pytest.mark.parametrize("moment", [0.0, 5e-324])
+    def test_zero_moment_is_refused(self, moment):
+        # with M = 0 fx and fy vanish, and at 5e-324 [fx, fy] underflows:
+        # the residuals would divide by zero, so no report is made
+        params = dataclasses.replace(CANON, M=moment)
+        with pytest.raises(ValueError) as info:
+            equilibrium_identities(params, 0.3)
+        assert str(info.value) == (
+            f"[fx, fy] has zero norm at theta = 0.3 (M = {moment!r}): the "
+            "field cannot steer this swimmer")
 
     def test_tiny_bracket_keeps_its_norm(self):
         # [fx, fy] scales with M^2 by powers of two, exactly; at 2^-664
@@ -729,8 +731,8 @@ def generators_at(system, x):
 def second_words_at(system, x):
     """[f0,fx], [f0,fy], [fx,fy] at the state ``x`` (3, 5), differenced
     over the joint angles as ``lie_rank`` does."""
-    return _second_words(generators_at(system, with_neighbours(x[None])),
-                         1)[0]
+    return _stencil_words(generators_at(system, with_neighbours(x[None])),
+                          1, BASE_STEP, 1, 2, _SECOND)[0]
 
 
 def theta_column(rows, u, w):
@@ -862,5 +864,6 @@ class TestStencil:
         for theta in thetas:
             del words[:]
             equilibrium_identities(params, theta)
-            [word] = words
+            # the one word at the one centre
+            [[word]] = words
             assert hexes(word) == hexes([rank_word]), theta

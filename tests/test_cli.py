@@ -1,5 +1,6 @@
 """Exit codes and outputs of the command-line front end."""
 import math
+import os
 import re
 import subprocess
 import sys
@@ -86,6 +87,22 @@ formats = csv, jsonl
         traj = read_trajectory_csv(tmp_path / "trajectory.csv")
         assert traj.times[-1] == 62.83
         assert traj.times[1] == config.dt
+
+    def test_readme_python_examples_run(self, tmp_path):
+        # the three ```python blocks of README.md as one script, which
+        # writes trajectory.csv to its working directory
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(),
+                            re.DOTALL)
+        assert len(blocks) == 3
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "\n".join(blocks)], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(read_trajectory_csv(tmp_path / "trajectory.csv")) == 601
 
 
 class TestDisplacement:
@@ -458,6 +475,16 @@ directory = {tmp_path}
         assert lines[0] == "omega,dx2"
         assert len(lines) == 17
 
+    def test_grid_too_large_for_memory_is_an_invalid_request(
+            self, tmp_path, capsys):
+        # 8 TB of grid: numpy refuses the allocation before touching memory
+        assert main(["sweep", "--n-grid", str(10**12),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid request: n_grid = 1000000000000 is too large: the grid "
+            "does not fit in memory\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_boundary_peak_leaves_stderr_clean(self, tmp_path):
         # the report says "boundary True"; a warning would add a cli.py
         # file:line and source line that move with every edit
@@ -677,10 +704,8 @@ class TestControllability:
         # fy vanishes (5e-324 underflows), so [fx, fy] has zero norm
         path = write_config(tmp_path, f"[params]\nM = {moment}\n")
         report = tmp_path / "r.json"
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            code = main(["controllability", "--config", path,
-                         "--json", str(report)])
-        assert code == 2
+        assert main(["controllability", "--config", path,
+                     "--json", str(report)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -724,7 +749,7 @@ class TestValidate:
         assert main(["validate", "--output", str(p1)]) == 0
         assert main(["validate", "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
-        assert "summary 11 checks 11 passed 0 failed" in p1.read_text()
+        assert "summary 10 checks 10 passed 0 failed" in p1.read_text()
 
     def test_json_companion(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -732,7 +757,7 @@ class TestValidate:
         import json
         payload = json.loads(path.read_text())
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 11
+        assert len(payload["checks"]) == 10
 
     def test_config_is_a_usage_error(self, capsys):
         # validate runs fixed inputs; a config it would ignore is refused
@@ -998,7 +1023,10 @@ TRANSCRIPT = {
 # (the other twelve lines, and their JSON records, keep their bytes);
 # validate (was 7daea866...) by dropping trajectory_column_contract, which
 # compared TRAJECTORY_COLUMNS with a copy of itself: its check line and the
-# summary line, now 11 checks, are the two that changed
+# summary line, now 11 checks, are the two that changed; validate (was
+# 0a5320c4...) by dropping char_coeffs_closed_vs_matrix, whose two routes
+# are exact arithmetic on fixed constants: its check line, its JSON
+# record and the summary line, now 10 checks, changed
 FROZEN_TRANSCRIPT = {
     "controllability_default": (0, '4dd4f8418c16468e696b0ea846a59d339ce5f07140619d790d7233798884e5d9'),
     "controllability_thetas": (0, 'c5e7fa3bad79fc39bad4836857cd1d7e2a96dc768abc71628984fd47562d2115'),
@@ -1012,7 +1040,7 @@ FROZEN_TRANSCRIPT = {
     "sweep_default": (0, 'f0d90bc8e8e923e07fdb23350831ce8410316f683f5f0b39811cb995734cb4c2'),
     "sweep_error_record": (1, 'b782fe63fbc5bf1be62b793974fd5edf8efb07bfc545a3a7f9838dd1677898de'),
     "symmetry": (0, 'b6b32bac93d433bc2d566eaeaa913770121ca5755e1bbd527fc79c040cad3e17'),
-    "validate": (0, '0a5320c410020376d34900938ba849fd807f4681314d56e25b94600dc13f339b'),
+    "validate": (0, '496dd1c402607ca5b7157e90abafc99d9905a607759adba78932d3c17788b232'),
 }
 
 

@@ -440,6 +440,12 @@ class TestFrequencySweep:
         assert sw.boundary is True
         assert sw.omega_star == pytest.approx(5.0)
 
+    def test_grid_too_large_for_memory_names_n_grid(self):
+        # 8 TB of grid: numpy refuses the allocation before touching memory
+        with pytest.raises(ValueError, match=r"^n_grid = 1000000000000 is "
+                           r"too large: the grid does not fit in memory$"):
+            frequency_sweep(CANON, 1e-2, 1e2, n_grid=10**12)
+
     def test_equal_coefficient_curve_flagged(self):
         p = SwimmerParams.uniform(1.0, 0.8, 1.5, 1.0, 1.0)
         sw = frequency_sweep(p, 1e-1, 1e1, n_grid=16)
@@ -886,14 +892,14 @@ class TestFrozenOriginDigests:
     def test_three_assemblies_per_model(self, monkeypatch):
         # one float assembly at the origin (the rate call for b) and one
         # complex assembly per joint angle; the heading and the joint
-        # angles follow the 20 bound swimmer values, the load form binding
+        # angles follow the 15 bound swimmer values, the load form binding
         # no heading, and the rate call adds the field after them
         calls = []
         for name in ("_assemble", "_assemble_complex"):
             real = getattr(magswim.dynamics, name)
 
             def counted(*args, name=name, real=real):
-                calls.append((name, args[20:23]))
+                calls.append((name, args[15:18]))
                 return real(*args)
             monkeypatch.setattr(magswim.dynamics, name, counted)
         displacement_model(CANON)
